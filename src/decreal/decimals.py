@@ -28,7 +28,7 @@ from .errors import (
     InvariantViolation,
     OracleUnavailable,
 )
-from .rational import DecFrac, pow10, ten_smooth
+from .rational import DecFrac, ilog10, pow10, ten_smooth
 
 # ---------------------------------------------------------------------------
 # terminating decimals
@@ -256,9 +256,11 @@ def interval_digit(lo, hi, n):
 class Decimal:
     """A decimal digit stream with a terminating, rational or stream backing."""
 
-    __slots__ = ("sign", "order", "_kind", "_term", "_value", "_producer", "_witness", "_memo")
+    __slots__ = ("sign", "order", "_kind", "_term", "_value", "_producer", "_witness",
+                 "_memo", "_prefix")
 
-    def __init__(self, kind, sign, order, term=None, value=None, producer=None, witness=None):
+    def __init__(self, kind, sign, order, term=None, value=None, producer=None, witness=None,
+                 memo=None, prefix=None):
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "order", order)
@@ -266,7 +268,13 @@ class Decimal:
         object.__setattr__(self, "_value", value)
         object.__setattr__(self, "_producer", producer)
         object.__setattr__(self, "_witness", witness)
-        object.__setattr__(self, "_memo", {} if kind == "stream" else None)
+        if kind == "stream":
+            # digits are those of |x|, so both sign views of a stream share
+            # the memo and the prefix cursor [depth, floor(|x| * 10**depth)]
+            memo = {} if memo is None else memo
+            prefix = [-order - 1, 0] if prefix is None else prefix
+        object.__setattr__(self, "_memo", memo)
+        object.__setattr__(self, "_prefix", prefix)
 
     def __setattr__(self, name, value):
         raise AttributeError("Decimal is immutable")
@@ -284,7 +292,7 @@ class Decimal:
             return cls.from_term(TERM_ZERO)
         sign = 1 if q > 0 else -1
         aq = abs(q)
-        order = len(str(aq.numerator // aq.denominator)) - 1 if aq >= 1 else 0
+        order = ilog10(aq.numerator // aq.denominator) if aq >= 1 else 0
         return cls("rational", sign, order, value=q)
 
     @classmethod
@@ -320,6 +328,29 @@ class Decimal:
             self._memo[n] = d
         return d
 
+    def scaled_prefix(self, m):
+        """``floor(|x| * 10**m)`` for ``m >= 0``: the digits at positions
+        ``order`` down to ``-m`` read as one integer.
+
+        A stream reads exactly the positions that ``truncate(x, m)`` reads,
+        each at most once per stream: its cursor only grows, and a shallower
+        request is cut down from the deepest prefix read so far.
+        """
+        if m < 0:
+            raise ValueError("prefix depth must be >= 0")
+        if self._kind != "stream":
+            q = self.value()
+            return abs(q.numerator) * pow10(m) // q.denominator
+        cursor = self._prefix
+        depth, mant = cursor
+        if m <= depth:
+            return mant // pow10(depth - m)
+        digit = self.digit
+        for k in range(depth + 1, m + 1):
+            mant = mant * 10 + digit(-k)
+        cursor[0], cursor[1] = m, mant
+        return mant
+
     # -- exact views
 
     @property
@@ -331,11 +362,11 @@ class Decimal:
         return self._kind != "stream"
 
     def value(self):
-        if self._kind == "terminating":
-            return self._term.value()
-        if self._kind == "rational":
-            return self._value
-        raise OracleUnavailable("stream backing has no exact value")
+        if self._kind == "stream":
+            raise OracleUnavailable("stream backing has no exact value")
+        if self._value is None:  # terminating: build the Fraction once
+            object.__setattr__(self, "_value", self._term.value())
+        return self._value
 
     @property
     def nine_escape(self):
@@ -368,8 +399,8 @@ class Decimal:
             return Decimal.from_term(self._term.neg())
         if self._kind == "rational":
             return Decimal.from_fraction(-self._value)
-        return Decimal("stream", -self.sign, self.order,
-                       producer=self._producer, witness=self._witness)
+        return Decimal("stream", -self.sign, self.order, producer=self._producer,
+                       witness=self._witness, memo=self._memo, prefix=self._prefix)
 
     def abs(self):
         return self if self.sign > 0 else self.neg()

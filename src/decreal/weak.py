@@ -19,7 +19,6 @@ terminating payload (if any) in the 2-adic part.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .decimals import (
@@ -28,15 +27,11 @@ from .decimals import (
     TermDecimal,
     Verdict,
     compare,
-    digit_of_fraction,
-    interval_digit,
     r_inv,
-    r_map,
     searched_nine_escape,
-    truncate,
 )
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
-from .rational import DecFrac, pow10, ten_smooth
+from .rational import DecFrac, ilog10, pow10, ten_smooth
 from .words import bin_lsb_encode, decode_xr, encode_xr, traced
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,7 @@ def compute_hint(op: str, d: Decimal, e: Decimal) -> Hint:
     if v == 0:
         return Hint(0, TERM_ZERO)
     av = abs(v)
-    order = len(str(av.numerator // av.denominator)) - 1 if av >= 1 else 0
+    order = ilog10(av.numerator // av.denominator) if av >= 1 else 0
     if ten_smooth(v.denominator):
         return Hint(order, r_inv(DecFrac.from_fraction(v)))
     return Hint(order, None)
@@ -204,11 +199,20 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     def producer(n):
         return add_digit_rule(a, b, n)
 
-    if hint.order > 0 and producer(hint.order) == 0:
+    return _checked_stream(sign, hint, producer)
+
+
+def _checked_stream(sign: int, hint: Hint, producer) -> Decimal:
+    """The stream of ``producer`` after the cheap checks around the hinted
+    order.  The top digit is read through the stream, so it is memoised;
+    the digit above the order is not a stream position and is asked of the
+    producer directly."""
+    f = Decimal.from_stream(sign, hint.order, producer, searched_nine_escape(producer))
+    if hint.order > 0 and f.digit(hint.order) == 0:
         raise HintMismatch("zero digit at the hinted (positive) order")
     if producer(hint.order + 1) != 0:
         raise HintMismatch("nonzero digit above the hinted order")
-    return Decimal.from_stream(sign, hint.order, producer, searched_nine_escape(producer))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +221,26 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
 
 @dataclass(frozen=True)
 class MulTruncation:
-    """The exact product of the depth-l truncations of two decimals."""
+    """The exact product of the depth-l truncations of two decimals.
+
+    Both truncations are integers once scaled by ``10**l``, so the product
+    is kept as the integer ``mant`` with value ``mant * 10**(-2*l)``;
+    ``value`` shows the same number as a ``DecFrac``.
+    """
 
     depth: int
-    value: DecFrac
+    mant: int
+
+    @property
+    def value(self) -> DecFrac:
+        return DecFrac(self.mant, -2 * self.depth)
 
 
 def mul_truncation(d: Decimal, e: Decimal, depth: int) -> MulTruncation:
-    prod = r_map(truncate(d, depth)) * r_map(truncate(e, depth))
-    return MulTruncation(depth, prod)
-
-
-def _pow10f(m) -> Fraction:
-    return Fraction(pow10(m)) if m >= 0 else Fraction(1, pow10(-m))
+    """Product of the truncations at positions >= -depth (depth >= 0), read
+    through each operand's prefix cursor."""
+    mant = d.scaled_prefix(depth) * e.scaled_prefix(depth)
+    return MulTruncation(depth, mant if d.sign == e.sign else -mant)
 
 
 def mul_stabilized_digit(d: Decimal, e: Decimal, n: int) -> int:
@@ -243,8 +254,8 @@ def mul_stabilized_digit(d: Decimal, e: Decimal, n: int) -> int:
     """
     k_top = max(d.order, e.order)
     depth = max(1, k_top - n + 2)
-    f = mul_truncation(d, e, depth).value.to_fraction()
-    return digit_of_fraction(f, n)
+    mant = abs(mul_truncation(d, e, depth).mant)
+    return mant // pow10(n + 2 * depth) % 10
 
 
 def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
@@ -252,19 +263,24 @@ def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
 
     The truncation product at depth l undershoots the true product by less
     than ``2 * 10**(K + 1 - l)``, so the truth lives in the closed bracket
-    ``[f(l), f(l) + 2*10**(K+1-l)]``.  Deepen until the bracket fits inside
-    a single digit cell.  Terminates whenever the product does not
+    ``[f(l), f(l) + 2*10**(K+1-l)]``.  Scaled by ``10**(2l)`` that bracket
+    is ``[lo, lo + 2*10**(K+1+l)]`` with ``lo`` the integer ``mant`` of
+    the truncation product, and a digit cell is ``10**(n+2l)`` wide (both
+    exponents are positive at every depth tried).  Deepen until both ends
+    floor to the same cell.  Terminates whenever the product does not
     terminate; ``max_depth`` (if given) turns a misuse into an error
     instead of a loop.
     """
+    if d.sign < 0 or e.sign < 0:
+        raise ValueError("certified product digits need nonnegative operands")
     k_top = max(d.order, e.order)
     depth = max(1, k_top - n + 2)
     while True:
-        lo = mul_truncation(d, e, depth).value.to_fraction()
-        hi = lo + 2 * _pow10f(k_top + 1 - depth)
-        dig = interval_digit(lo, hi, n)
-        if dig is not None:
-            return dig
+        lo = mul_truncation(d, e, depth).mant
+        cell = pow10(n + 2 * depth)
+        i = lo // cell
+        if i == (lo + 2 * pow10(k_top + 1 + depth)) // cell:
+            return i % 10
         depth += 1
         if max_depth is not None and depth > max_depth:
             raise OracleUnavailable(
@@ -293,12 +309,7 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Deci
             return mul_stabilized_digit(a, b, n)
     else:
         raise ValueError(f"unknown digit path {digit_path!r}")
-
-    if hint.order > 0 and producer(hint.order) == 0:
-        raise HintMismatch("zero digit at the hinted (positive) order")
-    if producer(hint.order + 1) != 0:
-        raise HintMismatch("nonzero digit above the hinted order")
-    return Decimal.from_stream(sign, hint.order, producer, searched_nine_escape(producer))
+    return _checked_stream(sign, hint, producer)
 
 
 # ---------------------------------------------------------------------------

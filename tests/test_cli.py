@@ -84,6 +84,38 @@ def test_eval_trace_lines(capsys):
     assert "positions" in lines[1] and "down to" in lines[2]
 
 
+# ``--trace`` lines of certified products: read positions are behaviour, so
+# a faster bracket must leave them exactly as they are
+PINNED_PRODUCT_TRACES = {
+    "0.(3)*0.(3)": [
+        "# left: read 203 digits, positions 0 down to -202",
+        "# right: read 203 digits, positions 0 down to -202",
+    ],
+    "0.(3)*0.(142857)*1.(6)": [
+        "# left: read 204 digits, positions 0 down to -203",
+        "# right: read 204 digits, positions 0 down to -203",
+    ],
+}
+
+
+@pytest.mark.parametrize("expr", sorted(PINNED_PRODUCT_TRACES))
+def test_eval_trace_lines_pinned_for_products(capsys, expr):
+    code, out, _ = run(capsys, "eval", expr, "--digits", "200", "--trace")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == PINNED_PRODUCT_TRACES[expr]
+
+
+def test_eval_trace_counts_distinct_positions_of_a_negated_operand(capsys):
+    # the right operand of a difference is read through its sign flip; each
+    # of its 52 positions is counted once
+    code, out, _ = run(capsys, "eval", "0.(3)-0.(142857)", "--digits", "50", "--trace")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == [
+        "# left: read 52 digits, positions 0 down to -51",
+        "# right: read 52 digits, positions 0 down to -51",
+    ]
+
+
 def test_eval_explicit_hint(capsys):
     code, out, _ = run(capsys, "eval", "0.(3)+0.(3)", "--digits", "4",
                        "--hint", str(hint_encode(Hint(0))))

@@ -4,10 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from decreal.decimals import TERM_ZERO, Decimal, TermDecimal, parse_decimal, r_inv
+from decreal.decimals import (
+    TERM_ZERO,
+    Decimal,
+    TermDecimal,
+    parse_decimal,
+    r_inv,
+    searched_nine_escape,
+)
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
-from decreal.rational import DecFrac
+from decreal.rational import DecFrac, ten_smooth
 from decreal.weak import (
     Hint,
     add_digit_rule,
@@ -264,6 +273,58 @@ def test_certified_digit_max_depth_guard():
         # truncation products 0.999... approach 1 from below forever, so the
         # bracket around the terminating product never clears a boundary
         mul_certified_digit(third, three, -2, max_depth=20)
+
+
+def stream_view(q):
+    """q as a producer-backed stream, with no exact value to fall back on."""
+    x = Decimal.from_fraction(q)
+
+    def producer(n):
+        return oracle_digit(q, n)
+
+    return Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer))
+
+
+nonterminating = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 4)).filter(
+    lambda q: not ten_smooth(q.denominator))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(qa=nonterminating, qb=nonterminating, n=st.integers(-15, 4))
+def test_certified_digit_matches_fraction_oracle_property(qa, qb, n):
+    prod = qa * qb
+    assume(not ten_smooth(prod.denominator))
+    truth = oracle_digit(prod, n)
+    exact = (Decimal.from_fraction(qa), Decimal.from_fraction(qb))
+    streams = (stream_view(qa), stream_view(qb))
+    for a, b in (exact, streams):
+        assert mul_certified_digit(a, b, n, max_depth=80) == truth
+
+
+def test_certified_digit_refuses_negative_operands():
+    # the bracket assumes truncations undershoot; with a negative factor they
+    # overshoot, and this pair would be "certified" as 1 where |u*v| has 2
+    u = Decimal.from_fraction(Fraction(-1, 3))
+    v = parse_decimal("0.306000001")
+    with pytest.raises(ValueError):
+        mul_certified_digit(u, v, -3)
+
+
+def test_mul_truncation_keeps_signs_and_scaled_mantissa():
+    d = Decimal.from_fraction(Fraction(-10, 3))
+    e = parse_decimal("0.25")
+    t = mul_truncation(d, e, 2)
+    assert t.mant == -333 * 25 and t.value == DecFrac(-333 * 25, -4)
+    assert mul_truncation(d, d, 1).mant == 33 * 33
+
+
+def test_compute_hint_beyond_the_int_to_str_cap():
+    big = Decimal.from_fraction(Fraction(10 ** 5000))
+    h = compute_hint("mul", big, Decimal.from_int(1))
+    assert h.order == 5000 and h.terminating.value() == 10 ** 5000
+    third = Decimal.from_fraction(Fraction(10 ** 5000 + 1, 3))
+    h = compute_hint("add", third, Decimal.zero())
+    assert h == Hint(4999, None)
 
 
 def test_weak_mul_terminating_hint_short_circuits():
