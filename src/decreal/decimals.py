@@ -332,9 +332,9 @@ class Decimal:
         """``floor(|x| * 10**m)`` for ``m >= 0``: the digits at positions
         ``order`` down to ``-m`` read as one integer.
 
-        A stream reads exactly the positions that ``truncate(x, m)`` reads,
-        each at most once per stream: its cursor only grows, and a shallower
-        request is cut down from the deepest prefix read so far.
+        A stream reads the positions ``order`` down to ``-m``, each at most
+        once per stream: its cursor only grows, and a shallower request is
+        cut down from the deepest prefix read so far.
         """
         if m < 0:
             raise ValueError("prefix depth must be >= 0")
@@ -429,15 +429,12 @@ def truncate(d, m):
     The truncation of a tiny negative decimal collapses to plain zero (the
     minus-signed all-zero word is excluded).
     """
-    if d.has_exact_value:
+    if m >= 0:
+        return r_inv(DecFrac(d.sign * d.scaled_prefix(m), -m))
+    if d.has_exact_value:  # cutting above the point scales the denominator
         q = d.value()
-        num, scale = abs(q.numerator), q.denominator
-        if m >= 0:
-            num *= pow10(m)
-        else:  # cutting above the point scales the denominator instead
-            scale *= pow10(-m)
-        mant = num // scale if q >= 0 else -(num // scale)
-        return r_inv(DecFrac(mant, -m))
+        mant = abs(q.numerator) // (q.denominator * pow10(-m))
+        return r_inv(DecFrac(mant if q >= 0 else -mant, -m))
     digits = [d.digit(n) for n in range(d.order, -m - 1, -1)]
     return TermDecimal.from_digits(d.sign, d.order, digits)
 

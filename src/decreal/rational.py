@@ -29,19 +29,13 @@ def pow10(n):
     return p
 
 
-_STR_CUTOFF = 1 << 256  # below this, len(str(n)) is the faster route
-
-
 def ilog10(n):
     """floor(log10(n)) for an integer n >= 1, at any size.
 
-    Small inputs count their decimal characters.  Large ones start from
-    ``(bit_length - 1) * log10(2)``, rounded down through a rational just
-    below log10(2) so it never overshoots, and climb by comparisons (one or
-    two in practice); the int-to-str cap never applies.
+    Starts from ``(bit_length - 1) * log10(2)``, rounded down through a
+    rational just below log10(2) so it never overshoots, and climbs by
+    comparisons (one or two in practice); the int-to-str cap never applies.
     """
-    if n < _STR_CUTOFF:
-        return len(str(n)) - 1
     e = (n.bit_length() - 1) * 3010299956639811 // 10 ** 16
     while n >= pow10(e + 1):
         e += 1

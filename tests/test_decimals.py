@@ -4,8 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from decreal.decimals import (
     TERM_ZERO,
@@ -269,13 +267,6 @@ def test_from_fraction_beyond_the_int_to_str_cap():
 # ---------------------------------------------------------------------------
 # scaled prefixes
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-fractions_ = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
-terminating_ = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
-                         st.sampled_from([1, 2, 8, 10, 25, 1000, 10 ** 4]))
-depth_runs = st.lists(st.integers(0, 40), min_size=1, max_size=6)
-
 
 def counted_stream(q):
     """A producer-backed view of q, plus the list of positions it computed."""
@@ -289,44 +280,16 @@ def counted_stream(q):
     return Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer)), calls
 
 
-def truncation_mantissa(x, m):
-    return int(truncate(x.abs(), m).value() * 10 ** m)
-
-
-@PROPERTY
-@given(q=fractions_, depths=depth_runs)
-def test_scaled_prefix_of_rational_backing_is_truncation_mantissa(q, depths):
-    x = Decimal.from_fraction(q)
-    for m in depths:
-        assert x.scaled_prefix(m) == truncation_mantissa(x, m)
-
-
-@PROPERTY
-@given(q=terminating_, depths=depth_runs)
-def test_scaled_prefix_of_terminating_backing_is_truncation_mantissa(q, depths):
-    x = Decimal.from_term(r_inv(DecFrac.from_fraction(q)))
-    assert x.backing == "terminating"
-    for m in depths:
-        assert x.scaled_prefix(m) == truncation_mantissa(x, m)
-
-
-@PROPERTY
-@given(q=fractions_, depths=depth_runs)
-def test_scaled_prefix_of_stream_reads_each_truncation_position_once(q, depths):
-    x, calls = counted_stream(q)
-    exact = Decimal.from_fraction(q)
-    for m in depths:  # deep-then-shallow orders are cut from the cursor
-        assert x.scaled_prefix(m) == truncation_mantissa(exact, m)
-    deepest = max(depths)
-    assert sorted(calls, reverse=True) == list(range(x.order, -deepest - 1, -1))
-    # the sign flip shares the memo and the cursor: nothing is recomputed
-    assert x.neg().scaled_prefix(deepest) == x.scaled_prefix(deepest)
-    assert len(calls) == x.order + deepest + 1
-
-
 def test_scaled_prefix_rejects_negative_depth():
     with pytest.raises(ValueError):
         Decimal.from_fraction(Fraction(1, 3)).scaled_prefix(-1)
+
+
+def test_scaled_prefix_of_stream_cuts_shallow_requests_from_the_cursor():
+    x, calls = counted_stream(Fraction(-22, 7))
+    assert [x.scaled_prefix(m) for m in (5, 2, 0, 5, 6)] == [314285, 314, 3, 314285, 3142857]
+    assert calls == [0, -1, -2, -3, -4, -5, -6]
+    assert truncate(x, 3) == r_inv(DecFrac(-3142, -3))
 
 
 def test_stream_sign_views_share_the_memo():

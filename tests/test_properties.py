@@ -1,0 +1,105 @@
+"""Property tests for scaled prefixes and certified product digits.
+
+They need ``hypothesis`` (``pip install .[test]``); without it this module
+is skipped and every other suite still runs.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from decreal.decimals import Decimal, r_inv, searched_nine_escape, truncate  # noqa: E402
+from decreal.rational import DecFrac, ten_smooth  # noqa: E402
+from decreal.weak import mul_certified_digit  # noqa: E402
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+fractions_ = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+terminating_ = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                         st.sampled_from([1, 2, 8, 10, 25, 1000, 10 ** 4]))
+nonterminating = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 4)).filter(
+    lambda q: not ten_smooth(q.denominator))
+depth_runs = st.lists(st.integers(0, 40), min_size=1, max_size=6)
+
+
+def oracle_digit(q, n):
+    """Digit at 10**n of |q| by plain integer division (independent path)."""
+    num, den = abs(q.numerator), q.denominator
+    if n >= 0:
+        return (num // den // 10 ** n) % 10
+    return (num * 10 ** (-n) // den) % 10
+
+
+def oracle_prefix(q, m):
+    """floor(|q| * 10**m), straight from the Fraction."""
+    return abs(q) * 10 ** m // 1
+
+
+def counted_stream(q):
+    """A producer-backed view of q, plus the list of positions it computed."""
+    calls = []
+
+    def producer(n):
+        calls.append(n)
+        return oracle_digit(q, n)
+
+    x = Decimal.from_fraction(q)
+    return Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer)), calls
+
+
+def check_prefixes(x, q, depths):
+    for m in depths:
+        assert x.scaled_prefix(m) == oracle_prefix(q, m)
+        t = truncate(x, m).value()
+        assert t * 10 ** m == (oracle_prefix(q, m) if q >= 0 else -oracle_prefix(q, m))
+
+
+# ---------------------------------------------------------------------------
+# scaled prefixes
+
+
+@PROPERTY
+@given(q=fractions_, depths=depth_runs)
+def test_scaled_prefix_of_rational_backing_matches_fraction_oracle(q, depths):
+    check_prefixes(Decimal.from_fraction(q), q, depths)
+
+
+@PROPERTY
+@given(q=terminating_, depths=depth_runs)
+def test_scaled_prefix_of_terminating_backing_matches_fraction_oracle(q, depths):
+    x = Decimal.from_term(r_inv(DecFrac.from_fraction(q)))
+    assert x.backing == "terminating"
+    check_prefixes(x, q, depths)
+
+
+@PROPERTY
+@given(q=fractions_, depths=depth_runs)
+def test_scaled_prefix_of_stream_reads_each_position_once(q, depths):
+    x, calls = counted_stream(q)
+    check_prefixes(x, q, depths)  # deep-then-shallow orders are cut from the cursor
+    deepest = max(depths)
+    assert sorted(calls, reverse=True) == list(range(x.order, -deepest - 1, -1))
+    # the sign flip shares the memo and the cursor: nothing is recomputed
+    assert x.neg().scaled_prefix(deepest) == x.scaled_prefix(deepest)
+    assert len(calls) == x.order + deepest + 1
+
+
+# ---------------------------------------------------------------------------
+# certified product digits
+
+
+@PROPERTY
+@given(qa=nonterminating, qb=nonterminating, n=st.integers(-15, 4))
+def test_certified_digit_matches_fraction_oracle(qa, qb, n):
+    prod = qa * qb
+    assume(not ten_smooth(prod.denominator))
+    truth = oracle_digit(prod, n)
+    exact = (Decimal.from_fraction(qa), Decimal.from_fraction(qb))
+    streams = (counted_stream(qa)[0], counted_stream(qb)[0])
+    for a, b in (exact, streams):
+        assert mul_certified_digit(a, b, n, max_depth=80) == truth

@@ -4,19 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from decreal.decimals import (
-    TERM_ZERO,
-    Decimal,
-    TermDecimal,
-    parse_decimal,
-    r_inv,
-    searched_nine_escape,
-)
+from decreal.decimals import TERM_ZERO, Decimal, TermDecimal, parse_decimal, r_inv
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
-from decreal.rational import DecFrac, ten_smooth
+from decreal.rational import DecFrac
 from decreal.weak import (
     Hint,
     add_digit_rule,
@@ -273,32 +264,6 @@ def test_certified_digit_max_depth_guard():
         # truncation products 0.999... approach 1 from below forever, so the
         # bracket around the terminating product never clears a boundary
         mul_certified_digit(third, three, -2, max_depth=20)
-
-
-def stream_view(q):
-    """q as a producer-backed stream, with no exact value to fall back on."""
-    x = Decimal.from_fraction(q)
-
-    def producer(n):
-        return oracle_digit(q, n)
-
-    return Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer))
-
-
-nonterminating = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 4)).filter(
-    lambda q: not ten_smooth(q.denominator))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(qa=nonterminating, qb=nonterminating, n=st.integers(-15, 4))
-def test_certified_digit_matches_fraction_oracle_property(qa, qb, n):
-    prod = qa * qb
-    assume(not ten_smooth(prod.denominator))
-    truth = oracle_digit(prod, n)
-    exact = (Decimal.from_fraction(qa), Decimal.from_fraction(qb))
-    streams = (stream_view(qa), stream_view(qb))
-    for a, b in (exact, streams):
-        assert mul_certified_digit(a, b, n, max_depth=80) == truth
 
 
 def test_certified_digit_refuses_negative_operands():
