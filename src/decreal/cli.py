@@ -48,14 +48,27 @@ from .words import encode_xr, encode_xs, bin_lsb_encode, render_tape, traced_dec
 
 _LITERAL = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d*)?(?:\(\d+\))?")
 
+# Deepest expression tree, and deepest bracket nesting, the parser accepts.
+# Parsing a bracket, evaluating a node and reading a digit of a sum or
+# product all recurse once per level, a product through about five frames;
+# past this depth they would exhaust the interpreter's stack instead of
+# rejecting the input.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.i = 0
+        self.open = 0  # brackets open at self.i
 
     def error(self, msg):
         raise ParseError(msg, position=self.i)
+
+    def bounded(self, depth):
+        if depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        return depth
 
     def skip_ws(self):
         while self.i < len(self.text) and self.text[self.i].isspace():
@@ -72,54 +85,62 @@ class _Parser:
         self.i += len(s)
 
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         self.skip_ws()
         if self.i != len(self.text):
             self.error("trailing input")
         return node
 
+    # expr, term and factor return (node, depth of the node)
+
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek() in ("+", "-"):
             op = self.text[self.i]
             self.i += 1
-            rhs = self.term()
-            node = ("add", node, rhs if op == "+" else ("neg", rhs))
-        return node
+            rhs, rdepth = self.term()
+            if op == "-":
+                rhs, rdepth = ("neg", rhs), rdepth + 1
+            node, depth = ("add", node, rhs), self.bounded(max(depth, rdepth) + 1)
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.peek() == "*":
             self.i += 1
-            node = ("mul", node, self.factor())
-        return node
+            rhs, rdepth = self.factor()
+            node, depth = ("mul", node, rhs), self.bounded(max(depth, rdepth) + 1)
+        return node, depth
 
     def factor(self):
         self.skip_ws()
         rest = self.text[self.i:]
         if rest.startswith("neg("):
-            self.i += 4
-            node = self.expr()
-            self.eat(")")
-            return ("neg", node)
+            return self.bracket(4, "neg")
         if rest.startswith("recip("):
-            self.i += 6
-            node = self.expr()
-            self.eat(")")
-            return ("recip", node)
+            return self.bracket(6, "recip")
         if rest.startswith("("):
-            self.i += 1
-            node = self.expr()
-            self.eat(")")
-            return node
+            return self.bracket(1, None)
         m = _LITERAL.match(self.text, self.i)
         if not m:
             self.error("expected a literal")
         self.i = m.end()
         tok = m.group()
         if "/" in tok:
-            return ("lit", Decimal.from_fraction(parse_rat(tok)))
-        return ("lit", parse_decimal(tok))
+            return ("lit", Decimal.from_fraction(parse_rat(tok))), 0
+        return ("lit", parse_decimal(tok)), 0
+
+    def bracket(self, opener_len, kind):
+        """The expression inside a bracket, wrapped in a ``kind`` node
+        unless it is a plain one."""
+        self.open = self.bounded(self.open + 1)
+        self.i += opener_len
+        node, depth = self.expr()
+        self.eat(")")
+        self.open -= 1
+        if kind is None:
+            return node, depth
+        return (kind, node), self.bounded(depth + 1)
 
 
 def parse_expression(text):

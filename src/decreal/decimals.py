@@ -28,7 +28,7 @@ from .errors import (
     InvariantViolation,
     OracleUnavailable,
 )
-from .rational import DecFrac, ilog10, pow10, ten_smooth
+from .rational import DecFrac, ilog10, int_str, pow10, ten_smooth
 
 # ---------------------------------------------------------------------------
 # terminating decimals
@@ -123,21 +123,11 @@ def r_map(t):
     return t.decfrac()
 
 
-def _int_digits(m):
-    """Decimal digits of m >= 0, top down, immune to the int-to-str cap."""
-    if m.bit_length() < 13000:  # < ~3900 digits: direct conversion is safe
-        return [int(c) for c in str(m)]
-    half = m.bit_length() * 30103 // 200000  # ~ half the decimal length
-    hi, lo = divmod(m, pow10(half))
-    low = _int_digits(lo)
-    return _int_digits(hi) + [0] * (half - len(low)) + low
-
-
 def r_inv(f):
     """The terminating decimal whose value is the decimal fraction f."""
     if f.mant == 0:
         return TERM_ZERO
-    digits = _int_digits(abs(f.mant))
+    digits = [int(c) for c in int_str(abs(f.mant))]
     top = f.exp + len(digits) - 1
     if top < 0:
         digits = [0] * (-top) + digits
@@ -227,11 +217,16 @@ def searched_nine_escape(digit_fn):
 
 
 def digit_of_fraction(q, n):
-    """Digit at 10**n of the standard (no nine-tail) expansion of |q|."""
+    """Digit at 10**n of the standard (no nine-tail) expansion of |q|.
+
+    Below the point it is the long-division digit that follows the
+    remainder ``|num| * 10**(-n-1) mod den``.  ``pow`` finds that remainder
+    modulo ``den``, so a far position costs no power of ten of its size.
+    """
     num, den = abs(q.numerator), q.denominator
     if n >= 0:
         return num // (den * pow10(n)) % 10
-    return num * pow10(-n) // den % 10
+    return 10 * (num % den * pow(10, -n - 1, den) % den) // den
 
 
 def interval_digit(lo, hi, n):
@@ -254,13 +249,28 @@ def interval_digit(lo, hi, n):
 
 
 class Decimal:
-    """A decimal digit stream with a terminating, rational or stream backing."""
+    """A decimal digit stream with a terminating, rational or stream backing.
+
+    Digits are those of ``|x|``, so both sign views of a value (``neg()``
+    and ``abs()``) share one growing cursor, and neither re-does work the
+    other has done:
+
+    * a stream memoises its producer's digits and keeps the prefix cursor
+      ``[depth, floor(|x| * 10**depth)]`` for ``scaled_prefix``;
+    * a rational keeps the long-division cursor ``[r, digits]``, made on
+      the first read below the point or the first sign flip: the digits
+      at positions ``-1`` down to ``-k`` in a ``bytearray`` and the
+      remainder ``r = |num| * 10**k mod den``.  A read at ``-j`` is a
+      lookup for ``j <= k``, one ``divmod`` that grows the cursor for
+      ``j = k + 1``, and an isolated ``digit_of_fraction`` below that, so
+      a far read costs no big power and leaves the cursor as it is.
+    """
 
     __slots__ = ("sign", "order", "_kind", "_term", "_value", "_producer", "_witness",
-                 "_memo", "_prefix")
+                 "_memo", "_cursor")
 
     def __init__(self, kind, sign, order, term=None, value=None, producer=None, witness=None,
-                 memo=None, prefix=None):
+                 memo=None, cursor=None):
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "order", order)
@@ -269,12 +279,10 @@ class Decimal:
         object.__setattr__(self, "_producer", producer)
         object.__setattr__(self, "_witness", witness)
         if kind == "stream":
-            # digits are those of |x|, so both sign views of a stream share
-            # the memo and the prefix cursor [depth, floor(|x| * 10**depth)]
             memo = {} if memo is None else memo
-            prefix = [-order - 1, 0] if prefix is None else prefix
+            cursor = [-order - 1, 0] if cursor is None else cursor
         object.__setattr__(self, "_memo", memo)
-        object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "_cursor", cursor)
 
     def __setattr__(self, name, value):
         raise AttributeError("Decimal is immutable")
@@ -319,7 +327,18 @@ class Decimal:
         if self._kind == "terminating":
             return self._term.digit(n)
         if self._kind == "rational":
-            return digit_of_fraction(self._value, n)
+            if n >= 0:
+                return digit_of_fraction(self._value, n)
+            cursor = self._cursor or self._division_cursor()
+            digits = cursor[1]
+            k = len(digits)
+            if -n <= k:
+                return digits[-n - 1]
+            if -n > k + 1:
+                return digit_of_fraction(self._value, n)
+            d, cursor[0] = divmod(10 * cursor[0], self._value.denominator)
+            digits.append(d)
+            return d
         d = self._memo.get(n)
         if d is None:
             d = self._producer(n)
@@ -327,6 +346,16 @@ class Decimal:
                 raise InvariantViolation(f"stream produced {d!r}", position=n)
             self._memo[n] = d
         return d
+
+    def _division_cursor(self):
+        """The long-division cursor of a rational, made on first use: most
+        rationals never have a digit below the point read."""
+        cursor = self._cursor
+        if cursor is None:
+            q = self._value
+            cursor = [abs(q.numerator) % q.denominator, bytearray()]
+            object.__setattr__(self, "_cursor", cursor)
+        return cursor
 
     def scaled_prefix(self, m):
         """``floor(|x| * 10**m)`` for ``m >= 0``: the digits at positions
@@ -341,7 +370,7 @@ class Decimal:
         if self._kind != "stream":
             q = self.value()
             return abs(q.numerator) * pow10(m) // q.denominator
-        cursor = self._prefix
+        cursor = self._cursor
         depth, mant = cursor
         if m <= depth:
             return mant // pow10(depth - m)
@@ -398,9 +427,10 @@ class Decimal:
         if self._kind == "terminating":
             return Decimal.from_term(self._term.neg())
         if self._kind == "rational":
-            return Decimal.from_fraction(-self._value)
+            return Decimal("rational", -self.sign, self.order, value=-self._value,
+                           cursor=self._division_cursor())
         return Decimal("stream", -self.sign, self.order, producer=self._producer,
-                       witness=self._witness, memo=self._memo, prefix=self._prefix)
+                       witness=self._witness, memo=self._memo, cursor=self._cursor)
 
     def abs(self):
         return self if self.sign > 0 else self.neg()
@@ -858,6 +888,7 @@ def format_decimal(d):
     sign = "-" if q < 0 else ""
     num, den = abs(q.numerator), q.denominator
     ip, rem = divmod(num, den)
+    ip = int_str(ip)
     digits = []
     seen = {}
     while rem and rem not in seen:
@@ -866,7 +897,7 @@ def format_decimal(d):
         digits.append(str(rem // den))
         rem %= den
     if not rem:
-        return sign + str(ip) + ("." + "".join(digits) if digits else "")
+        return sign + ip + ("." + "".join(digits) if digits else "")
     start = seen[rem]
     pre, block = "".join(digits[:start]), "".join(digits[start:])
     return f"{sign}{ip}.{pre}({block})"

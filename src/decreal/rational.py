@@ -42,6 +42,20 @@ def ilog10(n):
     return e
 
 
+def int_str(m):
+    """``str(m)`` for an integer m >= 0, at any size.
+
+    Short integers go straight through ``str``; longer ones are split at
+    about half their decimal length and spelled piece by piece, so the
+    int-to-str cap never applies.
+    """
+    if m.bit_length() < 13000:  # < ~3900 digits: direct conversion is safe
+        return str(m)
+    half = m.bit_length() * 30103 // 200000  # ~ half the decimal length
+    hi, lo = divmod(m, pow10(half))
+    return int_str(hi) + int_str(lo).rjust(half, "0")
+
+
 def ten_valuation(m):
     """The largest e with 10**e dividing m (m != 0), in O(len * log len).
 
@@ -215,7 +229,7 @@ def format_decfrac(f):
     if f.mant == 0:
         return "0"
     sign = "-" if f.mant < 0 else ""
-    digits = str(abs(f.mant))
+    digits = int_str(abs(f.mant))
     if f.exp >= 0:
         return sign + digits + "0" * f.exp
     if -f.exp < len(digits):

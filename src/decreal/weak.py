@@ -148,16 +148,16 @@ def add_digit_rule(d: Decimal, e: Decimal, n: int) -> int:
     Second operand negative with ``|e| <= d``: scan for the first unequal
     pair, which tells whether a borrow reaches n.  Either scan runs forever
     only if the true result terminates at or above n -- the case a correct
-    hint never routes here.
+    hint never routes here.  A decimal's digits are those of its magnitude,
+    so ``e`` is read as it is, with no ``abs()`` view per digit.
     """
     if d.sign < 0:
         raise ValueError("reduced cases require a nonnegative first operand")
     if e.sign < 0:
-        a, b = d, e.abs()
-        s0 = a.digit(n) - b.digit(n)
+        s0 = d.digit(n) - e.digit(n)
         i = 1
         while True:
-            da, db = a.digit(n - i), b.digit(n - i)
+            da, db = d.digit(n - i), e.digit(n - i)
             if da != db:
                 return (s0 if da > db else s0 - 1) % 10
             i += 1

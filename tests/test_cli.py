@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from decreal.cli import main, parse_expression
+from decreal.cli import MAX_DEPTH, main, parse_expression
 from decreal.decimals import r_inv
 from decreal.errors import ParseError
 from decreal.rational import DecFrac
@@ -105,6 +105,27 @@ def test_eval_trace_lines_pinned_for_products(capsys, expr):
     assert out.strip().splitlines()[1:] == PINNED_PRODUCT_TRACES[expr]
 
 
+# ``--trace`` lines of a carry sum and a borrow difference, recorded before
+# rational operands gained their long-division cursor
+PINNED_SUM_TRACES = {
+    "0.(3)+0.(142857)": [
+        "# left: read 202 digits, positions 0 down to -201",
+        "# right: read 202 digits, positions 0 down to -201",
+    ],
+    "0.12(3)-0.12(142857)": [
+        "# left: read 202 digits, positions 0 down to -201",
+        "# right: read 202 digits, positions 0 down to -201",
+    ],
+}
+
+
+@pytest.mark.parametrize("expr", sorted(PINNED_SUM_TRACES))
+def test_eval_trace_lines_pinned_for_sums(capsys, expr):
+    code, out, _ = run(capsys, "eval", expr, "--digits", "200", "--trace")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == PINNED_SUM_TRACES[expr]
+
+
 def test_eval_trace_counts_distinct_positions_of_a_negated_operand(capsys):
     # the right operand of a difference is read through its sign flip; each
     # of its 52 positions is counted once
@@ -141,6 +162,32 @@ def test_eval_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "1 +")
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "eval", "0.(9)")
+    assert code == 2
+
+
+def test_eval_deep_nesting_is_a_parse_error(capsys):
+    # 3000 nested brackets used to exhaust the parser's stack
+    code, out, err = run(capsys, "eval", "(" * 3000 + "1" + ")" * 3000)
+    assert code == 2 and out == "" and "nested deeper" in err
+
+
+def test_eval_long_chain_is_a_parse_error(capsys):
+    # a left-deep chain parses in a loop but used to exhaust the stack when
+    # evaluated
+    code, out, err = run(capsys, "eval", "+".join(["1/3"] * 1500))
+    assert code == 2 and out == "" and "nested deeper" in err
+
+
+def test_eval_accepts_the_deepest_allowed_expressions(capsys):
+    chain = "+".join(["1/3"] * (MAX_DEPTH + 1))
+    code, out, _ = run(capsys, "eval", chain, "--digits", "3")
+    scaled = str(1000 * (MAX_DEPTH + 1) // 3)
+    assert code == 0 and out.strip() == scaled[:-3] + "." + scaled[-3:]
+    # products recurse deepest per level when a digit is read
+    nested = "0.(3)*(" * MAX_DEPTH + "1/7" + ")" * MAX_DEPTH
+    code, out, _ = run(capsys, "eval", nested, "--digits", "3")
+    assert code == 0 and out.strip() == "0.000"
+    code, _, _ = run(capsys, "eval", "neg(" + nested + ")")
     assert code == 2
 
 

@@ -255,6 +255,18 @@ def test_truncate_above_the_point():
         assert abs(t.value()) <= abs(q) < abs(t.value()) + Fraction(10) ** -m
 
 
+def test_rational_cursor_grows_only_by_sequential_reads():
+    x = Decimal.from_fraction(Fraction(-22, 7))
+    y = x.neg()
+    assert x.digit(-10 ** 6) == [1, 4, 2, 8, 5, 7][(10 ** 6 - 1) % 6]
+    assert len(x._cursor[1]) == 0  # a far read leaves the cursor as it is
+    assert [y.digit(-j) for j in range(1, 6)] == [1, 4, 2, 8, 5]
+    # both sign views share the cursor that the reads through y grew
+    assert x._cursor is y._cursor and bytes(x._cursor[1]) == bytes([1, 4, 2, 8, 5])
+    assert [x.digit(-j) for j in (3, 6, 2)] == [2, 7, 4]
+    assert len(x._cursor[1]) == 6
+
+
 def test_from_fraction_beyond_the_int_to_str_cap():
     big = Decimal.from_fraction(Fraction(10 ** 5000))
     assert big.order == 5000
@@ -572,6 +584,15 @@ def test_format_decimal_terminating_and_cycles():
     assert format_decimal(Decimal.from_fraction(Fraction(1, 7))) == "0.(142857)"
     assert format_decimal(Decimal.zero()) == "0"
     assert format_decimal(Decimal.from_fraction(Fraction(10))) == "10"
+
+
+def test_format_decimal_beyond_the_int_to_str_cap():
+    # the integer part is spelled past the int-to-str cap, on both paths
+    third = repr(Decimal.from_fraction(Fraction(10 ** 5000, 3)))
+    assert third == "Decimal('" + "3" * 5000 + ".(3)')"
+    big = 7 * 10 ** 4999 + 1  # ten-smooth: spelled through its DecFrac
+    assert format_decimal(Decimal.from_fraction(Fraction(big, 4))) == (
+        "175" + "0" * 4997 + ".25")
 
 
 def test_parse_format_round_trip_random():

@@ -1,4 +1,5 @@
-"""Property tests for scaled prefixes and certified product digits.
+"""Property tests for rational digits, scaled prefixes and certified
+product digits.
 
 They need ``hypothesis`` (``pip install .[test]``); without it this module
 is skipped and every other suite still runs.
@@ -13,7 +14,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from decreal.decimals import Decimal, r_inv, searched_nine_escape, truncate  # noqa: E402
+from decreal.decimals import (  # noqa: E402
+    Decimal,
+    digit_of_fraction,
+    r_inv,
+    searched_nine_escape,
+    truncate,
+)
 from decreal.rational import DecFrac, ten_smooth  # noqa: E402
 from decreal.weak import mul_certified_digit  # noqa: E402
 
@@ -57,6 +64,36 @@ def check_prefixes(x, q, depths):
         assert x.scaled_prefix(m) == oracle_prefix(q, m)
         t = truncate(x, m).value()
         assert t * 10 ** m == (oracle_prefix(q, m) if q >= 0 else -oracle_prefix(q, m))
+
+
+# ---------------------------------------------------------------------------
+# digits of rational backings
+
+# positions read, from 6 (the top order of fractions_) downwards
+sequential = st.integers(1, 80).map(lambda k: list(range(6, -k - 1, -1)))
+deep_then_shallow = st.integers(1, 80).map(lambda k: list(range(-k, 7)))
+far_jump_then_sequential = st.tuples(st.integers(2, 10 ** 4), st.integers(1, 60)).map(
+    lambda t: [-t[0]] + list(range(6, -t[1] - 1, -1)))
+any_order = st.lists(st.integers(-120, 6), min_size=1, max_size=60)
+read_orders = st.one_of(sequential, deep_then_shallow, far_jump_then_sequential, any_order)
+
+
+@PROPERTY
+@given(q=fractions_, positions=read_orders,
+       views=st.lists(st.sampled_from(["self", "neg", "abs", "neg.neg"]), min_size=1))
+def test_rational_digits_match_fraction_oracle_in_any_read_order(q, positions, views):
+    x = Decimal.from_fraction(q)
+    faces = {"self": x, "neg": x.neg(), "abs": x.abs(), "neg.neg": x.neg().neg()}
+    for i, n in enumerate(positions):
+        # the sign views share one cursor, read interleaved
+        face = faces[views[i % len(views)]]
+        assert face.digit(n) == oracle_digit(q, n)
+
+
+@PROPERTY
+@given(q=fractions_, n=st.integers(-10 ** 4, 6))
+def test_digit_of_fraction_matches_fraction_oracle(q, n):
+    assert digit_of_fraction(q, n) == oracle_digit(q, n)
 
 
 # ---------------------------------------------------------------------------
