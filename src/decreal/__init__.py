@@ -27,7 +27,6 @@ from .errors import (
     ZeroShift,
 )
 from .rational import (
-    BigRat,
     DecFrac,
     approx_recip,
     format_decfrac,
@@ -52,7 +51,6 @@ from .decimals import (
     check_separation,
     compare,
     compare_extended,
-    digit_at,
     format_decimal,
     inf_finite,
     interval_digit,
@@ -138,5 +136,3 @@ from .shifts import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

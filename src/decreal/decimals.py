@@ -12,8 +12,8 @@ obtained from a terminating one by borrowing one unit at its lowest nonzero
 digit and paying it back with an infinite tail of nines; such words are
 value-equal to their base but sit immediately below it in the digitwise
 order, forming a gap pair.  ``Decimal`` is the general stream, backed either
-by a ``TermDecimal``, by an exact ``Fraction``, or by an arbitrary digit
-producer plus a nine-escape witness.
+by an exact ``Fraction`` (a terminating decimal is a rational whose digits
+end in zeros) or by an arbitrary digit producer plus a nine-escape witness.
 """
 
 import re
@@ -204,16 +204,21 @@ class NineEscapeWitness:
     escape: Callable[[int], int]
 
 
+def nine_free_below(digit_fn, n):
+    """The highest position m < n with ``digit_fn(m) != 9``.
+
+    The scan is unbounded: it ends only on digits with no nine tail below n
+    (exact expansions, honest streams).
+    """
+    m = n - 1
+    while digit_fn(m) == 9:
+        m -= 1
+    return m
+
+
 def searched_nine_escape(digit_fn):
     """Escape witness found by plain downward search (use for honest streams)."""
-
-    def escape(n):
-        m = n - 1
-        while digit_fn(m) == 9:
-            m -= 1
-        return m
-
-    return NineEscapeWitness(escape)
+    return NineEscapeWitness(lambda n: nine_free_below(digit_fn, n))
 
 
 def digit_of_fraction(q, n):
@@ -236,7 +241,7 @@ def interval_digit(lo, hi, n):
     value, so the digit is only settled when the whole bracket avoids the
     cell boundaries (multiples of 10**n, mirrored around zero).
     """
-    cell = Fraction(pow10(n)) if n >= 0 else Fraction(1, pow10(-n))
+    cell = Fraction(10) ** n
     if lo > hi:
         raise ValueError("empty interval")
     if lo >= 0:
@@ -249,7 +254,11 @@ def interval_digit(lo, hi, n):
 
 
 class Decimal:
-    """A decimal digit stream with a terminating, rational or stream backing.
+    """A decimal digit stream with an exact or a stream backing.
+
+    The exact backing is a ``Fraction``; a terminating decimal is one whose
+    denominator divides a power of ten, with no backing of its own.  The
+    stream backing is a digit producer plus a nine-escape witness.
 
     Digits are those of ``|x|``, so both sign views of a value (``neg()``
     and ``abs()``) share one growing cursor, and neither re-does work the
@@ -257,7 +266,7 @@ class Decimal:
 
     * a stream memoises its producer's digits and keeps the prefix cursor
       ``[depth, floor(|x| * 10**depth)]`` for ``scaled_prefix``;
-    * a rational keeps the long-division cursor ``[r, digits]``, made on
+    * an exact value keeps the long-division cursor ``[r, digits]``, made on
       the first read below the point or the first sign flip: the digits
       at positions ``-1`` down to ``-k`` in a ``bytearray`` and the
       remainder ``r = |num| * 10**k mod den``.  A read at ``-j`` is a
@@ -266,19 +275,16 @@ class Decimal:
       a far read costs no big power and leaves the cursor as it is.
     """
 
-    __slots__ = ("sign", "order", "_kind", "_term", "_value", "_producer", "_witness",
-                 "_memo", "_cursor")
+    __slots__ = ("sign", "order", "_value", "_producer", "_witness", "_memo", "_cursor")
 
-    def __init__(self, kind, sign, order, term=None, value=None, producer=None, witness=None,
-                 memo=None, cursor=None):
-        object.__setattr__(self, "_kind", kind)
+    def __init__(self, sign, order, value=None, producer=None, witness=None, memo=None,
+                 cursor=None):
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_term", term)
         object.__setattr__(self, "_value", value)
         object.__setattr__(self, "_producer", producer)
         object.__setattr__(self, "_witness", witness)
-        if kind == "stream":
+        if value is None:
             memo = {} if memo is None else memo
             cursor = [-order - 1, 0] if cursor is None else cursor
         object.__setattr__(self, "_memo", memo)
@@ -291,17 +297,14 @@ class Decimal:
 
     @classmethod
     def from_term(cls, t):
-        return cls("terminating", t.sign, t.order, term=t)
+        return cls.from_fraction(t.value())
 
     @classmethod
     def from_fraction(cls, q):
         q = Fraction(q)
-        if q == 0:
-            return cls.from_term(TERM_ZERO)
-        sign = 1 if q > 0 else -1
         aq = abs(q)
         order = ilog10(aq.numerator // aq.denominator) if aq >= 1 else 0
-        return cls("rational", sign, order, value=q)
+        return cls(-1 if q < 0 else 1, order, value=q)
 
     @classmethod
     def from_int(cls, n):
@@ -313,43 +316,42 @@ class Decimal:
             raise ValueError("sign must be +1 or -1")
         if order < 0:
             raise ValueError("order must be >= 0")
-        return cls("stream", sign, order, producer=producer, witness=witness)
+        return cls(sign, order, producer=producer, witness=witness)
 
     @classmethod
     def zero(cls):
-        return cls.from_term(TERM_ZERO)
+        return cls.from_fraction(0)
 
     # -- digit access
 
     def digit(self, n):
         if n > self.order:
             return 0
-        if self._kind == "terminating":
-            return self._term.digit(n)
-        if self._kind == "rational":
-            if n >= 0:
-                return digit_of_fraction(self._value, n)
-            cursor = self._cursor or self._division_cursor()
-            digits = cursor[1]
-            k = len(digits)
-            if -n <= k:
-                return digits[-n - 1]
-            if -n > k + 1:
-                return digit_of_fraction(self._value, n)
-            d, cursor[0] = divmod(10 * cursor[0], self._value.denominator)
-            digits.append(d)
+        q = self._value
+        if q is None:
+            d = self._memo.get(n)
+            if d is None:
+                d = self._producer(n)
+                if not isinstance(d, int) or not 0 <= d <= 9:
+                    raise InvariantViolation(f"stream produced {d!r}", position=n)
+                self._memo[n] = d
             return d
-        d = self._memo.get(n)
-        if d is None:
-            d = self._producer(n)
-            if not isinstance(d, int) or not 0 <= d <= 9:
-                raise InvariantViolation(f"stream produced {d!r}", position=n)
-            self._memo[n] = d
+        if n >= 0:
+            return digit_of_fraction(q, n)
+        cursor = self._cursor or self._division_cursor()
+        digits = cursor[1]
+        k = len(digits)
+        if -n <= k:
+            return digits[-n - 1]
+        if -n > k + 1:
+            return digit_of_fraction(q, n)
+        d, cursor[0] = divmod(10 * cursor[0], q.denominator)
+        digits.append(d)
         return d
 
     def _division_cursor(self):
-        """The long-division cursor of a rational, made on first use: most
-        rationals never have a digit below the point read."""
+        """The long-division cursor of an exact value, made on first use:
+        most values never have a digit below the point read."""
         cursor = self._cursor
         if cursor is None:
             q = self._value
@@ -367,8 +369,8 @@ class Decimal:
         """
         if m < 0:
             raise ValueError("prefix depth must be >= 0")
-        if self._kind != "stream":
-            q = self.value()
+        q = self._value
+        if q is not None:
             return abs(q.numerator) * pow10(m) // q.denominator
         cursor = self._cursor
         depth, mant = cursor
@@ -383,18 +385,12 @@ class Decimal:
     # -- exact views
 
     @property
-    def backing(self):
-        return self._kind
-
-    @property
     def has_exact_value(self):
-        return self._kind != "stream"
+        return self._value is not None
 
     def value(self):
-        if self._kind == "stream":
+        if self._value is None:
             raise OracleUnavailable("stream backing has no exact value")
-        if self._value is None:  # terminating: build the Fraction once
-            object.__setattr__(self, "_value", self._term.value())
         return self._value
 
     @property
@@ -406,9 +402,7 @@ class Decimal:
 
     def leading_index(self):
         """Position of the most significant nonzero digit, None for zero."""
-        if self._kind == "terminating":
-            return self._term.leading_index()
-        if self._kind == "stream":
+        if self._value is None:
             raise OracleUnavailable("leading index of a stream is not observable")
         q = abs(self._value)
         if q == 0:
@@ -424,13 +418,15 @@ class Decimal:
     # -- structure
 
     def neg(self):
-        if self._kind == "terminating":
-            return Decimal.from_term(self._term.neg())
-        if self._kind == "rational":
-            return Decimal("rational", -self.sign, self.order, value=-self._value,
-                           cursor=self._division_cursor())
-        return Decimal("stream", -self.sign, self.order, producer=self._producer,
-                       witness=self._witness, memo=self._memo, cursor=self._cursor)
+        """The sign flip, sharing this value's memo and cursor; zero never
+        carries a minus sign, so it is its own flip."""
+        q = self._value
+        if q is None:
+            return Decimal(-self.sign, self.order, producer=self._producer,
+                           witness=self._witness, memo=self._memo, cursor=self._cursor)
+        if q == 0:
+            return self
+        return Decimal(-self.sign, self.order, value=-q, cursor=self._division_cursor())
 
     def abs(self):
         return self if self.sign > 0 else self.neg()
@@ -469,11 +465,6 @@ def truncate(d, m):
     return TermDecimal.from_digits(d.sign, d.order, digits)
 
 
-def digit_at(d, n):
-    """Digit of d at 10**n (module-level face of Decimal.digit)."""
-    return d.digit(n)
-
-
 def negate(x, extended=False):
     """Sign flip on decimals and false decimals.
 
@@ -481,7 +472,7 @@ def negate(x, extended=False):
     minus-zero word and back.  Without it zero is a fixed point.
     """
     if isinstance(x, Decimal):
-        if x.has_exact_value and x.value() == 0:
+        if x.is_zero():
             return FalseDecimal(TERM_ZERO) if extended else x
         return x.neg()
     if isinstance(x, TermDecimal):
@@ -534,10 +525,7 @@ def _sep_nonneg(lo, hi):
     assert gap > 0
     if gap >= 2:
         return _sep_from_position(n)
-    m = n - 1
-    while lo.digit(m) == 9:  # terminates: exact expansions have no nine tail
-        m -= 1
-    return _sep_from_position(m)
+    return _sep_from_position(nine_free_below(lo.digit, n))
 
 
 def _separation(lo, hi):
@@ -547,9 +535,8 @@ def _separation(lo, hi):
         return _sep_nonneg(lo, hi)
     if vhi <= 0:
         return _sep_nonneg(hi.abs(), lo.abs())
-    # straddling zero: either side alone already separates the truncations
-    side = hi if vhi > 0 else lo.abs()
-    return _sep_nonneg(Decimal.zero(), side)
+    # straddling zero: the positive side alone already separates the truncations
+    return _sep_nonneg(Decimal.zero(), hi)
 
 
 def _leading_scan(d, budget):
@@ -576,11 +563,9 @@ def _magnitude_scan(a, b, budget):
 
 def _nine_free_position(d, n, budget):
     """Some position m < n with digit(m) != 9, via scan then escape witness."""
-    m = n - 1
     if d.has_exact_value:
-        while d.digit(m) == 9:
-            m -= 1
-        return m
+        return nine_free_below(d.digit, n)
+    m = n - 1
     for _ in range(budget):
         if d.digit(m) != 9:
             return m
@@ -661,7 +646,7 @@ def _is_false_zero(x):
 def _is_plain_zero(x):
     if isinstance(x, TermDecimal):
         return x.is_zero
-    return isinstance(x, Decimal) and x.has_exact_value and x.value() == 0
+    return isinstance(x, Decimal) and x.is_zero()
 
 
 def compare_extended(x, y, budget=128):
@@ -823,20 +808,15 @@ def validate_prefix(d, depth):
             seen_nonzero = True
         run = run + 1 if g == 9 else 0
     bottom = -depth
-    if run >= depth:
-        if d.has_exact_value:
-            m = bottom - 1
-            while d.digit(m) == 9:  # exact expansions escape eventually
-                m -= 1
-        else:
-            w = d.nine_escape
-            if w is None:
-                raise InvariantViolation(
-                    f"run of {run} nines with no escape below 10**{bottom}",
-                    position=bottom)
-            m = w.escape(bottom)
-            if not m < bottom or d.digit(m) == 9:
-                raise InvariantViolation("nine-escape witness lied", position=m)
+    if run >= depth and not d.has_exact_value:  # exact expansions have no nine tail
+        w = d.nine_escape
+        if w is None:
+            raise InvariantViolation(
+                f"run of {run} nines with no escape below 10**{bottom}",
+                position=bottom)
+        m = w.escape(bottom)
+        if not m < bottom or d.digit(m) == 9:
+            raise InvariantViolation("nine-escape witness lied", position=m)
     if not seen_nonzero and d.sign < 0:
         if not (d.has_exact_value and d.value() != 0):
             raise InvariantViolation(
@@ -871,9 +851,7 @@ def parse_decimal(text):
         if set(block_s) == {"9"}:
             raise InvalidLiteral("a repeating block of nines names a nine-tail word")
         base += Fraction(int(block_s), pow10(f) * (pow10(len(block_s)) - 1))
-        if int(block_s):
-            return Decimal.from_fraction(sign * base)
-    return Decimal.from_term(r_inv(DecFrac.from_fraction(sign * base)))
+    return Decimal.from_fraction(sign * base)
 
 
 def format_decimal(d):

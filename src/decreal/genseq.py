@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .decimals import Decimal, interval_digit, r_map, truncate
+from .decimals import Decimal, interval_digit
 from .errors import NonzeroWitnessInvalid
 from .rational import DecFrac, approx_recip, pow10
 
@@ -82,13 +82,7 @@ def from_decimal(d: Decimal) -> CauchySeqQD:
     def term(n):
         if n < 1:
             raise ValueError("sequence indices start at 1")
-        if d.has_exact_value:
-            # same floor as truncate, but without building the digit tuple
-            q = d.value()
-            scaled = q.numerator * pow10(n)
-            mant = scaled // q.denominator if q >= 0 else -((-scaled) // q.denominator)
-            return DecFrac(mant, -n)
-        return r_map(truncate(d, n))
+        return DecFrac(d.sign * d.scaled_prefix(n), -n)
 
     def modulus(k):
         m = 1

@@ -29,13 +29,16 @@ def _is_prime(p):
 class PAdic:
     """A p-adic number as a memoized digit stream.
 
-    ``base`` is a position at or below every nonzero digit.  The true
-    ``order`` (lowest nonzero position, or 0 for zero) may be left lazy:
-    results of arithmetic scan the finitely many positions ``base..0`` for
-    their first nonzero digit only when someone asks.
+    ``base`` is a position at or below every nonzero digit.  The producer
+    is called in ascending order from ``base``, each position once, and its
+    digits are kept in one list; so a producer may carry state (a remainder
+    or a carry) from one position to the next.  The true ``order`` (lowest
+    nonzero position, or 0 for zero) may be left lazy: results of
+    arithmetic scan the finitely many positions ``base..0`` for their first
+    nonzero digit only when someone asks.
     """
 
-    __slots__ = ("p", "base", "_order", "_producer", "_memo")
+    __slots__ = ("p", "base", "_order", "_producer", "_digits")
 
     def __init__(self, p, order, producer, base=None):
         if not _is_prime(p):
@@ -50,17 +53,23 @@ class PAdic:
         self.base = base
         self._order = order
         self._producer = producer
-        self._memo = {}
+        self._digits = []
 
     def digit(self, n):
-        if n < self.base:
+        i = n - self.base
+        if i < 0:
             return 0
-        if n not in self._memo:
-            d = self._producer(n)
+        digits = self._digits
+        try:  # most reads hit: one index, no length test
+            return digits[i]
+        except IndexError:
+            pass
+        while len(digits) <= i:
+            d = self._producer(self.base + len(digits))
             if not 0 <= d < self.p:
                 raise MalformedWord(f"digit {d} out of range for p={self.p}")
-            self._memo[n] = d
-        return self._memo[n]
+            digits.append(d)
+        return digits[i]
 
     @property
     def order(self):
@@ -96,16 +105,13 @@ def padic_from_rational(p, q) -> PAdic:
         raise DenominatorDivisibleByP(
             f"{p} divides the denominator of {q}; no p-adic integer expansion"
         )
-    state = {0: q}
-    memo = []
+    x = q
 
     def producer(n):
-        while len(memo) <= n:
-            x = state[0]
-            a = x.numerator * pow(x.denominator, -1, p) % p
-            memo.append(a)
-            state[0] = (x - a) / p
-        return memo[n]
+        nonlocal x
+        a = x.numerator * pow(x.denominator, -1, p) % p
+        x = (x - a) / p
+        return a
 
     return PAdic(p, 0, producer)
 
@@ -120,16 +126,12 @@ def padic_add(a: PAdic, b: PAdic) -> PAdic:
         raise PrimeMismatch(f"cannot add p={a.p} and p={b.p}")
     p = a.p
     k0 = min(a.base, b.base)
-    memo = []
-    carry = [0]
+    carry = 0
 
     def producer(n):
-        while len(memo) <= n - k0:
-            j = k0 + len(memo)
-            t = a.digit(j) + b.digit(j) + carry[0]
-            memo.append(t % p)
-            carry[0] = t // p
-        return memo[n - k0]
+        nonlocal carry
+        carry, digit = divmod(a.digit(n) + b.digit(n) + carry, p)
+        return digit
 
     return PAdic(p, None, producer, base=k0)
 
@@ -146,20 +148,16 @@ def padic_mul(a: PAdic, b: PAdic) -> PAdic:
         raise PrimeMismatch(f"cannot multiply p={a.p} and p={b.p}")
     p = a.p
     k0 = a.base + b.base
-    memo = []
-    carry = [0]
+    carry = 0
 
     def producer(n):
-        while len(memo) <= n - k0:
-            j = k0 + len(memo)
-            col = sum(
-                a.digit(i) * b.digit(j - i)
-                for i in range(a.base, j - b.base + 1)
-            )
-            t = col + carry[0]
-            memo.append(t % p)
-            carry[0] = t // p
-        return memo[n - k0]
+        nonlocal carry
+        col = sum(
+            a.digit(i) * b.digit(n - i)
+            for i in range(a.base, n - b.base + 1)
+        )
+        carry, digit = divmod(col + carry, p)
+        return digit
 
     return PAdic(p, None, producer, base=k0)
 

@@ -1,6 +1,6 @@
 """Exact scalar layer: big rationals and the subring of decimal fractions.
 
-``BigRat`` is the stdlib ``Fraction`` (already reduced, exact, hashable).
+Big rationals are the stdlib ``Fraction`` (already reduced, exact, hashable).
 ``DecFrac`` covers the rationals whose denominator divides a power of ten;
 keeping them as ``mant * 10**exp`` pairs makes truncations, digit reads and
 carry scans pure integer work.
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidLiteral
-
-BigRat = Fraction
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -79,29 +77,6 @@ def ten_valuation(m):
             e += step
         step >>= 1
     return e
-
-
-def rat_add(a, b):
-    return Fraction(a) + Fraction(b)
-
-
-def rat_sub(a, b):
-    return Fraction(a) - Fraction(b)
-
-
-def rat_mul(a, b):
-    return Fraction(a) * Fraction(b)
-
-
-def rat_abs(a):
-    return abs(Fraction(a))
-
-
-def rat_recip(a):
-    a = Fraction(a)
-    if a == 0:
-        raise ZeroDivisionError("reciprocal of zero")
-    return 1 / a
 
 
 def rat_cmp(a, b):

@@ -18,9 +18,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .decimals import Decimal, NineEscapeWitness, format_decimal, truncate
+from .decimals import Decimal, NineEscapeWitness, format_decimal, searched_nine_escape, truncate
 from .errors import OracleUnavailable, ZeroShift
-from .rational import pow10, ten_smooth
+from .rational import ten_smooth
 from .words import InfWord, bin_lsb_encode, encode_xr
 
 # ---------------------------------------------------------------------------
@@ -134,10 +134,6 @@ class ContinuityReport:
         return self.n0_found is not None
 
 
-def _pow10f(m):
-    return Fraction(pow10(m)) if m >= 0 else Fraction(1, pow10(-m))
-
-
 def _perturbations(point, head, n0, trials, rng):
     """Valid decimals whose words share at least the first n0 letters with u(point).
 
@@ -152,12 +148,12 @@ def _perturbations(point, head, n0, trials, rng):
         shared = max(shared, 1)
     free_top = point.order - shared
     base = abs(truncate(point, -free_top - 1).value())
-    unit = _pow10f(free_top)
+    unit = Fraction(10) ** free_top
     tails = [Fraction(0), unit]
     while len(tails) < trials:
-        t = sum(rng.randrange(10) * _pow10f(free_top - i) for i in range(6))
+        t = sum(rng.randrange(10) * Fraction(10) ** (free_top - i) for i in range(6))
         if rng.random() < 0.5:
-            t += Fraction(rng.randrange(1, 9), 9) * _pow10f(free_top - 5)
+            t += Fraction(rng.randrange(1, 9), 9) * Fraction(10) ** (free_top - 5)
         tails.append(t)
     out = []
     for t in tails:
@@ -237,15 +233,8 @@ def involution_F(d: Decimal, leading=None) -> Decimal:
     if inner is not None:
         witness = NineEscapeWitness(lambda n: inner.escape(n - step) + step)
     else:
-        witness = NineEscapeWitness(lambda n: _searched_escape(producer, n))
+        witness = searched_nine_escape(producer)
     return Decimal.from_stream(d.sign, order, producer, witness)
-
-
-def _searched_escape(digit_fn, n):
-    m = n - 1
-    while digit_fn(m) == 9:
-        m -= 1
-    return m
 
 
 class GraphType(Enum):

@@ -85,7 +85,8 @@ def test_eval_trace_lines(capsys):
 
 
 # ``--trace`` lines of certified products: read positions are behaviour, so
-# a faster bracket must leave them exactly as they are
+# a faster bracket must leave them exactly as they are.  The entries with
+# terminating literals were recorded while those had a backing of their own
 PINNED_PRODUCT_TRACES = {
     "0.(3)*0.(3)": [
         "# left: read 203 digits, positions 0 down to -202",
@@ -94,6 +95,14 @@ PINNED_PRODUCT_TRACES = {
     "0.(3)*0.(142857)*1.(6)": [
         "# left: read 204 digits, positions 0 down to -203",
         "# right: read 204 digits, positions 0 down to -203",
+    ],
+    "2.5*0.(3)": [
+        "# left: read 203 digits, positions 0 down to -202",
+        "# right: read 203 digits, positions 0 down to -202",
+    ],
+    "12.5*0.(142857)*0.2(6)": [
+        "# left: read 203 digits, positions 0 down to -202",
+        "# right: read 203 digits, positions 0 down to -202",
     ],
 }
 
@@ -105,14 +114,23 @@ def test_eval_trace_lines_pinned_for_products(capsys, expr):
     assert out.strip().splitlines()[1:] == PINNED_PRODUCT_TRACES[expr]
 
 
-# ``--trace`` lines of a carry sum and a borrow difference, recorded before
-# rational operands gained their long-division cursor
+# ``--trace`` lines of carry sums and borrow differences, recorded before
+# rational operands gained their long-division cursor (the entries with
+# terminating literals: while those had a backing of their own)
 PINNED_SUM_TRACES = {
     "0.(3)+0.(142857)": [
         "# left: read 202 digits, positions 0 down to -201",
         "# right: read 202 digits, positions 0 down to -201",
     ],
     "0.12(3)-0.12(142857)": [
+        "# left: read 202 digits, positions 0 down to -201",
+        "# right: read 202 digits, positions 0 down to -201",
+    ],
+    "1.25+0.(142857)": [
+        "# left: read 202 digits, positions 0 down to -201",
+        "# right: read 202 digits, positions 0 down to -201",
+    ],
+    "0.(3)-0.125": [
         "# left: read 202 digits, positions 0 down to -201",
         "# right: read 202 digits, positions 0 down to -201",
     ],

@@ -66,6 +66,23 @@ def test_padic_validates_prime_and_digits():
         bad.digit(0)
 
 
+def test_producer_is_called_once_per_position_in_ascending_order():
+    calls = []
+
+    def producer(n):
+        calls.append(n)
+        return (n + 7) % 3
+
+    a = PAdic(3, -2, producer)
+    reads = [4, -1, 2, 4, 6, -2, 6]
+    assert [a.digit(n) for n in reads] == [(n + 7) % 3 for n in reads]
+    assert calls == list(range(-2, 7))
+    bad = PAdic(3, 0, lambda n: 3 if n == 2 else 1)
+    with pytest.raises(MalformedWord):
+        bad.digit(5)
+    assert bad.digit(1) == 1
+
+
 def test_lazy_order_scans_from_base():
     a = PAdic(5, None, lambda n: 2 if n >= -2 else 0, base=-4)
     assert a.order == -2

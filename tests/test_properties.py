@@ -17,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from decreal.decimals import (  # noqa: E402
     Decimal,
     digit_of_fraction,
+    parse_decimal,
     r_inv,
     searched_nine_escape,
     truncate,
@@ -76,13 +77,20 @@ far_jump_then_sequential = st.tuples(st.integers(2, 10 ** 4), st.integers(1, 60)
     lambda t: [-t[0]] + list(range(6, -t[1] - 1, -1)))
 any_order = st.lists(st.integers(-120, 6), min_size=1, max_size=60)
 read_orders = st.one_of(sequential, deep_then_shallow, far_jump_then_sequential, any_order)
+# a rational and the decimal built from it, terminating ones also by the
+# terminating-decimal and the literal constructors
+exact_decimals = st.one_of(
+    fractions_.map(lambda q: (q, Decimal.from_fraction(q))),
+    terminating_.map(lambda q: (q, Decimal.from_term(r_inv(DecFrac.from_fraction(q))))),
+    terminating_.map(lambda q: (q, parse_decimal(str(DecFrac.from_fraction(q))))),
+)
 
 
 @PROPERTY
-@given(q=fractions_, positions=read_orders,
+@given(qx=exact_decimals, positions=read_orders,
        views=st.lists(st.sampled_from(["self", "neg", "abs", "neg.neg"]), min_size=1))
-def test_rational_digits_match_fraction_oracle_in_any_read_order(q, positions, views):
-    x = Decimal.from_fraction(q)
+def test_rational_digits_match_fraction_oracle_in_any_read_order(qx, positions, views):
+    q, x = qx
     faces = {"self": x, "neg": x.neg(), "abs": x.abs(), "neg.neg": x.neg().neg()}
     for i, n in enumerate(positions):
         # the sign views share one cursor, read interleaved
@@ -110,7 +118,6 @@ def test_scaled_prefix_of_rational_backing_matches_fraction_oracle(q, depths):
 @given(q=terminating_, depths=depth_runs)
 def test_scaled_prefix_of_terminating_backing_matches_fraction_oracle(q, depths):
     x = Decimal.from_term(r_inv(DecFrac.from_fraction(q)))
-    assert x.backing == "terminating"
     check_prefixes(x, q, depths)
 
 
