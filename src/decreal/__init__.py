@@ -21,6 +21,7 @@ from .errors import (
     MalformedHint,
     MalformedWord,
     NonzeroWitnessInvalid,
+    NotPrime,
     OracleUnavailable,
     ParseError,
     PrimeMismatch,

@@ -27,6 +27,7 @@ from .errors import (
     InvariantViolation,
     MalformedHint,
     MalformedWord,
+    NotPrime,
     OracleUnavailable,
     ParseError,
 )
@@ -342,7 +343,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, NotPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZeroDivisionError:

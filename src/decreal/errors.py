@@ -41,6 +41,10 @@ class PrimeMismatch(DecrealError):
     """Two p-adic operands were built over different primes."""
 
 
+class NotPrime(DecrealError, ValueError):
+    """A p-adic modulus is not a prime number."""
+
+
 class DenominatorDivisibleByP(DecrealError):
     """A rational cannot be expanded p-adically because p divides its denominator."""
 

@@ -10,20 +10,19 @@ helpers below let tests check the locality claim read by read.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
+from operator import mul
 
-from .errors import DenominatorDivisibleByP, MalformedWord, PrimeMismatch
+from .errors import DenominatorDivisibleByP, MalformedWord, NotPrime, PrimeMismatch
 from .words import XI, InfWord, ReadTrace, bin_lsb_decode, bin_lsb_encode
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+@lru_cache
+def _check_prime(p):
+    """Trial division, run once per prime: every stream node checks its p."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise NotPrime(f"{p} is not prime")
 
 
 class PAdic:
@@ -41,8 +40,7 @@ class PAdic:
     __slots__ = ("p", "base", "_order", "_producer", "_digits")
 
     def __init__(self, p, order, producer, base=None):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
         if base is None:
             base = order
         if base is None or base > 0:
@@ -60,12 +58,8 @@ class PAdic:
         if i < 0:
             return 0
         digits = self._digits
-        try:  # most reads hit: one index, no length test
-            return digits[i]
-        except IndexError:
-            pass
-        while len(digits) <= i:
-            d = self._producer(self.base + len(digits))
+        for m in range(self.base + len(digits), n + 1):  # empty on a memo hit
+            d = self._producer(m)
             if not 0 <= d < self.p:
                 raise MalformedWord(f"digit {d} out of range for p={self.p}")
             digits.append(d)
@@ -95,22 +89,25 @@ class PAdic:
 def padic_from_rational(p, q) -> PAdic:
     """The p-adic expansion of a rational whose denominator p does not divide.
 
-    Digits are produced by the usual peeling: ``a = x mod p`` (a modular
-    inverse supplies division by the denominator), then ``x := (x - a)/p``.
-    Integers and rationals with p-free denominators land in the p-adic
-    integers, so the order is 0 and digits start there.
+    Digits are produced by the usual peeling: ``a = x mod p``, then
+    ``x := (x - a)/p``.  ``x`` is kept as an integer numerator over the fixed
+    denominator, whose inverse mod p is taken once; the division by p is
+    exact.  Integers and rationals with p-free denominators land in the
+    p-adic integers, so the order is 0 and digits start there.
     """
+    _check_prime(p)
     q = Fraction(q)
     if q.denominator % p == 0:
         raise DenominatorDivisibleByP(
             f"{p} divides the denominator of {q}; no p-adic integer expansion"
         )
-    x = q
+    num, den = q.numerator, q.denominator
+    inv = pow(den, -1, p)
 
     def producer(n):
-        nonlocal x
-        a = x.numerator * pow(x.denominator, -1, p) % p
-        x = (x - a) / p
+        nonlocal num
+        a = num * inv % p
+        num = (num - a * den) // p
         return a
 
     return PAdic(p, 0, producer)
@@ -142,20 +139,23 @@ def padic_mul(a: PAdic, b: PAdic) -> PAdic:
     Column j collects ``a_i * b_(j-i)`` over the finitely many in-range
     splits; the carry never looks ahead.  The result digit at p**n depends
     on operand digits at positions ``<= n - other.base`` -- in particular on
-    positions ``<= n`` whenever both operands are p-adic integers.
+    positions ``<= n`` whenever both operands are p-adic integers.  Each
+    column reads its two new operand positions through ``digit`` and then
+    takes one dot product over the operands' digit lists.
     """
     if a.p != b.p:
         raise PrimeMismatch(f"cannot multiply p={a.p} and p={b.p}")
     p = a.p
     k0 = a.base + b.base
+    a_digits, b_digits = a._digits, b._digits
     carry = 0
 
     def producer(n):
         nonlocal carry
-        col = sum(
-            a.digit(i) * b.digit(n - i)
-            for i in range(a.base, n - b.base + 1)
-        )
+        j = n - k0
+        b.digit(n - a.base)
+        a.digit(n - b.base)
+        col = sum(map(mul, a_digits, b_digits[j::-1]))
         carry, digit = divmod(col + carry, p)
         return digit
 

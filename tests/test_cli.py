@@ -245,6 +245,15 @@ def test_padic_recip_and_bad_denominator(capsys):
     assert code == 4 and "denominator" in err
 
 
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+def test_padic_modulus_that_is_not_prime_is_exit_2(capsys, p):
+    for argv in (("padic", "--", p, "1+1"), ("padic", "--", p, "1/2"),
+                 ("encode", "1/2", "--format", "xp", "--p", p)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {p} is not prime\n"
+
+
 # ---------------------------------------------------------------------------
 # encode
 

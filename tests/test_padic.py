@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from decreal.errors import DenominatorDivisibleByP, MalformedWord, PrimeMismatch
+from decreal.errors import DenominatorDivisibleByP, MalformedWord, NotPrime, PrimeMismatch
 from decreal.padic import (
     PAdic,
+    _check_prime,
     padic_add,
     padic_decode,
     padic_encode,
@@ -28,6 +29,19 @@ def oracle_digits(p, q, count):
         x, d = divmod(x, p)
         out.append(d)
     return out
+
+
+def recorded(p, q, base=0):
+    """``q * p**base`` as a stream of base ``base``, plus the positions its
+    producer was asked for, in call order."""
+    src = padic_from_rational(p, q)
+    calls = []
+
+    def producer(n):
+        calls.append(n)
+        return src.digit(n - base)
+
+    return PAdic(p, None, producer, base=base), calls
 
 
 def test_from_rational_integer_matches_base_p():
@@ -61,6 +75,11 @@ def test_from_rational_rejects_bad_denominator():
 def test_padic_validates_prime_and_digits():
     with pytest.raises(ValueError):
         PAdic(4, 0, lambda n: 0)
+    for p in (4, 1, 0, -3):
+        with pytest.raises(NotPrime):
+            PAdic(p, 0, lambda n: 0)
+        with pytest.raises(NotPrime):  # checked before the denominator test
+            padic_from_rational(p, Fraction(1, 2))
     bad = PAdic(3, 0, lambda n: 7)
     with pytest.raises(MalformedWord):
         bad.digit(0)
@@ -81,6 +100,15 @@ def test_producer_is_called_once_per_position_in_ascending_order():
     with pytest.raises(MalformedWord):
         bad.digit(5)
     assert bad.digit(1) == 1
+
+
+def test_prime_check_runs_once_per_prime():
+    _check_prime.cache_clear()
+    a = padic_from_rational(7, Fraction(1, 3))
+    b = padic_from_rational(7, -5)
+    twin, _ = traced_padic(padic_mul(padic_add(a, b), b))
+    padic_add(twin, a).digits_from(10)
+    assert _check_prime.cache_info().misses == 1  # one trial division for seven nodes
 
 
 def test_lazy_order_scans_from_base():
@@ -111,6 +139,69 @@ def test_mul_matches_mod_oracle():
             y = Fraction(rng.randrange(1, p ** 20))
             prod = padic_mul(padic_from_rational(p, x), padic_from_rational(p, y))
             assert prod.digits_from(30) == oracle_digits(p, x * y, 30)
+
+
+@pytest.mark.parametrize("ahead", [0, 60])
+@pytest.mark.parametrize("base_a, base_b", [(-2, 0), (0, -2), (-3, -1), (-1, -4)])
+def test_mul_with_negative_base_matches_mod_oracle(base_a, base_b, ahead):
+    rng = random.Random(97 + 10 * base_a + base_b)
+    for p in (2, 3, 5, 11):
+        for _ in range(6):
+            x = Fraction(rng.randrange(-10 ** 5, 10 ** 5), rng.randrange(1, 100) * p + 1)
+            y = Fraction(rng.randrange(-10 ** 5, 10 ** 5), rng.randrange(1, 100) * p + 1)
+            a, _ = recorded(p, x, base_a)
+            b, _ = recorded(p, y, base_b)
+            a.digits_from(ahead)  # memo lists longer than the columns need
+            b.digits_from(ahead)
+            prod = padic_mul(a, b)
+            assert prod.base == base_a + base_b
+            # the value is x*y * p**(base_a + base_b): its digits from the base
+            # are those of x*y from 0
+            assert prod.digits_from(40) == oracle_digits(p, x * y, 40)
+
+
+def test_mul_with_a_decoded_negative_order_operand():
+    p = 5
+    x = padic_decode(p, padic_encode(recorded(p, Fraction(7, 3), -2)[0]))
+    assert x.base == x.order == -2
+    y = padic_from_rational(p, Fraction(-4, 9))
+    for prod in (padic_mul(x, y), padic_mul(y, x)):
+        assert prod.base == -2
+        assert prod.digits_from(30) == oracle_digits(p, Fraction(7, 3) * Fraction(-4, 9), 30)
+
+
+@pytest.mark.parametrize("base", [0, -3])
+def test_square_of_one_stream_matches_mod_oracle(base):
+    for p, q in ((3, Fraction(-17, 4)), (7, Fraction(1000, 13)), (2, Fraction(-1, 3))):
+        a, calls = recorded(p, q, base)
+        sq = padic_mul(a, a)
+        assert sq.digits_from(50) == oracle_digits(p, q * q, 50)
+        assert calls == list(range(base, base + 50))
+
+
+def test_long_product_matches_mod_oracle():
+    p, x, y = 7, Fraction(-123456, 457), Fraction(98765, 1000)
+    prod = padic_mul(padic_from_rational(p, x), padic_from_rational(p, y))
+    assert prod.digit(599) == oracle_digits(p, x * y, 600)[-1]  # far read first
+    assert prod.digits_from(600) == oracle_digits(p, x * y, 600)
+
+
+def test_mul_operands_are_read_once_in_ascending_order():
+    p = 3
+    for base_a, base_b in ((0, 0), (-2, 0), (-1, -3)):
+        a, calls_a = recorded(p, Fraction(5, 7), base_a)
+        b, calls_b = recorded(p, Fraction(-11, 4), base_b)
+        ta_view, ta = traced_padic(a)
+        tb_view, tb = traced_padic(b)
+        prod = padic_mul(ta_view, tb_view)
+        k0 = base_a + base_b
+        for n in (k0 + 3, k0, k0 + 12, k0 + 7, k0 + 20):
+            prod.digit(n)
+        top = k0 + 20
+        assert calls_a == list(range(base_a, top - base_b + 1))
+        assert calls_b == list(range(base_b, top - base_a + 1))
+        assert (ta.min_index, ta.max_index, ta.total) == (base_a, top - base_b, len(calls_a))
+        assert (tb.min_index, tb.max_index, tb.total) == (base_b, top - base_a, len(calls_b))
 
 
 def test_one_half_plus_one_half_is_one():

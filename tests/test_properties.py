@@ -1,5 +1,5 @@
-"""Property tests for rational digits, scaled prefixes and certified
-product digits.
+"""Property tests for rational digits, scaled prefixes, certified
+product digits and p-adic streams.
 
 They need ``hypothesis`` (``pip install .[test]``); without it this module
 is skipped and every other suite still runs.
@@ -22,6 +22,7 @@ from decreal.decimals import (  # noqa: E402
     searched_nine_escape,
     truncate,
 )
+from decreal.padic import PAdic, padic_add, padic_from_rational, padic_mul  # noqa: E402
 from decreal.rational import DecFrac, ten_smooth  # noqa: E402
 from decreal.weak import mul_certified_digit  # noqa: E402
 
@@ -147,3 +148,78 @@ def test_certified_digit_matches_fraction_oracle(qa, qb, n):
     streams = (counted_stream(qa)[0], counted_stream(qb)[0])
     for a, b in (exact, streams):
         assert mul_certified_digit(a, b, n, max_depth=80) == truth
+
+
+# ---------------------------------------------------------------------------
+# p-adic streams
+
+PADIC_DIGITS = 60
+
+
+def padic_oracle(p, q, count):
+    """First ``count`` digits of q in Z_p from one inverse mod p**count."""
+    m = p ** count
+    x = q.numerator * pow(q.denominator, -1, m) % m
+    return [x // p ** i % p for i in range(count)]
+
+
+def p_free(d, p):
+    while d % p == 0:
+        d //= p
+    return d
+
+
+def padic_operand(p):
+    """A rational with a p-free denominator (numerator of either sign) and a
+    base <= 0."""
+    den = st.integers(1, 10 ** 4).map(lambda d: p_free(d, p))
+    return st.tuples(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), den),
+                     st.integers(-6, 0))
+
+
+padic_cases = st.sampled_from([2, 3, 5, 7, 11]).flatmap(
+    lambda p: st.tuples(st.just(p), padic_operand(p), padic_operand(p)))
+padic_reads = st.lists(st.integers(0, PADIC_DIGITS - 1), max_size=20)
+
+
+def shifted(p, q, base):
+    """``q * p**base`` as a stream whose digits start at ``base``."""
+    src = padic_from_rational(p, q)
+    return PAdic(p, None, lambda n: src.digit(n - base), base=base)
+
+
+def check_padic(x, p, q, reads):
+    """x's digits from its base are those of q from 0, read in any order."""
+    want = padic_oracle(p, q, PADIC_DIGITS)
+    for i in reads:
+        assert x.digit(x.base + i) == want[i]
+    assert x.digits_from(PADIC_DIGITS) == want
+
+
+@PROPERTY
+@given(case=padic_cases, reads=padic_reads)
+def test_padic_from_rational_matches_mod_oracle(case, reads):
+    p, (q, _), _ = case
+    check_padic(padic_from_rational(p, q), p, q, reads)
+
+
+@PROPERTY
+@given(case=padic_cases, reads=padic_reads)
+def test_padic_add_matches_mod_oracle(case, reads):
+    p, (q, ba), (r, bb) = case
+    s = padic_add(shifted(p, q, ba), shifted(p, r, bb))
+    m = min(ba, bb)
+    assert s.base == m
+    check_padic(s, p, q * p ** (ba - m) + r * p ** (bb - m), reads)
+
+
+@PROPERTY
+@given(case=padic_cases, reads=padic_reads, ahead=st.integers(0, 80))
+def test_padic_mul_matches_mod_oracle(case, reads, ahead):
+    p, (q, ba), (r, bb) = case
+    a, b = shifted(p, q, ba), shifted(p, r, bb)
+    a.digits_from(ahead)  # operand memos may run past the columns read
+    b.digits_from(ahead)
+    prod = padic_mul(a, b)
+    assert prod.base == ba + bb
+    check_padic(prod, p, q * r, reads)
