@@ -20,6 +20,7 @@ from .errors import (
     InvariantViolation,
     MalformedHint,
     MalformedWord,
+    ModulusTooLarge,
     NonzeroWitnessInvalid,
     NotPrime,
     OracleUnavailable,

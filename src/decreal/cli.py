@@ -27,6 +27,7 @@ from .errors import (
     InvariantViolation,
     MalformedHint,
     MalformedWord,
+    ModulusTooLarge,
     NotPrime,
     OracleUnavailable,
     ParseError,
@@ -343,7 +344,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, NotPrime) as exc:
+    except (ParseError, NotPrime, ModulusTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZeroDivisionError:

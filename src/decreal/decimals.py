@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Optional
 
 from .errors import (
@@ -234,6 +235,13 @@ def digit_of_fraction(q, n):
     return 10 * (num % den * pow(10, -n - 1, den) % den) // den
 
 
+def _long_division(rem, den):
+    """The digits that follow the remainder ``rem`` in long division by ``den``."""
+    while True:
+        d, rem = divmod(10 * rem, den)
+        yield d
+
+
 def interval_digit(lo, hi, n):
     """The digit at 10**n shared by every value in [lo, hi], or None.
 
@@ -381,6 +389,23 @@ class Decimal:
             mant = mant * 10 + digit(-k)
         cursor[0], cursor[1] = m, mant
         return mant
+
+    def prefix_with_tail(self, m):
+        """``scaled_prefix(m)`` and an iterator over the digits below it, at
+        positions ``-m-1, -m-2, ...`` in turn.
+
+        An exact value feeds the tail from the long-division remainder of
+        its prefix, so a tail that starts far below the division cursor
+        costs one ``divmod`` per digit, not an isolated ``digit_of_fraction``.
+        """
+        q = self._value
+        if q is None:
+            digit = self.digit
+            return self.scaled_prefix(m), (digit(-k) for k in count(m + 1))
+        if m < 0:
+            raise ValueError("prefix depth must be >= 0")
+        prefix, rem = divmod(abs(q.numerator) * pow10(m), q.denominator)
+        return prefix, _long_division(rem, q.denominator)
 
     # -- exact views
 

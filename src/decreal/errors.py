@@ -45,6 +45,10 @@ class NotPrime(DecrealError, ValueError):
     """A p-adic modulus is not a prime number."""
 
 
+class ModulusTooLarge(DecrealError, ValueError):
+    """A p-adic modulus lies past the bound below which primality is proven."""
+
+
 class DenominatorDivisibleByP(DecrealError):
     """A rational cannot be expanded p-adically because p divides its denominator."""
 

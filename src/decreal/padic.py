@@ -11,18 +11,52 @@ helpers below let tests check the locality claim read by read.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from operator import mul
 
-from .errors import DenominatorDivisibleByP, MalformedWord, NotPrime, PrimeMismatch
+from .errors import (
+    DenominatorDivisibleByP,
+    MalformedWord,
+    ModulusTooLarge,
+    NotPrime,
+    PrimeMismatch,
+)
 from .words import XI, InfWord, ReadTrace, bin_lsb_decode, bin_lsb_encode
+
+
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
 
 
 @lru_cache
 def _check_prime(p):
-    """Trial division, run once per prime: every stream node checks its p."""
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    """Deterministic Miller-Rabin, run once per prime: every stream node
+    checks its p.  Past ``PRIME_BOUND`` no answer is proven, so the modulus
+    is refused rather than given a probable-prime verdict."""
+    if p < 2:
         raise NotPrime(f"{p} is not prime")
+    if p >= PRIME_BOUND:
+        raise ModulusTooLarge(
+            f"cannot prove {p} prime: moduli must be below {PRIME_BOUND}")
+    for q in PRIME_BASES:
+        if p % q == 0:
+            if p == q:
+                return
+            raise NotPrime(f"{p} is not prime")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    d = (p - 1) >> s
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise NotPrime(f"{p} is not prime")
 
 
 class PAdic:

@@ -13,9 +13,17 @@ else is honest bounded lookahead:
   fits inside one digit cell.
 
 Both scans halt on every input whose result really is non-terminating,
-which is precisely what a correct hint promises.  Hints also travel as
-single positive integers, ``(2k + 1) * 2**r``: order in the odd part,
-terminating payload (if any) in the 2-adic part.
+which is precisely what a correct hint promises.  Streams read in sequence
+resume instead of starting over (online arithmetic): a sum keeps the
+settling pair of its last scan, which also settles every position between
+that pair and the scan's start; a product keeps one ``ProductBracket``,
+which steps to the next digit cell and deepens by one operand digit at a
+time, so each sequential digit costs integer work linear in the prefix
+length.  A request out of sequence starts cold, with the one-shot rule;
+either way the same operand positions are read.
+
+Hints also travel as single positive integers, ``(2k + 1) * 2**r``: order
+in the odd part, terminating payload (if any) in the 2-adic part.
 """
 
 from dataclasses import dataclass
@@ -153,21 +161,38 @@ def add_digit_rule(d: Decimal, e: Decimal, n: int) -> int:
     """
     if d.sign < 0:
         raise ValueError("reduced cases require a nonnegative first operand")
-    if e.sign < 0:
-        s0 = d.digit(n) - e.digit(n)
-        i = 1
-        while True:
-            da, db = d.digit(n - i), e.digit(n - i)
-            if da != db:
-                return (s0 if da > db else s0 - 1) % 10
-            i += 1
-    s0 = d.digit(n) + e.digit(n)
-    i = 1
-    while True:
-        t = d.digit(n - i) + e.digit(n - i)
-        if t != 9:
-            return (s0 if t < 9 else s0 + 1) % 10
-        i += 1
+    return _sum_digits(d, e)(n)
+
+
+def _sum_digits(d: Decimal, e: Decimal):
+    """The digit producer of ``add_digit_rule`` for one operand pair.
+
+    A scan from n that settles at position s (carry or borrow c) also
+    settles every position in ``(s, n]``, since the pairs between pass c on
+    unchanged; so the producer keeps the last scan's range and carry, and a
+    digit inside that range costs its own pair only.
+    """
+    d_digit, e_digit = d.digit, e.digit
+    borrow = e.sign < 0
+    low = top = carry = 0  # the last scan settles every position in (low, top]
+
+    def producer(n):
+        nonlocal low, top, carry
+        s0 = d_digit(n) - e_digit(n) if borrow else d_digit(n) + e_digit(n)
+        if not low < n <= top:
+            s = n - 1
+            if borrow:
+                while (da := d_digit(s)) == (db := e_digit(s)):
+                    s -= 1
+                carry = 0 if da > db else -1
+            else:
+                while (t := d_digit(s) + e_digit(s)) == 9:
+                    s -= 1
+                carry = 0 if t < 9 else 1
+            low, top = s, n
+        return (s0 + carry) % 10
+
+    return producer
 
 
 def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
@@ -176,10 +201,11 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     A terminating hint is the whole answer.  Otherwise the sign and the
     reduced configuration are found by comparing magnitudes (bounded by
     ``sign_budget``; a tie means the sum would be zero, contradicting the
-    hint), and every digit comes from ``add_digit_rule``.  Cheap sanity
-    checks around the hinted order raise ``HintMismatch`` early, but a
-    subtly wrong hint can still only corrupt the result via the order
-    field -- digits are computed, never trusted.
+    hint), and every digit comes from the rule of ``add_digit_rule``,
+    resuming the last carry or borrow scan where it still settles the
+    position.  Cheap sanity checks around the hinted order raise
+    ``HintMismatch`` early, but a subtly wrong hint can still only corrupt
+    the result via the order field -- digits are computed, never trusted.
     """
     if hint.terminating is not None:
         return Decimal.from_term(hint.terminating)
@@ -195,11 +221,7 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
         big, small = (d, e) if c.verdict is Verdict.GREATER else (e, d)
         sign = big.sign
         a, b = big.abs(), small.abs().neg()
-
-    def producer(n):
-        return add_digit_rule(a, b, n)
-
-    return _checked_stream(sign, hint, producer)
+    return _checked_stream(sign, hint, _sum_digits(a, b))
 
 
 def _checked_stream(sign: int, hint: Hint, producer) -> Decimal:
@@ -258,34 +280,115 @@ def mul_stabilized_digit(d: Decimal, e: Decimal, n: int) -> int:
     return mant // pow10(n + 2 * depth) % 10
 
 
-def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
-    """Digit at 10**n of ``d * e`` for nonnegative operands, certified.
+class ProductBracket:
+    """A resumable certified bracket for the digits of ``a * b`` (``a, b >= 0``),
+    read downwards from position ``pos``.
 
-    The truncation product at depth l undershoots the true product by less
-    than ``2 * 10**(K + 1 - l)``, so the truth lives in the closed bracket
-    ``[f(l), f(l) + 2*10**(K+1-l)]``.  Scaled by ``10**(2l)`` that bracket
-    is ``[lo, lo + 2*10**(K+1+l)]`` with ``lo`` the integer ``mant`` of
-    the truncation product, and a digit cell is ``10**(n+2l)`` wide (both
-    exponents are positive at every depth tried).  Deepen until both ends
-    floor to the same cell.  Terminates whenever the product does not
-    terminate; ``max_depth`` (if given) turns a misuse into an error
-    instead of a loop.
+    At depth l, with K the larger operand order, the product of the operand
+    truncations undershoots the truth by less than ``2 * 10**(K+1-l)``.
+    Scaled by ``10**(2l)`` the bracket is ``[X*Y, X*Y + slack]`` with X, Y
+    the operand prefixes and ``slack = 2*10**(K+1+l)``, kept split around
+    the digit cell of ``pos`` as ``X*Y = (10*u + digit) * cell + rem``,
+    ``cell = 10**(pos + 2l)``.  The digit is certified once
+    ``rem + slack < cell``.
+
+    Deepening with the next operand digits a and b adds
+    ``delta = 10*(X*b + a*Y) + a*b`` to ``100 * X*Y``.  Since
+    ``X, Y < 10**(K+1+l)``, ``delta < 90 * slack``: the upper end drops as
+    the lower end rises, so the brackets are nested and a certified digit
+    stays certified deeper down.  At depths less than
+    ``max(1, K - pos + 2)`` the slack is at least a cell wide, so nothing
+    is certified there.  Hence a bracket carried on from the digit above
+    certifies each digit at the depth a cold start would (or at the depth
+    it already has, if deeper) and reads no other operand position.
+
+    A cold start at position n takes depth ``max(1, K - n + 2)`` and one
+    full product.  Then ``step`` (the cell shrinks by 10, so the next digit
+    is a one-digit quotient of ``rem``) and each deepening are integer work
+    linear in the prefix length.
+    """
+
+    __slots__ = ("pos", "depth", "_digit", "_x", "_y", "_xs", "_ys", "_cell", "_rem",
+                 "_slack")
+
+    def __init__(self, a: Decimal, b: Decimal, n: int):
+        k_top = max(a.order, b.order)
+        depth = max(1, k_top - n + 2)
+        self._x, self._xs = a.prefix_with_tail(depth)
+        self._y, self._ys = b.prefix_with_tail(depth)
+        self._cell = pow10(n + 2 * depth)
+        top, self._rem = divmod(self._x * self._y, self._cell)
+        self._digit = top % 10
+        self._slack = 2 * pow10(k_top + 1 + depth)
+        self.pos, self.depth = n, depth
+
+    def step(self):
+        """Move to the next position down, at the same depth."""
+        self._cell //= 10
+        self._digit, self._rem = divmod(self._rem, self._cell)
+        self.pos -= 1
+
+    def settle(self, max_depth=None) -> int:
+        """Deepen until the digit at ``pos`` is certified, and return it.
+
+        Terminates whenever the product does not terminate; ``max_depth``
+        (if given) turns a misuse into an error instead of a loop.
+        """
+        x, y, cell, rem, slack = self._x, self._y, self._cell, self._rem, self._slack
+        digit, depth = self._digit, self.depth
+        xs, ys = self._xs, self._ys
+        while rem + slack >= cell:
+            if max_depth is not None and depth >= max_depth:
+                raise OracleUnavailable(
+                    f"digit at 10**{self.pos} still straddles a cell boundary "
+                    f"at depth {max_depth}")
+            a, b = next(xs), next(ys)
+            rem = 100 * rem + 10 * (x * b + a * y) + a * b
+            x, y = 10 * x + a, 10 * y + b
+            cell *= 100
+            slack *= 10
+            depth += 1
+            if rem >= cell:
+                carry, rem = divmod(rem, cell)
+                digit += carry
+        self._x, self._y, self._cell, self._rem, self._slack = x, y, cell, rem, slack
+        self._digit, self.depth = digit, depth
+        return digit % 10
+
+
+def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
+    """Digit at 10**n of ``d * e`` for nonnegative operands, certified: a
+    ``ProductBracket`` started cold at n and deepened until both ends of
+    ``[f(l), f(l) + 2*10**(K+1-l)]`` floor to one digit cell.  Terminates
+    whenever the product does not terminate; ``max_depth`` (if given) turns
+    a misuse into an error instead of a loop.
     """
     if d.sign < 0 or e.sign < 0:
         raise ValueError("certified product digits need nonnegative operands")
-    k_top = max(d.order, e.order)
-    depth = max(1, k_top - n + 2)
-    while True:
-        lo = mul_truncation(d, e, depth).mant
-        cell = pow10(n + 2 * depth)
-        i = lo // cell
-        if i == (lo + 2 * pow10(k_top + 1 + depth)) // cell:
-            return i % 10
-        depth += 1
-        if max_depth is not None and depth > max_depth:
-            raise OracleUnavailable(
-                f"digit at 10**{n} still straddles a cell boundary at depth {max_depth}"
-            )
+    return ProductBracket(d, e, n).settle(max_depth)
+
+
+def _certified_producer(a: Decimal, b: Decimal):
+    """The digit producer of ``a * b`` (nonnegative operands) over one
+    resumable ``ProductBracket``: a request for the position just below the
+    last one steps and settles the bracket; any other request starts it
+    cold, exactly as ``mul_certified_digit`` does.  A digit read in
+    sequence then costs integer work linear in the prefix length."""
+    bracket = None
+
+    def producer(n):
+        nonlocal bracket
+        # a failed settle leaves no half-deepened bracket behind
+        current, bracket = bracket, None
+        if current is not None and n == current.pos - 1:
+            current.step()
+        else:
+            current = ProductBracket(a, b, n)
+        d = current.settle()
+        bracket = current
+        return d
+
+    return producer
 
 
 def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Decimal:
@@ -302,8 +405,7 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Deci
     sign = d.sign * e.sign
     a, b = d.abs(), e.abs()
     if digit_path == "certified":
-        def producer(n):
-            return mul_certified_digit(a, b, n)
+        producer = _certified_producer(a, b)
     elif digit_path in ("stabilized", "paper"):
         def producer(n):
             return mul_stabilized_digit(a, b, n)

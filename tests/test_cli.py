@@ -114,6 +114,31 @@ def test_eval_trace_lines_pinned_for_products(capsys, expr):
     assert out.strip().splitlines()[1:] == PINNED_PRODUCT_TRACES[expr]
 
 
+# longer certified products, recorded before product digits were read from
+# one resumable bracket per product stream
+PINNED_LONG_PRODUCT_TRACES = {
+    ("0.(3)*0.(142857)", "1000"): [
+        "# left: read 1003 digits, positions 0 down to -1002",
+        "# right: read 1003 digits, positions 0 down to -1002",
+    ],
+    ("0.(3)*0.(142857)*1.(6)", "400"): [
+        "# left: read 403 digits, positions 0 down to -402",
+        "# right: read 403 digits, positions 0 down to -402",
+    ],
+    ("2.(45)*0.(142857)*-1.(6)", "400"): [
+        "# left: read 403 digits, positions 0 down to -402",
+        "# right: read 403 digits, positions 0 down to -402",
+    ],
+}
+
+
+@pytest.mark.parametrize("expr, digits", sorted(PINNED_LONG_PRODUCT_TRACES))
+def test_eval_trace_lines_pinned_for_long_products(capsys, expr, digits):
+    code, out, _ = run(capsys, "eval", expr, "--digits", digits, "--trace")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == PINNED_LONG_PRODUCT_TRACES[expr, digits]
+
+
 # ``--trace`` lines of carry sums and borrow differences, recorded before
 # rational operands gained their long-division cursor (the entries with
 # terminating literals: while those had a backing of their own)
@@ -252,6 +277,20 @@ def test_padic_modulus_that_is_not_prime_is_exit_2(capsys, p):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {p} is not prime\n"
+
+
+def test_padic_large_prime_modulus_is_answered(capsys):
+    p = 2 ** 61 - 1
+    code, out, err = run(capsys, "padic", str(p), "1/2", "--digits", "3")
+    assert (code, err) == (0, "")
+    assert out == f"p={p} order=0: {(p + 1) // 2} {(p - 1) // 2} {(p - 1) // 2}\n"
+
+
+def test_padic_modulus_past_the_primality_bound_is_exit_2(capsys):
+    p = str(2 ** 89 - 1)
+    code, out, err = run(capsys, "padic", p, "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot prove {p} prime")
 
 
 # ---------------------------------------------------------------------------

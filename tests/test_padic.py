@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from decreal.errors import DenominatorDivisibleByP, MalformedWord, NotPrime, PrimeMismatch
+from decreal.errors import (
+    DenominatorDivisibleByP,
+    MalformedWord,
+    ModulusTooLarge,
+    NotPrime,
+    PrimeMismatch,
+)
 from decreal.padic import (
+    PRIME_BOUND,
     PAdic,
     _check_prime,
     padic_add,
@@ -109,6 +116,31 @@ def test_prime_check_runs_once_per_prime():
     twin, _ = traced_padic(padic_mul(padic_add(a, b), b))
     padic_add(twin, a).digits_from(10)
     assert _check_prime.cache_info().misses == 1  # one trial division for seven nodes
+
+
+def test_prime_check_is_exact_below_its_bound():
+    # a Carmichael number, and strong pseudoprimes to the bases 2..7 and
+    # to the bases 2..23
+    for n in (561, 3215031751, 3825123056546413051):
+        with pytest.raises(NotPrime):
+            _check_prime(n)
+    for n in (2, 3, 41, 43, 2 ** 31 - 1, 2 ** 61 - 1):
+        _check_prime(n)
+    small_primes = [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
+    for n in range(-3, 2000):
+        if n in small_primes:
+            _check_prime(n)
+        else:
+            with pytest.raises(NotPrime):
+                _check_prime(n)
+
+
+def test_prime_check_refuses_moduli_past_its_bound():
+    for n in (PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ModulusTooLarge):
+            _check_prime(n)
+    with pytest.raises(ModulusTooLarge):
+        padic_from_rational(2 ** 89 - 1, Fraction(1, 2))
 
 
 def test_lazy_order_scans_from_base():

@@ -24,7 +24,7 @@ from decreal.decimals import (  # noqa: E402
 )
 from decreal.padic import PAdic, padic_add, padic_from_rational, padic_mul  # noqa: E402
 from decreal.rational import DecFrac, ten_smooth  # noqa: E402
-from decreal.weak import mul_certified_digit  # noqa: E402
+from decreal.weak import compute_hint, mul_certified_digit, weak_mul  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -134,6 +134,16 @@ def test_scaled_prefix_of_stream_reads_each_position_once(q, depths):
     assert len(calls) == x.order + deepest + 1
 
 
+@PROPERTY
+@given(q=fractions_, m=st.integers(0, 40), count=st.integers(1, 60))
+def test_prefix_with_tail_continues_the_prefix(q, m, count):
+    for x in (Decimal.from_fraction(q), counted_stream(q)[0]):
+        prefix, tail = x.prefix_with_tail(m)
+        assert prefix == oracle_prefix(q, m)
+        assert [next(tail) for _ in range(count)] == \
+            [oracle_digit(q, -k) for k in range(m + 1, m + count + 1)]
+
+
 # ---------------------------------------------------------------------------
 # certified product digits
 
@@ -148,6 +158,51 @@ def test_certified_digit_matches_fraction_oracle(qa, qb, n):
     streams = (counted_stream(qa)[0], counted_stream(qb)[0])
     for a, b in (exact, streams):
         assert mul_certified_digit(a, b, n, max_depth=80) == truth
+
+
+signed_nonterminating = st.tuples(nonterminating, st.sampled_from([1, -1])).map(
+    lambda t: t[0] * t[1])
+
+
+def product_stream(qa, qb):
+    """The streamed certified product of two exact decimals."""
+    a, b = Decimal.from_fraction(qa), Decimal.from_fraction(qb)
+    return weak_mul(a, b, compute_hint("mul", a, b))
+
+
+def operand(kind, q, other):
+    """q as an exact decimal, a producer-backed stream, or a streamed
+    product ``(q / other) * other``."""
+    if kind == "exact":
+        return Decimal.from_fraction(q)
+    if kind == "stream":
+        return counted_stream(q)[0]
+    return product_stream(q / other, other)
+
+
+# the product's digits are read top down, then at scattered positions, then
+# top down again past the first run
+product_reads = st.tuples(st.integers(1, 60),
+                          st.lists(st.integers(-90, 4), max_size=12),
+                          st.integers(1, 90))
+
+
+@PROPERTY
+@given(qa=signed_nonterminating, qb=signed_nonterminating, qc=nonterminating,
+       kinds=st.tuples(*[st.sampled_from(["exact", "stream", "nested"])] * 2),
+       reads=product_reads)
+def test_streamed_product_digits_match_fraction_oracle_in_any_read_order(
+        qa, qb, qc, kinds, reads):
+    prod = qa * qb
+    assume(not ten_smooth(prod.denominator))
+    a, b = operand(kinds[0], qa, qc), operand(kinds[1], qb, qc)
+    f = weak_mul(a, b, compute_hint("mul", Decimal.from_fraction(qa), Decimal.from_fraction(qb)))
+    assert f.sign == (1 if prod > 0 else -1)
+    first, scattered, second = reads
+    positions = (list(range(f.order, -first - 1, -1)) + scattered
+                 + list(range(f.order, -second - 1, -1)))
+    for n in positions:
+        assert f.digit(n) == oracle_digit(prod, n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from decreal.decimals import TERM_ZERO, Decimal, TermDecimal, parse_decimal, r_inv
+from decreal.decimals import TERM_ZERO, Decimal, TermDecimal, parse_decimal, r_inv, render_digits
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
 from decreal.rational import DecFrac
 from decreal.weak import (
@@ -21,7 +21,7 @@ from decreal.weak import (
     weak_add,
     weak_mul,
 )
-from decreal.words import encode_xr
+from decreal.words import encode_xr, traced_decimal
 
 
 def oracle_digit(q, n):
@@ -181,6 +181,31 @@ def test_weak_add_streaming_case_matches_oracle():
         checked += 1
 
 
+def test_weak_add_resumes_its_carry_scan(monkeypatch):
+    # pair sums run 9 (49 times) then 8, so each carry scan settles up to 50
+    # pairs below its digit; a resumed stream rescans once per block, a
+    # one-shot rule would read about 25 pairs for every digit
+    x = Decimal.from_fraction(Fraction(1, 10 ** 50 - 1))
+    y = Decimal.from_fraction(Fraction(10 ** 50 - 3, 10 ** 50 - 1))
+    v = x.value() + y.value()
+    s = weak_add(x, y, compute_hint("add", x, y))
+    reads = []
+    digit = Decimal.digit
+
+    def counted(self, n):
+        if self is x or self is y:
+            reads.append(n)
+        return digit(self, n)
+
+    monkeypatch.setattr(Decimal, "digit", counted)
+    assert [s.digit(n) for n in range(0, -501, -1)] == [oracle_digit(v, n) for n in range(0, -501, -1)]
+    assert len(reads) < 6 * 501
+    # out of order, then in order again, the digits are the same
+    s = weak_add(x, y, compute_hint("add", x, y))
+    for n in (-7, -300, -49, -50, -51, -8, -9, -100, -99, -98, -1, 0):
+        assert s.digit(n) == oracle_digit(v, n)
+
+
 def test_weak_add_mixed_signs_resolves_magnitudes():
     d = parse_decimal("-2.5")
     e = parse_decimal("0.(6)")
@@ -233,6 +258,24 @@ def test_truncation_digit_sequence_is_not_monotone():
     assert digs == [9, 1, 1]
 
 
+def test_truncation_brackets_are_nested():
+    # [f(l), f(l) + 2*10**(K+1-l)] shrinks as l grows, even over runs of
+    # nines, so a digit certified at one depth stays certified deeper down
+    rng = random.Random(127)
+    for _ in range(60):
+        ops = [parse_decimal(f"{rng.choice('19')}.{rng.choice(['', '9999', '90'])}"
+                             f"({rng.choice(['9990', '1', '09', '998'])})"),
+               Decimal.from_fraction(abs(rand_rational(rng)))]
+        a, b = ops if rng.random() < 0.5 else ops[::-1]
+        k_top = max(a.order, b.order)
+        ends = []
+        for depth in range(1, 30):
+            lo = mul_truncation(a, b, depth).value.to_fraction()
+            ends.append((lo, lo + Fraction(2 * 10 ** (k_top + 1), 10 ** depth)))
+        for (lo, hi), (lo2, hi2) in zip(ends, ends[1:]):
+            assert lo <= lo2 <= a.value() * b.value() <= hi2 < hi
+
+
 def test_stabilized_digit_can_miss_despite_its_depth_bound():
     # product 0.10200000033...: at 10**-3 the fixed-depth rule reads the
     # truncation product 0.10199898 and reports 1; the true digit is 2
@@ -264,6 +307,62 @@ def test_certified_digit_max_depth_guard():
         # truncation products 0.999... approach 1 from below forever, so the
         # bracket around the terminating product never clears a boundary
         mul_certified_digit(third, three, -2, max_depth=20)
+
+
+def one_shot_certified_digit(d, e, n):
+    """The one-shot certified digit: a fresh truncation product and bracket
+    test at every depth.  The reference for digits and read depths."""
+    k_top = max(d.order, e.order)
+    depth = max(1, k_top - n + 2)
+    while True:
+        lo = mul_truncation(d, e, depth).mant
+        cell = 10 ** (n + 2 * depth)
+        if lo // cell == (lo + 2 * 10 ** (k_top + 1 + depth)) // cell:
+            return lo // cell % 10
+        depth += 1
+
+
+def test_streamed_products_read_as_deep_as_one_shot_digits():
+    # the resumable bracket must read exactly the operand positions that a
+    # loop of one-shot digits over the same requests reads
+    rng = random.Random(113)
+    checked = 0
+    while checked < 60:
+        qa, qb = rand_rational(rng, 10 ** 3), rand_rational(rng, 10 ** 3)
+        h = compute_hint("mul", Decimal.from_fraction(qa), Decimal.from_fraction(qb))
+        if h.terminating is not None:
+            continue
+        count = rng.randrange(1, 120)
+        (ta, tra), (tb, trb) = (traced_decimal(Decimal.from_fraction(q)) for q in (qa, qb))
+        rendered = render_digits(weak_mul(ta, tb, h), count)
+        (ra, rra), (rb, rrb) = (traced_decimal(Decimal.from_fraction(q)) for q in (qa, qb))
+        positions = [h.order, h.order + 1] + list(range(h.order - 1, -count - 1, -1))
+        digits = {n: one_shot_certified_digit(ra.abs(), rb.abs(), n) for n in positions}
+        assert rendered.lstrip("-").replace(".", "") == "".join(
+            str(digits[n]) for n in range(h.order, -count - 1, -1))
+        for got, want in ((tra, rra), (trb, rrb)):
+            assert (got.total, got.min_index, got.max_index) == \
+                (want.total, want.min_index, want.max_index)
+        checked += 1
+
+
+def test_sequential_product_digits_resume_one_bracket(monkeypatch):
+    # a cold start reads each operand prefix once; digits read in sequence
+    # carry the bracket on instead of rebuilding it
+    x, tx = traced_decimal(parse_decimal("0.(3)"))
+    y, ty = traced_decimal(parse_decimal("0.(142857)"))
+    prefixes = []
+    scaled_prefix = Decimal.scaled_prefix
+
+    def counted(self, m):
+        prefixes.append(m)
+        return scaled_prefix(self, m)
+
+    monkeypatch.setattr(Decimal, "scaled_prefix", counted)
+    prod = weak_mul(x, y, compute_hint("mul", parse_decimal("0.(3)"), parse_decimal("0.(142857)")))
+    assert render_digits(prod, 300) == "0." + ("047619" * 50)
+    assert len(prefixes) <= 6  # the top digit, the probe above it, the digit below
+    assert tx.total == ty.total == 303
 
 
 def test_certified_digit_refuses_negative_operands():
