@@ -71,7 +71,6 @@ from .words import (
     XI,
     InfWord,
     ReadTrace,
-    TapeSnapshot,
     bin_lsb_decode,
     bin_lsb_encode,
     convert_xr_xs,
@@ -82,13 +81,11 @@ from .words import (
     encode_xr,
     encode_xs,
     render_tape,
-    tape_snapshot,
     traced,
     traced_decimal,
 )
 from .genseq import (
     CauchySeqQD,
-    GenReal,
     NonzeroWitness,
     from_decimal,
     limit_digits,
@@ -111,14 +108,12 @@ from .padic import (
 )
 from .weak import (
     Hint,
-    MulTruncation,
     add_digit_rule,
     compute_hint,
     hint_decode,
     hint_encode,
     mul_certified_digit,
     mul_stabilized_digit,
-    mul_truncation,
     result_letter,
     weak_add,
     weak_mul,

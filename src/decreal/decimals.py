@@ -205,16 +205,34 @@ class NineEscapeWitness:
     escape: Callable[[int], int]
 
 
-def nine_free_below(digit_fn, n):
-    """The highest position m < n with ``digit_fn(m) != 9``.
+def _downward(top, budget):
+    """Positions ``top, top - 1, ...``: ``budget`` of them, or no end for None."""
+    return count(top, -1) if budget is None else range(top, top - budget, -1)
 
-    The scan is unbounded: it ends only on digits with no nine tail below n
+
+def nine_free_below(digit_fn, n, budget=None):
+    """The highest position m < n with ``digit_fn(m) != 9``, or None when
+    ``budget`` positions below n are all nines.
+
+    Without a budget the scan ends only on digits with no nine tail below n
     (exact expansions, honest streams).
     """
-    m = n - 1
-    while digit_fn(m) == 9:
-        m -= 1
-    return m
+    for m in _downward(n - 1, budget):
+        if digit_fn(m) != 9:
+            return m
+    return None
+
+
+def first_difference(x, y, budget=None):
+    """The highest position where the digits of x and y differ, scanning
+    down from the larger order; None when ``budget`` positions tie.
+
+    Without a budget the scan ends only on words that differ somewhere.
+    """
+    for n in _downward(max(x.order, y.order), budget):
+        if x.digit(n) != y.digit(n):
+            return n
+    return None
 
 
 def searched_nine_escape(digit_fn):
@@ -543,9 +561,7 @@ def _sep_from_position(t):
 
 def _sep_nonneg(lo, hi):
     """Witness for two nonnegative exact-backed decimals with lo < hi."""
-    n = max(lo.order, hi.order)
-    while lo.digit(n) == hi.digit(n):
-        n -= 1
+    n = first_difference(lo, hi)
     gap = hi.digit(n) - lo.digit(n)
     assert gap > 0
     if gap >= 2:
@@ -564,37 +580,11 @@ def _separation(lo, hi):
     return _sep_nonneg(Decimal.zero(), hi)
 
 
-def _leading_scan(d, budget):
-    """Position of the top nonzero digit of |d|, scanning at most budget digits."""
-    n = d.order
-    for _ in range(budget):
-        if d.digit(n) != 0:
-            return n
-        n -= 1
-    return None
-
-
-def _magnitude_scan(a, b, budget):
-    """First position (from the top) where |a| and |b| differ; None if tied."""
-    n = max(a.order, b.order)
-    steps = 0
-    while steps < budget:
-        if a.digit(n) != b.digit(n):
-            return n
-        n -= 1
-        steps += 1
-    return None
-
-
 def _nine_free_position(d, n, budget):
     """Some position m < n with digit(m) != 9, via scan then escape witness."""
-    if d.has_exact_value:
-        return nine_free_below(d.digit, n)
-    m = n - 1
-    for _ in range(budget):
-        if d.digit(m) != 9:
-            return m
-        m -= 1
+    m = nine_free_below(d.digit, n, None if d.has_exact_value else budget)
+    if m is not None:
+        return m
     w = d.nine_escape
     if w is None:
         return None
@@ -625,9 +615,11 @@ def compare(d, e, budget=128):
         # a minus word sits below a plus word; the witness needs the leading
         # digit of some side known to be nonzero
         neg, pos = (d, e) if d.sign < 0 else (e, d)
-        t = neg.leading_index() if neg.has_exact_value else _leading_scan(neg.abs(), budget)
+        t = (neg.leading_index() if neg.has_exact_value
+             else first_difference(neg, TERM_ZERO, budget))
         if t is None:
-            t = pos.leading_index() if pos.has_exact_value else _leading_scan(pos, budget)
+            t = (pos.leading_index() if pos.has_exact_value
+                 else first_difference(pos, TERM_ZERO, budget))
         if t is None:
             return Comparison(Verdict.UNDECIDED)
         # truncation gap is at least 10**t; halve for strictness
@@ -636,7 +628,7 @@ def compare(d, e, budget=128):
         return Comparison(verdict, w)
 
     a, b = d.abs(), e.abs()
-    n = _magnitude_scan(a, b, budget)
+    n = first_difference(a, b, budget)
     if n is None:
         return Comparison(Verdict.UNDECIDED)
     small, big = (a, b) if a.digit(n) < b.digit(n) else (b, a)
@@ -688,17 +680,13 @@ def compare_extended(x, y, budget=128):
     if _word_equal_exact(x, y):
         return Comparison(Verdict.EQUAL)
     exact = _is_exact_face(x) and _is_exact_face(y)
-    n = max(x.order, y.order)
-    steps = 0
-    while exact or steps < budget:
-        dx, dy = x.digit(n), y.digit(n)
-        if dx != dy:
-            if x.sign > 0:
-                return Comparison(Verdict.LESS if dx < dy else Verdict.GREATER)
-            return Comparison(Verdict.LESS if dx > dy else Verdict.GREATER)
-        n -= 1
-        steps += 1
-    return Comparison(Verdict.UNDECIDED)
+    n = first_difference(x, y, None if exact else budget)
+    if n is None:
+        return Comparison(Verdict.UNDECIDED)
+    dx, dy = x.digit(n), y.digit(n)
+    if x.sign > 0:
+        return Comparison(Verdict.LESS if dx < dy else Verdict.GREATER)
+    return Comparison(Verdict.LESS if dx > dy else Verdict.GREATER)
 
 
 def _is_exact_face(x):

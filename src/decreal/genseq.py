@@ -11,7 +11,7 @@ and both expansions of it remain in play.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -47,27 +47,6 @@ class NonzeroWitness:
             raise ValueError("witness parameters must be positive")
 
 
-@dataclass(frozen=True)
-class GenReal:
-    """A real given by a generating sequence; digits come from the limit."""
-
-    seq: CauchySeqQD
-
-    def digit(self, n, budget=48):
-        return limit_digits(self.seq, n, budget)
-
-
-def _memoized(fn):
-    cache = {}
-
-    def wrapped(n):
-        if n not in cache:
-            cache[n] = fn(n)
-        return cache[n]
-
-    return wrapped
-
-
 # ---------------------------------------------------------------------------
 # from decimals to sequences
 
@@ -90,7 +69,7 @@ def from_decimal(d: Decimal) -> CauchySeqQD:
             m += 1
         return m
 
-    return CauchySeqQD(_memoized(term), modulus)
+    return CauchySeqQD(term, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +148,7 @@ def seq_recip(a: CauchySeqQD, w: NonzeroWitness) -> CauchySeqQD:
     def modulus(k):
         return max(w.n0, 3 * k * w.k + 1, a.modulus(3 * k * w.k * w.k))
 
-    return CauchySeqQD(_memoized(term), modulus)
+    return CauchySeqQD(term, modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -226,13 +226,14 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
 
 def _checked_stream(sign: int, hint: Hint, producer) -> Decimal:
     """The stream of ``producer`` after the cheap checks around the hinted
-    order.  The top digit is read through the stream, so it is memoised;
-    the digit above the order is not a stream position and is asked of the
-    producer directly."""
+    order.  The digit above the order is not a stream position, so it is
+    asked of the producer directly, and first: the top digit, read through
+    the stream and memoised, then follows it in sequence."""
     f = Decimal.from_stream(sign, hint.order, producer, searched_nine_escape(producer))
+    above = producer(hint.order + 1)
     if hint.order > 0 and f.digit(hint.order) == 0:
         raise HintMismatch("zero digit at the hinted (positive) order")
-    if producer(hint.order + 1) != 0:
+    if above != 0:
         raise HintMismatch("nonzero digit above the hinted order")
     return f
 
@@ -241,48 +242,18 @@ def _checked_stream(sign: int, hint: Hint, producer) -> Decimal:
 # multiplication
 
 
-@dataclass(frozen=True)
-class MulTruncation:
-    """The exact product of the depth-l truncations of two decimals.
-
-    Both truncations are integers once scaled by ``10**l``, so the product
-    is kept as the integer ``mant`` with value ``mant * 10**(-2*l)``;
-    ``value`` shows the same number as a ``DecFrac``.
-    """
-
-    depth: int
-    mant: int
-
-    @property
-    def value(self) -> DecFrac:
-        return DecFrac(self.mant, -2 * self.depth)
-
-
-def mul_truncation(d: Decimal, e: Decimal, depth: int) -> MulTruncation:
-    """Product of the truncations at positions >= -depth (depth >= 0), read
-    through each operand's prefix cursor."""
-    mant = d.scaled_prefix(depth) * e.scaled_prefix(depth)
-    return MulTruncation(depth, mant if d.sign == e.sign else -mant)
-
-
 def mul_stabilized_digit(d: Decimal, e: Decimal, n: int) -> int:
-    """Digit at 10**n of the truncation product at depth ``max(1, K - n + 2)``.
-
-    K is the larger operand order.  At that depth the product sits within
-    ``2 * 10**(n - 1)`` of the true value, which pins the digit *near* the
-    truth but -- when the bracket straddles a cell boundary -- not exactly;
-    see ``mul_certified_digit`` for the version that keeps deepening until
-    the digit is provably right.
+    """Digit at 10**n of ``|d * e|`` by the paper's fixed-depth rule: the
+    digit of a cold ``ProductBracket`` before it settles.  It sits *near*
+    the truth but -- when the bracket straddles a cell boundary -- not
+    exactly; see ``mul_certified_digit`` for the digit that is provably right.
     """
-    k_top = max(d.order, e.order)
-    depth = max(1, k_top - n + 2)
-    mant = abs(mul_truncation(d, e, depth).mant)
-    return mant // pow10(n + 2 * depth) % 10
+    return ProductBracket(d, e, n).digit
 
 
 class ProductBracket:
-    """A resumable certified bracket for the digits of ``a * b`` (``a, b >= 0``),
-    read downwards from position ``pos``.
+    """A resumable certified bracket for the digits of ``|a * b|``, read
+    downwards from position ``pos`` (operands are read as magnitudes).
 
     At depth l, with K the larger operand order, the product of the operand
     truncations undershoots the truth by less than ``2 * 10**(K+1-l)``.
@@ -321,6 +292,12 @@ class ProductBracket:
         self._digit = top % 10
         self._slack = 2 * pow10(k_top + 1 + depth)
         self.pos, self.depth = n, depth
+
+    @property
+    def digit(self) -> int:
+        """The digit at ``pos`` under the bracket's lower end: the paper's
+        fixed-depth digit on a cold start, the certified one once settled."""
+        return self._digit % 10
 
     def step(self):
         """Move to the next position down, at the same depth."""
@@ -397,8 +374,7 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Deci
     A terminating hint is the whole answer; in particular a zero operand
     always arrives that way, so in the streaming case the sign is just the
     product of the operand signs.  ``digit_path`` selects between the
-    certified bracket digits (default) and the fixed-depth stabilized
-    digits.
+    certified bracket digits (default) and the paper's fixed-depth digits.
     """
     if hint.terminating is not None:
         return Decimal.from_term(hint.terminating)
@@ -406,7 +382,7 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Deci
     a, b = d.abs(), e.abs()
     if digit_path == "certified":
         producer = _certified_producer(a, b)
-    elif digit_path in ("stabilized", "paper"):
+    elif digit_path == "paper":
         def producer(n):
             return mul_stabilized_digit(a, b, n)
     else:

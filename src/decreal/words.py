@@ -14,7 +14,7 @@ word (or how deep into a digit stream) a computation had to look.
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .decimals import Decimal, searched_nine_escape
+from .decimals import TERM_ZERO, Decimal, first_difference, searched_nine_escape
 from .errors import InvariantViolation, MalformedWord, OracleUnavailable
 
 XI = "ξ"
@@ -272,15 +272,11 @@ def convert_xr_xs(w, leading=None, search_limit=10_000):
     """
     d = decode_xr(w)
     if leading is None:
-        n = d.order
-        for _ in range(search_limit):
-            if d.digit(n) != 0:
-                leading = n
-                break
-            n -= 1
-        else:
+        leading = first_difference(d, TERM_ZERO, search_limit)
+        if leading is None:
             raise OracleUnavailable(
-                f"no nonzero digit above 10**{n}; leading index unknown")
+                f"no nonzero digit above 10**{d.order - max(search_limit, 0)}; "
+                "leading index unknown")
     return encode_xs(d, leading=leading)
 
 
@@ -293,37 +289,21 @@ def convert_xs_xr(w, head_limit=10_000):
 # tape pictures
 
 
-@dataclass(frozen=True)
-class TapeSnapshot:
-    """A finite window of tape cells; blanks are shown as ``eps``."""
-
-    window: tuple
-    cells: tuple
-
-    def render(self):
-        lo, _ = self.window
-        out = []
-        for off, c in enumerate(self.cells):
-            i = lo + off
-            out.append(f"[{c}]" if i == 0 else c)
-        return " ".join(out)
-
-
-def tape_snapshot(content, window=None):
+def render_tape(content, window=None):
+    """Space-separated picture of the tape cells in ``window`` (both ends
+    included), with square brackets around cell 0; blanks are shown as
+    ``eps``.  A finite word's default window is the word plus one blank on
+    each side; an infinite word needs an explicit one."""
     if window is None:
         if isinstance(content, InfWord):
             raise ValueError("an infinite word needs an explicit window")
         window = (-1, len(content))
     lo, hi = window
-    cells = []
+    out = []
     for i in range(lo, hi + 1):
         if isinstance(content, InfWord):
-            cells.append(content.letter(i) if i >= 0 else EPS)
+            c = content.letter(i) if i >= 0 else EPS
         else:
-            cells.append(str(content[i]) if 0 <= i < len(content) else EPS)
-    return TapeSnapshot((lo, hi), tuple(cells))
-
-
-def render_tape(content, window=None):
-    """Space-separated cell picture with square brackets around cell 0."""
-    return tape_snapshot(content, window).render()
+            c = str(content[i]) if 0 <= i < len(content) else EPS
+        out.append(f"[{c}]" if i == 0 else c)
+    return " ".join(out)

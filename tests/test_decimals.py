@@ -10,6 +10,7 @@ from decreal.decimals import (
     Decimal,
     FalseDecimal,
     NineEscapeWitness,
+    SeparationWitness,
     TermDecimal,
     Verdict,
     bar,
@@ -383,6 +384,102 @@ def test_compare_undecided_within_budget():
     a = Decimal.from_stream(1, 0, lambda n: 1, None)
     b = Decimal.from_stream(1, 0, lambda n: 1 if n > -500 else 2, None)
     assert compare(a, b, budget=16).verdict is Verdict.UNDECIDED
+
+
+# A scan from position ``top`` with budget B reads ``top`` down to
+# ``top - B + 1``: a difference at that last position is decided, one
+# position lower it is not.
+
+
+def _ones_with(order, pos, digit):
+    return Decimal.from_stream(1, order, lambda n: digit if n == pos else 1, None)
+
+
+@pytest.mark.parametrize("budget", [1, 6])
+def test_compare_magnitude_scan_budget_boundary(budget):
+    last = 2 - budget + 1
+    a = Decimal.from_stream(1, 2, lambda n: 1, None)
+    c = compare(a, _ones_with(2, last, 3), budget=budget)
+    assert c.verdict is Verdict.LESS
+    assert c.witness == SeparationWitness(pow10(-last) if last < 0 else 1, max(1, -last))
+    assert compare(a.neg(), _ones_with(2, last, 3).neg(), budget=budget).verdict \
+        is Verdict.GREATER
+    assert compare(a, _ones_with(2, last - 1, 3), budget=budget).verdict is Verdict.UNDECIDED
+
+
+@pytest.mark.parametrize("budget", [1, 6])
+def test_compare_leading_scan_budget_boundary(budget):
+    # opposite signs: the minus side's leading digit is searched first, then
+    # the plus side's, each within the budget
+    last = -budget + 1
+    zero = Decimal.from_stream(1, 0, lambda n: 0, None)
+
+    def one_at(sign, pos):
+        return Decimal.from_stream(sign, 0, lambda n: 1 if n == pos else 0, None)
+
+    want = SeparationWitness(2 * pow10(-last), max(1, -last))
+    c = compare(one_at(-1, last), zero, budget=budget)
+    assert (c.verdict, c.witness) == (Verdict.LESS, want)
+    c = compare(one_at(1, last), zero.neg(), budget=budget)
+    assert (c.verdict, c.witness) == (Verdict.GREATER, want)
+    assert compare(one_at(-1, last - 1), zero, budget=budget).verdict is Verdict.UNDECIDED
+    assert compare(one_at(1, last - 1), zero.neg(), budget=budget).verdict \
+        is Verdict.UNDECIDED
+
+
+@pytest.mark.parametrize("budget", [1, 6])
+def test_compare_nine_free_scan_budget_boundary(budget):
+    # a digit gap of one at 10**0 needs a position below it where the smaller
+    # side is not 9; the scan reads -1 down to -budget, then asks the witness
+    big = Decimal.from_stream(1, 0, lambda n: 2 if n == 0 else 0, None)
+
+    def small(free, witness=None):
+        return Decimal.from_stream(
+            1, 0, lambda n: 1 if n == 0 else (0 if n == free else 9), witness)
+
+    c = compare(small(-budget), big, budget=budget)
+    assert (c.verdict, c.witness) == (Verdict.LESS, SeparationWitness(pow10(budget), budget))
+    assert compare(small(-budget - 1), big, budget=budget).verdict is Verdict.UNDECIDED
+    escape = NineEscapeWitness(lambda n: -budget - 1)
+    c = compare(small(-budget - 1, escape), big, budget=budget)
+    assert (c.verdict, c.witness) == \
+        (Verdict.LESS, SeparationWitness(pow10(budget + 1), budget + 1))
+
+
+def test_compare_nine_free_scan_of_exact_side_has_no_budget():
+    # exact expansions have no nine tail, so their scan is not cut off
+    small = parse_decimal("0.19999999999995")
+    big = Decimal.from_stream(1, 0, lambda n: 2 if n == -1 else 0, None)
+    c = compare(small, big, budget=4)
+    assert (c.verdict, c.witness) == (Verdict.LESS, SeparationWitness(pow10(14), 14))
+
+
+@pytest.mark.parametrize("budget", [1, 6])
+def test_compare_extended_budget_boundary(budget):
+    last = 2 - budget + 1
+    a = Decimal.from_stream(1, 2, lambda n: 1, None)
+    assert compare_extended(a, _ones_with(2, last, 3), budget=budget).verdict is Verdict.LESS
+    assert compare_extended(_ones_with(2, last, 0), a, budget=budget).verdict is Verdict.LESS
+    assert compare_extended(a, _ones_with(2, last - 1, 3), budget=budget).verdict \
+        is Verdict.UNDECIDED
+
+
+def test_zero_budget_scans_read_nothing():
+    reads = []
+
+    def digit(n):
+        reads.append(n)
+        return 1
+
+    a = Decimal.from_stream(1, 0, digit, None)
+    b = Decimal.from_stream(1, 0, lambda n: 2, None)
+    assert compare(a, b, budget=0).verdict is Verdict.UNDECIDED
+    assert compare(a.neg(), b, budget=0).verdict is Verdict.UNDECIDED
+    assert compare_extended(a, b, budget=0).verdict is Verdict.UNDECIDED
+    assert reads == []
+    # exact faces on both sides are decided without a budget
+    assert compare_extended(parse_decimal("0.5"), parse_decimal("0.6"), budget=0).verdict \
+        is Verdict.LESS
 
 
 def test_separation_witness_definition_holds_exactly():

@@ -9,7 +9,6 @@ from decreal.decimals import Decimal, parse_decimal
 from decreal.errors import NonzeroWitnessInvalid
 from decreal.genseq import (
     CauchySeqQD,
-    GenReal,
     NonzeroWitness,
     from_decimal,
     limit_digits,
@@ -163,7 +162,7 @@ def test_limit_digits_of_reciprocal_needs_small_budget():
     a = from_decimal(parse_decimal("0.(428571)"))  # 3/7
     r = seq_recip(a, NonzeroWitness(k=3, n0=1))
     assert limit_digits(r, 0, budget=6) == 2  # 7/3 = 2.333...
-    assert GenReal(r).digit(-1, budget=6) == 3
+    assert limit_digits(r, -1, budget=6) == 3
 
 
 def test_limit_digits_none_when_reciprocal_limit_terminates():
@@ -173,9 +172,9 @@ def test_limit_digits_none_when_reciprocal_limit_terminates():
     assert limit_digits(r, 0, budget=6) is None
 
 
-def test_genreal_digit_view():
-    g = GenReal(from_decimal(parse_decimal("0.(6)")))
-    assert [g.digit(n) for n in (0, -1, -2)] == [0, 6, 6]
+def test_limit_digits_of_a_decimal_sequence():
+    g = from_decimal(parse_decimal("0.(6)"))
+    assert [limit_digits(g, n) for n in (0, -1, -2)] == [0, 6, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from decreal import weak
 from decreal.decimals import TERM_ZERO, Decimal, TermDecimal, parse_decimal, r_inv, render_digits
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
 from decreal.rational import DecFrac
@@ -16,7 +17,6 @@ from decreal.weak import (
     hint_encode,
     mul_certified_digit,
     mul_stabilized_digit,
-    mul_truncation,
     result_letter,
     weak_add,
     weak_mul,
@@ -243,18 +243,23 @@ def test_weak_add_nine_escape_witness_is_honest():
 # weak multiplication
 
 
+def mul_truncation(d, e, depth):
+    """The product of the depth-``depth`` truncations of |d| and |e|, scaled
+    by ``10**(2*depth)``: the lower end of the product bracket."""
+    return d.scaled_prefix(depth) * e.scaled_prefix(depth)
+
+
 def test_mul_truncation_is_product_of_truncations():
     d = parse_decimal("0.34")
-    t = mul_truncation(d, d, 1)
-    assert (t.depth, t.value.to_fraction()) == (1, Fraction(9, 100))
-    assert mul_truncation(d, d, 2).value.to_fraction() == Fraction(1156, 10 ** 4)
+    assert mul_truncation(d, d, 1) == 9
+    assert mul_truncation(d, d, 2) == 1156
 
 
 def test_truncation_digit_sequence_is_not_monotone():
     # the digit at 10**-2 of the truncation products of 0.34*0.34 goes 9 -> 1:
     # deeper truncations can lower a digit through a carry
     d = parse_decimal("0.34")
-    digs = [oracle_digit(mul_truncation(d, d, l).value.to_fraction(), -2) for l in (1, 2, 3)]
+    digs = [oracle_digit(Fraction(mul_truncation(d, d, l), 10 ** (2 * l)), -2) for l in (1, 2, 3)]
     assert digs == [9, 1, 1]
 
 
@@ -270,7 +275,7 @@ def test_truncation_brackets_are_nested():
         k_top = max(a.order, b.order)
         ends = []
         for depth in range(1, 30):
-            lo = mul_truncation(a, b, depth).value.to_fraction()
+            lo = Fraction(mul_truncation(a, b, depth), 10 ** (2 * depth))
             ends.append((lo, lo + Fraction(2 * 10 ** (k_top + 1), 10 ** depth)))
         for (lo, hi), (lo2, hi2) in zip(ends, ends[1:]):
             assert lo <= lo2 <= a.value() * b.value() <= hi2 < hi
@@ -315,7 +320,7 @@ def one_shot_certified_digit(d, e, n):
     k_top = max(d.order, e.order)
     depth = max(1, k_top - n + 2)
     while True:
-        lo = mul_truncation(d, e, depth).mant
+        lo = mul_truncation(d, e, depth)
         cell = 10 ** (n + 2 * depth)
         if lo // cell == (lo + 2 * 10 ** (k_top + 1 + depth)) // cell:
             return lo // cell % 10
@@ -361,8 +366,27 @@ def test_sequential_product_digits_resume_one_bracket(monkeypatch):
     monkeypatch.setattr(Decimal, "scaled_prefix", counted)
     prod = weak_mul(x, y, compute_hint("mul", parse_decimal("0.(3)"), parse_decimal("0.(142857)")))
     assert render_digits(prod, 300) == "0." + ("047619" * 50)
-    assert len(prefixes) <= 6  # the top digit, the probe above it, the digit below
+    # the product has order 0, so the checks read no top digit: the probe
+    # above the order starts the one bracket, one prefix per operand
+    assert len(prefixes) == 2
     assert tx.total == ty.total == 303
+
+
+def test_product_of_positive_order_starts_one_bracket(monkeypatch):
+    # the probe above the hinted order comes first, so the top digit and
+    # every digit below it step the same bracket down
+    starts = []
+
+    class Counted(weak.ProductBracket):
+        def __init__(self, a, b, n):
+            starts.append(n)
+            super().__init__(a, b, n)
+
+    monkeypatch.setattr(weak, "ProductBracket", Counted)
+    x, y = parse_decimal("12.(3)"), parse_decimal("1.(6)")
+    prod = weak_mul(x, y, compute_hint("mul", x, y))
+    assert render_digits(prod, 40) == "20." + "5" * 40
+    assert starts == [2]
 
 
 def test_certified_digit_refuses_negative_operands():
@@ -374,12 +398,15 @@ def test_certified_digit_refuses_negative_operands():
         mul_certified_digit(u, v, -3)
 
 
-def test_mul_truncation_keeps_signs_and_scaled_mantissa():
-    d = Decimal.from_fraction(Fraction(-10, 3))
-    e = parse_decimal("0.25")
-    t = mul_truncation(d, e, 2)
-    assert t.mant == -333 * 25 and t.value == DecFrac(-333 * 25, -4)
-    assert mul_truncation(d, d, 1).mant == 33 * 33
+def test_paper_digits_ignore_operand_signs():
+    # the fixed-depth digit is read off the truncation product of the
+    # magnitudes; the product's sign comes from the operand signs alone
+    u, v = Decimal.from_fraction(Fraction(-10, 3)), parse_decimal("0.25")
+    for x, y in ((u, v), (u.neg(), v), (u, v.neg()), (u.neg(), v.neg())):
+        assert [mul_stabilized_digit(x, y, n) for n in (0, -1, -2, -3)] == [0, 8, 3, 3]
+        prod = weak_mul(x, y, compute_hint("mul", x, y), digit_path="paper")
+        assert prod.sign == x.sign * y.sign
+        assert render_digits(prod, 6).lstrip("-") == "0.833333"
 
 
 def test_compute_hint_beyond_the_int_to_str_cap():
@@ -420,10 +447,10 @@ def test_weak_mul_paper_path_is_the_stabilized_rule():
     v = parse_decimal("0.306000001")
     h = compute_hint("mul", u, v)
     via_paper = weak_mul(u, v, h, digit_path="paper")
-    via_stab = weak_mul(u, v, h, digit_path="stabilized")
-    assert via_paper.digit(-3) == via_stab.digit(-3) == 1
-    with pytest.raises(ValueError):
-        weak_mul(u, v, h, digit_path="floating")
+    assert via_paper.digit(-3) == mul_stabilized_digit(u, v, -3) == 1
+    for path in ("stabilized", "floating"):
+        with pytest.raises(ValueError):
+            weak_mul(u, v, h, digit_path=path)
 
 
 def test_weak_mul_rejects_wrong_order_hint():

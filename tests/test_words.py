@@ -146,6 +146,16 @@ def test_convert_xr_xs_gives_up_on_deep_zero_runs():
         convert_xr_xs(encode_xr(Decimal.zero()), search_limit=50)
 
 
+def test_convert_xr_xs_search_limit_boundary():
+    # the search reads positions 0 down to 1 - search_limit
+    w = encode_xr(parse_decimal("0.0001"))
+    assert convert_xr_xs(w, search_limit=5).prefix(6) == [XI, "-", "0", "0", "1", XI]
+    with pytest.raises(OracleUnavailable, match=r"^no nonzero digit above 10\*\*-4; "):
+        convert_xr_xs(w, search_limit=4)
+    with pytest.raises(OracleUnavailable, match=r"^no nonzero digit above 10\*\*0; "):
+        convert_xr_xs(encode_xr(parse_decimal("5")), search_limit=0)
+
+
 # ---------------------------------------------------------------------------
 # traces and tape pictures
 
