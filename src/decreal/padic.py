@@ -11,7 +11,6 @@ helpers below let tests check the locality claim read by read.
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -89,14 +88,17 @@ class PAdic:
 
     def digit(self, n):
         i = n - self.base
-        if i < 0:
-            return 0
         digits = self._digits
-        for m in range(self.base + len(digits), n + 1):  # empty on a memo hit
-            d = self._producer(m)
-            if not 0 <= d < self.p:
-                raise MalformedWord(f"digit {d} out of range for p={self.p}")
+        if i < len(digits):
+            return digits[i] if i >= 0 else 0
+        producer, p = self._producer, self.p
+        m = self.base + len(digits)
+        while m <= n:
+            d = producer(m)
+            if not 0 <= d < p:
+                raise MalformedWord(f"digit {d} out of range for p={p}")
             digits.append(d)
+            m += 1
         return digits[i]
 
     @property
@@ -168,29 +170,36 @@ def padic_add(a: PAdic, b: PAdic) -> PAdic:
 
 
 def padic_mul(a: PAdic, b: PAdic) -> PAdic:
-    """Column products with an upward carry.
+    """Column products with an upward carry, on a running integer.
 
-    Column j collects ``a_i * b_(j-i)`` over the finitely many in-range
-    splits; the carry never looks ahead.  The result digit at p**n depends
-    on operand digits at positions ``<= n - other.base`` -- in particular on
-    positions ``<= n`` whenever both operands are p-adic integers.  Each
-    column reads its two new operand positions through ``digit`` and then
-    takes one dot product over the operands' digit lists.
+    The result digit at p**n depends on operand digits at positions
+    ``<= n - other.base`` -- in particular on positions ``<= n`` whenever
+    both operands are p-adic integers.  Column j reads its two new operand
+    positions through ``digit`` (``b`` first), then extends the prefixes
+    ``X = sum a_i p**i`` and ``Y = sum b_i p**i`` (i counted from each
+    base) by one digit and keeps ``acc = X*Y // p**(j+1)``: the new digit
+    is the one split off by ``divmod``.  Since
+    ``(X + a P)(Y + b P) = X Y + P (a Y + b (X + a P))`` with ``P = p**j``,
+    a column costs a few big-by-small integer operations.  The state moves
+    only after both reads succeed, so a producer that raises leaves the
+    stream resumable.
     """
     if a.p != b.p:
         raise PrimeMismatch(f"cannot multiply p={a.p} and p={b.p}")
     p = a.p
     k0 = a.base + b.base
-    a_digits, b_digits = a._digits, b._digits
-    carry = 0
+    x = y = acc = 0
+    power = 1
 
     def producer(n):
-        nonlocal carry
-        j = n - k0
-        b.digit(n - a.base)
-        a.digit(n - b.base)
-        col = sum(map(mul, a_digits, b_digits[j::-1]))
-        carry, digit = divmod(col + carry, p)
+        nonlocal x, y, acc, power
+        db = b.digit(n - a.base)
+        da = a.digit(n - b.base)
+        x += da * power
+        acc += da * y + db * x
+        y += db * power
+        power *= p
+        acc, digit = divmod(acc, p)
         return digit
 
     return PAdic(p, None, producer, base=k0)

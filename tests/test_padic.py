@@ -51,6 +51,21 @@ def recorded(p, q, base=0):
     return PAdic(p, None, producer, base=base), calls
 
 
+def flaky(p, q, base, at):
+    """``q * p**base`` as a stream whose producer raises once: the first
+    time it is asked for position ``at``."""
+    src = padic_from_rational(p, q)
+    pending = {at}
+
+    def producer(n):
+        if n in pending:
+            pending.discard(n)
+            raise RuntimeError(f"transient failure at {n}")
+        return src.digit(n - base)
+
+    return PAdic(p, None, producer, base=base)
+
+
 def test_from_rational_integer_matches_base_p():
     a = padic_from_rational(3, 25)
     # 25 = 2*9 + 2*3 + 1
@@ -90,6 +105,38 @@ def test_padic_validates_prime_and_digits():
     bad = PAdic(3, 0, lambda n: 7)
     with pytest.raises(MalformedWord):
         bad.digit(0)
+
+
+def test_digit_memo_hits_and_reads_below_the_base_skip_the_producer():
+    calls = []
+    bad = {3}
+
+    def producer(n):
+        calls.append(n)
+        if n in bad:
+            bad.discard(n)
+            return 5  # out of range for p = 5, once
+        return n % 5
+
+    a = PAdic(5, None, producer, base=-2)
+    assert [a.digit(n) for n in (-3, -10)] == [0, 0]
+    assert calls == []
+    with pytest.raises(MalformedWord):
+        a.digit(6)
+    assert calls == [-2, -1, 0, 1, 2, 3]
+    # the bad digit was not memoised, so the next read asks for 3 again
+    assert a.digit(6) == 1
+    assert calls == [-2, -1, 0, 1, 2, 3, 3, 4, 5, 6]
+    del calls[:]
+    assert [a.digit(n) for n in (6, -2, 3, 0, -7, 5)] == [1, 3, 3, 0, 0, 0]
+    assert calls == []
+    fresh, calls = recorded(7, Fraction(-5, 3), -1)
+    far = fresh.digit(40)
+    assert calls == list(range(-1, 41))
+    del calls[:]
+    assert fresh.digits_from(42) == oracle_digits(7, Fraction(-5, 3), 42)
+    assert fresh.digits_from(42)[-1] == far
+    assert calls == []
 
 
 def test_producer_is_called_once_per_position_in_ascending_order():
@@ -211,11 +258,34 @@ def test_square_of_one_stream_matches_mod_oracle(base):
         assert calls == list(range(base, base + 50))
 
 
-def test_long_product_matches_mod_oracle():
-    p, x, y = 7, Fraction(-123456, 457), Fraction(98765, 1000)
-    prod = padic_mul(padic_from_rational(p, x), padic_from_rational(p, y))
-    assert prod.digit(599) == oracle_digits(p, x * y, 600)[-1]  # far read first
-    assert prod.digits_from(600) == oracle_digits(p, x * y, 600)
+@pytest.mark.parametrize("p", [2, 3, 7, 11])
+@pytest.mark.parametrize("base_a, base_b", [(0, 0), (-2, 0), (-1, -3)])
+def test_long_product_matches_mod_oracle(p, base_a, base_b):
+    x, y = Fraction(-123456, 457), Fraction(98765, 1003)
+    a, _ = recorded(p, x, base_a)
+    b, _ = recorded(p, y, base_b)
+    prod = padic_mul(a, b)
+    expect = oracle_digits(p, x * y, 3000)
+    assert prod.digit(base_a + base_b + 2999) == expect[-1]  # far read first
+    assert prod.digits_from(3000) == expect
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize("base_a, base_b", [(0, 0), (-2, -1)])
+def test_mul_stays_resumable_after_an_operand_read_raises(which, base_a, base_b):
+    # b is read before a in each column, so a failing read of a comes after
+    # b's digit is in: the product's state must not have moved
+    p, x, y, at = 5, Fraction(-7, 3), Fraction(22, 9), 37
+    a = flaky(p, x, base_a, base_a + at) if which == "a" else recorded(p, x, base_a)[0]
+    b = flaky(p, y, base_b, base_b + at) if which == "b" else recorded(p, y, base_b)[0]
+    prod = padic_mul(a, b)
+    k0 = base_a + base_b
+    expect = oracle_digits(p, x * y, 80)
+    assert prod.digits_from(at) == expect[:at]
+    with pytest.raises(RuntimeError):
+        prod.digit(k0 + 60)
+    assert prod.digit(k0 + at) == expect[at]  # the retried digit
+    assert prod.digits_from(80) == expect
 
 
 def test_mul_operands_are_read_once_in_ascending_order():
