@@ -104,6 +104,7 @@ from .padic import (
     padic_encode,
     padic_from_rational,
     padic_mul,
+    padic_neg,
     traced_padic,
 )
 from .weak import (

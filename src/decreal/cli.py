@@ -21,19 +21,9 @@ from .decimals import (
     render_digits,
     sup_finite,
 )
-from .errors import (
-    DecrealError,
-    HintMismatch,
-    InvariantViolation,
-    MalformedHint,
-    MalformedWord,
-    ModulusTooLarge,
-    NotPrime,
-    OracleUnavailable,
-    ParseError,
-)
-from .padic import padic_encode, padic_from_rational, padic_add, padic_mul
-from .rational import parse_rat
+from .errors import DecrealError, ModulusTooLarge, NotPrime, OracleUnavailable, ParseError
+from .padic import padic_encode, padic_from_rational, padic_add, padic_mul, padic_neg
+from .rational import parse_rat, str_int
 from .shifts import classify_add_shift, classify_mul_shift, graph_type, involution_F
 from .weak import Hint, compute_hint, hint_decode, hint_encode, weak_add, weak_mul
 from .words import encode_xr, encode_xs, bin_lsb_encode, render_tape, traced_decimal
@@ -49,6 +39,7 @@ from .words import encode_xr, encode_xs, bin_lsb_encode, render_tape, traced_dec
 #           rational [-]int/posint                  e.g. 22/7, -1/3
 
 _LITERAL = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d*)?(?:\(\d+\))?")
+_NATURAL = re.compile(r"^\+?(\d+)$")
 
 # Deepest expression tree, and deepest bracket nesting, the parser accepts.
 # Parsing a bracket, evaluating a node and reading a digit of a sum or
@@ -221,7 +212,7 @@ def _padic_eval(node, p):
     if kind == "lit":
         return padic_from_rational(p, node[1].value())
     if kind == "neg":
-        return padic_mul(padic_from_rational(p, -1), _padic_eval(node[1], p))
+        return padic_neg(_padic_eval(node[1], p))
     if kind == "recip":
         raise ParseError("recip is not available in p-adic mode")
     lhs = _padic_eval(node[1], p)
@@ -231,8 +222,10 @@ def _padic_eval(node, p):
 
 def cmd_encode(args):
     if args.as_binary_tape:
-        n = int(args.value)
-        print(render_tape(bin_lsb_encode(n)))
+        m = _NATURAL.match(args.value.strip())
+        if not m:
+            raise ParseError(f"not a nonnegative integer: {args.value!r}")
+        print(render_tape(bin_lsb_encode(str_int(m.group(1)))))
         return 0
     if args.format == "xp":
         word = padic_encode(padic_from_rational(args.p, parse_rat(args.value)))
@@ -353,9 +346,6 @@ def main(argv=None):
     except OracleUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvariantViolation, MalformedWord, MalformedHint, HintMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except DecrealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

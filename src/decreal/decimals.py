@@ -29,7 +29,7 @@ from .errors import (
     InvariantViolation,
     OracleUnavailable,
 )
-from .rational import DecFrac, ilog10, int_str, pow10, ten_smooth
+from .rational import DecFrac, ilog10, int_str, pow10, str_int, ten_smooth
 
 # ---------------------------------------------------------------------------
 # terminating decimals
@@ -287,11 +287,11 @@ class Decimal:
     stream backing is a digit producer plus a nine-escape witness.
 
     Digits are those of ``|x|``, so both sign views of a value (``neg()``
-    and ``abs()``) share one growing cursor, and neither re-does work the
+    and ``abs()``) share one digit cache, and neither re-does work the
     other has done:
 
-    * a stream memoises its producer's digits and keeps the prefix cursor
-      ``[depth, floor(|x| * 10**depth)]`` for ``scaled_prefix``;
+    * a stream memoises its producer's digits, one producer call per
+      position;
     * an exact value keeps the long-division cursor ``[r, digits]``, made on
       the first read below the point or the first sign flip: the digits
       at positions ``-1`` down to ``-k`` in a ``bytearray`` and the
@@ -310,9 +310,8 @@ class Decimal:
         object.__setattr__(self, "_value", value)
         object.__setattr__(self, "_producer", producer)
         object.__setattr__(self, "_witness", witness)
-        if value is None:
-            memo = {} if memo is None else memo
-            cursor = [-order - 1, 0] if cursor is None else cursor
+        if value is None and memo is None:
+            memo = {}
         object.__setattr__(self, "_memo", memo)
         object.__setattr__(self, "_cursor", cursor)
 
@@ -389,23 +388,17 @@ class Decimal:
         """``floor(|x| * 10**m)`` for ``m >= 0``: the digits at positions
         ``order`` down to ``-m`` read as one integer.
 
-        A stream reads the positions ``order`` down to ``-m``, each at most
-        once per stream: its cursor only grows, and a shallower request is
-        cut down from the deepest prefix read so far.
+        A stream folds its memoised digits, so its producer still runs at
+        most once per position.
         """
         if m < 0:
             raise ValueError("prefix depth must be >= 0")
         q = self._value
         if q is not None:
             return abs(q.numerator) * pow10(m) // q.denominator
-        cursor = self._cursor
-        depth, mant = cursor
-        if m <= depth:
-            return mant // pow10(depth - m)
-        digit = self.digit
-        for k in range(depth + 1, m + 1):
-            mant = mant * 10 + digit(-k)
-        cursor[0], cursor[1] = m, mant
+        mant = 0
+        for n in range(self.order, -m - 1, -1):
+            mant = mant * 10 + self.digit(n)
         return mant
 
     def prefix_with_tail(self, m):
@@ -461,12 +454,12 @@ class Decimal:
     # -- structure
 
     def neg(self):
-        """The sign flip, sharing this value's memo and cursor; zero never
-        carries a minus sign, so it is its own flip."""
+        """The sign flip, sharing this value's memo or division cursor;
+        zero never carries a minus sign, so it is its own flip."""
         q = self._value
         if q is None:
             return Decimal(-self.sign, self.order, producer=self._producer,
-                           witness=self._witness, memo=self._memo, cursor=self._cursor)
+                           witness=self._witness, memo=self._memo)
         if q == 0:
             return self
         return Decimal(-self.sign, self.order, value=-q, cursor=self._division_cursor())
@@ -719,14 +712,12 @@ class _SupEngine:
         self.top = pick(x.order for x in items)
         self.survivors = [x for x in items if x.order == self.top]
         self.pos = self.top + 1
-        self.fixed = {}
 
     def advance(self):
         p = self.pos - 1
         ds = [x.digit(p) for x in self.survivors]
         best = max(ds) if self.mode == "max" else min(ds)
         self.survivors = [x for x, d in zip(self.survivors, ds) if d == best]
-        self.fixed[p] = best
         self.pos = p
 
     def digit(self, n):
@@ -734,7 +725,7 @@ class _SupEngine:
             return 0
         while self.pos > n:
             self.advance()
-        return self.fixed[n]
+        return self.survivors[0].digit(n)  # every survivor has the fixed digits
 
 
 def sup_finite(elems, domain="extended"):
@@ -859,11 +850,11 @@ def parse_decimal(text):
         raise InvalidLiteral(f"dangling decimal point: {text!r}")
     sign = -1 if sign_s == "-" else 1
     f = len(frac_s)
-    base = Fraction(int(int_s + frac_s), pow10(f))
+    base = Fraction(str_int(int_s + frac_s), pow10(f))
     if block_s:
         if set(block_s) == {"9"}:
             raise InvalidLiteral("a repeating block of nines names a nine-tail word")
-        base += Fraction(int(block_s), pow10(f) * (pow10(len(block_s)) - 1))
+        base += Fraction(str_int(block_s), pow10(f) * (pow10(len(block_s)) - 1))
     return Decimal.from_fraction(sign * base)
 
 
@@ -882,13 +873,12 @@ def format_decimal(d):
     ip = int_str(ip)
     digits = []
     seen = {}
-    while rem and rem not in seen:
+    # den has a prime factor other than 2 and 5: no remainder is 0, and one repeats
+    while rem not in seen:
         seen[rem] = len(digits)
         rem *= 10
         digits.append(str(rem // den))
         rem %= den
-    if not rem:
-        return sign + ip + ("." + "".join(digits) if digits else "")
     start = seen[rem]
     pre, block = "".join(digits[:start]), "".join(digits[start:])
     return f"{sign}{ip}.{pre}({block})"

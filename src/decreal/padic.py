@@ -19,7 +19,9 @@ from .errors import (
     NotPrime,
     PrimeMismatch,
 )
-from .words import XI, InfWord, ReadTrace, bin_lsb_decode, bin_lsb_encode
+from .rational import format_rat
+from .words import XI, InfWord, ReadTrace, _digit_letter, _scan_head, _word
+from .words import bin_lsb_decode, xr_head
 
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly below
@@ -135,7 +137,7 @@ def padic_from_rational(p, q) -> PAdic:
     q = Fraction(q)
     if q.denominator % p == 0:
         raise DenominatorDivisibleByP(
-            f"{p} divides the denominator of {q}; no p-adic integer expansion"
+            f"{p} divides the denominator of {format_rat(q)}; no p-adic integer expansion"
         )
     num, den = q.numerator, q.denominator
     inv = pow(den, -1, p)
@@ -167,6 +169,24 @@ def padic_add(a: PAdic, b: PAdic) -> PAdic:
         return digit
 
     return PAdic(p, None, producer, base=k0)
+
+
+def padic_neg(a: PAdic) -> PAdic:
+    """Digitwise negation: complement each digit to ``p - 1`` and add one
+    at the base, with an upward carry in {0, 1}.
+
+    The complement is ``-a - p**base``, since the all-``(p-1)`` stream from
+    the base is ``-p**base``.  The digit at p**n reads ``a`` at n only.
+    """
+    p = a.p
+    carry = 1
+
+    def producer(n):
+        nonlocal carry
+        carry, digit = divmod(p - 1 - a.digit(n) + carry, p)
+        return digit
+
+    return PAdic(p, None, producer, base=a.base)
 
 
 def padic_mul(a: PAdic, b: PAdic) -> PAdic:
@@ -221,40 +241,15 @@ def traced_padic(a: PAdic):
 
 
 def padic_encode(a: PAdic) -> InfWord:
-    """One-way infinite word: binary |order| (least bit first), ξ, then digits."""
-    head = bin_lsb_encode(-a.order) + [XI]
+    """One-way infinite word: the positional head of ``|order|``, then the
+    digits upward from the order."""
     order = a.order
-
-    def letter(m):
-        if m < len(head):
-            return head[m]
-        return str(a.digit(order + (m - len(head))))
-
     alphabet = {XI, "0", "1"} | {str(i) for i in range(a.p)}
-    return InfWord(alphabet, letter)
+    return _word(alphabet, xr_head(1, -order), lambda j: a.digit(order + j))
 
 
 def padic_decode(p, w: InfWord, head_limit=64) -> PAdic:
     """Rebuild a p-adic number from its tape word."""
-    bits = []
-    i = 0
-    while True:
-        c = w.letter(i)
-        if c == XI:
-            break
-        bits.append(c)
-        i += 1
-        if i > head_limit:
-            raise MalformedWord("no ξ separator within the head limit")
+    bits, body = _scan_head(w, 0, head_limit)
     order = -bin_lsb_decode(bits)
-    body = i + 1
-
-    def producer(n):
-        c = w.letter(body + (n - order))
-        try:
-            d = int(c)
-        except ValueError:
-            raise MalformedWord(f"letter {c!r} is not a p-adic digit") from None
-        return d
-
-    return PAdic(p, order, producer)
+    return PAdic(p, order, lambda n: _digit_letter(w, body + (n - order)))

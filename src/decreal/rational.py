@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InvalidLiteral
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^([+-]?)(\d+)(?:/(\d+))?$")
 
 _POW10 = {}
 
@@ -54,6 +54,19 @@ def int_str(m):
     return int_str(hi) + int_str(lo).rjust(half, "0")
 
 
+def str_int(s):
+    """``int(s)`` for a string of decimal digits, at any length.
+
+    The inverse of ``int_str``: short strings go straight through ``int``;
+    longer ones are split in half and read piece by piece, so the
+    int-to-str cap never applies.
+    """
+    if len(s) < 3900:
+        return int(s)
+    half = len(s) // 2
+    return str_int(s[:-half]) * pow10(half) + str_int(s[-half:])
+
+
 def ten_valuation(m):
     """The largest e with 10**e dividing m (m != 0), in O(len * log len).
 
@@ -88,18 +101,22 @@ def rat_cmp(a, b):
 def parse_rat(text):
     """Parse 'num/den' (or a bare integer) into a Fraction."""
     text = text.strip()
-    if not _RAT_RE.match(text):
+    m = _RAT_RE.match(text)
+    if not m:
         raise InvalidLiteral(f"not a rational literal: {text!r}")
+    sign, num, den = m.groups()
     try:
-        return Fraction(text)
+        q = Fraction(str_int(num), str_int(den or "1"))
     except ZeroDivisionError:
         raise InvalidLiteral(f"zero denominator: {text!r}") from None
+    return -q if sign == "-" else q
 
 
 def format_rat(q):
     """Inverse of parse_rat; always prints an explicit denominator."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    sign = "-" if q < 0 else ""
+    return f"{sign}{int_str(abs(q.numerator))}/{int_str(q.denominator)}"
 
 
 def ten_smooth(n):
@@ -193,7 +210,7 @@ def parse_decfrac(text):
     if not m:
         raise InvalidLiteral(f"not a plain decimal literal: {text!r}")
     sign, intpart, frac = m.group(1), m.group(2), m.group(3) or ""
-    mant = int(intpart + frac)
+    mant = str_int(intpart + frac)
     if sign == "-":
         mant = -mant
     return DecFrac(mant, -len(frac))

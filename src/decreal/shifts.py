@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from .decimals import Decimal, NineEscapeWitness, format_decimal, searched_nine_escape, truncate
 from .errors import OracleUnavailable, ZeroShift
 from .rational import ten_smooth
-from .words import InfWord, bin_lsb_encode, encode_xr
+from .words import encode_xr, xr_head
 
 # ---------------------------------------------------------------------------
 # classification
@@ -176,7 +176,7 @@ def continuity_probe(F, point, k=3, depth=60, trials=6, seed=0) -> ContinuityRep
     """
     rng = random.Random(seed)
     ref = encode_xr(F(point)).prefix(k)
-    head = (1 if point.sign < 0 else 0) + len(bin_lsb_encode(point.order)) + 1
+    head = len(xr_head(point.sign, point.order))
     for n0 in range(1, depth + 1):
         batch = _perturbations(point, head, n0, trials, rng)
         if all(encode_xr(F(x)).prefix(k) == ref for x in batch):

@@ -5,14 +5,15 @@ in binary least-significant-bit first, a separator letter, then the digits
 from the top downward.  The scientific layout instead writes the position of
 the leading nonzero digit after the separator, so tiny magnitudes stay at
 the front of the tape; its zero word hides the exponent behind an endless
-run of zeros, which is exactly what makes it hard to read back.
+run of zeros, which is exactly what makes it hard to read back.  A p-adic
+number is the positional head of its |order|, then its digits upward.
 
 Every read can be routed through a ReadTrace, which records how far into a
 word (or how deep into a digit stream) a computation had to look.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .decimals import TERM_ZERO, Decimal, first_difference, searched_nine_escape
 from .errors import InvariantViolation, MalformedWord, OracleUnavailable
@@ -120,18 +121,33 @@ def bin_lsb_decode(letters):
 # positional layout
 
 
-def encode_xr(d):
-    """Word for a decimal: [-] order-bits XI digits-from-the-top-down."""
-    head = (["-"] if d.sign < 0 else []) + bin_lsb_encode(d.order) + [XI]
+def _word(alphabet, head, digit_at):
+    """The letters of ``head``, then the digit letters of ``digit_at(0)``,
+    ``digit_at(1)``, ...: the shape of every layout's tape."""
     h = len(head)
-    top = d.order
 
     def letters(m):
-        if m < h:
-            return head[m]
-        return str(d.digit(top - (m - h)))
+        return head[m] if m < h else str(digit_at(m - h))
 
-    return InfWord(DEC_ALPHABET, letters)
+    return InfWord(alphabet, letters)
+
+
+def _digit_letter(w, i):
+    """The digit spelled by letter i of a word's digit field."""
+    c = w.letter(i)
+    if not (c.isascii() and c.isdigit()):
+        raise MalformedWord(f"unexpected letter {c!r} in the digit field")
+    return int(c)
+
+
+def xr_head(sign, order):
+    """Head of the positional layout: [-] order-bits XI (minus when sign < 0)."""
+    return (["-"] if sign < 0 else []) + bin_lsb_encode(order) + [XI]
+
+
+def encode_xr(d):
+    """Word for a decimal: [-] order-bits XI digits-from-the-top-down."""
+    return _word(DEC_ALPHABET, xr_head(d.sign, d.order), lambda j: d.digit(d.order - j))
 
 
 @dataclass(frozen=True)
@@ -169,10 +185,7 @@ def decode_xr(w, head_limit=64):
     order = bin_lsb_decode(bits)
 
     def producer(n):
-        c = w.letter(body + (order - n))
-        if c not in "0123456789":
-            raise MalformedWord(f"unexpected letter {c!r} in the digit field")
-        return int(c)
+        return _digit_letter(w, body + (order - n))
 
     return Decimal.from_stream(sign, order, producer, searched_nine_escape(producer))
 
@@ -180,7 +193,7 @@ def decode_xr(w, head_limit=64):
 def decode_xr_prefix(w, depth):
     """Parse the first ``depth`` letters into sign, order and leading digits."""
     d = decode_xr(w, head_limit=depth)
-    head = (1 if d.sign < 0 else 0) + len(bin_lsb_encode(d.order)) + 1
+    head = len(xr_head(d.sign, d.order))
     digits = tuple(d.digit(d.order - j) for j in range(max(0, depth - head)))
     return DecodedPrefix(d.sign, d.order, digits)
 
@@ -188,41 +201,23 @@ def decode_xr_prefix(w, depth):
 # ---------------------------------------------------------------------------
 # scientific layout
 
-_AUTO = object()
 
-
-def encode_xs(d, leading=_AUTO):
+def encode_xs(d, leading=None):
     """Word for a decimal keyed by its leading nonzero position.
 
-    Layout: [-] XI [-] |leading|-bits XI digits-from-the-leading-down.  The
-    zero decimal is spelled XI - 0 0 0 ...: its exponent field never ends.
-    For stream-backed inputs the leading position must be supplied.
+    Layout: [-] XI, then the positional head of the leading position, then
+    the digits from the leading one down.  The zero decimal is spelled
+    XI - 0 0 0 ...: its exponent field never ends.  Without ``leading`` the
+    position is found from the exact value; a stream must supply it.
     """
-    if leading is _AUTO:
+    if leading is None:
         leading = d.leading_index()
     if leading is None:
-        def zero_letters(m):
-            if m == 0:
-                return XI
-            if m == 1:
-                return "-"
-            return "0"
-
-        return InfWord(DEC_ALPHABET, zero_letters)
-
-    m0 = leading
-    if d.digit(m0) == 0:
-        raise ValueError(f"leading index {m0} points at a zero digit")
-    head = ((["-"] if d.sign < 0 else []) + [XI]
-            + (["-"] if m0 < 0 else []) + bin_lsb_encode(abs(m0)) + [XI])
-    h = len(head)
-
-    def letters(m):
-        if m < h:
-            return head[m]
-        return str(d.digit(m0 - (m - h)))
-
-    return InfWord(DEC_ALPHABET, letters)
+        return _word(DEC_ALPHABET, [XI, "-"], lambda j: 0)
+    if d.digit(leading) == 0:
+        raise ValueError(f"leading index {leading} points at a zero digit")
+    head = (["-"] if d.sign < 0 else []) + [XI] + xr_head(leading, abs(leading))
+    return _word(DEC_ALPHABET, head, lambda j: d.digit(leading - j))
 
 
 def decode_xs(w, head_limit=10_000):
@@ -256,10 +251,7 @@ def decode_xs(w, head_limit=10_000):
     def producer(n):
         if n > m0:
             return 0
-        c = w.letter(body + (m0 - n))
-        if c not in "0123456789":
-            raise MalformedWord(f"unexpected letter {c!r} in the digit field")
-        return int(c)
+        return _digit_letter(w, body + (m0 - n))
 
     return Decimal.from_stream(sign, order, producer, searched_nine_escape(producer))
 

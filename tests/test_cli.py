@@ -194,6 +194,12 @@ def test_eval_wrong_hint_is_an_invariant_error(capsys):
     assert "error:" in err
 
 
+def test_eval_malformed_hint_payload_is_exit_4(capsys):
+    # payload letters 10, 10: a terminator before the last letter
+    code, out, err = run(capsys, "eval", "0.(3)+0.(3)", "--hint", str(1 << 121))
+    assert (code, out, err) == (4, "", "error: stray terminator letter inside the payload\n")
+
+
 def test_eval_paper_digit_path(capsys):
     code, out, _ = run(capsys, "eval", "0.(3)*0.(3)", "--digits", "6",
                        "--path", "paper")
@@ -234,6 +240,27 @@ def test_eval_accepts_the_deepest_allowed_expressions(capsys):
     assert code == 2
 
 
+# a literal past the interpreter's int-to-str cap of 4300 digits
+LONG = "3" * 4999 + "4"
+
+
+def test_eval_reads_literals_past_the_int_str_cap(capsys):
+    code, out, err = run(capsys, "eval", LONG + "/3", "--digits", "3")
+    assert (code, err) == (0, "")
+    assert out == "1" * 5000 + ".333\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("padic", "7", LONG, "--digits", "3"),
+    ("encode", LONG, "--as-binary-tape"),
+    ("classify", "add", LONG),
+    ("sup", LONG, "1", "--digits", "2"),
+])
+def test_long_literals_are_answered(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+
+
 def test_eval_zero_division_exit_code(capsys):
     code, _, err = run(capsys, "eval", "recip(0)")
     assert code == 2
@@ -257,7 +284,7 @@ def test_padic_expression(capsys):
     assert out.strip() == "p=3 order=0: 1 0 0 0"
 
 
-def test_padic_neg_via_mul(capsys):
+def test_padic_neg(capsys):
     code, out, _ = run(capsys, "padic", "5", "neg(1)", "--digits", "4")
     assert code == 0
     assert out.strip() == "p=5 order=0: 4 4 4 4"
@@ -301,6 +328,12 @@ def test_encode_binary_tape_sixteen(capsys):
     code, out, _ = run(capsys, "encode", "16", "--as-binary-tape")
     assert code == 0
     assert out.strip() == "eps [0] 0 0 0 1 eps"
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "-5"])
+def test_encode_binary_tape_rejects_other_values(capsys, value):
+    code, out, err = run(capsys, "encode", "--as-binary-tape", "--", value)
+    assert (code, out, err) == (2, "", f"error: not a nonnegative integer: {value!r}\n")
 
 
 def test_encode_positional(capsys):

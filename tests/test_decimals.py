@@ -298,7 +298,7 @@ def test_scaled_prefix_rejects_negative_depth():
         Decimal.from_fraction(Fraction(1, 3)).scaled_prefix(-1)
 
 
-def test_scaled_prefix_of_stream_cuts_shallow_requests_from_the_cursor():
+def test_scaled_prefix_of_stream_reads_shallow_requests_from_the_memo():
     x, calls = counted_stream(Fraction(-22, 7))
     assert [x.scaled_prefix(m) for m in (5, 2, 0, 5, 6)] == [314285, 314, 3, 314285, 3142857]
     assert calls == [0, -1, -2, -3, -4, -5, -6]

@@ -21,6 +21,7 @@ from decreal.padic import (
     padic_encode,
     padic_from_rational,
     padic_mul,
+    padic_neg,
     traced_padic,
 )
 from decreal.words import XI
@@ -347,12 +348,43 @@ def test_mul_locality_never_reads_above_output_index():
         assert tb.max_index <= n
 
 
+@pytest.mark.parametrize("base", [0, -1, -3])
+def test_neg_matches_mod_oracle(base):
+    rng = random.Random(101 - base)
+    for p in (2, 3, 5, 11):
+        for q in [Fraction(0), Fraction(1), Fraction(-1)] + [
+                Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 100) * p + 1)
+                for _ in range(8)]:
+            a, calls = recorded(p, q, base)
+            neg = padic_neg(a)
+            assert neg.base == base
+            assert neg.digits_from(40) == oracle_digits(p, -q, 40)
+            assert calls == list(range(base, base + 40))
+
+
+def test_neg_locality_reads_only_the_output_index():
+    rng = random.Random(103)
+    for p, base in ((3, 0), (7, -2)):
+        a, ta = traced_padic(recorded(p, Fraction(rng.randrange(p ** 40)), base)[0])
+        neg = padic_neg(a)
+        for n in range(base, base + 40):
+            neg.digit(n)
+            assert (ta.max_index, ta.total) == (n, n - base + 1)
+
+
 def test_encode_decode_round_trip():
     a = padic_from_rational(7, Fraction(3, 4))
     w = padic_encode(a)
     assert w.letter(0) == "0" and w.letter(1) == XI  # order 0 head
     back = padic_decode(7, w)
     assert back.digits_from(20) == a.digits_from(20)
+
+
+def test_encode_decode_round_trip_with_two_letter_digits():
+    a = padic_from_rational(13, Fraction(1000, 7))
+    w = padic_encode(a)
+    assert w.prefix(5) == ["0", XI, "11", "12", "11"]
+    assert padic_decode(13, w).digits_from(30) == oracle_digits(13, Fraction(1000, 7), 30)
 
 
 def test_encode_shows_digits_after_separator():
@@ -367,3 +399,6 @@ def test_decode_rejects_headless_words():
     w = InfWord({"0", "1", XI}, lambda m: "0")
     with pytest.raises(MalformedWord):
         padic_decode(3, w, head_limit=12)
+    w = InfWord({"0", XI}, lambda m: "0" if m == 0 else XI)
+    with pytest.raises(MalformedWord, match="in the digit field"):
+        padic_decode(3, w).digit(0)

@@ -126,10 +126,10 @@ def test_scaled_prefix_of_terminating_backing_matches_fraction_oracle(q, depths)
 @given(q=fractions_, depths=depth_runs)
 def test_scaled_prefix_of_stream_reads_each_position_once(q, depths):
     x, calls = counted_stream(q)
-    check_prefixes(x, q, depths)  # deep-then-shallow orders are cut from the cursor
+    check_prefixes(x, q, depths)  # deep-then-shallow orders re-read the memo
     deepest = max(depths)
     assert sorted(calls, reverse=True) == list(range(x.order, -deepest - 1, -1))
-    # the sign flip shares the memo and the cursor: nothing is recomputed
+    # the sign flip shares the memo: nothing is recomputed
     assert x.neg().scaled_prefix(deepest) == x.scaled_prefix(deepest)
     assert len(calls) == x.order + deepest + 1
 

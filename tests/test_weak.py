@@ -80,6 +80,18 @@ def test_hint_decode_rejects_garbage():
     # an even number whose payload field is not a valid letter stream
     with pytest.raises(MalformedHint):
         hint_decode(3 << 1)
+    # order 0 with a payload packing these letters, least significant first
+    for letters, message in (
+            ([10], "empty payload"),
+            ([10, 10], "stray terminator letter inside the payload"),
+            ([2, 10], "bad sign letter 2"),
+            ([0, 10], "payload too short for its order field"),
+            ([0, 1, 5, 10], "payload order bits disagree with the hint order"),
+            ([0, 0, 5, 0, 10], "stored digits must not end in zero")):
+        code = sum(v * 11 ** i for i, v in enumerate(letters))
+        with pytest.raises(MalformedHint) as exc:
+            hint_decode(1 << (code + 1))
+        assert str(exc.value) == message
 
 
 def test_compute_hint_cases():

@@ -141,6 +141,14 @@ def test_convert_between_layouts():
     assert xr.prefix(6) == ["0", XI, "0", "0", "0", "4"]
 
 
+def test_decoders_reject_a_non_digit_letter_in_the_digit_field():
+    # heads of order 0 and leading position 0, then a separator for a digit
+    for head, decode in ((["0", XI], decode_xr), ([XI, "0", XI], decode_xs)):
+        w = InfWord({"0", XI}, lambda m, h=head: h[m] if m < len(h) else XI)
+        with pytest.raises(MalformedWord, match="in the digit field"):
+            decode(w).digit(0)
+
+
 def test_convert_xr_xs_gives_up_on_deep_zero_runs():
     with pytest.raises(OracleUnavailable):
         convert_xr_xs(encode_xr(Decimal.zero()), search_limit=50)
