@@ -23,7 +23,7 @@ from .decimals import (
 )
 from .errors import DecrealError, ModulusTooLarge, NotPrime, OracleUnavailable, ParseError
 from .padic import padic_encode, padic_from_rational, padic_add, padic_mul, padic_neg
-from .rational import parse_rat, str_int
+from .rational import int_str, parse_rat, str_int
 from .shifts import classify_add_shift, classify_mul_shift, graph_type, involution_F
 from .weak import Hint, compute_hint, hint_decode, hint_encode, weak_add, weak_mul
 from .words import encode_xr, encode_xs, bin_lsb_encode, render_tape, traced_decimal
@@ -47,6 +47,11 @@ _NATURAL = re.compile(r"^\+?(\d+)$")
 # past this depth they would exhaust the interpreter's stack instead of
 # rejecting the input.
 MAX_DEPTH = 100
+
+# Most payload letters (sign, order bits, digits, terminator) of a hint that
+# ``decreal hint`` prints: the payload is a 2-adic exponent of about
+# 11**letters bits, so five letters spell some 48,000 digits, six 530,000.
+MAX_HINT_LETTERS = 5
 
 
 class _Parser:
@@ -184,6 +189,8 @@ def eval_expression(node, path="certified", root_hint=None, trace=False):
 
 def cmd_eval(args):
     node = parse_expression(args.expr)
+    if args.hint is not None and node[0] not in ("add", "mul"):
+        raise ParseError("--hint needs a top-level '+' or '*'")
     root_hint = hint_decode(args.hint) if args.hint is not None else None
     d, _, traces = eval_expression(node, path=args.path,
                                    root_hint=root_hint, trace=args.trace)
@@ -196,6 +203,15 @@ def cmd_eval(args):
                 print(f"# {name}: read {t.total} digits, "
                       f"positions {t.max_index} down to {t.min_index}")
     return 0
+
+
+def _hint_int(text):
+    """``int(text)``, reading digit strings past the int-to-str cap too."""
+    digits = text.strip()
+    return str_int(digits) if digits.isdecimal() else int(text)
+
+
+_hint_int.__name__ = "int"  # argparse names the type in its error message
 
 
 def cmd_padic(args):
@@ -252,7 +268,11 @@ def cmd_hint(args):
     _, vl, _ = eval_expression(node[1])
     _, vr, _ = eval_expression(node[2])
     h = compute_hint(node[0], Decimal.from_fraction(vl), Decimal.from_fraction(vr))
-    print(hint_encode(h))
+    t = h.terminating
+    if t is not None and 2 + len(bin_lsb_encode(t.order)) + len(t.digits) > MAX_HINT_LETTERS:
+        raise OracleUnavailable(f"a terminating hint of more than {MAX_HINT_LETTERS} "
+                                "payload letters is too large to print")
+    print(int_str(hint_encode(h)))
     return 0
 
 
@@ -286,7 +306,7 @@ def build_parser():
                    help="digits after the point (default 10)")
     p.add_argument("--path", choices=("certified", "paper"), default="certified",
                    help="digit rule for products")
-    p.add_argument("--hint", type=int, default=None,
+    p.add_argument("--hint", type=_hint_int, default=None,
                    help="integer hint for the top-level operation")
     p.add_argument("--trace", action="store_true",
                    help="report how deep the top-level operands were read")

@@ -552,62 +552,54 @@ def _sep_from_position(t):
     return SeparationWitness(pow10(-t) if t < 0 else 1, max(1, -t))
 
 
-def _sep_nonneg(lo, hi):
-    """Witness for two nonnegative exact-backed decimals with lo < hi."""
-    n = first_difference(lo, hi)
-    gap = hi.digit(n) - lo.digit(n)
-    assert gap > 0
-    if gap >= 2:
-        return _sep_from_position(n)
-    return _sep_from_position(nine_free_below(lo.digit, n))
-
-
-def _separation(lo, hi):
-    """Witness for exact-backed lo < hi, any signs."""
-    vlo, vhi = lo.value(), hi.value()
-    if vlo >= 0:
-        return _sep_nonneg(lo, hi)
-    if vhi <= 0:
-        return _sep_nonneg(hi.abs(), lo.abs())
-    # straddling zero: the positive side alone already separates the truncations
-    return _sep_nonneg(Decimal.zero(), hi)
-
-
-def _nine_free_position(d, n, budget):
-    """Some position m < n with digit(m) != 9, via scan then escape witness."""
-    m = nine_free_below(d.digit, n, None if d.has_exact_value else budget)
-    if m is not None:
-        return m
-    w = d.nine_escape
-    if w is None:
-        return None
-    m = w.escape(n)
+def _escape(d, n):
+    """The position m < n that d's nine-escape witness names, checked."""
+    m = d.nine_escape.escape(n)
     if not m < n or d.digit(m) == 9:
         raise InvariantViolation("nine-escape witness lied", position=m)
     return m
 
 
+def _nine_free_position(d, n, budget):
+    """Some position m < n with digit(m) != 9, via scan then escape witness."""
+    m = nine_free_below(d.digit, n, None if d.has_exact_value else budget)
+    if m is None and d.nine_escape is not None:
+        return _escape(d, n)
+    return m
+
+
+def _digit_verdict(x, y, n):
+    """Order of two same-signed words whose digits first differ at n."""
+    if (x.digit(n) < y.digit(n)) == (x.sign > 0):
+        return Verdict.LESS
+    return Verdict.GREATER
+
+
 def compare(d, e, budget=128):
     """Digitwise order on decimals.
 
-    Exact backings on both sides decide equality exactly.  Otherwise digits
-    are scanned from the top; a tie within ``budget`` positions comes back
-    UNDECIDED, while a decision carries a separation witness built from the
-    first differing digit (a digit gap of one needs a nine-free position
-    below, found by scanning or by the stream's escape witness).
+    Exact backings on both sides decide equality exactly and scan without
+    a budget.  Otherwise digits are scanned from the top; a tie within
+    ``budget`` positions comes back UNDECIDED, while a decision carries a
+    separation witness built from the first differing digit (a digit gap of
+    one needs a nine-free position below, found by scanning or by the
+    stream's escape witness).
     """
-    if d.has_exact_value and e.has_exact_value:
-        vd, ve = d.value(), e.value()
-        if vd == ve:
+    exact = d.has_exact_value and e.has_exact_value
+    if exact:
+        if d.value() == e.value():
             return Comparison(Verdict.EQUAL)
-        if vd < ve:
-            return Comparison(Verdict.LESS, _separation(d, e))
-        return Comparison(Verdict.GREATER, _separation(e, d))
+        budget = None
 
     if d.sign != e.sign:
         # a minus word sits below a plus word; the witness needs the leading
         # digit of some side known to be nonzero
+        verdict = Verdict.LESS if d.sign < 0 else Verdict.GREATER
         neg, pos = (d, e) if d.sign < 0 else (e, d)
+        if exact:  # the nonzero side alone separates the truncations
+            x = neg if pos.is_zero() else pos
+            t = x.leading_index()
+            return Comparison(verdict, _sep_from_position(t if x.digit(t) >= 2 else t - 1))
         t = (neg.leading_index() if neg.has_exact_value
              else first_difference(neg, TERM_ZERO, budget))
         if t is None:
@@ -617,28 +609,19 @@ def compare(d, e, budget=128):
             return Comparison(Verdict.UNDECIDED)
         # truncation gap is at least 10**t; halve for strictness
         w = SeparationWitness(2 * (pow10(-t) if t < 0 else 1), max(1, -t))
-        verdict = Verdict.LESS if d.sign < 0 else Verdict.GREATER
         return Comparison(verdict, w)
 
-    a, b = d.abs(), e.abs()
-    n = first_difference(a, b, budget)
+    # same sign: the digits are those of the magnitudes
+    n = first_difference(d, e, budget)
     if n is None:
         return Comparison(Verdict.UNDECIDED)
-    small, big = (a, b) if a.digit(n) < b.digit(n) else (b, a)
-    gap = big.digit(n) - small.digit(n)
-    if gap >= 2:
-        w = _sep_from_position(n)
-    else:
-        m = _nine_free_position(small, n, budget)
+    dd, de = d.digit(n), e.digit(n)
+    m = n
+    if abs(dd - de) < 2:
+        m = _nine_free_position(d if dd < de else e, n, budget)
         if m is None:
             return Comparison(Verdict.UNDECIDED)
-        w = _sep_from_position(m)
-    smaller_is_d = small is a
-    if d.sign > 0:
-        verdict = Verdict.LESS if smaller_is_d else Verdict.GREATER
-    else:
-        verdict = Verdict.GREATER if smaller_is_d else Verdict.LESS
-    return Comparison(verdict, w)
+    return Comparison(_digit_verdict(d, e, n), _sep_from_position(m))
 
 
 def check_separation(d, e, w, samples=16):
@@ -649,54 +632,32 @@ def check_separation(d, e, w, samples=16):
     return True
 
 
-def _is_false_zero(x):
-    return isinstance(x, FalseDecimal) and x.is_false_zero
-
-
-def _is_plain_zero(x):
-    if isinstance(x, TermDecimal):
-        return x.is_zero
-    return isinstance(x, Decimal) and x.is_zero()
-
-
 def compare_extended(x, y, budget=128):
     """Word order on decimals and false decimals together (no witnesses).
 
     The two zero words are treated as equal; between a terminating decimal
     and its false twin the nine-tail word is the smaller one.
     """
-    zx, zy = _is_plain_zero(x) or _is_false_zero(x), _is_plain_zero(y) or _is_false_zero(y)
-    if zx and zy:
+    exact = _is_exact_face(x) and _is_exact_face(y)
+    if exact and x.value() == y.value() == 0:  # the two zero words
         return Comparison(Verdict.EQUAL)
     if x.sign != y.sign:
         return Comparison(Verdict.LESS if x.sign < y.sign else Verdict.GREATER)
-    if _word_equal_exact(x, y):
+    # equal words: one stream, or exact faces of one value and one kind (a
+    # nine-tail word never coincides with a true decimal)
+    if x is y or exact and x.value() == y.value() and (
+            isinstance(x, FalseDecimal) == isinstance(y, FalseDecimal)):
         return Comparison(Verdict.EQUAL)
-    exact = _is_exact_face(x) and _is_exact_face(y)
     n = first_difference(x, y, None if exact else budget)
     if n is None:
         return Comparison(Verdict.UNDECIDED)
-    dx, dy = x.digit(n), y.digit(n)
-    if x.sign > 0:
-        return Comparison(Verdict.LESS if dx < dy else Verdict.GREATER)
-    return Comparison(Verdict.LESS if dx > dy else Verdict.GREATER)
+    return Comparison(_digit_verdict(x, y, n))
 
 
 def _is_exact_face(x):
     if isinstance(x, (TermDecimal, FalseDecimal)):
         return True
     return isinstance(x, Decimal) and x.has_exact_value
-
-
-def _word_equal_exact(x, y):
-    fx, fy = isinstance(x, FalseDecimal), isinstance(y, FalseDecimal)
-    if fx != fy:
-        return False  # nine-tail words never coincide with true decimals
-    if fx:
-        return x.base == y.base
-    if _is_exact_face(x) and _is_exact_face(y):
-        return x.value() == y.value() and x.sign == y.sign
-    return x is y
 
 
 # ---------------------------------------------------------------------------
@@ -756,18 +717,15 @@ def sup_finite(elems, domain="extended"):
     while len({isinstance(x, FalseDecimal) for x in engine.survivors}) > 1:
         engine.advance()
 
-    if isinstance(engine.survivors[0], FalseDecimal):
-        while len({x.base for x in engine.survivors}) > 1:
-            engine.advance()
-        winner = engine.survivors[0]
-        if domain == "real":
-            return Decimal.from_term(bar_inv(winner))
-        return winner
-
-    if all(x.has_exact_value for x in engine.survivors):
+    # a false word's value fixes its base, so one value-keyed loop settles
+    # exact survivors of either kind
+    if all(_is_exact_face(x) for x in engine.survivors):
         while len({x.value() for x in engine.survivors}) > 1:
             engine.advance()
-        return engine.survivors[0]
+        winner = engine.survivors[0]
+        if domain == "real" and isinstance(winner, FalseDecimal):
+            return Decimal.from_term(bar_inv(winner))
+        return winner
 
     return Decimal.from_stream(sign, engine.top, engine.digit,
                                searched_nine_escape(engine.digit))
@@ -813,14 +771,11 @@ def validate_prefix(d, depth):
         run = run + 1 if g == 9 else 0
     bottom = -depth
     if run >= depth and not d.has_exact_value:  # exact expansions have no nine tail
-        w = d.nine_escape
-        if w is None:
+        if d.nine_escape is None:
             raise InvariantViolation(
                 f"run of {run} nines with no escape below 10**{bottom}",
                 position=bottom)
-        m = w.escape(bottom)
-        if not m < bottom or d.digit(m) == 9:
-            raise InvariantViolation("nine-escape witness lied", position=m)
+        _escape(d, bottom)
     if not seen_nonzero and d.sign < 0:
         if not (d.has_exact_value and d.value() != 0):
             raise InvariantViolation(

@@ -228,12 +228,7 @@ def padic_mul(a: PAdic, b: PAdic) -> PAdic:
 def traced_padic(a: PAdic):
     """A twin of ``a`` whose digit reads are logged position by position."""
     trace = ReadTrace()
-
-    def producer(n):
-        trace.note(n)
-        return a.digit(n)
-
-    return PAdic(a.p, None, producer, base=a.base), trace
+    return PAdic(a.p, None, trace.logged(a.digit), base=a.base), trace
 
 
 # ---------------------------------------------------------------------------

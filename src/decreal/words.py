@@ -60,16 +60,19 @@ class ReadTrace:
             self.min_index = i
         self.total += 1
 
+    def logged(self, read):
+        """``read`` with every position it is asked for noted first."""
+        def read_logged(i):
+            self.note(i)
+            return read(i)
+
+        return read_logged
+
 
 def traced(w):
     """A view of w that records every letter read, plus its trace handle."""
     trace = ReadTrace()
-
-    def letters(m):
-        trace.note(m)
-        return w.letter(m)
-
-    return InfWord(w.alphabet, letters), trace
+    return InfWord(w.alphabet, trace.logged(w.letter)), trace
 
 
 def traced_decimal(d):
@@ -78,11 +81,7 @@ def traced_decimal(d):
     The view memoizes, so the trace counts distinct positions once.
     """
     trace = ReadTrace()
-
-    def producer(n):
-        trace.note(n)
-        return d.digit(n)
-
+    producer = trace.logged(d.digit)
     return (Decimal.from_stream(d.sign, d.order, producer,
                                 searched_nine_escape(producer)), trace)
 

@@ -200,6 +200,23 @@ def test_eval_malformed_hint_payload_is_exit_4(capsys):
     assert (code, out, err) == (4, "", "error: stray terminator letter inside the payload\n")
 
 
+@pytest.mark.parametrize("expr", ["neg(0.(3)+0.(3))", "0.5"])
+def test_eval_hint_needs_a_top_level_operation(capsys, expr):
+    code, out, err = run(capsys, "eval", expr, "--hint", "7")
+    assert (code, out, err) == (2, "", "error: --hint needs a top-level '+' or '*'\n")
+
+
+def test_eval_hint_reads_integers_of_any_length(capsys):
+    # a terminating payload of five letters: a hint of 46,880 digits
+    code, hint, _ = run(capsys, "hint", "0.5+0.2")
+    assert code == 0 and len(hint.strip()) > 4300
+    code, out, _ = run(capsys, "eval", "0.5+0.2", "--hint", hint.strip(), "--digits", "3")
+    assert (code, out) == (0, "0.700\n")
+    for value in ("-3", "0"):
+        code, _, err = run(capsys, "eval", "0.5+0.2", "--hint", value)
+        assert (code, err) == (4, "error: a hint travels as a positive integer\n")
+
+
 def test_eval_paper_digit_path(capsys):
     code, out, _ = run(capsys, "eval", "0.(3)*0.(3)", "--digits", "6",
                        "--path", "paper")
@@ -386,6 +403,13 @@ def test_hint_command(capsys):
 def test_hint_requires_top_level_operation(capsys):
     code, _, err = run(capsys, "hint", "neg(2)")
     assert code == 2
+
+
+def test_hint_of_a_long_terminating_result_is_refused(capsys):
+    # 17 payload letters would need an integer of about 11**17 bits
+    code, out, err = run(capsys, "hint", "748-51.01165*69.5489")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_sup_command(capsys):

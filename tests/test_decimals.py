@@ -348,6 +348,30 @@ def test_compare_third_vs_034_frozen_witness():
     assert check_separation(parse_decimal("0.(3)"), parse_decimal("0.34"), c.witness)
 
 
+@pytest.mark.parametrize("a, b, verdict, k, n0", [
+    # opposite signs: the witness comes from the nonzero side's top digit
+    ("-1/4", "3/2", Verdict.LESS, 10, 1),
+    ("-7/3", "1/8", Verdict.LESS, 100, 2),
+    ("0", "-911/2", Verdict.GREATER, 1, 1),
+    ("0", "-3/40", Verdict.GREATER, 100, 2),
+    # 0 against a positive value scans like any same-sign pair
+    ("0", "1/80", Verdict.LESS, 1000, 3),
+    ("0", "7/3", Verdict.LESS, 1, 1),
+    # two negatives compare their magnitudes
+    ("-1/3", "-17/50", Verdict.GREATER, 1000, 3),
+    ("-9/8", "-6/5", Verdict.GREATER, 100, 2),
+    # digits first differ by one: the nine-free scan finds 10**-5
+    ("1999/10000", "1/5", Verdict.LESS, 100000, 5),
+    ("1/5", "1999/10000", Verdict.GREATER, 100000, 5),
+])
+def test_compare_exact_pair_witnesses_are_pinned(a, b, verdict, k, n0):
+    d, e = Decimal.from_fraction(Fraction(a)), Decimal.from_fraction(Fraction(b))
+    c = compare(d, e)
+    assert (c.verdict, c.witness.k, c.witness.n0) == (verdict, k, n0)
+    lo, hi = (d, e) if verdict is Verdict.LESS else (e, d)
+    assert check_separation(lo, hi, c.witness)
+
+
 def test_compare_random_exact_pairs_with_witnesses():
     rng = random.Random(37)
     for _ in range(200):
