@@ -41,6 +41,12 @@ from .words import encode_xr, encode_xs, bin_lsb_encode, render_tape, traced_dec
 _LITERAL = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d*)?(?:\(\d+\))?")
 _NATURAL = re.compile(r"^\+?(\d+)$")
 
+# An expression may start with a negative literal ("-1/3*2").  argparse
+# takes any argument that starts with "-" for an option unless it looks
+# like a negative number, and for the subcommands that read an expression
+# a minus sign followed by a digit always does.
+_NEGATIVE_START = re.compile(r"^-\d")
+
 # Deepest expression tree, and deepest bracket nesting, the parser accepts.
 # Parsing a bracket, evaluating a node and reading a digit of a sum or
 # product all recurse once per level, a product through about five frames;
@@ -301,6 +307,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression to a digit string")
+    p._negative_number_matcher = _NEGATIVE_START
     p.add_argument("expr")
     p.add_argument("--digits", type=int, default=10,
                    help="digits after the point (default 10)")
@@ -313,6 +320,7 @@ def build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("padic", help="evaluate an expression in the p-adic integers")
+    p._negative_number_matcher = _NEGATIVE_START
     p.add_argument("p", type=int)
     p.add_argument("expr")
     p.add_argument("--digits", type=int, default=12,

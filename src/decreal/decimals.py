@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Optional
 
+from .blocks import DivisionTail, StreamTail, exact_digits, runs, stream_digits
 from .errors import (
     EmptySetError,
     InvalidLiteral,
@@ -253,13 +254,6 @@ def digit_of_fraction(q, n):
     return 10 * (num % den * pow(10, -n - 1, den) % den) // den
 
 
-def _long_division(rem, den):
-    """The digits that follow the remainder ``rem`` in long division by ``den``."""
-    while True:
-        d, rem = divmod(10 * rem, den)
-        yield d
-
-
 def interval_digit(lo, hi, n):
     """The digit at 10**n shared by every value in [lo, hi], or None.
 
@@ -299,6 +293,16 @@ class Decimal:
       lookup for ``j <= k``, one ``divmod`` that grows the cursor for
       ``j = k + 1``, and an isolated ``digit_of_fraction`` below that, so
       a far read costs no big power and leaves the cursor as it is.
+
+    ``digits(hi, lo)`` reads a run of positions as one integer.  An exact
+    value serves it with one division, growing its cursor when the run
+    reaches past it.  A stream takes what its memo holds and asks its
+    producer's ``block(hi, lo)``, if it has one, for each missing run,
+    writing the result back into the memo; a producer without ``block`` is
+    asked one position at a time.  So a block read produces and reads the
+    same positions as the loop of ``digit`` calls it replaces, at the same
+    depth and through the same memo; only the order of the reads inside a
+    block may differ.
     """
 
     __slots__ = ("sign", "order", "_value", "_producer", "_witness", "_memo", "_cursor")
@@ -374,6 +378,17 @@ class Decimal:
         digits.append(d)
         return d
 
+    def digits(self, hi, lo):
+        """The digits at positions ``hi`` down to ``lo`` as one integer,
+        ``sum(digit(n) * 10**(n - lo))``; 0 when ``hi < lo``."""
+        hi = min(hi, self.order)
+        if hi < lo:
+            return 0
+        q = self._value
+        if q is None:
+            return stream_digits(self._memo, self._producer, self.digit, hi, lo)
+        return exact_digits(q, hi, lo, self._cursor or self._division_cursor() if lo < 0 else None)
+
     def _division_cursor(self):
         """The long-division cursor of an exact value, made on first use:
         most values never have a digit below the point read."""
@@ -388,35 +403,33 @@ class Decimal:
         """``floor(|x| * 10**m)`` for ``m >= 0``: the digits at positions
         ``order`` down to ``-m`` read as one integer.
 
-        A stream folds its memoised digits, so its producer still runs at
-        most once per position.
+        A stream reads it as one block, so its producer still runs at most
+        once per position.
         """
         if m < 0:
             raise ValueError("prefix depth must be >= 0")
         q = self._value
         if q is not None:
             return abs(q.numerator) * pow10(m) // q.denominator
-        mant = 0
-        for n in range(self.order, -m - 1, -1):
-            mant = mant * 10 + self.digit(n)
-        return mant
+        return self.digits(self.order, -m)
 
     def prefix_with_tail(self, m):
-        """``scaled_prefix(m)`` and an iterator over the digits below it, at
-        positions ``-m-1, -m-2, ...`` in turn.
+        """``scaled_prefix(m)`` and a tail over the digits below it, at
+        positions ``-m-1, -m-2, ...`` in turn: ``next(tail)`` reads one
+        digit, ``tail.take(k)`` the next ``k`` as one integer.
 
         An exact value feeds the tail from the long-division remainder of
         its prefix, so a tail that starts far below the division cursor
-        costs one ``divmod`` per digit, not an isolated ``digit_of_fraction``.
+        costs one ``divmod`` per digit or block, not an isolated
+        ``digit_of_fraction``.
         """
         q = self._value
         if q is None:
-            digit = self.digit
-            return self.scaled_prefix(m), (digit(-k) for k in count(m + 1))
+            return self.scaled_prefix(m), StreamTail(self, -m - 1)
         if m < 0:
             raise ValueError("prefix depth must be >= 0")
         prefix, rem = divmod(abs(q.numerator) * pow10(m), q.denominator)
-        return prefix, _long_division(rem, q.denominator)
+        return prefix, DivisionTail(rem, q.denominator)
 
     # -- exact views
 
@@ -491,14 +504,8 @@ def truncate(d, m):
     The truncation of a tiny negative decimal collapses to plain zero (the
     minus-signed all-zero word is excluded).
     """
-    if m >= 0:
-        return r_inv(DecFrac(d.sign * d.scaled_prefix(m), -m))
-    if d.has_exact_value:  # cutting above the point scales the denominator
-        q = d.value()
-        mant = abs(q.numerator) // (q.denominator * pow10(-m))
-        return r_inv(DecFrac(mant if q >= 0 else -mant, -m))
-    digits = [d.digit(n) for n in range(d.order, -m - 1, -1)]
-    return TermDecimal.from_digits(d.sign, d.order, digits)
+    mant = d.scaled_prefix(m) if m >= 0 else d.digits(d.order, -m)
+    return r_inv(DecFrac(d.sign * mant, -m))
 
 
 def negate(x, extended=False):
@@ -842,8 +849,9 @@ def format_decimal(d):
 def render_digits(d, frac_digits):
     """Plain positional rendering with exactly frac_digits places shown."""
     sign = "-" if d.sign < 0 else ""
-    ip = "".join(str(d.digit(n)) for n in range(d.order, -1, -1))
-    if frac_digits <= 0:
-        return sign + ip
-    fp = "".join(str(d.digit(-i)) for i in range(1, frac_digits + 1))
-    return f"{sign}{ip}.{fp}"
+    places = max(frac_digits, 0)
+    text = "".join(int_str(d.digits(top, bottom)).zfill(top - bottom + 1)
+                   for top, bottom in runs(d.order, -places))
+    if places == 0:
+        return sign + text
+    return f"{sign}{text[:-places]}.{text[-places:]}"

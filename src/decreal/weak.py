@@ -20,7 +20,10 @@ that pair and the scan's start; a product keeps one ``ProductBracket``,
 which steps to the next digit cell and deepens by one operand digit at a
 time, so each sequential digit costs integer work linear in the prefix
 length.  A request out of sequence starts cold, with the one-shot rule;
-either way the same operand positions are read.
+either way the same operand positions are read.  Both producers also serve
+a run of positions in one ``block`` call (see ``decreal.blocks``): a sum
+adds two operand blocks as integers, and a product settles its bracket
+once, at the lowest position of the run.
 
 Hints also travel as single positive integers, ``(2k + 1) * 2**r``: order
 in the odd part, terminating payload (if any) in the 2-adic part.
@@ -176,22 +179,35 @@ def _sum_digits(d: Decimal, e: Decimal):
     borrow = e.sign < 0
     low = top = carry = 0  # the last scan settles every position in (low, top]
 
-    def producer(n):
+    def rescan(n):
+        """Scan below n for the pair that settles the carry into n."""
         nonlocal low, top, carry
+        s = n - 1
+        if borrow:
+            while (da := d_digit(s)) == (db := e_digit(s)):
+                s -= 1
+            carry = 0 if da > db else -1
+        else:
+            while (t := d_digit(s) + e_digit(s)) == 9:
+                s -= 1
+            carry = 0 if t < 9 else 1
+        low, top = s, n
+
+    def producer(n):
         s0 = d_digit(n) - e_digit(n) if borrow else d_digit(n) + e_digit(n)
         if not low < n <= top:
-            s = n - 1
-            if borrow:
-                while (da := d_digit(s)) == (db := e_digit(s)):
-                    s -= 1
-                carry = 0 if da > db else -1
-            else:
-                while (t := d_digit(s) + e_digit(s)) == 9:
-                    s -= 1
-                carry = 0 if t < 9 else 1
-            low, top = s, n
+            rescan(n)
         return (s0 + carry) % 10
 
+    def block(hi, lo):
+        """Positions ``hi`` down to ``lo`` at once: the operand blocks added
+        as integers, plus the carry into ``lo``."""
+        a, b = d.digits(hi, lo), e.digits(hi, lo)
+        if not low < lo <= top:
+            rescan(lo)
+        return (a - b + carry if borrow else a + b + carry) % pow10(hi - lo + 1)
+
+    producer.block = block
     return producer
 
 
@@ -248,6 +264,8 @@ def mul_stabilized_digit(d: Decimal, e: Decimal, n: int) -> int:
     the truth but -- when the bracket straddles a cell boundary -- not
     exactly; see ``mul_certified_digit`` for the digit that is provably right.
     """
+    if n > d.order + e.order + 1:
+        return 0
     return ProductBracket(d, e, n).digit
 
 
@@ -277,13 +295,20 @@ class ProductBracket:
     full product.  Then ``step`` (the cell shrinks by 10, so the next digit
     is a one-digit quotient of ``rem``) and each deepening are integer work
     linear in the prefix length.
+
+    ``settle_to(lo)`` serves a run of digits at once.  It deepens straight
+    to the cold depth of ``lo`` with one block of operand digits per side,
+    moves down to ``lo`` and settles there only: a bracket inside one cell
+    of ``lo`` is inside one cell of every coarser position too, so the run
+    from ``pos`` down to ``lo`` is certified at the depth that settling
+    each of its digits in turn would reach, from the same operand reads.
     """
 
     __slots__ = ("pos", "depth", "_digit", "_x", "_y", "_xs", "_ys", "_cell", "_rem",
-                 "_slack")
+                 "_slack", "_k_top")
 
     def __init__(self, a: Decimal, b: Decimal, n: int):
-        k_top = max(a.order, b.order)
+        self._k_top = k_top = max(a.order, b.order)
         depth = max(1, k_top - n + 2)
         self._x, self._xs = a.prefix_with_tail(depth)
         self._y, self._ys = b.prefix_with_tail(depth)
@@ -304,6 +329,27 @@ class ProductBracket:
         self._cell //= 10
         self._digit, self._rem = divmod(self._rem, self._cell)
         self.pos -= 1
+
+    def settle_to(self, lo: int) -> int:
+        """Move down to ``lo`` and settle there; return the digits from
+        ``pos`` down to ``lo`` as one integer."""
+        t = max(1, self._k_top - lo + 2) - self.depth
+        if t > 0:  # one block deepening to the cold depth of lo
+            a, b = self._xs.take(t), self._ys.take(t)
+            x, y, p = self._x, self._y, pow10(t)
+            cell = self._cell * p * p
+            carry, self._rem = divmod(self._rem * p * p + p * (x * b + a * y) + a * b, cell)
+            self._x, self._y, self._cell = x * p + a, y * p + b, cell
+            self._digit += carry
+            self._slack *= p
+            self.depth += t
+        j = self.pos - lo
+        self._cell //= pow10(j)
+        top, self._rem = divmod(self._rem, self._cell)
+        self._digit = self._digit % 10 * pow10(j) + top
+        self.pos = lo
+        self.settle()
+        return self._digit % pow10(j + 1)
 
     def settle(self, max_depth=None) -> int:
         """Deepen until the digit at ``pos`` is certified, and return it.
@@ -350,11 +396,17 @@ def _certified_producer(a: Decimal, b: Decimal):
     resumable ``ProductBracket``: a request for the position just below the
     last one steps and settles the bracket; any other request starts it
     cold, exactly as ``mul_certified_digit`` does.  A digit read in
-    sequence then costs integer work linear in the prefix length."""
+    sequence then costs integer work linear in the prefix length.  Its
+    ``block`` serves a run of positions the same way, through
+    ``ProductBracket.settle_to``.  Digits above ``a.order + b.order + 1``
+    are 0 and need no bracket."""
     bracket = None
+    bound = a.order + b.order + 1
 
     def producer(n):
         nonlocal bracket
+        if n > bound:
+            return 0
         # a failed settle leaves no half-deepened bracket behind
         current, bracket = bracket, None
         if current is not None and n == current.pos - 1:
@@ -365,6 +417,19 @@ def _certified_producer(a: Decimal, b: Decimal):
         bracket = current
         return d
 
+    def block(hi, lo):
+        nonlocal bracket
+        hi = min(hi, bound)
+        if hi < lo:
+            return 0
+        current, bracket = bracket, None
+        if current is None or hi != current.pos - 1:
+            current = ProductBracket(a, b, hi)
+        run = current.settle_to(lo) % pow10(hi - lo + 1)
+        bracket = current
+        return run
+
+    producer.block = block
     return producer
 
 

@@ -15,6 +15,7 @@ word (or how deep into a digit stream) a computation had to look.
 from dataclasses import dataclass
 from typing import Optional
 
+from .blocks import digit_bytes
 from .decimals import TERM_ZERO, Decimal, first_difference, searched_nine_escape
 from .errors import InvariantViolation, MalformedWord, OracleUnavailable
 
@@ -192,8 +193,8 @@ def decode_xr(w, head_limit=64):
 def decode_xr_prefix(w, depth):
     """Parse the first ``depth`` letters into sign, order and leading digits."""
     d = decode_xr(w, head_limit=depth)
-    head = len(xr_head(d.sign, d.order))
-    digits = tuple(d.digit(d.order - j) for j in range(max(0, depth - head)))
+    count = max(0, depth - len(xr_head(d.sign, d.order)))
+    digits = tuple(digit_bytes(d.digits(d.order, d.order - count + 1), count))
     return DecodedPrefix(d.sign, d.order, digits)
 
 

@@ -217,6 +217,30 @@ def test_eval_hint_reads_integers_of_any_length(capsys):
         assert (code, err) == (4, "error: a hint travels as a positive integer\n")
 
 
+def test_eval_hint_far_above_a_product_is_refused_at_once():
+    # digits above the operands' order bound need no bracket, so the check
+    # of the hinted top digit fails before any power of ten of that size
+    proc = subprocess.run(
+        [sys.executable, "-m", "decreal.cli", "eval", "0.(3)*0.(3)",
+         "--hint", "99999999999999999999"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: zero digit at the hinted (positive) order\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "-1/3*2"),
+    ("eval", "-1/3*2", "--digits", "4"),
+    ("eval", "--digits", "4", "-1/3*2"),
+    ("eval", "--digits", "4", "--", "-1/3*2"),
+])
+def test_eval_expression_may_start_with_a_minus_sign(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    places = 4 if "--digits" in argv else 10
+    assert (code, out, err) == (0, "-0." + "6" * places + "\n", "")
+
+
 def test_eval_paper_digit_path(capsys):
     code, out, _ = run(capsys, "eval", "0.(3)*0.(3)", "--digits", "6",
                        "--path", "paper")
@@ -305,6 +329,20 @@ def test_padic_neg(capsys):
     code, out, _ = run(capsys, "padic", "5", "neg(1)", "--digits", "4")
     assert code == 0
     assert out.strip() == "p=5 order=0: 4 4 4 4"
+
+
+@pytest.mark.parametrize("argv", [
+    ("padic", "7", "-5/9"),
+    ("padic", "7", "-5/9", "--digits", "12"),
+    ("padic", "--digits", "12", "7", "-5/9"),
+    ("padic", "--digits", "12", "--", "7", "-5/9"),
+])
+def test_padic_expression_may_start_with_a_minus_sign(capsys, argv):
+    # -5/9 = 0 - (1/3 + 2/9), spelled without a leading minus
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == (0,) + run(capsys, "padic", "7", "0-(1/3+2/9)")[1:]
+    assert out == "p=7 order=0: 1 6 3 1 6 3 1 6 3 1 6 3\n"
 
 
 def test_padic_recip_and_bad_denominator(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from decreal.blocks import BLOCK
 from decreal.decimals import (
     TERM_ZERO,
     Decimal,
@@ -313,6 +314,116 @@ def test_stream_sign_views_share_the_memo():
     assert [flipped.digit(n) for n in (0, -1, -2)] == [3, 1, 4]
     assert x.abs().digit(-3) == 2
     assert calls == [0, -1, -2, -3]
+
+
+# ---------------------------------------------------------------------------
+# block reads
+
+
+def fold(d, hi, lo):
+    """``d.digits(hi, lo)`` spelled out as one ``digit`` call per position."""
+    return sum(d.digit(n) * 10 ** (n - lo) for n in range(lo, hi + 1))
+
+
+def oracle_block(q, hi, lo):
+    return sum(oracle_digit(q, n) * 10 ** (n - lo) for n in range(lo, hi + 1))
+
+
+# ranges read in turn, so the division cursor is fresh, grown, jumped over,
+# reached from within, read inside and extended from its end
+BLOCK_RANGES = [(2, -5), (-6, -20), (-3, -40), (-10, -15), (-500, -530), (-41, -41),
+                (-42, -60), (9, -2), (4, 0), (-1, -1), (-70, -61), (0, -3000)]
+
+
+@pytest.mark.parametrize("q", [
+    Fraction(1, 3), Fraction(-22, 7), Fraction(3, 8), Fraction(-12345, 10),
+    Fraction(1, 6), Fraction(-7, 12), Fraction(123456, 7), Fraction(10 ** 30, 7),
+    Fraction(0), Fraction(-1, 10 ** 50 - 1),
+])
+def test_exact_digits_equal_the_fold_of_digit(q):
+    x = Decimal.from_fraction(q)
+    for i, (hi, lo) in enumerate(BLOCK_RANGES):
+        face = x if i % 2 else x.neg()  # the sign views share one cursor
+        fresh = Decimal.from_fraction(q)
+        assert face.digits(hi, lo) == fold(fresh, hi, lo) == oracle_block(q, hi, lo)
+    assert x.digits(-5, -4) == 0  # an empty range
+
+
+def test_exact_digits_above_the_order_are_zero():
+    x = Decimal.from_fraction(Fraction(4736, 3))
+    assert x.digits(10, 4) == 0
+    assert x.digits(10, 2) == 15
+    assert x.digits(10, -2) == 157866
+
+
+@pytest.mark.parametrize("q", [Fraction(-4736, 3), Fraction(22, 7), Fraction(-1, 300)])
+def test_stream_truncations_read_one_block(q):
+    for m in range(-5, 4):
+        x, calls = counted_stream(q)
+        assert truncate(x, m) == truncate(Decimal.from_fraction(q), m)
+        assert calls == list(range(x.order, -m - 1, -1))
+
+
+def test_stream_digits_serve_memoised_runs_and_ask_for_missing_ones():
+    q = Fraction(-22, 7)
+    calls, blocks = [], []
+
+    def producer(n):
+        calls.append(n)
+        return oracle_digit(q, n)
+
+    def block(hi, lo):
+        blocks.append((hi, lo))
+        return oracle_block(q, hi, lo)
+
+    producer.block = block
+    x = Decimal.from_stream(-1, 0, producer, searched_nine_escape(producer))
+    assert [x.digit(n) for n in (0, -3)] == [3, 2]
+    assert x.digits(0, -6) == 3142857
+    assert blocks == [(-1, -2), (-4, -6)]
+    # the blocks went into the memo: per-digit and block reads skip the producer
+    assert [x.neg().digit(n) for n in range(0, -7, -1)] == [3, 1, 4, 2, 8, 5, 7]
+    assert x.digits(-2, -5) == 4285
+    assert calls == [0, -3] and blocks == [(-1, -2), (-4, -6)]
+    assert x.scaled_prefix(8) == 314285714 and blocks[-1] == (-7, -8)
+
+
+def test_stream_digits_without_a_block_read_one_position_at_a_time():
+    x, calls = counted_stream(Fraction(22, 7))
+    assert x.digit(-2) == 4
+    assert x.digits(1, -4) == 31428
+    assert calls == [-2, 0, -1, -3, -4]
+    assert x.digits(-3, -8) == fold(counted_stream(Fraction(22, 7))[0], -3, -8)
+
+
+@pytest.mark.parametrize("bad", [10 ** 3, -1, 1.5, None])
+def test_stream_block_outside_its_range_is_an_invariant_violation(bad):
+    def producer(n):
+        return 1
+
+    producer.block = lambda hi, lo: bad
+    x = Decimal.from_stream(1, 0, producer, searched_nine_escape(producer))
+    with pytest.raises(InvariantViolation):
+        x.digits(-1, -3)
+    assert x.digit(-1) == 1  # nothing bad reached the memo
+
+
+def test_long_stream_runs_go_to_the_producer_in_pieces():
+    q = Fraction(1, 7)
+    blocks = []
+
+    def producer(n):
+        return oracle_digit(q, n)
+
+    def block(hi, lo):
+        blocks.append((hi, lo))
+        return oracle_block(q, hi, lo)
+
+    producer.block = block
+    x = Decimal.from_stream(1, 0, producer, searched_nine_escape(producer))
+    depth = 2 * BLOCK + 5
+    assert render_digits(x, depth) == "0." + ("142857" * depth)[:depth]
+    assert blocks == [(0, 1 - BLOCK), (-BLOCK, 1 - 2 * BLOCK), (-2 * BLOCK, -depth)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from decreal.decimals import (  # noqa: E402
     digit_of_fraction,
     parse_decimal,
     r_inv,
+    render_digits,
     searched_nine_escape,
     truncate,
 )
 from decreal.padic import PAdic, padic_add, padic_from_rational, padic_mul  # noqa: E402
 from decreal.rational import DecFrac, ten_smooth  # noqa: E402
-from decreal.weak import compute_hint, mul_certified_digit, weak_mul  # noqa: E402
+from decreal.weak import compute_hint, mul_certified_digit, weak_add, weak_mul  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -203,6 +204,41 @@ def test_streamed_product_digits_match_fraction_oracle_in_any_read_order(
                  + list(range(f.order, -second - 1, -1)))
     for n in positions:
         assert f.digit(n) == oracle_digit(prod, n)
+
+
+# ---------------------------------------------------------------------------
+# block rendering of expression trees
+
+# nested sums and products of rationals, terminating ones included
+leaves = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 3))
+trees = st.recursive(leaves, lambda sub: st.tuples(st.sampled_from(["add", "mul"]), sub, sub),
+                     max_leaves=6)
+
+
+def streamed(tree):
+    """The streamed value of a tree and its exact value."""
+    if isinstance(tree, Fraction):
+        return Decimal.from_fraction(tree), tree
+    op, (dl, vl), (dr, vr) = tree[0], streamed(tree[1]), streamed(tree[2])
+    hint = compute_hint(op, Decimal.from_fraction(vl), Decimal.from_fraction(vr))
+    if op == "add":
+        return weak_add(dl, dr, hint), vl + vr
+    return weak_mul(dl, dr, hint), vl * vr
+
+
+def oracle_render(q, places):
+    """``render_digits`` of q, straight from the Fraction."""
+    ip, fp = divmod(oracle_prefix(q, places), 10 ** places)
+    return ("-" if q < 0 else "") + f"{ip}." + str(fp).zfill(places)
+
+
+@PROPERTY
+@given(tree=trees, places=st.integers(1, 150), top_first=st.booleans())
+def test_block_rendering_of_nested_trees_matches_fraction_oracle(tree, places, top_first):
+    d, q = streamed(tree)
+    if top_first:
+        d.digit(d.order)
+    assert render_digits(d, places) == oracle_render(q, places)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 
 from decreal import weak
-from decreal.decimals import TERM_ZERO, Decimal, TermDecimal, parse_decimal, r_inv, render_digits
+from decreal.cli import eval_expression, parse_expression
+from decreal.decimals import (
+    TERM_ZERO,
+    Decimal,
+    TermDecimal,
+    parse_decimal,
+    r_inv,
+    render_digits,
+    searched_nine_escape,
+)
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
 from decreal.rational import DecFrac
 from decreal.weak import (
@@ -21,7 +30,7 @@ from decreal.weak import (
     weak_add,
     weak_mul,
 )
-from decreal.words import encode_xr, traced_decimal
+from decreal.words import ReadTrace, encode_xr, traced_decimal
 
 
 def oracle_digit(q, n):
@@ -399,6 +408,137 @@ def test_product_of_positive_order_starts_one_bracket(monkeypatch):
     prod = weak_mul(x, y, compute_hint("mul", x, y))
     assert render_digits(prod, 40) == "20." + "5" * 40
     assert starts == [2]
+
+
+def test_product_digits_above_the_order_bound_build_no_bracket(monkeypatch):
+    # |a * b| < 10**(a.order + b.order + 2), so those digits are 0: a hinted
+    # order far above the bound fails at once instead of building a power of
+    # ten with about as many digits as the hint
+    starts = []
+
+    class Counted(weak.ProductBracket):
+        def __init__(self, a, b, n):
+            starts.append(n)
+            super().__init__(a, b, n)
+
+    monkeypatch.setattr(weak, "ProductBracket", Counted)
+    x, y = parse_decimal("12.(3)"), parse_decimal("0.(3)")
+    for order in (3, 10 ** 20):
+        for path in ("certified", "paper"):
+            with pytest.raises(HintMismatch):
+                weak_mul(x, y, Hint(order), digit_path=path)
+    assert mul_stabilized_digit(x, y, 3) == 0
+    assert starts == []
+
+
+# ---------------------------------------------------------------------------
+# block reads of sums and products
+
+
+def build(expr, leaf=lambda d: d):
+    """The streamed value of expr, each literal passed through ``leaf``."""
+    def walk(node):
+        kind = node[0]
+        if kind == "lit":
+            return leaf(node[1]), node[1].value()
+        if kind == "neg":
+            d, v = walk(node[1])
+            return d.neg(), -v
+        (dl, vl), (dr, vr) = walk(node[1]), walk(node[2])
+        h = compute_hint(kind, Decimal.from_fraction(vl), Decimal.from_fraction(vr))
+        if kind == "add":
+            return weak_add(dl, dr, h), vl + vr
+        return weak_mul(dl, dr, h), vl * vr
+
+    return walk(parse_expression(expr))
+
+
+def fold(d, hi, lo):
+    return sum(d.digit(n) * 10 ** (n - lo) for n in range(lo, hi + 1))
+
+
+BLOCK_EXPRS = [
+    # sums: carry, long carry scans, borrow, nested, a stream under a stream
+    "0.(3)+0.(142857)",
+    "1/99999999999999999999+99999999999999999997/99999999999999999999",
+    "0.(142857)-0.(3)",
+    "1/7-1/99999999999999999999",
+    "(0.(3)+0.(7))-(0.(142857)+1/13)",
+    "(0.(3)*0.(7))+(1/7-0.(2))",
+    # certified products: plain, positive order, nested, over sums
+    "0.(3)*0.(142857)",
+    "12.(3)*1.(6)",
+    "-123.(4)*56.(7)",
+    "(0.(3)*0.(7))*0.(3)",
+    "(0.(3)+0.(7))*(0.(142857)+1/7)",
+    "((1/3*2/7)*5/13)*(1/7+0.(36))",
+]
+
+
+@pytest.mark.parametrize("expr", BLOCK_EXPRS)
+def test_block_reads_equal_the_fold_of_digit(expr):
+    f, v = build(expr)
+    g, _ = build(expr)
+    order = f.order
+    # the top, a resumed run, single digits, a cold run below, a hole above
+    # it, and a run across memoised and missing positions
+    ranges = [(order, order), (order - 1, -40), (-41, -41), (-42, -90), (-120, -150),
+              (-95, -100), (order + 2, -160), (-161, -1260)]
+    for hi, lo in ranges:
+        assert f.digits(hi, lo) == fold(g, hi, lo) == \
+            abs(v) * Fraction(10) ** -lo // 1 % 10 ** (hi - lo + 1)
+
+
+def logged(trace):
+    """A leaf view that notes every position it produces, one at a time or
+    in blocks."""
+    def leaf(d):
+        def producer(n):
+            trace.note(n)
+            return d.digit(n)
+
+        def block(hi, lo):
+            for n in range(hi, lo - 1, -1):
+                trace.note(n)
+            return d.digits(hi, lo)
+
+        producer.block = block
+        return Decimal.from_stream(d.sign, d.order, producer, searched_nine_escape(producer))
+
+    return leaf
+
+
+@pytest.mark.parametrize("expr", BLOCK_EXPRS)
+@pytest.mark.parametrize("places", [1, 37, 300])
+def test_block_and_per_digit_rendering_read_the_same_positions(expr, places):
+    seen = []
+    for blocks in (True, False):
+        trace = ReadTrace()
+        f, _ = build(expr, logged(trace))
+        f.digit(f.order)
+        if blocks:
+            text = render_digits(f, places)
+        else:
+            text = render_digits(Decimal.from_stream(
+                f.sign, f.order, f.digit, None), places)  # no block: one digit at a time
+        seen.append((text, trace.total, trace.min_index, trace.max_index))
+    assert seen[0] == seen[1]
+
+
+def test_traced_operands_read_the_same_positions_under_block_rendering():
+    # traced views have no block, so block rendering reads them one digit
+    # at a time, at the positions per-digit rendering reads
+    for expr in ("0.(3)*0.(142857)", "(0.(3)+0.(7))-(0.(142857)+1/13)", "12.(3)*1.(6)"):
+        seen = []
+        for blocks in (True, False):
+            f, _, traces = eval_expression(parse_expression(expr), trace=True)
+            if blocks:
+                text = render_digits(f, 250)
+            else:
+                text = "".join(str(f.digit(n)) for n in range(f.order, -251, -1))
+            seen.append((text.lstrip("-").replace(".", ""),
+                         [(t.total, t.min_index, t.max_index) for t in traces]))
+        assert seen[0] == seen[1]
 
 
 def test_certified_digit_refuses_negative_operands():
