@@ -4,15 +4,15 @@ A run of output digits of a sum or a product depends on one finite block
 of input digits, so it can be computed in one step instead of one call per
 digit.  This module holds what every layer shares for that:
 
-* the conversions between an integer and its digits, in runs of at most
-  ``BLOCK`` positions;
+* the conversions between an integer and its digits, and the runs of at
+  most ``BLOCK`` positions a long read goes in;
 * the tails below an operand prefix, read one digit at a time (``next``)
-  or ``k`` at a time (``take(k)``);
-* the block reads behind ``Decimal.digits``: one division for an exact
-  value, and the memo plus the producer's ``block`` for a stream.
+  or ``k`` at a time (``take(k)``).
+
+``Decimal.digits`` itself, which reads a value's division cursor or a
+stream's memo, lives with ``Decimal.digit`` in ``decreal.decimals``.
 """
 
-from .errors import InvariantViolation
 from .rational import int_str, pow10, str_int
 
 # Longest run of positions that a block read hands to a producer, or spells
@@ -77,79 +77,3 @@ class StreamTail:
         n = self._n
         self._n = n - k
         return self._d.digits(n, n - k + 1)
-
-
-def exact_digits(q, hi, lo, cursor):
-    """Positions ``hi >= lo`` of the expansion of ``|q|`` as one integer.
-
-    ``cursor`` is the value's long-division cursor ``[r, digits]`` (needed
-    when ``lo < 0``).  A run wholly below it jumps to its remainder with
-    ``pow`` and leaves it as it is; any other run reads the digits the
-    cursor holds and grows it by one division to reach ``lo``.
-    """
-    num, den = abs(q.numerator), q.denominator
-    if lo >= 0:
-        return num // (den * pow10(lo)) % pow10(hi - lo + 1)
-    got = cursor[1]
-    n = len(got)
-    if -hi - 1 > n:
-        rem = num % den * pow(10, -hi - 1, den) % den
-        return rem * pow10(hi - lo + 1) // den
-    out = num // den % pow10(hi + 1) if hi >= 0 else 0
-    first = max(-hi - 1, 0)
-    out = out * pow10(min(n, -lo) - first) + bytes_int(got[first:-lo])
-    if -lo > n:
-        block, cursor[0] = divmod(cursor[0] * pow10(-lo - n), den)
-        got += digit_bytes(block, -lo - n)
-        out = out * pow10(-lo - n) + block
-    return out
-
-
-def stream_digits(memo, producer, digit, hi, lo):
-    """Positions ``hi >= lo`` of a stream as one integer: memoised runs from
-    ``memo``, and each missing run from the producer, written back into
-    ``memo``.  A producer with a ``block(hi, lo)`` is asked once per run of
-    at most ``BLOCK`` positions, and its answer must lie in ``[0, 10**k)``;
-    one without is asked through ``digit``, one position at a time."""
-    known = list(map(memo.get, range(hi, lo - 1, -1)))
-    missing = known.count(None)
-    k = len(known)
-    block = getattr(producer, "block", None)
-    out = i = 0
-    while i < k:
-        if known[i] is not None:  # a memoised run
-            try:
-                j = known.index(None, i)
-            except ValueError:
-                j = k
-            run = bytes_int(known[i:j])
-        else:  # a missing run
-            j = i + 1
-            if missing == k - i:
-                j = k
-            else:
-                while j < k and known[j] is None:
-                    j += 1
-            missing -= j - i
-            run = _produce(memo, block, digit, hi - i, hi - j + 1)
-        out = out * pow10(j - i) + run
-        i = j
-    return out
-
-
-def _produce(memo, block, digit, hi, lo):
-    """Positions ``hi`` down to ``lo``, none memoised, from the producer."""
-    out = 0
-    if block is None:
-        for n in range(hi, lo - 1, -1):
-            out = out * 10 + digit(n)
-        return out
-    for top, bottom in runs(hi, lo):
-        k = top - bottom + 1
-        v = block(top, bottom)
-        if not isinstance(v, int) or not 0 <= v < pow10(k):
-            raise InvariantViolation(f"stream produced block {v!r} for {k} digits",
-                                     position=bottom)
-        memo.update(zip(range(top, bottom - 1, -1), digit_bytes(v, k)))
-        out = out * pow10(k) + v
-    return out

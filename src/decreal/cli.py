@@ -44,7 +44,10 @@ _NATURAL = re.compile(r"^\+?(\d+)$")
 # An expression may start with a negative literal ("-1/3*2").  argparse
 # takes any argument that starts with "-" for an option unless it looks
 # like a negative number, and for the subcommands that read an expression
-# a minus sign followed by a digit always does.
+# a minus sign followed by a digit always does.  argparse has no public
+# setting for that pattern: the parsers' private ``_negative_number_matcher``
+# is set instead, as checked on Python 3.10 to 3.13.  The leading-minus
+# tests in tests/test_cli.py catch a Python whose argparse works otherwise.
 _NEGATIVE_START = re.compile(r"^-\d")
 
 # Deepest expression tree, and deepest bracket nesting, the parser accepts.

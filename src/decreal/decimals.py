@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Optional
 
-from .blocks import DivisionTail, StreamTail, exact_digits, runs, stream_digits
+from .blocks import DivisionTail, StreamTail, bytes_int, digit_bytes, runs
 from .errors import (
     EmptySetError,
     InvalidLiteral,
@@ -386,8 +386,65 @@ class Decimal:
             return 0
         q = self._value
         if q is None:
-            return stream_digits(self._memo, self._producer, self.digit, hi, lo)
-        return exact_digits(q, hi, lo, self._cursor or self._division_cursor() if lo < 0 else None)
+            return self._stream_digits(hi, lo)
+        num, den = abs(q.numerator), q.denominator
+        if lo >= 0:
+            return num // (den * pow10(lo)) % pow10(hi - lo + 1)
+        cursor = self._cursor or self._division_cursor()
+        got = cursor[1]
+        k = len(got)
+        if -hi - 1 > k:  # wholly below the cursor: jump there, leave it as it is
+            rem = num % den * pow(10, -hi - 1, den) % den
+            return rem * pow10(hi - lo + 1) // den
+        out = num // den % pow10(hi + 1) if hi >= 0 else 0
+        first = max(-hi - 1, 0)
+        out = out * pow10(min(k, -lo) - first) + bytes_int(got[first:-lo])
+        if -lo > k:  # one division grows the cursor down to lo
+            block, cursor[0] = divmod(cursor[0] * pow10(-lo - k), den)
+            got += digit_bytes(block, -lo - k)
+            out = out * pow10(-lo - k) + block
+        return out
+
+    def _stream_digits(self, hi, lo):
+        """Positions ``hi >= lo`` of a stream: each memoised run from the
+        memo, and each missing run from the producer."""
+        known = list(map(self._memo.get, range(hi, lo - 1, -1)))
+        k, missing = len(known), known.count(None)
+        out = i = 0
+        while i < k:
+            if known[i] is not None:  # a memoised run
+                j = known.index(None, i) if missing else k
+                run = bytes_int(known[i:j])
+            else:  # a missing run
+                j = k if missing == k - i else i + 1
+                while j < k and known[j] is None:
+                    j += 1
+                missing -= j - i
+                run = self._produce(hi - i, hi - j + 1)
+            out = out * pow10(j - i) + run
+            i = j
+        return out
+
+    def _produce(self, hi, lo):
+        """Positions ``hi >= lo``, none memoised, from the producer, written
+        back into the memo.  A producer with a ``block(hi, lo)`` is asked
+        once per run of at most ``BLOCK`` positions, and its answer must lie
+        in ``[0, 10**k)``; one without is asked one position at a time."""
+        out = 0
+        block = getattr(self._producer, "block", None)
+        if block is None:
+            for n in range(hi, lo - 1, -1):
+                out = out * 10 + self.digit(n)
+            return out
+        for top, bottom in runs(hi, lo):
+            k = top - bottom + 1
+            v = block(top, bottom)
+            if not isinstance(v, int) or not 0 <= v < pow10(k):
+                raise InvariantViolation(f"stream produced block {v!r} for {k} digits",
+                                         position=bottom)
+            self._memo.update(zip(range(top, bottom - 1, -1), digit_bytes(v, k)))
+            out = out * pow10(k) + v
+        return out
 
     def _division_cursor(self):
         """The long-division cursor of an exact value, made on first use:
@@ -847,11 +904,19 @@ def format_decimal(d):
 
 
 def render_digits(d, frac_digits):
-    """Plain positional rendering with exactly frac_digits places shown."""
+    """Plain positional rendering with exactly frac_digits places shown.
+
+    ``d`` is anything with ``sign``, ``order`` and ``digit``: a ``Decimal``,
+    read in blocks, or a ``TermDecimal`` or ``FalseDecimal``, read digit by
+    digit.
+    """
     sign = "-" if d.sign < 0 else ""
     places = max(frac_digits, 0)
-    text = "".join(int_str(d.digits(top, bottom)).zfill(top - bottom + 1)
-                   for top, bottom in runs(d.order, -places))
+    if isinstance(d, Decimal):
+        text = "".join(int_str(d.digits(top, bottom)).zfill(top - bottom + 1)
+                       for top, bottom in runs(d.order, -places))
+    else:
+        text = "".join(str(d.digit(n)) for n in range(d.order, -places - 1, -1))
     if places == 0:
         return sign + text
     return f"{sign}{text[:-places]}.{text[-places:]}"

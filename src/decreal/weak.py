@@ -17,13 +17,13 @@ which is precisely what a correct hint promises.  Streams read in sequence
 resume instead of starting over (online arithmetic): a sum keeps the
 settling pair of its last scan, which also settles every position between
 that pair and the scan's start; a product keeps one ``ProductBracket``,
-which steps to the next digit cell and deepens by one operand digit at a
-time, so each sequential digit costs integer work linear in the prefix
-length.  A request out of sequence starts cold, with the one-shot rule;
-either way the same operand positions are read.  Both producers also serve
-a run of positions in one ``block`` call (see ``decreal.blocks``): a sum
-adds two operand blocks as integers, and a product settles its bracket
-once, at the lowest position of the run.
+which moves down to the next digit cell and deepens by operand digits, so
+each sequential digit costs integer work linear in the prefix length.  A
+request out of sequence starts cold, with the one-shot rule; either way the
+same operand positions are read.  Both producers serve a run of positions
+in one ``block`` call (see ``Decimal.digits``): a sum adds two operand
+blocks as integers, and a product settles its bracket once, at the lowest
+position of the run.  A single digit is a run of one position.
 
 Hints also travel as single positive integers, ``(2k + 1) * 2**r``: order
 in the odd part, terminating payload (if any) in the 2-adic part.
@@ -292,16 +292,15 @@ class ProductBracket:
     it already has, if deeper) and reads no other operand position.
 
     A cold start at position n takes depth ``max(1, K - n + 2)`` and one
-    full product.  Then ``step`` (the cell shrinks by 10, so the next digit
-    is a one-digit quotient of ``rem``) and each deepening are integer work
-    linear in the prefix length.
-
-    ``settle_to(lo)`` serves a run of digits at once.  It deepens straight
-    to the cold depth of ``lo`` with one block of operand digits per side,
-    moves down to ``lo`` and settles there only: a bracket inside one cell
-    of ``lo`` is inside one cell of every coarser position too, so the run
-    from ``pos`` down to ``lo`` is certified at the depth that settling
-    each of its digits in turn would reach, from the same operand reads.
+    full product.  Then ``settle_to(lo)`` serves the run of digits down to
+    ``lo`` at once.  It deepens straight to the cold depth of ``lo`` with
+    one block of operand digits per side, shrinks the cell to that of
+    ``lo`` (the digits above it are a quotient of ``rem``) and settles
+    there only: a bracket inside one cell of ``lo`` is inside one cell of
+    every coarser position too, so the run from ``pos`` down to ``lo`` is
+    certified at the depth that settling each of its digits in turn would
+    reach, from the same operand reads.  Moving down and each deepening
+    are integer work linear in the prefix length.
     """
 
     __slots__ = ("pos", "depth", "_digit", "_x", "_y", "_xs", "_ys", "_cell", "_rem",
@@ -324,17 +323,12 @@ class ProductBracket:
         fixed-depth digit on a cold start, the certified one once settled."""
         return self._digit % 10
 
-    def step(self):
-        """Move to the next position down, at the same depth."""
-        self._cell //= 10
-        self._digit, self._rem = divmod(self._rem, self._cell)
-        self.pos -= 1
-
     def settle_to(self, lo: int) -> int:
-        """Move down to ``lo`` and settle there; return the digits from
-        ``pos`` down to ``lo`` as one integer."""
+        """Move down to ``lo`` and settle there.  Returns an integer whose
+        lowest ``pos - lo + 1`` digits, for ``pos`` before the move, are the
+        digits from ``pos`` down to ``lo``."""
         t = max(1, self._k_top - lo + 2) - self.depth
-        if t > 0:  # one block deepening to the cold depth of lo
+        if t > 1:  # one block deepening to the cold depth of lo (settle takes one)
             a, b = self._xs.take(t), self._ys.take(t)
             x, y, p = self._x, self._y, pow10(t)
             cell = self._cell * p * p
@@ -344,12 +338,14 @@ class ProductBracket:
             self._slack *= p
             self.depth += t
         j = self.pos - lo
-        self._cell //= pow10(j)
-        top, self._rem = divmod(self._rem, self._cell)
-        self._digit = self._digit % 10 * pow10(j) + top
-        self.pos = lo
+        if j:  # the digits from pos - 1 down to lo are a quotient of rem
+            p = pow10(j)
+            self._cell //= p
+            top, self._rem = divmod(self._rem, self._cell)
+            self._digit = self._digit % 10 * p + top
+            self.pos = lo
         self.settle()
-        return self._digit % pow10(j + 1)
+        return self._digit
 
     def settle(self, max_depth=None) -> int:
         """Deepen until the digit at ``pos`` is certified, and return it.
@@ -393,35 +389,26 @@ def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
 
 def _certified_producer(a: Decimal, b: Decimal):
     """The digit producer of ``a * b`` (nonnegative operands) over one
-    resumable ``ProductBracket``: a request for the position just below the
-    last one steps and settles the bracket; any other request starts it
-    cold, exactly as ``mul_certified_digit`` does.  A digit read in
-    sequence then costs integer work linear in the prefix length.  Its
-    ``block`` serves a run of positions the same way, through
-    ``ProductBracket.settle_to``.  Digits above ``a.order + b.order + 1``
-    are 0 and need no bracket."""
+    resumable ``ProductBracket``: a ``block`` request for the run just
+    below the last position moves the bracket down to the run's lowest
+    position with ``ProductBracket.settle_to``; any other request starts it
+    cold at the run's top, exactly as ``mul_certified_digit`` does.  A digit
+    read on its own is a run of one, and a digit read in sequence costs
+    integer work linear in the prefix length.  Digits above
+    ``a.order + b.order + 1`` are 0 and need no bracket."""
     bracket = None
     bound = a.order + b.order + 1
 
     def producer(n):
-        nonlocal bracket
-        if n > bound:
-            return 0
-        # a failed settle leaves no half-deepened bracket behind
-        current, bracket = bracket, None
-        if current is not None and n == current.pos - 1:
-            current.step()
-        else:
-            current = ProductBracket(a, b, n)
-        d = current.settle()
-        bracket = current
-        return d
+        return block(n, n)
 
     def block(hi, lo):
         nonlocal bracket
-        hi = min(hi, bound)
+        if hi > bound:
+            hi = bound
         if hi < lo:
             return 0
+        # a failed settle leaves no half-deepened bracket behind
         current, bracket = bracket, None
         if current is None or hi != current.pos - 1:
             current = ProductBracket(a, b, hi)

@@ -426,6 +426,20 @@ def test_long_stream_runs_go_to_the_producer_in_pieces():
     assert blocks == [(0, 1 - BLOCK), (-BLOCK, 1 - 2 * BLOCK), (-2 * BLOCK, -depth)]
 
 
+def test_render_digits_reads_terminating_and_false_decimals_digit_by_digit():
+    quarter = r_inv(DecFrac(25, -2))
+    assert render_digits(quarter, 4) == "0.2500"
+    assert render_digits(r_inv(DecFrac(-1205, -1)), 0) == "-120"
+    assert render_digits(bar(quarter), 5) == "0.24999"
+    assert render_digits(bar(r_inv(DecFrac(-15, -1))), 3) == "-1.499"
+    assert render_digits(bar(r_inv(DecFrac(1, 0))), 2) == "0.99"
+    # the extended sup of {bar(2), 1} is the false decimal bar(2)
+    one = Decimal.from_int(1)
+    top = sup_finite([bar(r_inv(DecFrac(2, 0))), one], domain="extended")
+    assert isinstance(top, FalseDecimal)
+    assert render_digits(top, 3) == "1.999"
+
+
 # ---------------------------------------------------------------------------
 # negation on the extended domain
 
