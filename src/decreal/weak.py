@@ -16,14 +16,15 @@ Both scans halt on every input whose result really is non-terminating,
 which is precisely what a correct hint promises.  Streams read in sequence
 resume instead of starting over (online arithmetic): a sum keeps the
 settling pair of its last scan, which also settles every position between
-that pair and the scan's start; a product keeps one ``ProductBracket``,
-which moves down to the next digit cell and deepens by operand digits, so
-each sequential digit costs integer work linear in the prefix length.  A
-request out of sequence starts cold, with the one-shot rule; either way the
-same operand positions are read.  Both producers serve a run of positions
-in one ``block`` call (see ``Decimal.digits``): a sum adds two operand
-blocks as integers, and a product settles its bracket once, at the lowest
-position of the run.  A single digit is a run of one position.
+that pair and the scan's start; a product keeps one ``ProductBracket``
+under either digit rule, which moves down to the next digit cell and
+deepens by operand digits, so each sequential digit costs integer work
+linear in the prefix length.  A request out of sequence starts cold, with
+the one-shot rule; either way the same operand positions are read.  Both
+producers serve a run of positions in one ``block`` call (see
+``Decimal.digits``): a sum adds two operand blocks as integers, and a
+certified product settles its bracket once, at the lowest position of the
+run.  A single digit is a run of one position.
 
 Hints also travel as single positive integers, ``(2k + 1) * 2**r``: order
 in the odd part, terminating payload (if any) in the 2-adic part.
@@ -219,9 +220,8 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     ``sign_budget``; a tie means the sum would be zero, contradicting the
     hint), and every digit comes from the rule of ``add_digit_rule``,
     resuming the last carry or borrow scan where it still settles the
-    position.  Cheap sanity checks around the hinted order raise
-    ``HintMismatch`` early, but a subtly wrong hint can still only corrupt
-    the result via the order field -- digits are computed, never trusted.
+    position.  The hinted order is checked against the operands' order
+    bound; digits are computed, never trusted.
     """
     if hint.terminating is not None:
         return Decimal.from_term(hint.terminating)
@@ -237,19 +237,27 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
         big, small = (d, e) if c.verdict is Verdict.GREATER else (e, d)
         sign = big.sign
         a, b = big.abs(), small.abs().neg()
-    return _checked_stream(sign, hint, _sum_digits(a, b))
+    return _checked_stream(sign, hint, _sum_digits(a, b), max(d.order, e.order) + 1)
 
 
-def _checked_stream(sign: int, hint: Hint, producer) -> Decimal:
-    """The stream of ``producer`` after the cheap checks around the hinted
-    order.  The digit above the order is not a stream position, so it is
-    asked of the producer directly, and first: the top digit, read through
-    the stream and memoised, then follows it in sequence."""
+def _checked_stream(sign: int, hint: Hint, producer, bound: int) -> Decimal:
+    """The stream of ``producer``, whose digits above ``bound`` (the
+    operands' order bound) are 0, once the hinted order is checked: a hinted
+    order above the bound fails at once, the digits from the bound down to
+    the one above the order must be 0, and a positive order's digit must
+    not be.  Each of them halts on an honest hint, so an order too low fails
+    instead of cutting the value short.  They are not stream positions, so
+    they are asked of the producer directly, top down and first: a product
+    starts one bracket, at the bound, and steps it down to the top digit."""
+    if hint.order > bound:
+        raise HintMismatch("zero digit at the hinted (positive) order")
     f = Decimal.from_stream(sign, hint.order, producer, searched_nine_escape(producer))
-    above = producer(hint.order + 1)
+    above = 0
+    for n in range(bound, hint.order, -1):
+        above |= producer(n)
     if hint.order > 0 and f.digit(hint.order) == 0:
         raise HintMismatch("zero digit at the hinted (positive) order")
-    if above != 0:
+    if above:
         raise HintMismatch("nonzero digit above the hinted order")
     return f
 
@@ -270,8 +278,8 @@ def mul_stabilized_digit(d: Decimal, e: Decimal, n: int) -> int:
 
 
 class ProductBracket:
-    """A resumable certified bracket for the digits of ``|a * b|``, read
-    downwards from position ``pos`` (operands are read as magnitudes).
+    """A resumable bracket for the digits of ``|a * b|``, read downwards
+    from position ``pos`` (operands are read as magnitudes).
 
     At depth l, with K the larger operand order, the product of the operand
     truncations undershoots the truth by less than ``2 * 10**(K+1-l)``.
@@ -285,22 +293,23 @@ class ProductBracket:
     ``delta = 10*(X*b + a*Y) + a*b`` to ``100 * X*Y``.  Since
     ``X, Y < 10**(K+1+l)``, ``delta < 90 * slack``: the upper end drops as
     the lower end rises, so the brackets are nested and a certified digit
-    stays certified deeper down.  At depths less than
+    stays certified deeper down.  At depths less than the cold depth
     ``max(1, K - pos + 2)`` the slack is at least a cell wide, so nothing
-    is certified there.  Hence a bracket carried on from the digit above
-    certifies each digit at the depth a cold start would (or at the depth
-    it already has, if deeper) and reads no other operand position.
+    is certified there.
 
-    A cold start at position n takes depth ``max(1, K - n + 2)`` and one
-    full product.  Then ``settle_to(lo)`` serves the run of digits down to
-    ``lo`` at once.  It deepens straight to the cold depth of ``lo`` with
-    one block of operand digits per side, shrinks the cell to that of
-    ``lo`` (the digits above it are a quotient of ``rem``) and settles
-    there only: a bracket inside one cell of ``lo`` is inside one cell of
-    every coarser position too, so the run from ``pos`` down to ``lo`` is
-    certified at the depth that settling each of its digits in turn would
-    reach, from the same operand reads.  Moving down and each deepening
-    are integer work linear in the prefix length.
+    A cold start at n builds the bracket at the cold depth of n, and its
+    ``digit`` is the paper's fixed-depth digit.  ``move(lo)`` deepens to the
+    cold depth of ``lo`` (unless deeper already) with one block of operand
+    digits per side, then shifts the split to ``lo``; ``settle`` deepens one
+    operand digit at a time until the digit at ``pos`` is certified.  The
+    fixed-depth rule moves one position at a time and reads ``digit``
+    unsettled: the cold depth grows by at most one per position, so the
+    bracket has the prefixes and the split of a cold start at ``pos``.  The
+    certified rule moves to the lowest position of a run and settles there
+    only: a bracket inside one cell of ``lo`` is inside one cell of every
+    coarser position too, so the run is certified at the depth that settling
+    each of its digits in turn would reach, from the same operand reads.
+    Moving and deepening are integer work linear in the prefix length.
     """
 
     __slots__ = ("pos", "depth", "_digit", "_x", "_y", "_xs", "_ys", "_cell", "_rem",
@@ -320,16 +329,16 @@ class ProductBracket:
     @property
     def digit(self) -> int:
         """The digit at ``pos`` under the bracket's lower end: the paper's
-        fixed-depth digit on a cold start, the certified one once settled."""
+        fixed-depth digit at the cold depth, the certified one once settled."""
         return self._digit % 10
 
-    def settle_to(self, lo: int) -> int:
-        """Move down to ``lo`` and settle there.  Returns an integer whose
-        lowest ``pos - lo + 1`` digits, for ``pos`` before the move, are the
-        digits from ``pos`` down to ``lo``."""
+    def move(self, lo: int) -> None:
+        """Deepen to the cold depth of ``lo`` unless deeper already, then
+        shift the digit split down to ``lo``."""
         t = max(1, self._k_top - lo + 2) - self.depth
-        if t > 1:  # one block deepening to the cold depth of lo (settle takes one)
-            a, b = self._xs.take(t), self._ys.take(t)
+        if t > 0:  # one block of t operand digits per side
+            xs, ys = self._xs, self._ys
+            a, b = (xs.take(t), ys.take(t)) if t > 1 else (next(xs), next(ys))
             x, y, p = self._x, self._y, pow10(t)
             cell = self._cell * p * p
             carry, self._rem = divmod(self._rem * p * p + p * (x * b + a * y) + a * b, cell)
@@ -344,15 +353,13 @@ class ProductBracket:
             top, self._rem = divmod(self._rem, self._cell)
             self._digit = self._digit % 10 * p + top
             self.pos = lo
-        self.settle()
-        return self._digit
 
     def settle(self, max_depth=None) -> int:
-        """Deepen until the digit at ``pos`` is certified, and return it.
-
-        Terminates whenever the product does not terminate; ``max_depth``
-        (if given) turns a misuse into an error instead of a loop.
-        """
+        """Deepen until the digit at ``pos`` is certified; after a move down
+        by j positions, the lowest ``j + 1`` digits of the integer returned
+        are those from ``pos + j`` down to ``pos``.  Terminates whenever the
+        product does not terminate; ``max_depth`` (if given) turns a misuse
+        into an error instead of a loop."""
         x, y, cell, rem, slack = self._x, self._y, self._cell, self._rem, self._slack
         digit, depth = self._digit, self.depth
         xs, ys = self._xs, self._ys
@@ -372,7 +379,7 @@ class ProductBracket:
                 digit += carry
         self._x, self._y, self._cell, self._rem, self._slack = x, y, cell, rem, slack
         self._digit, self.depth = digit, depth
-        return digit % 10
+        return digit
 
 
 def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
@@ -384,35 +391,34 @@ def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
     """
     if d.sign < 0 or e.sign < 0:
         raise ValueError("certified product digits need nonnegative operands")
-    return ProductBracket(d, e, n).settle(max_depth)
+    return ProductBracket(d, e, n).settle(max_depth) % 10
 
 
-def _certified_producer(a: Decimal, b: Decimal):
+def _product_digits(a: Decimal, b: Decimal, certified: bool):
     """The digit producer of ``a * b`` (nonnegative operands) over one
-    resumable ``ProductBracket``: a ``block`` request for the run just
-    below the last position moves the bracket down to the run's lowest
-    position with ``ProductBracket.settle_to``; any other request starts it
-    cold at the run's top, exactly as ``mul_certified_digit`` does.  A digit
-    read on its own is a run of one, and a digit read in sequence costs
-    integer work linear in the prefix length.  Digits above
-    ``a.order + b.order + 1`` are 0 and need no bracket."""
+    resumable ``ProductBracket``, by the rule of ``mul_certified_digit`` or
+    of ``mul_stabilized_digit``.  A ``block`` request for the run just below
+    the last position moves the bracket on; any other starts it cold at the
+    run's top.  A digit read on its own is a run of one."""
     bracket = None
-    bound = a.order + b.order + 1
 
     def producer(n):
         return block(n, n)
 
     def block(hi, lo):
         nonlocal bracket
-        if hi > bound:
-            hi = bound
-        if hi < lo:
-            return 0
-        # a failed settle leaves no half-deepened bracket behind
+        # a failed read leaves no half-deepened bracket behind
         current, bracket = bracket, None
         if current is None or hi != current.pos - 1:
             current = ProductBracket(a, b, hi)
-        run = current.settle_to(lo) % pow10(hi - lo + 1)
+        if certified:
+            current.move(lo)
+            run = current.settle() % pow10(hi - lo + 1)
+        else:
+            run = 0
+            for n in range(hi, lo - 1, -1):
+                current.move(n)
+                run = 10 * run + current.digit
         bracket = current
         return run
 
@@ -430,16 +436,10 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Deci
     """
     if hint.terminating is not None:
         return Decimal.from_term(hint.terminating)
-    sign = d.sign * e.sign
-    a, b = d.abs(), e.abs()
-    if digit_path == "certified":
-        producer = _certified_producer(a, b)
-    elif digit_path == "paper":
-        def producer(n):
-            return mul_stabilized_digit(a, b, n)
-    else:
+    if digit_path not in ("certified", "paper"):
         raise ValueError(f"unknown digit path {digit_path!r}")
-    return _checked_stream(sign, hint, producer)
+    producer = _product_digits(d.abs(), e.abs(), digit_path == "certified")
+    return _checked_stream(d.sign * e.sign, hint, producer, d.order + e.order + 1)
 
 
 # ---------------------------------------------------------------------------

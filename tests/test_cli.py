@@ -139,6 +139,32 @@ def test_eval_trace_lines_pinned_for_long_products(capsys, expr, digits):
     assert out.strip().splitlines()[1:] == PINNED_LONG_PRODUCT_TRACES[expr, digits]
 
 
+# ``--trace`` lines of fixed-depth products, recorded while each of their
+# digits started a cold bracket; the left operand is itself a product
+PINNED_PAPER_TRACES = {
+    "(0.(3)*0.(7))*0.(3)": [
+        "# left: read 203 digits, positions 0 down to -202",
+        "# right: read 203 digits, positions 0 down to -202",
+    ],
+    "1/3*0.306000001": [
+        "# left: read 203 digits, positions 0 down to -202",
+        "# right: read 203 digits, positions 0 down to -202",
+    ],
+    "12.5*0.(142857)*0.2(6)": [
+        "# left: read 203 digits, positions 0 down to -202",
+        "# right: read 203 digits, positions 0 down to -202",
+    ],
+}
+
+
+@pytest.mark.parametrize("expr", sorted(PINNED_PAPER_TRACES))
+def test_eval_trace_lines_pinned_for_paper_products(capsys, expr):
+    code, out, _ = run(capsys, "eval", expr, "--digits", "200", "--trace",
+                       "--path", "paper")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == PINNED_PAPER_TRACES[expr]
+
+
 # ``--trace`` lines of carry sums and borrow differences, recorded before
 # rational operands gained their long-division cursor (the entries with
 # terminating literals: while those had a backing of their own)
@@ -192,6 +218,10 @@ def test_eval_wrong_hint_is_an_invariant_error(capsys):
                        str(hint_encode(Hint(3))))
     assert code == 4
     assert "error:" in err
+    # --hint 1 is order 0; 103.(3) has a zero digit at 10**1 but not at
+    # 10**2, which the check up to the operands' order bound reads
+    code, out, err = run(capsys, "eval", "100.(3)+3", "--hint", "1")
+    assert (code, out, err) == (4, "", "error: nonzero digit above the hinted order\n")
 
 
 def test_eval_malformed_hint_payload_is_exit_4(capsys):

@@ -25,7 +25,13 @@ from decreal.decimals import (  # noqa: E402
 )
 from decreal.padic import PAdic, padic_add, padic_from_rational, padic_mul  # noqa: E402
 from decreal.rational import DecFrac, ten_smooth  # noqa: E402
-from decreal.weak import compute_hint, mul_certified_digit, weak_add, weak_mul  # noqa: E402
+from decreal.weak import (  # noqa: E402
+    compute_hint,
+    mul_certified_digit,
+    mul_stabilized_digit,
+    weak_add,
+    weak_mul,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -204,6 +210,36 @@ def test_streamed_product_digits_match_fraction_oracle_in_any_read_order(
                  + list(range(f.order, -second - 1, -1)))
     for n in positions:
         assert f.digit(n) == oracle_digit(prod, n)
+
+
+def paper_operand(kind, q, other):
+    """q as an exact decimal, a producer-backed stream, or the streamed
+    fixed-depth product ``(q / other) * other``, whose digits only
+    approximate q."""
+    if kind != "nested":
+        return operand(kind, q, other)
+    a, b = Decimal.from_fraction(q / other), Decimal.from_fraction(other)
+    return weak_mul(a, b, compute_hint("mul", a, b), digit_path="paper")
+
+
+@PROPERTY
+@given(qa=signed_nonterminating, qb=signed_nonterminating, qc=nonterminating,
+       kinds=st.tuples(*[st.sampled_from(["exact", "stream", "nested"])] * 2),
+       reads=product_reads)
+def test_paper_product_digits_are_the_one_shot_fixed_depth_digits_in_any_read_order(
+        qa, qb, qc, kinds, reads):
+    # one resumed bracket gives the digit a cold bracket at each position
+    # gives, however the positions are read
+    prod = qa * qb
+    assume(not ten_smooth(prod.denominator))
+    a, b = paper_operand(kinds[0], qa, qc), paper_operand(kinds[1], qb, qc)
+    f = weak_mul(a, b, compute_hint("mul", Decimal.from_fraction(qa), Decimal.from_fraction(qb)),
+                 digit_path="paper")
+    first, scattered, second = reads
+    positions = (list(range(f.order, -first - 1, -1)) + scattered
+                 + list(range(f.order, -second - 1, -1)))
+    for n in positions:
+        assert f.digit(n) == mul_stabilized_digit(a, b, n)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,13 @@ def test_weak_add_rejects_wrong_order_hints():
     big = parse_decimal("70")
     with pytest.raises(HintMismatch):
         weak_add(big, e, Hint(0))  # 70.333... has a nonzero digit above 10**0
+    # 103.(3) has a zero digit at 10**1 but a 1 at 10**2, below the
+    # operands' order bound 3: every digit up to the bound is checked
+    x, three = parse_decimal("100.(3)"), parse_decimal("3")
+    for order in (0, 1):
+        with pytest.raises(HintMismatch):
+            weak_add(x, three, Hint(order))
+    assert render_digits(weak_add(x, three, compute_hint("add", x, three)), 3) == "103.333"
 
 
 def test_weak_add_rejects_hint_on_vanishing_sum():
@@ -394,8 +401,11 @@ def test_sequential_product_digits_resume_one_bracket(monkeypatch):
 
 
 def test_product_of_positive_order_starts_one_bracket(monkeypatch):
-    # the probe above the hinted order comes first, so the top digit and
-    # every digit below it step the same bracket down
+    # the digits above the hinted order are probed first, top down from the
+    # operands' order bound, so under either digit rule one bracket starts
+    # at the bound and steps down through the top digit and every digit
+    # below it; 1000.(3) * 0.0(3) = 33.3(4) has the bound 3 + 0 + 1 = 4,
+    # three positions above its order
     starts = []
 
     class Counted(weak.ProductBracket):
@@ -404,10 +414,14 @@ def test_product_of_positive_order_starts_one_bracket(monkeypatch):
             super().__init__(a, b, n)
 
     monkeypatch.setattr(weak, "ProductBracket", Counted)
-    x, y = parse_decimal("12.(3)"), parse_decimal("1.(6)")
-    prod = weak_mul(x, y, compute_hint("mul", x, y))
-    assert render_digits(prod, 40) == "20." + "5" * 40
-    assert starts == [2]
+    for x, y, rendered, bound in (("12.(3)", "1.(6)", "20." + "5" * 40, 2),
+                                  ("1000.(3)", "0.0(3)", "33.3" + "4" * 39, 4)):
+        x, y = parse_decimal(x), parse_decimal(y)
+        for path in ("certified", "paper"):
+            starts.clear()
+            prod = weak_mul(x, y, compute_hint("mul", x, y), digit_path=path)
+            assert render_digits(prod, 40) == rendered
+            assert starts == [bound]
 
 
 def test_product_digits_above_the_order_bound_build_no_bracket(monkeypatch):
@@ -594,6 +608,36 @@ def test_weak_mul_streaming_matches_oracle():
         checked += 1
 
 
+# pairs whose fixed-depth digits miss the true digit in the first 60 places
+# (findings/stabilized-digit.json): one by construction, two products of
+# positive order, and one that misses at 10**0
+PAPER_PAIRS = [
+    (Fraction(1, 3), Fraction(306000001, 10 ** 9)),
+    (Fraction(42431, 12518), Fraction(5210, 1541)),
+    (Fraction(7284, 4973), Fraction(43974, 2855)),
+    (Fraction(48251, 15943), Fraction(62366, 93723)),
+]
+PAPER_KINDS = [("exact", "exact"), ("stream", "exact"), ("exact", "nested"),
+               ("nested", "stream"), ("nested", "nested")]
+
+
+def paper_product(qa, qb, kinds=("exact", "exact")):
+    """The streamed fixed-depth product of qa and qb, each given as an exact
+    decimal, a producer-backed stream, or the streamed fixed-depth product
+    ``(q * 3/7) * 7/3``; the operands come back too."""
+    def operand(kind, q):
+        x = Decimal.from_fraction(q)
+        if kind == "stream":
+            return Decimal.from_stream(x.sign, x.order, x.digit, searched_nine_escape(x.digit))
+        if kind == "nested":
+            return paper_product(q * Fraction(3, 7), Fraction(7, 3))[0]
+        return x
+
+    a, b = operand(kinds[0], qa), operand(kinds[1], qb)
+    h = compute_hint("mul", Decimal.from_fraction(qa), Decimal.from_fraction(qb))
+    return weak_mul(a, b, h, digit_path="paper"), a, b
+
+
 def test_weak_mul_paper_path_is_the_stabilized_rule():
     u = Decimal.from_fraction(Fraction(1, 3))
     v = parse_decimal("0.306000001")
@@ -603,12 +647,41 @@ def test_weak_mul_paper_path_is_the_stabilized_rule():
     for path in ("stabilized", "floating"):
         with pytest.raises(ValueError):
             weak_mul(u, v, h, digit_path=path)
+    # every rendered position is the one-shot digit, read in sequence (one
+    # resumed bracket), out of order (cold starts) and after a far read
+    places = 60
+    for qa, qb in PAPER_PAIRS:
+        for kinds in PAPER_KINDS:
+            f, a, b = paper_product(qa, qb, kinds)
+            positions = range(f.order, -places - 1, -1)
+            rendered = render_digits(f, places).lstrip("-").replace(".", "")
+            assert rendered == "".join(str(mul_stabilized_digit(a, b, n)) for n in positions)
+            f, a, b = paper_product(qa, qb, kinds)
+            for n in (-30, -3, -45, f.order, -8, -7, -6, -2, -59, -31):
+                assert f.digit(n) == mul_stabilized_digit(a, b, n)
+            f, a, b = paper_product(qa, qb, kinds)
+            f.digit(-400)
+            for n in positions:
+                assert f.digit(n) == mul_stabilized_digit(a, b, n)
+    # the pairs above do tell the fixed-depth rule from the certified one
+    misses = [(qa, qb) for qa, qb in PAPER_PAIRS
+              if render_digits(paper_product(qa, qb)[0], places)
+              != render_digits(Decimal.from_fraction(qa * qb), places)]
+    assert misses == PAPER_PAIRS
 
 
 def test_weak_mul_rejects_wrong_order_hint():
     d = parse_decimal("0.(3)")
     with pytest.raises(HintMismatch):
         weak_mul(d, d, Hint(2))
+    # 101.(3) has a zero digit at 10**1 but a 1 at 10**2, below the
+    # operands' order bound 1 + 1 + 1 = 3
+    y, ten = parse_decimal("10.1(3)"), parse_decimal("10")
+    for path in ("certified", "paper"):
+        with pytest.raises(HintMismatch, match="^nonzero digit above the hinted order$"):
+            weak_mul(y, ten, Hint(0), digit_path=path)
+        prod = weak_mul(y, ten, compute_hint("mul", y, ten), digit_path=path)
+        assert render_digits(prod, 3) == "101.333"
 
 
 # ---------------------------------------------------------------------------
