@@ -2,18 +2,15 @@
 
 A run of output digits of a sum or a product depends on one finite block
 of input digits, so it can be computed in one step instead of one call per
-digit.  This module holds what every layer shares for that:
-
-* the conversions between an integer and its digits, and the runs of at
-  most ``BLOCK`` positions a long read goes in;
-* the tails below an operand prefix, read one digit at a time (``next``)
-  or ``k`` at a time (``take(k)``).
-
-``Decimal.digits`` itself, which reads a value's division cursor or a
-stream's memo, lives with ``Decimal.digit`` in ``decreal.decimals``.
+digit.  This module holds the pieces of that which touch no ``Decimal``
+state: the conversions between an integer and its digits, and the runs of
+at most ``BLOCK`` positions a long read goes in.  ``Decimal.digits``, which
+reads a value's division cursor or a stream's memo, lives with
+``Decimal.digit`` in ``decreal.decimals``; a product bracket reads its
+operands through those two.
 """
 
-from .rational import int_str, pow10, str_int
+from .rational import int_str, str_int
 
 # Longest run of positions that a block read hands to a producer, or spells
 # out, in one piece.  Converting an integer to or from its decimal digits
@@ -38,42 +35,3 @@ def digit_bytes(v, k):
 def bytes_int(digits):
     """The integer spelled by digit values 0..9, top first."""
     return str_int(bytes(digits).translate(_LETTERS).decode()) if digits else 0
-
-
-class DivisionTail:
-    """The digits that follow the remainder ``rem`` in long division by
-    ``den``: one at a time by ``next``, or ``k`` at a time as one integer
-    by ``take(k)``."""
-
-    __slots__ = ("_rem", "_den")
-
-    def __init__(self, rem, den):
-        self._rem, self._den = rem, den
-
-    def __next__(self):
-        d, self._rem = divmod(10 * self._rem, self._den)
-        return d
-
-    def take(self, k):
-        block, self._rem = divmod(self._rem * pow10(k), self._den)
-        return block
-
-
-class StreamTail:
-    """The digits of a decimal at positions ``n, n - 1, ...``: one at a time
-    by ``next``, or ``k`` at a time as one integer by ``take(k)``."""
-
-    __slots__ = ("_d", "_n")
-
-    def __init__(self, d, n):
-        self._d, self._n = d, n
-
-    def __next__(self):
-        n = self._n
-        self._n = n - 1
-        return self._d.digit(n)
-
-    def take(self, k):
-        n = self._n
-        self._n = n - k
-        return self._d.digits(n, n - k + 1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Optional
 
-from .blocks import DivisionTail, StreamTail, bytes_int, digit_bytes, runs
+from .blocks import bytes_int, digit_bytes, runs
 from .errors import (
     EmptySetError,
     InvalidLiteral,
@@ -469,24 +469,6 @@ class Decimal:
         if q is not None:
             return abs(q.numerator) * pow10(m) // q.denominator
         return self.digits(self.order, -m)
-
-    def prefix_with_tail(self, m):
-        """``scaled_prefix(m)`` and a tail over the digits below it, at
-        positions ``-m-1, -m-2, ...`` in turn: ``next(tail)`` reads one
-        digit, ``tail.take(k)`` the next ``k`` as one integer.
-
-        An exact value feeds the tail from the long-division remainder of
-        its prefix, so a tail that starts far below the division cursor
-        costs one ``divmod`` per digit or block, not an isolated
-        ``digit_of_fraction``.
-        """
-        q = self._value
-        if q is None:
-            return self.scaled_prefix(m), StreamTail(self, -m - 1)
-        if m < 0:
-            raise ValueError("prefix depth must be >= 0")
-        prefix, rem = divmod(abs(q.numerator) * pow10(m), q.denominator)
-        return prefix, DivisionTail(rem, q.denominator)
 
     # -- exact views
 

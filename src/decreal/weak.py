@@ -215,16 +215,16 @@ def _sum_digits(d: Decimal, e: Decimal):
 def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     """The sum of two decimals under a hint.
 
-    A terminating hint is the whole answer.  Otherwise the sign and the
-    reduced configuration are found by comparing magnitudes (bounded by
-    ``sign_budget``; a tie means the sum would be zero, contradicting the
-    hint), and every digit comes from the rule of ``add_digit_rule``,
-    resuming the last carry or borrow scan where it still settles the
-    position.  The hinted order is checked against the operands' order
-    bound; digits are computed, never trusted.
+    A terminating hint is the answer (see ``_payload``).  Otherwise the
+    sign and the reduced configuration are found by comparing magnitudes
+    (bounded by ``sign_budget``; a tie means the sum would be zero,
+    contradicting the hint), and every digit comes from the rule of
+    ``add_digit_rule``, resuming the last carry or borrow scan where it
+    still settles the position.  The hinted order is checked against the
+    operands' order bound; digits are computed, never trusted.
     """
     if hint.terminating is not None:
-        return Decimal.from_term(hint.terminating)
+        return _payload("add", d, e, hint)
     if d.sign == e.sign:
         sign = d.sign
         a, b = d.abs(), e.abs()
@@ -238,6 +238,15 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
         sign = big.sign
         a, b = big.abs(), small.abs().neg()
     return _checked_stream(sign, hint, _sum_digits(a, b), max(d.order, e.order) + 1)
+
+
+def _payload(op: str, d: Decimal, e: Decimal, hint: Hint) -> Decimal:
+    """A terminating hint's payload as the result of ``d op e``, checked
+    against the hint of the exact result when both operands have exact
+    values (a stream has none)."""
+    if d.has_exact_value and e.has_exact_value and compute_hint(op, d, e) != hint:
+        raise HintMismatch("the terminating payload is not the exact result")
+    return Decimal.from_term(hint.terminating)
 
 
 def _checked_stream(sign: int, hint: Hint, producer, bound: int) -> Decimal:
@@ -289,37 +298,38 @@ class ProductBracket:
     ``cell = 10**(pos + 2l)``.  The digit is certified once
     ``rem + slack < cell``.
 
-    Deepening with the next operand digits a and b adds
-    ``delta = 10*(X*b + a*Y) + a*b`` to ``100 * X*Y``.  Since
-    ``X, Y < 10**(K+1+l)``, ``delta < 90 * slack``: the upper end drops as
-    the lower end rises, so the brackets are nested and a certified digit
-    stays certified deeper down.  At depths less than the cold depth
-    ``max(1, K - pos + 2)`` the slack is at least a cell wide, so nothing
-    is certified there.
+    Deepening by t digits reads the operands at ``-l - 1`` downward, with
+    ``digit`` for one digit and ``digits`` for a run, and adds
+    ``delta = p*(X*b + a*Y) + a*b`` to ``p*p * X*Y`` (``p = 10**t``).  Since
+    ``X, Y < 10**(K+1+l)`` and ``a, b < p``, ``delta < (p*p - p) * slack``:
+    the upper end drops as the lower end rises, so the brackets are nested
+    and a certified digit stays certified deeper down.  At depths less than
+    the cold depth ``max(1, K - pos + 2)`` the slack is at least a cell
+    wide, so nothing is certified there.
 
-    A cold start at n builds the bracket at the cold depth of n, and its
-    ``digit`` is the paper's fixed-depth digit.  ``move(lo)`` deepens to the
-    cold depth of ``lo`` (unless deeper already) with one block of operand
-    digits per side, then shifts the split to ``lo``; ``settle`` deepens one
-    operand digit at a time until the digit at ``pos`` is certified.  The
-    fixed-depth rule moves one position at a time and reads ``digit``
-    unsettled: the cold depth grows by at most one per position, so the
-    bracket has the prefixes and the split of a cold start at ``pos``.  The
-    certified rule moves to the lowest position of a run and settles there
-    only: a bracket inside one cell of ``lo`` is inside one cell of every
-    coarser position too, so the run is certified at the depth that settling
-    each of its digits in turn would reach, from the same operand reads.
-    Moving and deepening are integer work linear in the prefix length.
+    A cold start at n reads both ``scaled_prefix`` at the cold depth of n,
+    and its ``digit`` is the paper's fixed-depth digit.  ``move(lo)``
+    deepens to the cold depth of ``lo`` (unless deeper already), then shifts
+    the split to ``lo``; ``settle`` deepens one digit at a time until the
+    digit at ``pos`` is certified.  The fixed-depth rule moves one position
+    at a time and reads ``digit`` unsettled: the cold depth grows by at most
+    one per position, so the bracket has the prefixes and the split of a
+    cold start at ``pos``.  The certified rule moves to the lowest position
+    of a run and settles there only: a bracket inside one cell of ``lo`` is
+    inside one cell of every coarser position too, so the run is certified
+    at the depth that settling each of its digits in turn would reach, from
+    the same operand reads.  Moving and deepening are integer work linear in
+    the prefix length.
     """
 
-    __slots__ = ("pos", "depth", "_digit", "_x", "_y", "_xs", "_ys", "_cell", "_rem",
+    __slots__ = ("pos", "depth", "_digit", "_a", "_b", "_x", "_y", "_cell", "_rem",
                  "_slack", "_k_top")
 
     def __init__(self, a: Decimal, b: Decimal, n: int):
         self._k_top = k_top = max(a.order, b.order)
         depth = max(1, k_top - n + 2)
-        self._x, self._xs = a.prefix_with_tail(depth)
-        self._y, self._ys = b.prefix_with_tail(depth)
+        self._a, self._b = a, b
+        self._x, self._y = a.scaled_prefix(depth), b.scaled_prefix(depth)
         self._cell = pow10(n + 2 * depth)
         top, self._rem = divmod(self._x * self._y, self._cell)
         self._digit = top % 10
@@ -332,20 +342,27 @@ class ProductBracket:
         fixed-depth digit at the cold depth, the certified one once settled."""
         return self._digit % 10
 
+    def _deepen(self, t: int) -> None:
+        """Extend both prefixes by the next ``t`` operand digits."""
+        n = -self.depth - 1
+        if t == 1:
+            a, b = self._a.digit(n), self._b.digit(n)
+        else:
+            a, b = self._a.digits(n, n - t + 1), self._b.digits(n, n - t + 1)
+        x, y, p = self._x, self._y, pow10(t)
+        cell = self._cell * p * p
+        carry, self._rem = divmod(self._rem * p * p + p * (x * b + a * y) + a * b, cell)
+        self._x, self._y, self._cell = x * p + a, y * p + b, cell
+        self._digit += carry
+        self._slack *= p
+        self.depth += t
+
     def move(self, lo: int) -> None:
         """Deepen to the cold depth of ``lo`` unless deeper already, then
         shift the digit split down to ``lo``."""
         t = max(1, self._k_top - lo + 2) - self.depth
-        if t > 0:  # one block of t operand digits per side
-            xs, ys = self._xs, self._ys
-            a, b = (xs.take(t), ys.take(t)) if t > 1 else (next(xs), next(ys))
-            x, y, p = self._x, self._y, pow10(t)
-            cell = self._cell * p * p
-            carry, self._rem = divmod(self._rem * p * p + p * (x * b + a * y) + a * b, cell)
-            self._x, self._y, self._cell = x * p + a, y * p + b, cell
-            self._digit += carry
-            self._slack *= p
-            self.depth += t
+        if t > 0:
+            self._deepen(t)
         j = self.pos - lo
         if j:  # the digits from pos - 1 down to lo are a quotient of rem
             p = pow10(j)
@@ -360,26 +377,13 @@ class ProductBracket:
         are those from ``pos + j`` down to ``pos``.  Terminates whenever the
         product does not terminate; ``max_depth`` (if given) turns a misuse
         into an error instead of a loop."""
-        x, y, cell, rem, slack = self._x, self._y, self._cell, self._rem, self._slack
-        digit, depth = self._digit, self.depth
-        xs, ys = self._xs, self._ys
-        while rem + slack >= cell:
-            if max_depth is not None and depth >= max_depth:
+        while self._rem + self._slack >= self._cell:
+            if max_depth is not None and self.depth >= max_depth:
                 raise OracleUnavailable(
                     f"digit at 10**{self.pos} still straddles a cell boundary "
                     f"at depth {max_depth}")
-            a, b = next(xs), next(ys)
-            rem = 100 * rem + 10 * (x * b + a * y) + a * b
-            x, y = 10 * x + a, 10 * y + b
-            cell *= 100
-            slack *= 10
-            depth += 1
-            if rem >= cell:
-                carry, rem = divmod(rem, cell)
-                digit += carry
-        self._x, self._y, self._cell, self._rem, self._slack = x, y, cell, rem, slack
-        self._digit, self.depth = digit, depth
-        return digit
+            self._deepen(1)
+        return self._digit
 
 
 def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
@@ -429,13 +433,13 @@ def _product_digits(a: Decimal, b: Decimal, certified: bool):
 def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Decimal:
     """The product of two decimals under a hint.
 
-    A terminating hint is the whole answer; in particular a zero operand
-    always arrives that way, so in the streaming case the sign is just the
-    product of the operand signs.  ``digit_path`` selects between the
+    A terminating hint is the answer (see ``_payload``), as it is for every
+    zero operand, so in the streaming case the sign is just the product of
+    the operand signs.  ``digit_path`` selects between the
     certified bracket digits (default) and the paper's fixed-depth digits.
     """
     if hint.terminating is not None:
-        return Decimal.from_term(hint.terminating)
+        return _payload("mul", d, e, hint)
     if digit_path not in ("certified", "paper"):
         raise ValueError(f"unknown digit path {digit_path!r}")
     producer = _product_digits(d.abs(), e.abs(), digit_path == "certified")

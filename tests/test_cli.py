@@ -224,6 +224,13 @@ def test_eval_wrong_hint_is_an_invariant_error(capsys):
     assert (code, out, err) == (4, "", "error: nonzero digit above the hinted order\n")
 
 
+def test_eval_wrong_terminating_payload_is_exit_4(capsys):
+    # the payload of 0.5 + 0.2 is checked against the exact sum 2/3
+    code, hint, _ = run(capsys, "hint", "0.5+0.2")
+    code, out, err = run(capsys, "eval", "0.(3)+0.(3)", "--hint", hint.strip())
+    assert (code, out, err) == (4, "", "error: the terminating payload is not the exact result\n")
+
+
 def test_eval_malformed_hint_payload_is_exit_4(capsys):
     # payload letters 10, 10: a terminator before the last letter
     code, out, err = run(capsys, "eval", "0.(3)+0.(3)", "--hint", str(1 << 121))
@@ -283,6 +290,11 @@ def test_eval_parse_error_exit_code(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "eval", "0.(9)")
     assert code == 2
+
+
+def test_eval_trailing_input_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "eval", "1+2)")
+    assert (code, out) == (2, "") and err.startswith("error: trailing input")
 
 
 def test_eval_deep_nesting_is_a_parse_error(capsys):

@@ -460,6 +460,16 @@ def test_negate_false_decimal():
     assert g.sign == -1
 
 
+def test_negate_terminating_decimal():
+    t = r_inv(DecFrac(25, -1))
+    for extended in (False, True):
+        assert negate(t, extended=extended) == t.neg()
+        assert negate(t.neg(), extended=extended) == t
+    assert negate(TERM_ZERO) is TERM_ZERO
+    fz = negate(TERM_ZERO, extended=True)
+    assert isinstance(fz, FalseDecimal) and fz.is_false_zero
+
+
 # ---------------------------------------------------------------------------
 # comparison and separation
 
@@ -736,6 +746,11 @@ def test_validate_prefix_accepts_honest_streams():
     d = Decimal.from_fraction(Fraction(1, 7))
     rep = validate_prefix(d, 30)
     assert rep.depth == 30 and rep.positions_checked == 31
+
+
+def test_validate_prefix_needs_a_positive_depth():
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        validate_prefix(Decimal.from_fraction(Fraction(1, 7)), 0)
 
 
 def test_validate_prefix_rejects_zero_top_digit():

@@ -393,6 +393,10 @@ def test_encode_shows_digits_after_separator():
     assert [w.letter(i) for i in range(6)] == ["0", XI, "1", "2", "2", "0"]
 
 
+def test_repr_shows_the_first_eight_digits():
+    assert repr(padic_from_rational(3, Fraction(1, 2))) == "PAdic(p=3, base=0, 2 1 1 1 1 1 1 1 ...)"
+
+
 def test_decode_rejects_headless_words():
     from decreal.words import InfWord
 

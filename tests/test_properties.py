@@ -143,12 +143,17 @@ def test_scaled_prefix_of_stream_reads_each_position_once(q, depths):
 
 @PROPERTY
 @given(q=fractions_, m=st.integers(0, 40), count=st.integers(1, 60))
-def test_prefix_with_tail_continues_the_prefix(q, m, count):
-    for x in (Decimal.from_fraction(q), counted_stream(q)[0]):
-        prefix, tail = x.prefix_with_tail(m)
-        assert prefix == oracle_prefix(q, m)
-        assert [next(tail) for _ in range(count)] == \
-            [oracle_digit(q, -k) for k in range(m + 1, m + count + 1)]
+def test_digits_below_a_scaled_prefix_continue_it(q, m, count):
+    # a product bracket's reads: a prefix, then one digit, then a run below
+    below = [oracle_digit(q, -k) for k in range(m + 1, m + count + 1)]
+    stream, calls = counted_stream(q)
+    for x in (Decimal.from_fraction(q), stream):
+        assert x.scaled_prefix(m) == oracle_prefix(q, m)
+        assert x.digit(-m - 1) == below[0]
+        assert x.digits(-m - 2, -m - count) == int("0" + "".join(map(str, below[1:])))
+        assert [x.digit(-k) for k in range(m + 1, m + count + 1)] == below
+    # the stream computed each position once, from its order down
+    assert sorted(calls, reverse=True) == list(range(stream.order, -m - count - 1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,22 @@ def test_weak_add_terminating_hint_is_the_answer():
     assert s.has_exact_value and s.value() == 1
 
 
+def test_a_terminating_payload_is_checked_against_exact_operands():
+    third, six = parse_decimal("0.(3)"), parse_decimal("0.(6)")
+    wrong = Hint(0, r_inv(DecFrac(7, -1)))
+    for op in (weak_add, weak_mul):
+        with pytest.raises(HintMismatch, match="payload is not the exact result"):
+            op(third, six, wrong)
+    assert weak_mul(third, parse_decimal("3"), Hint(0, r_inv(DecFrac(1)))).value() == 1
+    quarter, minus = parse_decimal("0.25"), parse_decimal("-0.75")
+    assert weak_add(quarter, minus, compute_hint("add", quarter, minus)).value() == \
+        Fraction(-1, 2)
+    # a stream operand has no exact value to check against: the payload is
+    # taken as it stands
+    stream = Decimal.from_stream(1, 0, third.digit, searched_nine_escape(third.digit))
+    assert weak_add(stream, six, wrong).value() == Fraction(7, 10)
+
+
 def test_weak_add_streaming_case_matches_oracle():
     rng = random.Random(103)
     checked = 0
@@ -443,6 +459,75 @@ def test_product_digits_above_the_order_bound_build_no_bracket(monkeypatch):
                 weak_mul(x, y, Hint(order), digit_path=path)
     assert mul_stabilized_digit(x, y, 3) == 0
     assert starts == []
+
+
+def singles(hi, lo):
+    """One-digit reads of both operands, a then b, from hi down to lo."""
+    return [(name, n, n) for n in range(hi, lo - 1, -1) for name in "ab"]
+
+
+@pytest.mark.parametrize("scenario, want", [
+    # one digit at a time: the cold prefixes, then one digit per side for
+    # each move and each settling round
+    ("digit by digit", [("a", 0, -1), ("b", 0, -1)] + singles(-2, -16)),
+    # a run: one block per side deepens to the run's lowest cold depth
+    ("render", [("a", 0, -1), ("b", 0, -1), ("a", -2, -16), ("b", -2, -16)]),
+    # the paper rule moves one position at a time
+    ("paper", [("a", 0, -1), ("b", 0, -1)] + singles(-2, -16)),
+    # a far digit starts cold and settles one digit deeper; the render after
+    # it starts cold again at the top and reads the memo
+    ("far", [("a", 0, -1), ("b", 0, -1), ("a", 0, -62), ("b", 0, -62)] + singles(-63, -63)
+     + [("a", 0, -2), ("b", 0, -2), ("a", -3, -16), ("b", -3, -16)]),
+])
+def test_product_reads_operand_positions_in_a_pinned_order(monkeypatch, scenario, want):
+    # every digit or digits call on a counted stream operand, in order, as
+    # (operand, hi, lo); the producer computes each position once
+    reads, made = [], []
+    names = {}
+    digit, digits = Decimal.digit, Decimal.digits
+
+    def read_digit(self, n):
+        if id(self) in names:
+            reads.append((names[id(self)], n, n))
+        return digit(self, n)
+
+    def read_digits(self, hi, lo):
+        if id(self) in names:
+            reads.append((names[id(self)], hi, lo))
+        return digits(self, hi, lo)
+
+    def operand(name, text):
+        d = parse_decimal(text)
+
+        def producer(n):
+            made.append((name, n))
+            return d.digit(n)
+
+        def block(hi, lo):
+            made.extend((name, n) for n in range(hi, lo - 1, -1))
+            return d.digits(hi, lo)
+
+        producer.block = block
+        s = Decimal.from_stream(d.sign, d.order, producer, searched_nine_escape(producer))
+        names[id(s)] = name
+        return s
+
+    monkeypatch.setattr(Decimal, "digit", read_digit)
+    monkeypatch.setattr(Decimal, "digits", read_digits)
+    x, y = operand("a", "0.(3)"), operand("b", "0.306000(001)")
+    h = compute_hint("mul", parse_decimal("0.(3)"), parse_decimal("0.306000(001)"))
+    prod = weak_mul(x, y, h, digit_path="paper" if scenario == "paper" else "certified")
+    if scenario == "digit by digit":
+        text = "".join(str(prod.digit(n)) for n in range(0, -15, -1))
+        text = text[0] + "." + text[1:]
+    else:
+        if scenario == "far":
+            assert prod.digit(-60) == 7
+        text = render_digits(prod, 14)
+    assert text == ("0.10199900033366" if scenario == "paper" else "0.10200000033366")
+    assert reads == want
+    assert len(made) == len(set(made))
+    assert {(name, n) for name, hi, lo in want for n in range(hi, lo - 1, -1)} == set(made)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,12 @@ def test_decode_xr_round_trip_random():
             assert back.digit(n) == d.digit(n)
 
 
+def test_decode_xr_rejects_a_non_binary_letter_in_the_order_field():
+    w = InfWord({"1", "5", XI}, lambda m: "15"[m] if m < 2 else XI)
+    with pytest.raises(MalformedWord, match="unexpected letter '5' in the order field"):
+        decode_xr(w)
+
+
 def test_decode_xr_prefix_fields():
     p = decode_xr_prefix(encode_xr(parse_decimal("-20.5")), 7)
     assert (p.sign, p.order, p.digits) == (-1, 1, (2, 0, 5, 0))
@@ -126,6 +132,19 @@ def test_decode_xs_round_trip_random():
         assert back.sign == d.sign
         for n in range(max(back.order, d.order), -10, -1):
             assert back.digit(n) == d.digit(n)
+
+
+def test_decode_xs_rejects_a_word_without_a_leading_separator():
+    for text, at in (("5", 0), ("-5", 1)):
+        with pytest.raises(MalformedWord, match=f"expected {XI!r} at letter {at}"):
+            decode_xs(encode_xr(parse_decimal(text)))
+
+
+def test_encode_xs_refuses_a_leading_index_on_a_zero_digit():
+    d = parse_decimal("0.05")
+    assert encode_xs(d, leading=-2).prefix(6) == [XI, "-", "0", "1", XI, "5"]
+    with pytest.raises(ValueError, match="leading index -1 points at a zero digit"):
+        encode_xs(d, leading=-1)
 
 
 def test_decode_xs_zero_word_hits_scan_limit():
