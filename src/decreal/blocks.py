@@ -5,9 +5,9 @@ of input digits, so it can be computed in one step instead of one call per
 digit.  This module holds the pieces of that which touch no ``Decimal``
 state: the conversions between an integer and its digits, and the runs of
 at most ``BLOCK`` positions a long read goes in.  ``Decimal.digits``, which
-reads a value's division cursor or a stream's memo, lives with
-``Decimal.digit`` in ``decreal.decimals``; a product bracket reads its
-operands through those two.
+reads a stream's memo or divides on an exact value's long-division pair,
+lives with ``Decimal.digit`` in ``decreal.decimals``; a product bracket
+reads its operands through those two.
 """
 
 from .rational import int_str, str_int

@@ -26,7 +26,7 @@ from .padic import padic_encode, padic_from_rational, padic_add, padic_mul, padi
 from .rational import int_str, parse_rat, str_int
 from .shifts import classify_add_shift, classify_mul_shift, graph_type, involution_F
 from .weak import Hint, compute_hint, hint_decode, hint_encode, weak_add, weak_mul
-from .words import encode_xr, encode_xs, bin_lsb_encode, render_tape, traced_decimal
+from .words import ReadTrace, encode_xr, encode_xs, bin_lsb_encode, render_tape, traced_decimal
 
 # ---------------------------------------------------------------------------
 # expression parsing
@@ -41,13 +41,14 @@ from .words import encode_xr, encode_xs, bin_lsb_encode, render_tape, traced_dec
 _LITERAL = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d*)?(?:\(\d+\))?")
 _NATURAL = re.compile(r"^\+?(\d+)$")
 
-# An expression may start with a negative literal ("-1/3*2").  argparse
-# takes any argument that starts with "-" for an option unless it looks
-# like a negative number, and for the subcommands that read an expression
+# An expression or a literal may start with a minus sign ("-1/3*2",
+# "-0.(3)").  argparse takes any argument that starts with "-" for an
+# option unless it looks like a negative number, and for every subcommand
 # a minus sign followed by a digit always does.  argparse has no public
-# setting for that pattern: the parsers' private ``_negative_number_matcher``
-# is set instead, as checked on Python 3.10 to 3.13.  The leading-minus
-# tests in tests/test_cli.py catch a Python whose argparse works otherwise.
+# setting for that pattern: each subparser's private
+# ``_negative_number_matcher`` is set instead, as checked on Python 3.10 to
+# 3.13.  The leading-minus tests in tests/test_cli.py catch a Python whose
+# argparse works otherwise.
 _NEGATIVE_START = re.compile(r"^-\d")
 
 # Deepest expression tree, and deepest bracket nesting, the parser accepts.
@@ -184,10 +185,11 @@ def eval_expression(node, path="certified", root_hint=None, trace=False):
     else:
         hint = compute_hint(op, Decimal.from_fraction(vl), Decimal.from_fraction(vr))
     traces = None
-    if trace:
-        dl, tl = traced_decimal(dl)
-        dr, tr = traced_decimal(dr)
+    if trace and hint.terminating is None:
+        (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
         traces = (tl, tr)
+    elif trace:  # a payload reads no digit; it is checked against the exact operands
+        traces = (ReadTrace(), ReadTrace())
     f = weak_add(dl, dr, hint) if op == "add" else weak_mul(dl, dr, hint, digit_path=path)
     return f, v, traces
 
@@ -310,7 +312,6 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression to a digit string")
-    p._negative_number_matcher = _NEGATIVE_START
     p.add_argument("expr")
     p.add_argument("--digits", type=int, default=10,
                    help="digits after the point (default 10)")
@@ -323,7 +324,6 @@ def build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("padic", help="evaluate an expression in the p-adic integers")
-    p._negative_number_matcher = _NEGATIVE_START
     p.add_argument("p", type=int)
     p.add_argument("expr")
     p.add_argument("--digits", type=int, default=12,
@@ -360,6 +360,8 @@ def build_parser():
     p.add_argument("--digits", type=int, default=10)
     p.set_defaults(fn=cmd_involution)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_START
     return ap
 
 

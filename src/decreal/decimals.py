@@ -241,17 +241,20 @@ def searched_nine_escape(digit_fn):
     return NineEscapeWitness(lambda n: nine_free_below(digit_fn, n))
 
 
-def digit_of_fraction(q, n):
-    """Digit at 10**n of the standard (no nine-tail) expansion of |q|.
+def _remainder(q, n):
+    """The long-division remainder ``|num| * 10**(-n-1) mod den`` that
+    yields the digit of ``|q|`` at ``n < 0``.  ``pow`` finds it modulo
+    ``den``, so a far position costs no power of ten of its size."""
+    den = q.denominator
+    return abs(q.numerator) % den * pow(10, -n - 1, den) % den
 
-    Below the point it is the long-division digit that follows the
-    remainder ``|num| * 10**(-n-1) mod den``.  ``pow`` finds that remainder
-    modulo ``den``, so a far position costs no power of ten of its size.
-    """
-    num, den = abs(q.numerator), q.denominator
+
+def digit_of_fraction(q, n):
+    """Digit at 10**n of the standard (no nine-tail) expansion of |q|: the
+    long-division digit that follows ``_remainder(q, n)`` below the point."""
     if n >= 0:
-        return num // (den * pow10(n)) % 10
-    return 10 * (num % den * pow(10, -n - 1, den) % den) // den
+        return abs(q.numerator) // (q.denominator * pow10(n)) % 10
+    return 10 * _remainder(q, n) // q.denominator
 
 
 def interval_digit(lo, hi, n):
@@ -281,43 +284,39 @@ class Decimal:
     stream backing is a digit producer plus a nine-escape witness.
 
     Digits are those of ``|x|``, so both sign views of a value (``neg()``
-    and ``abs()``) share one digit cache, and neither re-does work the
-    other has done:
+    and ``abs()``) share one ``_memo``, and neither re-does work the other
+    has done:
 
     * a stream memoises its producer's digits, one producer call per
       position;
-    * an exact value keeps the long-division cursor ``[r, digits]``, made on
-      the first read below the point or the first sign flip: the digits
-      at positions ``-1`` down to ``-k`` in a ``bytearray`` and the
-      remainder ``r = |num| * 10**k mod den``.  A read at ``-j`` is a
-      lookup for ``j <= k``, one ``divmod`` that grows the cursor for
-      ``j = k + 1``, and an isolated ``digit_of_fraction`` below that, so
-      a far read costs no big power and leaves the cursor as it is.
+    * an exact value keeps the long-division pair ``[position, remainder]``,
+      ``remainder = |num| * 10**(-position - 1) mod den``, which yields the
+      digit at ``position``.  A read below the point that starts there
+      continues the division; any other jumps there with one ``pow``, so a
+      far read costs no big power.  Either way the pair is left just below
+      the last digit read.
 
     ``digits(hi, lo)`` reads a run of positions as one integer.  An exact
-    value serves it with one division, growing its cursor when the run
-    reaches past it.  A stream takes what its memo holds and asks its
-    producer's ``block(hi, lo)``, if it has one, for each missing run,
-    writing the result back into the memo; a producer without ``block`` is
-    asked one position at a time.  So a block read produces and reads the
-    same positions as the loop of ``digit`` calls it replaces, at the same
-    depth and through the same memo; only the order of the reads inside a
-    block may differ.
+    value serves it with one division.  A stream takes what its memo holds
+    and asks its producer's ``block(hi, lo)``, if it has one, for each
+    missing run, writing the result back into the memo; a producer without
+    ``block`` is asked one position at a time.  So a block read produces
+    and reads the same positions as the loop of ``digit`` calls it
+    replaces, at the same depth and through the same memo; only the order
+    of the reads inside a block may differ.
     """
 
-    __slots__ = ("sign", "order", "_value", "_producer", "_witness", "_memo", "_cursor")
+    __slots__ = ("sign", "order", "_value", "_producer", "_witness", "_memo")
 
-    def __init__(self, sign, order, value=None, producer=None, witness=None, memo=None,
-                 cursor=None):
+    def __init__(self, sign, order, value=None, producer=None, witness=None, memo=None):
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_value", value)
         object.__setattr__(self, "_producer", producer)
         object.__setattr__(self, "_witness", witness)
-        if value is None and memo is None:
-            memo = {}
+        if memo is None:
+            memo = {} if value is None else [None, 0]
         object.__setattr__(self, "_memo", memo)
-        object.__setattr__(self, "_cursor", cursor)
 
     def __setattr__(self, name, value):
         raise AttributeError("Decimal is immutable")
@@ -367,15 +366,9 @@ class Decimal:
             return d
         if n >= 0:
             return digit_of_fraction(q, n)
-        cursor = self._cursor or self._division_cursor()
-        digits = cursor[1]
-        k = len(digits)
-        if -n <= k:
-            return digits[-n - 1]
-        if -n > k + 1:
-            return digit_of_fraction(q, n)
-        d, cursor[0] = divmod(10 * cursor[0], q.denominator)
-        digits.append(d)
+        pair = self._memo
+        d, rem = divmod(10 * (pair[1] if pair[0] == n else _remainder(q, n)), q.denominator)
+        pair[0], pair[1] = n - 1, rem
         return d
 
     def digits(self, hi, lo):
@@ -390,20 +383,14 @@ class Decimal:
         num, den = abs(q.numerator), q.denominator
         if lo >= 0:
             return num // (den * pow10(lo)) % pow10(hi - lo + 1)
-        cursor = self._cursor or self._division_cursor()
-        got = cursor[1]
-        k = len(got)
-        if -hi - 1 > k:  # wholly below the cursor: jump there, leave it as it is
-            rem = num % den * pow(10, -hi - 1, den) % den
-            return rem * pow10(hi - lo + 1) // den
+        # the digits above the point, then one division below it from the
+        # pair, after a jump to the run's top unless the pair stands there
+        top, pair = min(hi, -1), self._memo
         out = num // den % pow10(hi + 1) if hi >= 0 else 0
-        first = max(-hi - 1, 0)
-        out = out * pow10(min(k, -lo) - first) + bytes_int(got[first:-lo])
-        if -lo > k:  # one division grows the cursor down to lo
-            block, cursor[0] = divmod(cursor[0] * pow10(-lo - k), den)
-            got += digit_bytes(block, -lo - k)
-            out = out * pow10(-lo - k) + block
-        return out
+        p = pow10(top - lo + 1)
+        block, rem = divmod((pair[1] if pair[0] == top else _remainder(q, top)) * p, den)
+        pair[0], pair[1] = lo - 1, rem
+        return out * p + block
 
     def _stream_digits(self, hi, lo):
         """Positions ``hi >= lo`` of a stream: each memoised run from the
@@ -446,28 +433,14 @@ class Decimal:
             out = out * pow10(k) + v
         return out
 
-    def _division_cursor(self):
-        """The long-division cursor of an exact value, made on first use:
-        most values never have a digit below the point read."""
-        cursor = self._cursor
-        if cursor is None:
-            q = self._value
-            cursor = [abs(q.numerator) % q.denominator, bytearray()]
-            object.__setattr__(self, "_cursor", cursor)
-        return cursor
-
     def scaled_prefix(self, m):
         """``floor(|x| * 10**m)`` for ``m >= 0``: the digits at positions
-        ``order`` down to ``-m`` read as one integer.
-
-        A stream reads it as one block, so its producer still runs at most
-        once per position.
+        ``order`` down to ``-m`` read as one integer, so a stream's producer
+        still runs at most once per position, and an exact value's pair is
+        left at ``-m - 1``, where a product bracket reads next.
         """
         if m < 0:
             raise ValueError("prefix depth must be >= 0")
-        q = self._value
-        if q is not None:
-            return abs(q.numerator) * pow10(m) // q.denominator
         return self.digits(self.order, -m)
 
     # -- exact views
@@ -497,24 +470,18 @@ class Decimal:
             return None
         if q >= 1:
             return self.order
-        num, den, pos = q.numerator, q.denominator, 0
-        while num < den:
-            num *= 10
-            pos -= 1
-        return pos
+        return -(ilog10((q.denominator - 1) // q.numerator) + 1)
 
     # -- structure
 
     def neg(self):
-        """The sign flip, sharing this value's memo or division cursor;
+        """The sign flip, sharing this value's memo or long-division pair;
         zero never carries a minus sign, so it is its own flip."""
         q = self._value
-        if q is None:
-            return Decimal(-self.sign, self.order, producer=self._producer,
-                           witness=self._witness, memo=self._memo)
         if q == 0:
             return self
-        return Decimal(-self.sign, self.order, value=-q, cursor=self._division_cursor())
+        return Decimal(-self.sign, self.order, None if q is None else -q, self._producer,
+                       self._witness, self._memo)
 
     def abs(self):
         return self if self.sign > 0 else self.neg()
@@ -543,7 +510,7 @@ def truncate(d, m):
     The truncation of a tiny negative decimal collapses to plain zero (the
     minus-signed all-zero word is excluded).
     """
-    mant = d.scaled_prefix(m) if m >= 0 else d.digits(d.order, -m)
+    mant = d.digits(d.order, -m)
     return r_inv(DecFrac(d.sign * mant, -m))
 
 

@@ -231,6 +231,16 @@ def test_eval_wrong_terminating_payload_is_exit_4(capsys):
     assert (code, out, err) == (4, "", "error: the terminating payload is not the exact result\n")
 
 
+def test_eval_terminating_payload_under_trace_is_checked_and_reads_no_digit(capsys):
+    code, hint, _ = run(capsys, "hint", "0.5+0.2")
+    code, out, err = run(capsys, "eval", "0.(3)+0.(3)", "--trace", "--hint", hint.strip())
+    assert (code, out, err) == (4, "", "error: the terminating payload is not the exact result\n")
+    code, out, err = run(capsys, "eval", "0.5+0.2", "--trace", "--hint", hint.strip(),
+                         "--digits", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0.700", "# left: no digits read", "# right: no digits read"]
+
+
 def test_eval_malformed_hint_payload_is_exit_4(capsys):
     # payload letters 10, 10: a terminator before the last letter
     code, out, err = run(capsys, "eval", "0.(3)+0.(3)", "--hint", str(1 << 121))
@@ -276,6 +286,19 @@ def test_eval_expression_may_start_with_a_minus_sign(capsys, argv):
     code, out, err = run(capsys, *argv)
     places = 4 if "--digits" in argv else 10
     assert (code, out, err) == (0, "-0." + "6" * places + "\n", "")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("sup", "-0.(3)", "-0.4", "--digits", "4"), "-0.3333"),
+    (("classify", "add", "-0.(3)"), "Discontinuous at u(1.(3))"),
+    (("encode", "-0.(3)", "--letters", "6"), "[-] 0 ξ 0 3 3"),
+    (("involution", "-0.(3)", "--digits", "4"), "-3.3333"),
+    (("hint", "-0.(3)+1"), "1"),
+])
+def test_every_subcommand_reads_a_leading_minus(capsys, argv, want):
+    # argparse's own pattern takes "-0.4" for a number but "-0.(3)" for an option
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, want + "\n", "")
 
 
 def test_eval_paper_digit_path(capsys):

@@ -257,16 +257,22 @@ def test_truncate_above_the_point():
         assert abs(t.value()) <= abs(q) < abs(t.value()) + Fraction(10) ** -m
 
 
-def test_rational_cursor_grows_only_by_sequential_reads():
+def test_rational_pair_jumps_to_far_reads_and_continues_from_them():
     x = Decimal.from_fraction(Fraction(-22, 7))
     y = x.neg()
+    assert x._memo is y._memo == [None, 0]  # both sign views share one pair
+    # a far read jumps there and leaves the pair just below it
     assert x.digit(-10 ** 6) == [1, 4, 2, 8, 5, 7][(10 ** 6 - 1) % 6]
-    assert len(x._cursor[1]) == 0  # a far read leaves the cursor as it is
-    assert [y.digit(-j) for j in range(1, 6)] == [1, 4, 2, 8, 5]
-    # both sign views share the cursor that the reads through y grew
-    assert x._cursor is y._cursor and bytes(x._cursor[1]) == bytes([1, 4, 2, 8, 5])
-    assert [x.digit(-j) for j in (3, 6, 2)] == [2, 7, 4]
-    assert len(x._cursor[1]) == 6
+    assert x._memo == [-10 ** 6 - 1, 22 * pow(10, 10 ** 6, 7) % 7]
+    # the next read continues from there, through the other sign view
+    assert [y.digit(-10 ** 6 - j) for j in range(1, 4)] == [5, 7, 1]
+    assert y.digits(-10 ** 6 - 4, -10 ** 6 - 6) == 428
+    assert x._memo == [-10 ** 6 - 7, 22 * pow(10, 10 ** 6 + 6, 7) % 7]
+    # a read above the pair jumps back up; a run reaches into the integer part
+    assert [x.digit(-j) for j in (3, 4, 2)] == [2, 8, 4]
+    assert x._memo == [-3, 22 * 100 % 7]
+    assert x.digits(0, -6) == 3142857 and y._memo == [-7, 22 * 10 ** 6 % 7]
+    assert x.scaled_prefix(2) == 314 and x._memo == [-3, 22 * 100 % 7]
 
 
 def test_from_fraction_beyond_the_int_to_str_cap():
@@ -329,8 +335,8 @@ def oracle_block(q, hi, lo):
     return sum(oracle_digit(q, n) * 10 ** (n - lo) for n in range(lo, hi + 1))
 
 
-# ranges read in turn, so the division cursor is fresh, grown, jumped over,
-# reached from within, read inside and extended from its end
+# ranges read in turn, so the long-division pair is fresh, continued from,
+# jumped back above, jumped far below and left alone by reads above the point
 BLOCK_RANGES = [(2, -5), (-6, -20), (-3, -40), (-10, -15), (-500, -530), (-41, -41),
                 (-42, -60), (9, -2), (4, 0), (-1, -1), (-70, -61), (0, -3000)]
 
@@ -343,7 +349,7 @@ BLOCK_RANGES = [(2, -5), (-6, -20), (-3, -40), (-10, -15), (-500, -530), (-41, -
 def test_exact_digits_equal_the_fold_of_digit(q):
     x = Decimal.from_fraction(q)
     for i, (hi, lo) in enumerate(BLOCK_RANGES):
-        face = x if i % 2 else x.neg()  # the sign views share one cursor
+        face = x if i % 2 else x.neg()  # the sign views share one pair
         fresh = Decimal.from_fraction(q)
         assert face.digits(hi, lo) == fold(fresh, hi, lo) == oracle_block(q, hi, lo)
     assert x.digits(-5, -4) == 0  # an empty range

@@ -6,6 +6,7 @@ is skipped and every other suite still runs.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -84,7 +85,33 @@ deep_then_shallow = st.integers(1, 80).map(lambda k: list(range(-k, 7)))
 far_jump_then_sequential = st.tuples(st.integers(2, 10 ** 4), st.integers(1, 60)).map(
     lambda t: [-t[0]] + list(range(6, -t[1] - 1, -1)))
 any_order = st.lists(st.integers(-120, 6), min_size=1, max_size=60)
-read_orders = st.one_of(sequential, deep_then_shallow, far_jump_then_sequential, any_order)
+# from -2 or -3 down, one or two positions skipped between reads
+skipping = st.lists(st.integers(2, 3), min_size=1, max_size=60).map(
+    lambda steps: [-s for s in accumulate(steps)])
+
+
+def chained(top, runs):
+    """Runs read from ``top`` down, each ``(k, gap)`` a run of k positions
+    and then ``gap`` skipped ones; a run of one position is a ``digit``
+    read, a longer one a ``digits(hi, lo)`` read."""
+    reads = []
+    for k, gap in runs:
+        reads.append(top if k == 1 else (top, top - k + 1))
+        top -= k + gap
+    return reads
+
+
+# a ``digits(hi, lo)`` run is a pair (hi, lo), a ``scaled_prefix(m)`` read
+# is ("prefix", m); chained runs go on below a prefix, next to each other
+# or a position or two apart
+runs_ = st.tuples(st.integers(-120, 6), st.integers(0, 40)).map(lambda t: (t[0], t[0] - t[1]))
+prefixes = st.integers(0, 120).map(lambda m: ("prefix", m))
+mixed = st.lists(st.one_of(st.integers(-120, 6), runs_, prefixes), min_size=1, max_size=40)
+gapped_runs = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2)), min_size=1, max_size=12)
+prefix_then_chained = st.tuples(st.integers(0, 60), st.integers(0, 2), gapped_runs).map(
+    lambda t: [("prefix", t[0])] + chained(-t[0] - 1 - t[1], t[2]))
+read_orders = st.one_of(sequential, deep_then_shallow, far_jump_then_sequential, any_order,
+                        skipping, mixed, prefix_then_chained)
 # a rational and the decimal built from it, terminating ones also by the
 # terminating-decimal and the literal constructors
 exact_decimals = st.one_of(
@@ -100,10 +127,17 @@ exact_decimals = st.one_of(
 def test_rational_digits_match_fraction_oracle_in_any_read_order(qx, positions, views):
     q, x = qx
     faces = {"self": x, "neg": x.neg(), "abs": x.abs(), "neg.neg": x.neg().neg()}
-    for i, n in enumerate(positions):
-        # the sign views share one cursor, read interleaved
+    for i, read in enumerate(positions):
+        # the sign views share one long-division pair, read interleaved
         face = faces[views[i % len(views)]]
-        assert face.digit(n) == oracle_digit(q, n)
+        if isinstance(read, int):
+            assert face.digit(read) == oracle_digit(q, read)
+        elif read[0] == "prefix":
+            assert face.scaled_prefix(read[1]) == oracle_prefix(q, read[1])
+        else:
+            hi, lo = read
+            assert face.digits(hi, lo) == sum(oracle_digit(q, n) * 10 ** (n - lo)
+                                              for n in range(lo, hi + 1))
 
 
 @PROPERTY
