@@ -7,6 +7,13 @@ here move carries *upward* with the stream, so the digit at ``p**n`` of a
 sum or product only ever depends on input digits at positions ``<= n``.
 That makes both operations letter-by-letter computable, and the tracing
 helpers below let tests check the locality claim read by read.
+
+A product keeps its operand prefixes and ``X*Y // p**j`` as big integers,
+but moves them once per run of columns whose base-p weight ``p**r`` fits
+in one CPython limb; inside a run a digit is small-integer work modulo
+``p**r``, exact because the low digits of a product depend only on the low
+digits of its factors.  An exact leaf reads no stream, so it may peel its
+digits ahead in runs; every other stream produces one position per call.
 """
 
 from fractions import Fraction
@@ -29,6 +36,9 @@ from .words import bin_lsb_decode, xr_head
 # Webster, "Strong pseudoprimes to twelve prime bases", 2015).
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
+
+# The longest run of digits an exact leaf peels into its memo at once.
+PEEL_RUN = 64
 
 
 @lru_cache
@@ -66,15 +76,20 @@ class PAdic:
     ``base`` is a position at or below every nonzero digit.  The producer
     is called in ascending order from ``base``, each position once, and its
     digits are kept in one list; so a producer may carry state (a remainder
-    or a carry) from one position to the next.  The true ``order`` (lowest
-    nonzero position, or 0 for zero) may be left lazy: results of
+    or a carry) from one position to the next.  A digit out of range raises
+    before it is memoised, and a producer that raises leaves its position
+    to be asked again.  With ``runs`` the producer instead returns a list of
+    the digits from the position asked upward, at least one: that is only
+    for producers that read no stream (``padic_from_rational``), since the
+    extra digits are positions no consumer asked for.  The true ``order``
+    (lowest nonzero position, or 0 for zero) may be left lazy: results of
     arithmetic scan the finitely many positions ``base..0`` for their first
     nonzero digit only when someone asks.
     """
 
-    __slots__ = ("p", "base", "_order", "_producer", "_digits")
+    __slots__ = ("p", "base", "_order", "_producer", "_runs", "_digits")
 
-    def __init__(self, p, order, producer, base=None):
+    def __init__(self, p, order, producer, base=None, runs=False):
         _check_prime(p)
         if base is None:
             base = order
@@ -86,22 +101,36 @@ class PAdic:
         self.base = base
         self._order = order
         self._producer = producer
+        self._runs = runs
         self._digits = []
 
     def digit(self, n):
         i = n - self.base
         digits = self._digits
-        if i < len(digits):
+        k = len(digits)
+        if i < k:
             return digits[i] if i >= 0 else 0
         producer, p = self._producer, self.p
-        m = self.base + len(digits)
-        while m <= n:
+        if self._runs:
+            while k <= i:
+                run = producer(self.base + k)
+                if min(run) < 0 or max(run) >= p:
+                    raise MalformedWord(f"digit out of range for p={p} in {run}")
+                digits += run
+                k = len(digits)
+            return digits[i]
+        if i == k:  # the next position: a sequential reader's one miss
+            d = producer(n)
+            if not 0 <= d < p:
+                raise MalformedWord(f"digit {d} out of range for p={p}")
+            digits.append(d)
+            return d
+        for m in range(self.base + k, n + 1):
             d = producer(m)
             if not 0 <= d < p:
                 raise MalformedWord(f"digit {d} out of range for p={p}")
             digits.append(d)
-            m += 1
-        return digits[i]
+        return d
 
     @property
     def order(self):
@@ -130,8 +159,11 @@ def padic_from_rational(p, q) -> PAdic:
     Digits are produced by the usual peeling: ``a = x mod p``, then
     ``x := (x - a)/p``.  ``x`` is kept as an integer numerator over the fixed
     denominator, whose inverse mod p is taken once; the division by p is
-    exact.  Integers and rationals with p-free denominators land in the
-    p-adic integers, so the order is 0 and digits start there.
+    exact.  The digits go into the memo in runs whose length doubles from 1
+    up to ``PEEL_RUN``: the first digit costs one peel, and a long read
+    costs one producer call per run, not per digit.  Integers and rationals
+    with p-free denominators land in the p-adic integers, so the order is 0
+    and digits start there.
     """
     _check_prime(p)
     q = Fraction(q)
@@ -141,14 +173,19 @@ def padic_from_rational(p, q) -> PAdic:
         )
     num, den = q.numerator, q.denominator
     inv = pow(den, -1, p)
+    size = 1
 
-    def producer(n):
-        nonlocal num
-        a = num * inv % p
-        num = (num - a * den) // p
-        return a
+    def peel(n):
+        nonlocal num, size
+        run = []
+        for _ in range(size):
+            a = num * inv % p
+            num = (num - a * den) // p
+            run.append(a)
+        size = min(2 * size, PEEL_RUN)
+        return run
 
-    return PAdic(p, 0, producer)
+    return PAdic(p, 0, peel, runs=True)
 
 
 def padic_add(a: PAdic, b: PAdic) -> PAdic:
@@ -165,8 +202,9 @@ def padic_add(a: PAdic, b: PAdic) -> PAdic:
 
     def producer(n):
         nonlocal carry
-        carry, digit = divmod(a.digit(n) + b.digit(n) + carry, p)
-        return digit
+        s = a.digit(n) + b.digit(n) + carry
+        carry = s >= p
+        return s - p if carry else s
 
     return PAdic(p, None, producer, base=k0)
 
@@ -189,38 +227,84 @@ def padic_neg(a: PAdic) -> PAdic:
     return PAdic(p, None, producer, base=a.base)
 
 
+@lru_cache
+def _column_run(p):
+    """``(r, p**r)`` for the longest run ``r >= 1`` of product columns with
+    ``p**r < 2**30``, so that dividing by ``p**r`` is dividing by one
+    CPython limb; worked out once per prime."""
+    r = 1
+    while p ** (r + 1) < 2 ** 30:
+        r += 1
+    return r, p ** r
+
+
 def padic_mul(a: PAdic, b: PAdic) -> PAdic:
-    """Column products with an upward carry, on a running integer.
+    """Column products with an upward carry, on a running integer that
+    moves once per run of columns.
 
     The result digit at p**n depends on operand digits at positions
     ``<= n - other.base`` -- in particular on positions ``<= n`` whenever
     both operands are p-adic integers.  Column j reads its two new operand
-    positions through ``digit`` (``b`` first), then extends the prefixes
-    ``X = sum a_i p**i`` and ``Y = sum b_i p**i`` (i counted from each
-    base) by one digit and keeps ``acc = X*Y // p**(j+1)``: the new digit
-    is the one split off by ``divmod``.  Since
-    ``(X + a P)(Y + b P) = X Y + P (a Y + b (X + a P))`` with ``P = p**j``,
-    a column costs a few big-by-small integer operations.  The state moves
-    only after both reads succeed, so a producer that raises leaves the
-    stream resumable.
+    positions through ``digit`` (``b`` first).  The columns go in runs of
+    ``r`` (``_column_run``), with ``R = p**r``.  Before a run that starts
+    at column j the state is the operand prefixes ``X = sum a_i p**i`` and
+    ``Y = sum b_i p**i`` (i counted from each base, below j), ``P = p**j``
+    and ``acc = X*Y // P``.  Within the run the new digits go into small
+    integers ``xr``, ``yr``, and the prefixes become ``X + P*xr``,
+    ``Y + P*yr``.  Since ``XY mod P < P``,
+
+        (X + P*xr)(Y + P*yr) // P = acc + xr*Y + yr*X + P*xr*yr,
+
+    and the run's output digits are the low r base-p digits of that sum.
+    Its digit t depends on ``xr`` and ``yr`` only modulo ``p**(t+1)``, that
+    is on the run's columns up to t, so it is exact as soon as column t is
+    read, and it can be taken modulo R: from ``acc``, ``X``, ``Y`` and ``P``
+    reduced mod R (``P`` is 0 mod R after the first run, and ``X``, ``Y``
+    are then fixed mod R).  That is small-integer work.  At the run's last
+    column the big integers move once: ``divmod`` of the sum by R gives the
+    new ``acc`` and, as the remainder's top digit, the last output digit;
+    ``X`` and ``Y`` take the run, and ``P`` is multiplied by R.  R fits in
+    one limb, so that division is CPython's one-limb fast path; a prime of
+    above 2**15 has runs of one column, which is the plain column
+    product.  The state moves only after both reads of a column succeed, so
+    a producer that raises leaves the stream resumable.
     """
     if a.p != b.p:
         raise PrimeMismatch(f"cannot multiply p={a.p} and p={b.p}")
     p = a.p
     k0 = a.base + b.base
+    r, R = _column_run(p)
+    last = R // p  # p**t at the run's last column
     x = y = acc = 0
     power = 1
+    x_low = y_low = acc_low = 0  # x, y and acc mod R
+    power_low = 1  # power mod R
+    xr = yr = 0
+    pt = 1  # p**t at column t of the run
 
     def producer(n):
-        nonlocal x, y, acc, power
+        nonlocal x, y, acc, power, x_low, y_low, acc_low, power_low, xr, yr, pt
         db = b.digit(n - a.base)
         da = a.digit(n - b.base)
-        x += da * power
-        acc += da * y + db * x
-        y += db * power
-        power *= p
-        acc, digit = divmod(acc, p)
-        return digit
+        xr += da * pt
+        yr += db * pt
+        if pt < last:  # inside the run: small integers only
+            digit = (acc_low + xr * y_low + yr * x_low + power_low * xr * yr) // pt % p
+            pt *= p
+            return digit
+        # the run is in: move the big integers once; the remainder holds the
+        # run's digits, and the last one is its top digit
+        acc, low = divmod(acc + xr * y + yr * x + power * (xr * yr), R)
+        x += power * xr
+        y += power * yr
+        power *= R
+        if r > 1:  # runs of one column never use the residues
+            acc_low = acc % R
+            if power_low:  # the end of the first run
+                x_low, y_low, power_low = xr, yr, 0
+        xr = yr = 0
+        pt = 1
+        return low // last
 
     return PAdic(p, None, producer, base=k0)
 

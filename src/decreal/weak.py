@@ -249,22 +249,28 @@ def _payload(op: str, d: Decimal, e: Decimal, hint: Hint) -> Decimal:
     return Decimal.from_term(hint.terminating)
 
 
-def _checked_stream(sign: int, hint: Hint, producer, bound: int) -> Decimal:
+def _checked_stream(sign: int, hint: Hint, producer, bound: int, check=None) -> Decimal:
     """The stream of ``producer``, whose digits above ``bound`` (the
     operands' order bound) are 0, once the hinted order is checked: a hinted
     order above the bound fails at once, the digits from the bound down to
     the one above the order must be 0, and a positive order's digit must
     not be.  Each of them halts on an honest hint, so an order too low fails
     instead of cutting the value short.  They are not stream positions, so
-    they are asked of the producer directly, top down and first: a product
-    starts one bracket, at the bound, and steps it down to the top digit."""
+    they are asked directly, top down and first, of ``check``: a producer
+    of exact digits, ``producer`` itself unless given.  A product starts one
+    bracket, at the bound, and steps it down to the top digit; the stream
+    of the fixed-depth rule, which can miss at its top digit, starts its own
+    bracket after the certified one has checked the order."""
     if hint.order > bound:
         raise HintMismatch("zero digit at the hinted (positive) order")
     f = Decimal.from_stream(sign, hint.order, producer, searched_nine_escape(producer))
+    check = check or producer
     above = 0
     for n in range(bound, hint.order, -1):
-        above |= producer(n)
-    if hint.order > 0 and f.digit(hint.order) == 0:
+        above |= check(n)
+    # through the stream, the top digit resumes the bracket of the probes
+    top = f.digit if check is producer else check
+    if hint.order > 0 and top(hint.order) == 0:
         raise HintMismatch("zero digit at the hinted (positive) order")
     if above:
         raise HintMismatch("nonzero digit above the hinted order")
@@ -436,14 +442,17 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Deci
     A terminating hint is the answer (see ``_payload``), as it is for every
     zero operand, so in the streaming case the sign is just the product of
     the operand signs.  ``digit_path`` selects between the
-    certified bracket digits (default) and the paper's fixed-depth digits.
+    certified bracket digits (default) and the paper's fixed-depth digits;
+    the hinted order is checked on certified digits under either.
     """
     if hint.terminating is not None:
         return _payload("mul", d, e, hint)
     if digit_path not in ("certified", "paper"):
         raise ValueError(f"unknown digit path {digit_path!r}")
-    producer = _product_digits(d.abs(), e.abs(), digit_path == "certified")
-    return _checked_stream(d.sign * e.sign, hint, producer, d.order + e.order + 1)
+    a, b = d.abs(), e.abs()
+    producer = _product_digits(a, b, digit_path == "certified")
+    check = None if digit_path == "certified" else _product_digits(a, b, True)
+    return _checked_stream(d.sign * e.sign, hint, producer, d.order + e.order + 1, check)
 
 
 # ---------------------------------------------------------------------------

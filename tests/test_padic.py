@@ -13,9 +13,11 @@ from decreal.errors import (
     PrimeMismatch,
 )
 from decreal.padic import (
+    PEEL_RUN,
     PRIME_BOUND,
     PAdic,
     _check_prime,
+    _column_run,
     padic_add,
     padic_decode,
     padic_encode,
@@ -290,7 +292,7 @@ def test_mul_stays_resumable_after_an_operand_read_raises(which, base_a, base_b)
 
 
 def test_mul_operands_are_read_once_in_ascending_order():
-    p = 3
+    p = 3  # columns go in runs of 18
     for base_a, base_b in ((0, 0), (-2, 0), (-1, -3)):
         a, calls_a = recorded(p, Fraction(5, 7), base_a)
         b, calls_b = recorded(p, Fraction(-11, 4), base_b)
@@ -298,13 +300,81 @@ def test_mul_operands_are_read_once_in_ascending_order():
         tb_view, tb = traced_padic(b)
         prod = padic_mul(ta_view, tb_view)
         k0 = base_a + base_b
-        for n in (k0 + 3, k0, k0 + 12, k0 + 7, k0 + 20):
+        asked = k0
+        # past two runs, with reads that stop inside a run and at its edges
+        for n in (k0 + 3, k0, k0 + 12, k0 + 7, k0 + 20, k0 + 17, k0 + 35, k0 + 36, k0 + 41):
             prod.digit(n)
-        top = k0 + 20
+            asked = max(asked, n)
+            assert (ta.max_index, tb.max_index) == (asked - base_b, asked - base_a)
+        top = k0 + 41
         assert calls_a == list(range(base_a, top - base_b + 1))
         assert calls_b == list(range(base_b, top - base_a + 1))
         assert (ta.min_index, ta.max_index, ta.total) == (base_a, top - base_b, len(calls_a))
         assert (tb.min_index, tb.max_index, tb.total) == (base_b, top - base_a, len(calls_b))
+
+
+RUNS = {2: 29, 3: 18, 7: 10, 11: 8, 65537: 1, 2 ** 61 - 1: 1}
+
+
+def test_column_runs_are_the_longest_below_one_limb():
+    for p, r in RUNS.items():
+        assert _column_run(p) == (r, p ** r)
+        assert p ** r < 2 ** 30 <= p ** (r + 1) or r == 1
+
+
+@pytest.mark.parametrize("p", sorted(RUNS))
+@pytest.mark.parametrize("base_a, base_b", [(0, 0), (-2, 0), (-1, -3)])
+def test_product_runs_match_mod_oracle(p, base_a, base_b):
+    # three whole runs and part of a fourth; -1 has every digit p - 1, so
+    # its products carry as far as they can
+    r = RUNS[p]
+    count = max(3 * r + r // 2 + 1, 12)
+    for x, y in ((Fraction(-123456, 457), Fraction(98765, 1003)), (Fraction(-1), Fraction(-1)),
+                 (Fraction(-1), Fraction(-5, 7 if p != 7 else 9)), (Fraction(0), Fraction(-1))):
+        a, _ = recorded(p, x, base_a)
+        b, _ = recorded(p, y, base_b)
+        assert padic_mul(a, b).digits_from(count) == oracle_digits(p, x * y, count)
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize("at", [36, 47])  # the first and the last column of a run of 12
+def test_mul_stays_resumable_when_a_read_fails_at_a_run_edge(which, at):
+    p, x, y, base_a, base_b = 5, Fraction(-7, 3), Fraction(22, 9), -1, -2
+    assert _column_run(p)[0] == 12
+    a = flaky(p, x, base_a, base_a + at) if which == "a" else recorded(p, x, base_a)[0]
+    b = flaky(p, y, base_b, base_b + at) if which == "b" else recorded(p, y, base_b)[0]
+    prod = padic_mul(a, b)
+    k0 = base_a + base_b
+    expect = oracle_digits(p, x * y, 80)
+    assert prod.digits_from(at) == expect[:at]
+    with pytest.raises(RuntimeError):
+        prod.digit(k0 + 70)
+    assert prod.digit(k0 + at) == expect[at]
+    assert prod.digits_from(80) == expect
+
+
+def test_leaf_peels_its_first_digit_alone_then_doubling_runs():
+    a = padic_from_rational(7, Fraction(-5, 3))
+    assert a.digit(0) == oracle_digits(7, Fraction(-5, 3), 1)[0]
+    assert len(a._digits) == 1
+    sizes = [1]
+    for n in range(1, 300):
+        a.digit(n)
+        if len(a._digits) != sum(sizes):
+            sizes.append(len(a._digits) - sum(sizes))
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 64, 64]
+    assert max(sizes) == PEEL_RUN
+    assert a._digits == oracle_digits(7, Fraction(-5, 3), sum(sizes))
+
+
+def test_traced_view_over_a_leaf_logs_no_position_above_the_one_asked():
+    leaf = padic_from_rational(3, Fraction(-11, 4))
+    view, trace = traced_padic(leaf)
+    for n in (0, 1, 2, 5, 6, 40, 41, 200):
+        view.digit(n)
+        assert (trace.max_index, trace.total) == (n, n + 1)
+        assert len(leaf._digits) > n  # the leaf itself peeled ahead
+    assert view.digits_from(201) == oracle_digits(3, Fraction(-11, 4), 201)
 
 
 def test_one_half_plus_one_half_is_one():

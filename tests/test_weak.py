@@ -416,12 +416,8 @@ def test_sequential_product_digits_resume_one_bracket(monkeypatch):
     assert tx.total == ty.total == 303
 
 
-def test_product_of_positive_order_starts_one_bracket(monkeypatch):
-    # the digits above the hinted order are probed first, top down from the
-    # operands' order bound, so under either digit rule one bracket starts
-    # at the bound and steps down through the top digit and every digit
-    # below it; 1000.(3) * 0.0(3) = 33.3(4) has the bound 3 + 0 + 1 = 4,
-    # three positions above its order
+def counted_bracket_starts(monkeypatch):
+    """The positions at which ``weak.ProductBracket`` starts, in order."""
     starts = []
 
     class Counted(weak.ProductBracket):
@@ -430,14 +426,58 @@ def test_product_of_positive_order_starts_one_bracket(monkeypatch):
             super().__init__(a, b, n)
 
     monkeypatch.setattr(weak, "ProductBracket", Counted)
-    for x, y, rendered, bound in (("12.(3)", "1.(6)", "20." + "5" * 40, 2),
-                                  ("1000.(3)", "0.0(3)", "33.3" + "4" * 39, 4)):
+    return starts
+
+
+POSITIVE_ORDER_PRODUCTS = (("12.(3)", "1.(6)", "20." + "5" * 40, 2),
+                           ("1000.(3)", "0.0(3)", "33.3" + "4" * 39, 4))
+
+
+def test_product_of_positive_order_starts_one_bracket(monkeypatch):
+    # the digits above the hinted order are probed first, top down from the
+    # operands' order bound, so one bracket starts at the bound and steps
+    # down through the top digit and every digit below it;
+    # 1000.(3) * 0.0(3) = 33.3(4) has the bound 3 + 0 + 1 = 4, three
+    # positions above its order
+    starts = counted_bracket_starts(monkeypatch)
+    for x, y, rendered, bound in POSITIVE_ORDER_PRODUCTS:
         x, y = parse_decimal(x), parse_decimal(y)
-        for path in ("certified", "paper"):
-            starts.clear()
-            prod = weak_mul(x, y, compute_hint("mul", x, y), digit_path=path)
-            assert render_digits(prod, 40) == rendered
-            assert starts == [bound]
+        starts.clear()
+        prod = weak_mul(x, y, compute_hint("mul", x, y))
+        assert render_digits(prod, 40) == rendered
+        assert starts == [bound]
+
+
+def test_paper_product_checks_its_order_on_a_certified_bracket(monkeypatch):
+    # the fixed-depth rule can miss at the top digit, so the order is
+    # checked on a certified bracket started at the bound; the stream's own
+    # bracket starts cold at the order, as the fixed-depth digit there does
+    starts = counted_bracket_starts(monkeypatch)
+    for x, y, rendered, bound in POSITIVE_ORDER_PRODUCTS:
+        x, y = parse_decimal(x), parse_decimal(y)
+        starts.clear()
+        h = compute_hint("mul", x, y)
+        prod = weak_mul(x, y, h, digit_path="paper")
+        assert starts == [bound]
+        assert render_digits(prod, 40) == rendered
+        assert starts == [bound, h.order]
+
+
+def test_paper_product_with_a_missed_top_digit_prints_every_fixed_depth_digit(capsys):
+    # -902/9973 * -776/7 = 10.026...: at the cold depth of 10**1 the
+    # truncations multiply to 9.97..., so the fixed-depth digit there is 0.
+    # The certified check accepts the hinted order 1, and every printed
+    # digit, the missed one included, is the fixed-depth digit
+    from decreal.cli import main
+
+    assert main(["eval", "-902/9973*-776/7", "--path", "paper", "--digits", "60"]) == 0
+    out = capsys.readouterr().out.strip()
+    a, b = Decimal.from_fraction(Fraction(902, 9973)), Decimal.from_fraction(Fraction(776, 7))
+    assert out[:3] == "00."
+    printed = out.replace(".", "")
+    assert printed == "".join(str(mul_stabilized_digit(a, b, n)) for n in range(1, -61, -1))
+    assert main(["eval", "-902/9973*-776/7", "--digits", "12"]) == 0
+    assert capsys.readouterr().out.strip() == "10.026385526636"
 
 
 def test_product_digits_above_the_order_bound_build_no_bracket(monkeypatch):
@@ -472,8 +512,9 @@ def singles(hi, lo):
     ("digit by digit", [("a", 0, -1), ("b", 0, -1)] + singles(-2, -16)),
     # a run: one block per side deepens to the run's lowest cold depth
     ("render", [("a", 0, -1), ("b", 0, -1), ("a", -2, -16), ("b", -2, -16)]),
-    # the paper rule moves one position at a time
-    ("paper", [("a", 0, -1), ("b", 0, -1)] + singles(-2, -16)),
+    # the order is checked on a certified bracket at the bound 1, then the
+    # paper rule starts cold at the order and moves one position at a time
+    ("paper", [("a", 0, -1), ("b", 0, -1), ("a", 0, -2), ("b", 0, -2)] + singles(-3, -16)),
     # a far digit starts cold and settles one digit deeper; the render after
     # it starts cold again at the top and reads the memo
     ("far", [("a", 0, -1), ("b", 0, -1), ("a", 0, -62), ("b", 0, -62)] + singles(-63, -63)
