@@ -23,14 +23,14 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Optional
 
-from .blocks import bytes_int, digit_bytes, runs
 from .errors import (
     EmptySetError,
     InvalidLiteral,
     InvariantViolation,
     OracleUnavailable,
 )
-from .rational import DecFrac, ilog10, int_str, pow10, str_int, ten_smooth
+from .rational import (DecFrac, bytes_int, digit_bytes, ilog10, int_str, pow10, runs,
+                       str_int, ten_smooth)
 
 # ---------------------------------------------------------------------------
 # terminating decimals

@@ -1,0 +1,195 @@
+"""Expressions over decimal and rational literals, parsed by recursive descent
+into tuple trees (``("lit", Decimal)``, ``("neg", x)``, ``("recip", x)``,
+``("add", x, y)``, ``("mul", x, y)``) and evaluated through the hinted
+digit-by-digit routines or in the p-adic integers of a prime.
+"""
+
+import re
+
+from .decimals import Decimal, parse_decimal
+from .errors import ParseError
+from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
+from .rational import parse_rat
+from .weak import compute_hint, hint_decode, weak_add, weak_mul
+from .words import ReadTrace, traced_decimal
+
+# ---------------------------------------------------------------------------
+# expression parsing
+#
+#   expr   := term (('+' | '-') term)*
+#   term   := factor ('*' factor)*
+#   factor := literal | '(' expr ')' | 'neg(' expr ')' | 'recip(' expr ')'
+#
+# literals: decimal  [-]digits[.digits][(digits)]   e.g. 2.5, 0.(3), -0.58(3)
+#           rational [-]int/posint                  e.g. 22/7, -1/3
+
+_LITERAL = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d*)?(?:\(\d+\))?")
+
+# Deepest expression tree, and deepest bracket nesting, the parser accepts.
+# Parsing a bracket, evaluating a node and reading a digit of a sum or
+# product all recurse once per level, a product through about five frames;
+# past this depth they would exhaust the interpreter's stack instead of
+# rejecting the input.
+MAX_DEPTH = 100
+
+
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.i = 0
+        self.open = 0  # brackets open at self.i
+
+    def error(self, msg):
+        raise ParseError(msg, position=self.i)
+
+    def bounded(self, depth):
+        if depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        return depth
+
+    def skip_ws(self):
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def eat(self, s):
+        self.skip_ws()
+        if not self.text.startswith(s, self.i):
+            self.error(f"expected {s!r}")
+        self.i += len(s)
+
+    def parse(self):
+        node, _ = self.expr()
+        self.skip_ws()
+        if self.i != len(self.text):
+            self.error("trailing input")
+        return node
+
+    # expr, term and factor return (node, depth of the node)
+
+    def expr(self):
+        node, depth = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.text[self.i]
+            self.i += 1
+            rhs, rdepth = self.term()
+            if op == "-":
+                rhs, rdepth = ("neg", rhs), rdepth + 1
+            node, depth = ("add", node, rhs), self.bounded(max(depth, rdepth) + 1)
+        return node, depth
+
+    def term(self):
+        node, depth = self.factor()
+        while self.peek() == "*":
+            self.i += 1
+            rhs, rdepth = self.factor()
+            node, depth = ("mul", node, rhs), self.bounded(max(depth, rdepth) + 1)
+        return node, depth
+
+    def factor(self):
+        self.skip_ws()
+        rest = self.text[self.i:]
+        if rest.startswith("neg("):
+            return self.bracket(4, "neg")
+        if rest.startswith("recip("):
+            return self.bracket(6, "recip")
+        if rest.startswith("("):
+            return self.bracket(1, None)
+        m = _LITERAL.match(self.text, self.i)
+        if not m:
+            self.error("expected a literal")
+        self.i = m.end()
+        tok = m.group()
+        if "/" in tok:
+            return ("lit", Decimal.from_fraction(parse_rat(tok))), 0
+        return ("lit", parse_decimal(tok)), 0
+
+    def bracket(self, opener_len, kind):
+        """The expression inside a bracket, wrapped in a ``kind`` node
+        unless it is a plain one."""
+        self.open = self.bounded(self.open + 1)
+        self.i += opener_len
+        node, depth = self.expr()
+        self.eat(")")
+        self.open -= 1
+        if kind is None:
+            return node, depth
+        return (kind, node), self.bounded(depth + 1)
+
+
+def parse_expression(text):
+    return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+#
+# Every node carries its exact rational value (literals are exact and the
+# operations preserve exactness), which is what feeds the hints; the decimal
+# returned for a '+' or '*' node is nevertheless the streamed weak result.
+
+
+def eval_expression(node, path="certified", root_hint=None, trace=False):
+    """Evaluate to (Decimal, Fraction, traces); traces is None unless asked.
+
+    ``root_hint``, a hint's integer encoding (as ``--hint`` takes it),
+    replaces the computed hint of the top-level operation, which must then
+    be a '+' or a '*'.
+    """
+    kind = node[0]
+    if root_hint is not None:
+        if kind not in ("add", "mul"):
+            raise ParseError("--hint needs a top-level '+' or '*'")
+        root_hint = hint_decode(root_hint)
+    if kind == "lit":
+        return node[1], node[1].value(), None
+    if kind == "neg":
+        d, v, _ = eval_expression(node[1], path)
+        return d.neg(), -v, None
+    if kind == "recip":
+        d, v, _ = eval_expression(node[1], path)
+        if v == 0:
+            raise ParseError("reciprocal of zero")
+        return Decimal.from_fraction(1 / v), 1 / v, None
+    dl, vl, _ = eval_expression(node[1], path)
+    dr, vr, _ = eval_expression(node[2], path)
+    v = vl + vr if kind == "add" else vl * vr
+    hint = root_hint or compute_hint(kind, Decimal.from_fraction(vl), Decimal.from_fraction(vr))
+    if root_hint and hint.terminating is not None:  # checked on the exact operands
+        dl, dr = Decimal.from_fraction(vl), Decimal.from_fraction(vr)
+    traces = None
+    if trace and hint.terminating is None:
+        (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
+        traces = (tl, tr)
+    elif trace:  # a payload reads no digit; it is checked against the exact operands
+        traces = (ReadTrace(), ReadTrace())
+    f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint, digit_path=path)
+    return f, v, traces
+
+
+def expression_hint(node):
+    """The hint of the top-level '+' or '*' of ``node``, computed from the
+    exact values of its operands."""
+    if node[0] not in ("add", "mul"):
+        raise ParseError("hint needs a top-level '+' or '*'")
+    _, vl, _ = eval_expression(node[1])
+    _, vr, _ = eval_expression(node[2])
+    return compute_hint(node[0], Decimal.from_fraction(vl), Decimal.from_fraction(vr))
+
+
+def padic_eval(node, p):
+    """The value of ``node`` in the p-adic integers; ``recip`` is refused
+    before its operand is built."""
+    kind = node[0]
+    if kind == "lit":
+        return padic_from_rational(p, node[1].value())
+    if kind == "neg":
+        return padic_neg(padic_eval(node[1], p))
+    if kind == "recip":
+        raise ParseError("recip is not available in p-adic mode")
+    lhs = padic_eval(node[1], p)
+    rhs = padic_eval(node[2], p)
+    return padic_add(lhs, rhs) if kind == "add" else padic_mul(lhs, rhs)

@@ -67,6 +67,33 @@ def str_int(s):
     return str_int(s[:-half]) * pow10(half) + str_int(s[-half:])
 
 
+# Block digit reads take a run of consecutive positions as one integer; the
+# helpers below touch no ``Decimal`` state (``Decimal.digits`` lives with
+# ``Decimal.digit`` in ``decreal.decimals``).  Converting an integer to or from
+# its decimal digits takes time quadratic in their number, so a run longer than
+# ``BLOCK`` positions goes to a producer, or is spelled out, in pieces.
+BLOCK = 1024
+
+_LETTERS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def runs(hi, lo):
+    """``(top, bottom)`` of the runs of at most ``BLOCK`` positions that
+    cover ``hi`` down to ``lo``, from the top."""
+    return ((top, max(top - BLOCK + 1, lo)) for top in range(hi, lo - 1, -BLOCK))
+
+
+def digit_bytes(v, k):
+    """The ``k`` lowest digits of ``v >= 0``, top first, as bytes of values 0..9."""
+    return int_str(v).zfill(k).encode().translate(_VALUES) if k > 0 else b""
+
+
+def bytes_int(digits):
+    """The integer spelled by digit values 0..9, top first."""
+    return str_int(bytes(digits).translate(_LETTERS).decode()) if digits else 0
+
+
 def ten_valuation(m):
     """The largest e with 10**e dividing m (m != 0), in O(len * log len).
 

@@ -302,7 +302,7 @@ class ProductBracket:
     the operand prefixes and ``slack = 2*10**(K+1+l)``, kept split around
     the digit cell of ``pos`` as ``X*Y = (10*u + digit) * cell + rem``,
     ``cell = 10**(pos + 2l)``.  The digit is certified once
-    ``rem + slack < cell``.
+    ``rem + slack < cell``.  A square (``a is b``) reads each operand digit once.
 
     Deepening by t digits reads the operands at ``-l - 1`` downward, with
     ``digit`` for one digit and ``digits`` for a run, and adds
@@ -335,7 +335,8 @@ class ProductBracket:
         self._k_top = k_top = max(a.order, b.order)
         depth = max(1, k_top - n + 2)
         self._a, self._b = a, b
-        self._x, self._y = a.scaled_prefix(depth), b.scaled_prefix(depth)
+        self._x = a.scaled_prefix(depth)
+        self._y = self._x if b is a else b.scaled_prefix(depth)
         self._cell = pow10(n + 2 * depth)
         top, self._rem = divmod(self._x * self._y, self._cell)
         self._digit = top % 10
@@ -351,10 +352,9 @@ class ProductBracket:
     def _deepen(self, t: int) -> None:
         """Extend both prefixes by the next ``t`` operand digits."""
         n = -self.depth - 1
-        if t == 1:
-            a, b = self._a.digit(n), self._b.digit(n)
-        else:
-            a, b = self._a.digits(n, n - t + 1), self._b.digits(n, n - t + 1)
+        a = self._a.digit(n) if t == 1 else self._a.digits(n, n - t + 1)
+        b = (a if self._b is self._a else
+             self._b.digit(n) if t == 1 else self._b.digits(n, n - t + 1))
         x, y, p = self._x, self._y, pow10(t)
         cell = self._cell * p * p
         carry, self._rem = divmod(self._rem * p * p + p * (x * b + a * y) + a * b, cell)
@@ -449,7 +449,8 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Deci
         return _payload("mul", d, e, hint)
     if digit_path not in ("certified", "paper"):
         raise ValueError(f"unknown digit path {digit_path!r}")
-    a, b = d.abs(), e.abs()
+    a = d.abs()
+    b = a if e is d else e.abs()  # one object: each operand digit is read once
     producer = _product_digits(a, b, digit_path == "certified")
     check = None if digit_path == "certified" else _product_digits(a, b, True)
     return _checked_stream(d.sign * e.sign, hint, producer, d.order + e.order + 1, check)

@@ -15,9 +15,9 @@ word (or how deep into a digit stream) a computation had to look.
 from dataclasses import dataclass
 from typing import Optional
 
-from .blocks import digit_bytes
 from .decimals import TERM_ZERO, Decimal, first_difference, searched_nine_escape
 from .errors import InvariantViolation, MalformedWord, OracleUnavailable
+from .rational import digit_bytes
 
 XI = "ξ"
 EPS = "eps"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from decreal.cli import eval_expression, main, parse_expression
+from decreal.cli import main
 from decreal.decimals import (
     Decimal,
     Verdict,
@@ -29,6 +29,7 @@ from decreal.decimals import (
     truncate,
 )
 from decreal.errors import ZeroShift
+from decreal.expr import eval_expression, parse_expression
 from decreal.padic import PAdic, padic_add, padic_mul, traced_padic
 from decreal.rational import DecFrac, approx_recip, ten_smooth
 from decreal.shifts import (

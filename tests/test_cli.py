@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from decreal.cli import MAX_DEPTH, main, parse_expression
+from decreal.cli import main
 from decreal.decimals import r_inv
 from decreal.errors import ParseError
+from decreal.expr import MAX_DEPTH, parse_expression
 from decreal.rational import DecFrac
 from decreal.weak import Hint, hint_encode
 
@@ -231,6 +232,22 @@ def test_eval_wrong_terminating_payload_is_exit_4(capsys):
     assert (code, out, err) == (4, "", "error: the terminating payload is not the exact result\n")
 
 
+@pytest.mark.parametrize("trace", [(), ("--trace",)])
+def test_eval_wrong_payload_over_a_stream_operand_is_exit_4(capsys, trace):
+    # 1/7 + 1/7 is a stream with no exact value of its own: the payload of
+    # 0.5 + 0.2 is checked against the exact operands 2/7 and 1/3, not
+    # printed as 0.7
+    code, hint, _ = run(capsys, "hint", "0.5+0.2")
+    code, out, err = run(capsys, "eval", "(1/7+1/7)*0.(3)", *trace, "--hint", hint.strip())
+    assert (code, out, err) == (4, "", "error: the terminating payload is not the exact result\n")
+    # the right payload over a stream operand is the answer
+    code, hint, _ = run(capsys, "hint", "(1/3+1/3)*1.5")
+    code, out, err = run(capsys, "eval", "(1/3+1/3)*1.5", *trace, "--hint", hint.strip(),
+                         "--digits", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "1.000"
+
+
 def test_eval_terminating_payload_under_trace_is_checked_and_reads_no_digit(capsys):
     code, hint, _ = run(capsys, "hint", "0.5+0.2")
     code, out, err = run(capsys, "eval", "0.(3)+0.(3)", "--trace", "--hint", hint.strip())
@@ -413,6 +430,9 @@ def test_padic_expression_may_start_with_a_minus_sign(capsys, argv):
 def test_padic_recip_and_bad_denominator(capsys):
     code, _, err = run(capsys, "padic", "3", "recip(2)")
     assert code == 2
+    # refused before its operand is built, which 3 does not divide
+    code, out, err = run(capsys, "padic", "3", "recip(1/3)")
+    assert (code, out, err) == (2, "", "error: recip is not available in p-adic mode\n")
     code, _, err = run(capsys, "padic", "5", "1/10")
     assert code == 4 and "denominator" in err
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from decreal.blocks import BLOCK
 from decreal.decimals import (
     TERM_ZERO,
     Decimal,
@@ -34,7 +33,7 @@ from decreal.decimals import (
     validate_prefix,
 )
 from decreal.errors import EmptySetError, InvalidLiteral, InvariantViolation, OracleUnavailable
-from decreal.rational import DecFrac, pow10
+from decreal.rational import BLOCK, DecFrac, pow10
 
 
 def oracle_digit(q, n):

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from decreal import weak
-from decreal.cli import eval_expression, parse_expression
+from decreal import decimals, weak
 from decreal.decimals import (
     TERM_ZERO,
     Decimal,
@@ -17,6 +16,7 @@ from decreal.decimals import (
     searched_nine_escape,
 )
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
+from decreal.expr import eval_expression, parse_expression
 from decreal.rational import DecFrac
 from decreal.weak import (
     Hint,
@@ -414,6 +414,30 @@ def test_sequential_product_digits_resume_one_bracket(monkeypatch):
     # above the order starts the one bracket, one prefix per operand
     assert len(prefixes) == 2
     assert tx.total == ty.total == 303
+
+
+@pytest.mark.parametrize("q", [Fraction(22, 9973), Fraction(-22, 9973)])
+def test_squared_operand_is_read_once_per_prefix_and_deepening(monkeypatch, q):
+    # x * x over one exact object: a read of one factor would move the
+    # long-division pair off the position the other factor reads next, so
+    # two readers jump with one ``pow`` per deepening; one reader does not
+    jumps = []
+    remainder = decimals._remainder
+
+    def counted(q, n):
+        jumps.append(n)
+        return remainder(q, n)
+
+    monkeypatch.setattr(decimals, "_remainder", counted)
+    for path, starts in (("certified", 1), ("paper", 2)):
+        x, y, z = (Decimal.from_fraction(q) for _ in range(3))
+        want = render_digits(weak_mul(y, z, compute_hint("mul", y, z), digit_path=path), 4000)
+        jumps.clear()
+        got = render_digits(weak_mul(x, x, compute_hint("mul", x, x), digit_path=path), 4000)
+        assert got == want
+        # one jump per bracket start: the paper path checks its order on a
+        # certified bracket of its own
+        assert len(jumps) == starts
 
 
 def counted_bracket_starts(monkeypatch):
