@@ -237,8 +237,13 @@ def first_difference(x, y, budget=None):
 
 
 def searched_nine_escape(digit_fn):
-    """Escape witness found by plain downward search (use for honest streams)."""
-    return NineEscapeWitness(lambda n: nine_free_below(digit_fn, n))
+    """Escape witness found by plain downward search (use for honest streams);
+    a stream whose witness searches its own producer searches its memo."""
+    def escape(n):
+        return nine_free_below(digit_fn, n)
+
+    escape.searches = digit_fn
+    return NineEscapeWitness(escape)
 
 
 def _remainder(q, n):
@@ -281,13 +286,14 @@ class Decimal:
 
     The exact backing is a ``Fraction``; a terminating decimal is one whose
     denominator divides a power of ten, with no backing of its own.  The
-    stream backing is a digit producer plus a nine-escape witness.
+    stream backing is a digit producer plus a nine-escape witness.  A view
+    with both (``words.traced_decimal``) reads its digits from its producer.
 
     Digits are those of ``|x|``, so both sign views of a value (``neg()``
     and ``abs()``) share one ``_memo``, and neither re-does work the other
     has done:
 
-    * a stream memoises its producer's digits, one producer call per
+    * a decimal with a producer memoises its digits, one producer call per
       position;
     * an exact value keeps the long-division pair ``[position, remainder]``,
       ``remainder = |num| * 10**(-position - 1) mod den``, which yields the
@@ -315,7 +321,7 @@ class Decimal:
         object.__setattr__(self, "_producer", producer)
         object.__setattr__(self, "_witness", witness)
         if memo is None:
-            memo = {} if value is None else [None, 0]
+            memo = {} if producer is not None else [None, 0]
         object.__setattr__(self, "_memo", memo)
 
     def __setattr__(self, name, value):
@@ -355,15 +361,16 @@ class Decimal:
     def digit(self, n):
         if n > self.order:
             return 0
-        q = self._value
-        if q is None:
+        producer = self._producer
+        if producer is not None:
             d = self._memo.get(n)
             if d is None:
-                d = self._producer(n)
+                d = producer(n)
                 if not isinstance(d, int) or not 0 <= d <= 9:
                     raise InvariantViolation(f"stream produced {d!r}", position=n)
                 self._memo[n] = d
             return d
+        q = self._value
         if n >= 0:
             return digit_of_fraction(q, n)
         pair = self._memo
@@ -377,9 +384,9 @@ class Decimal:
         hi = min(hi, self.order)
         if hi < lo:
             return 0
-        q = self._value
-        if q is None:
+        if self._producer is not None:
             return self._stream_digits(hi, lo)
+        q = self._value
         num, den = abs(q.numerator), q.denominator
         if lo >= 0:
             return num // (den * pow10(lo)) % pow10(hi - lo + 1)
@@ -456,7 +463,12 @@ class Decimal:
 
     @property
     def nine_escape(self):
-        return self._witness
+        """The witness, searching the memo in place of the producer, so that
+        no position is produced twice."""
+        w = self._witness
+        if w is not None and getattr(w.escape, "searches", None) is self._producer:
+            return searched_nine_escape(self.digit)
+        return w
 
     def is_zero(self):
         return self.has_exact_value and self.value() == 0

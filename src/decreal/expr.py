@@ -10,8 +10,8 @@ from .decimals import Decimal, parse_decimal
 from .errors import ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
 from .rational import parse_rat
-from .weak import compute_hint, hint_decode, weak_add, weak_mul
-from .words import ReadTrace, traced_decimal
+from .weak import hint_decode, hint_of, weak_add, weak_mul
+from .words import traced_decimal
 
 # ---------------------------------------------------------------------------
 # expression parsing
@@ -157,15 +157,13 @@ def eval_expression(node, path="certified", root_hint=None, trace=False):
     dl, vl, _ = eval_expression(node[1], path)
     dr, vr, _ = eval_expression(node[2], path)
     v = vl + vr if kind == "add" else vl * vr
-    hint = root_hint or compute_hint(kind, Decimal.from_fraction(vl), Decimal.from_fraction(vr))
+    hint = root_hint or hint_of(v)
     if root_hint and hint.terminating is not None:  # checked on the exact operands
         dl, dr = Decimal.from_fraction(vl), Decimal.from_fraction(vr)
     traces = None
-    if trace and hint.terminating is None:
+    if trace:  # traced views keep the exact values, so they change no decision
         (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
         traces = (tl, tr)
-    elif trace:  # a payload reads no digit; it is checked against the exact operands
-        traces = (ReadTrace(), ReadTrace())
     f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint, digit_path=path)
     return f, v, traces
 
@@ -177,7 +175,7 @@ def expression_hint(node):
         raise ParseError("hint needs a top-level '+' or '*'")
     _, vl, _ = eval_expression(node[1])
     _, vr, _ = eval_expression(node[2])
-    return compute_hint(node[0], Decimal.from_fraction(vl), Decimal.from_fraction(vr))
+    return hint_of(vl + vr if node[0] == "add" else vl * vr)
 
 
 def padic_eval(node, p):

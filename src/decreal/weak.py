@@ -31,19 +31,12 @@ in the odd part, terminating payload (if any) in the 2-adic part.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .decimals import (
-    Decimal,
-    TERM_ZERO,
-    TermDecimal,
-    Verdict,
-    compare,
-    r_inv,
-    searched_nine_escape,
-)
+from .decimals import Decimal, TermDecimal, Verdict, compare, r_inv, searched_nine_escape
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
-from .rational import DecFrac, ilog10, pow10, ten_smooth
+from .rational import DecFrac, pow10, ten_smooth
 from .words import bin_lsb_encode, decode_xr, encode_xr, traced
 
 # ---------------------------------------------------------------------------
@@ -131,6 +124,14 @@ def hint_decode(x: int) -> Hint:
     return Hint(order, _payload_decode(r - 1, order))
 
 
+def hint_of(v: Fraction) -> Hint:
+    """The hint of a result whose exact value is ``v``."""
+    if ten_smooth(v.denominator):
+        t = r_inv(DecFrac.from_fraction(v))
+        return Hint(t.order, t)
+    return Hint(Decimal.from_fraction(v).order, None)
+
+
 def compute_hint(op: str, d: Decimal, e: Decimal) -> Hint:
     """Oracle for the hint of ``d op e``; needs exact operand values."""
     if op not in ("add", "mul"):
@@ -138,14 +139,7 @@ def compute_hint(op: str, d: Decimal, e: Decimal) -> Hint:
     if not (d.has_exact_value and e.has_exact_value):
         raise OracleUnavailable("hints are only computable from exact operands")
     vd, ve = d.value(), e.value()
-    v = vd + ve if op == "add" else vd * ve
-    if v == 0:
-        return Hint(0, TERM_ZERO)
-    av = abs(v)
-    order = ilog10(av.numerator // av.denominator) if av >= 1 else 0
-    if ten_smooth(v.denominator):
-        return Hint(order, r_inv(DecFrac.from_fraction(v)))
-    return Hint(order, None)
+    return hint_of(vd + ve if op == "add" else vd * ve)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +210,10 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     """The sum of two decimals under a hint.
 
     A terminating hint is the answer (see ``_payload``).  Otherwise the
-    sign and the reduced configuration are found by comparing magnitudes
-    (bounded by ``sign_budget``; a tie means the sum would be zero,
-    contradicting the hint), and every digit comes from the rule of
+    sign and the reduced configuration are found by comparing magnitudes.
+    Equal magnitudes make the sum zero, contradicting the hint; a
+    comparison still undecided after ``sign_budget`` digits raises
+    ``OracleUnavailable``.  Every digit comes from the rule of
     ``add_digit_rule``, resuming the last carry or borrow scan where it
     still settles the position.  The hinted order is checked against the
     operands' order bound; digits are computed, never trusted.
@@ -230,7 +225,10 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
         a, b = d.abs(), e.abs()
     else:
         c = compare(d.abs(), e.abs(), budget=sign_budget)
-        if c.verdict in (Verdict.EQUAL, Verdict.UNDECIDED):
+        if c.verdict is Verdict.UNDECIDED:
+            raise OracleUnavailable(
+                f"the sign of the sum is undecided within the sign budget of {sign_budget} digits")
+        if c.verdict is Verdict.EQUAL:
             raise HintMismatch(
                 "magnitudes look equal: the sum terminates, but the hint says otherwise"
             )

@@ -55,11 +55,13 @@ class ReadTrace:
     total: int = 0
 
     def note(self, i):
-        if self.max_index is None or i > self.max_index:
-            self.max_index = i
-        if self.min_index is None or i < self.min_index:
-            self.min_index = i
-        self.total += 1
+        self.note_run(i, i)
+
+    def note_run(self, hi, lo):
+        """Note the positions ``hi`` down to ``lo``."""
+        self.max_index = hi if self.max_index is None else max(self.max_index, hi)
+        self.min_index = lo if self.min_index is None else min(self.min_index, lo)
+        self.total += hi - lo + 1
 
     def logged(self, read):
         """``read`` with every position it is asked for noted first."""
@@ -77,14 +79,19 @@ def traced(w):
 
 
 def traced_decimal(d):
-    """A stream view of a decimal recording which digit positions are read.
-
-    The view memoizes, so the trace counts distinct positions once.
-    """
+    """A view of a decimal, with its exact value if any, recording which
+    digit positions are read.  The view memoizes, so the trace counts each
+    distinct position once, and it reads a run through ``d.digits``."""
     trace = ReadTrace()
     producer = trace.logged(d.digit)
-    return (Decimal.from_stream(d.sign, d.order, producer,
-                                searched_nine_escape(producer)), trace)
+
+    def block(hi, lo):
+        trace.note_run(hi, lo)
+        return d.digits(hi, lo)
+
+    producer.block = block
+    value = d.value() if d.has_exact_value else None
+    return Decimal(d.sign, d.order, value, producer, searched_nine_escape(producer)), trace
 
 
 # ---------------------------------------------------------------------------

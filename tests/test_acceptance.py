@@ -25,6 +25,7 @@ from decreal.decimals import (
     compare_extended,
     parse_decimal,
     r_inv,
+    searched_nine_escape,
     sup_finite,
     truncate,
 )
@@ -442,7 +443,9 @@ def test_criterion_08_conjugation_and_involution_identities():
 
     for _ in range(20):
         d = rand_nonterminating_point(rng)
-        td, trace = traced_decimal(d)
+        # a traced view keeps an exact value, so trace a stream of its digits
+        stream = Decimal.from_stream(d.sign, d.order, d.digit, searched_nine_escape(d.digit))
+        td, trace = traced_decimal(stream)
         g = involution_F(td, leading=d.leading_index())
         for n in range(g.order, -21, -1):
             g.digit(n)

@@ -207,6 +207,40 @@ def test_eval_trace_counts_distinct_positions_of_a_negated_operand(capsys):
     ]
 
 
+LONG_THIRD = "0." + "3" * 4200 + "(4)"  # its digits leave 0.(3) at 10**-4201
+
+
+@pytest.mark.parametrize("trace", [(), ("--trace",)])
+def test_eval_trace_changes_no_decision(capsys, trace):
+    # a traced operand keeps its exact value, so the sign comparison has no
+    # budget under --trace either
+    code, out, err = run(capsys, "eval", f"0.(3) + -{LONG_THIRD}", "--digits", "4", *trace)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "-0.0000"
+
+
+@pytest.mark.parametrize("trace", [(), ("--trace",)])
+def test_eval_sign_comparison_out_of_budget_is_exit_3(capsys, trace):
+    # 0.(3)*1 is a stream, so the comparison with the long literal stops at
+    # its budget: the oracle is unavailable, the hint is not wrong
+    code, out, err = run(capsys, "eval", f"0.(3)*1 + -{LONG_THIRD}", "--digits", "4", *trace)
+    assert (code, out) == (3, "")
+    assert err == "error: the sign of the sum is undecided within the sign budget of 4096 digits\n"
+
+
+def test_eval_traced_product_reads_exact_operands_in_runs(capsys):
+    # the traced views forward runs to the exact operands: the same digits
+    # as the untraced call, and one count per distinct position
+    args = ("eval", "(1/7*22/9973)*0.(142857)", "--digits", "3000")
+    code, plain, _ = run(capsys, *args)
+    code, traced, _ = run(capsys, *args, "--trace")
+    assert traced.splitlines()[0] == plain.strip()
+    assert traced.splitlines()[1:] == [
+        "# left: read 3005 digits, positions 0 down to -3004",
+        "# right: read 3005 digits, positions 0 down to -3004",
+    ]
+
+
 def test_eval_explicit_hint(capsys):
     code, out, _ = run(capsys, "eval", "0.(3)+0.(3)", "--digits", "4",
                        "--hint", str(hint_encode(Hint(0))))

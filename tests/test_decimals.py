@@ -610,6 +610,29 @@ def test_compare_nine_free_scan_budget_boundary(budget):
         (Verdict.LESS, SeparationWitness(pow10(budget + 1), budget + 1))
 
 
+def test_searched_witness_reads_the_memo_so_compare_produces_each_position_once():
+    # 0.1 and 0.2, each followed by 298 nines and then zeros: the nine-free
+    # scan below 10**-1 runs out of budget, and the searched witness goes on
+    # from the memo, not from the producer
+    def counted(top):
+        calls = []
+
+        def producer(n):
+            calls.append(n)
+            return top if n == -1 else 9 if -300 < n < -1 else 0
+
+        return Decimal.from_stream(1, 0, producer, searched_nine_escape(producer)), calls
+
+    (a, a_calls), (b, b_calls) = counted(1), counted(2)
+    c = compare(a, b, budget=128)
+    assert (c.verdict, c.witness) == (Verdict.LESS, SeparationWitness(pow10(300), 300))
+    assert sorted(a_calls) == list(range(-300, 1))
+    assert b_calls == [0, -1]
+    # the sign views share the memo, and the witness of each view reads it
+    assert a.neg().nine_escape.escape(-1) == -300
+    assert len(a_calls) == 301
+
+
 def test_compare_nine_free_scan_of_exact_side_has_no_budget():
     # exact expansions have no nine tail, so their scan is not cut off
     small = parse_decimal("0.19999999999995")

@@ -24,6 +24,7 @@ from decreal.weak import (
     compute_hint,
     hint_decode,
     hint_encode,
+    hint_of,
     mul_certified_digit,
     mul_stabilized_digit,
     result_letter,
@@ -272,6 +273,36 @@ def test_weak_add_rejects_hint_on_vanishing_sum():
     d = parse_decimal("0.(3)")
     with pytest.raises(HintMismatch):
         weak_add(d, d.neg(), Hint(0))  # true sum terminates (at zero)
+
+
+def test_weak_add_sign_comparison_out_of_budget_is_oracle_unavailable():
+    # 0.(3) * 1 is a stream; it and 0.33...34 agree on their top 4,096
+    # digits, so the sign of their difference is undecided, not a mismatch
+    third = weak_mul(parse_decimal("0.(3)"), parse_decimal("1"), Hint(0))
+    close = parse_decimal("0." + "3" * 4200 + "(4)")
+    with pytest.raises(OracleUnavailable, match="sign budget of 4096 digits"):
+        weak_add(third, close.neg(), Hint(0))
+    with pytest.raises(OracleUnavailable, match="sign budget of 8 digits"):
+        weak_add(third, parse_decimal("-0.333333333"), Hint(0), sign_budget=8)
+    # with both values exact the comparison has no budget
+    assert render_digits(weak_add(parse_decimal("0.(3)"), close.neg(), Hint(0)), 4) == "-0.0000"
+    # an exact tie is still a mismatch
+    with pytest.raises(HintMismatch, match="the sum terminates"):
+        weak_add(parse_decimal("0.(3)"), parse_decimal("-0.(3)"), Hint(0))
+
+
+def test_hint_of_reads_order_and_payload_off_the_value():
+    rng = random.Random(31)
+    for _ in range(300):
+        v = Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice([1, 8, 1250, 3, 9973]))
+        h = hint_of(v)
+        assert h.order == len(str(abs(v.numerator) // v.denominator)) - 1
+        terminating = 10 ** 10 % v.denominator == 0
+        assert (h.terminating is not None) == terminating
+        assert not terminating or h.terminating.value() == v
+    assert hint_of(Fraction(0)) == Hint(0, TERM_ZERO)
+    assert hint_of(Fraction(-1234, 10)) == Hint(2, r_inv(DecFrac(-1234, -1)))
+    assert hint_of(Fraction(1000, 3)) == Hint(2, None)
 
 
 def test_weak_add_nine_escape_witness_is_honest():
