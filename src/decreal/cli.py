@@ -39,6 +39,14 @@ _NEGATIVE_START = re.compile(r"^-\d")
 MAX_HINT_LETTERS = 5
 
 
+def count(text):
+    """A ``--digits`` value: an integer >= 0, so argparse refuses "-3"."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"negative count {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -135,7 +143,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate an expression to a digit string")
     p.add_argument("expr")
-    p.add_argument("--digits", type=int, default=10,
+    p.add_argument("--digits", type=count, default=10,
                    help="digits after the point (default 10)")
     p.add_argument("--path", choices=("certified", "paper"), default="certified",
                    help="digit rule for products")
@@ -148,7 +156,7 @@ def build_parser():
     p = sub.add_parser("padic", help="evaluate an expression in the p-adic integers")
     p.add_argument("p", type=int)
     p.add_argument("expr")
-    p.add_argument("--digits", type=int, default=12,
+    p.add_argument("--digits", type=count, default=12,
                    help="digits to print, ascending from the order")
     p.set_defaults(fn=cmd_padic)
 
@@ -174,12 +182,12 @@ def build_parser():
 
     p = sub.add_parser("sup", help="least upper bound of finitely many decimals")
     p.add_argument("values", nargs="+")
-    p.add_argument("--digits", type=int, default=10)
+    p.add_argument("--digits", type=count, default=10)
     p.set_defaults(fn=cmd_sup)
 
     p = sub.add_parser("involution", help="apply the digit-pairing involution")
     p.add_argument("value")
-    p.add_argument("--digits", type=int, default=10)
+    p.add_argument("--digits", type=count, default=10)
     p.set_defaults(fn=cmd_involution)
 
     for p in sub.choices.values():

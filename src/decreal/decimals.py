@@ -294,7 +294,11 @@ class Decimal:
     has done:
 
     * a decimal with a producer memoises its digits, one producer call per
-      position;
+      position, in a pair ``(dense, sparse)``: a ``bytearray`` of the
+      unbroken run from ``order`` down to the frontier (position ``n`` at
+      index ``order - n``), and a dict of the positions read out of
+      sequence below it, which fold into the array when the frontier
+      reaches them;
     * an exact value keeps the long-division pair ``[position, remainder]``,
       ``remainder = |num| * 10**(-position - 1) mod den``, which yields the
       digit at ``position``.  A read below the point that starts there
@@ -303,13 +307,14 @@ class Decimal:
       the last digit read.
 
     ``digits(hi, lo)`` reads a run of positions as one integer.  An exact
-    value serves it with one division.  A stream takes what its memo holds
-    and asks its producer's ``block(hi, lo)``, if it has one, for each
-    missing run, writing the result back into the memo; a producer without
-    ``block`` is asked one position at a time.  So a block read produces
-    and reads the same positions as the loop of ``digit`` calls it
-    replaces, at the same depth and through the same memo; only the order
-    of the reads inside a block may differ.
+    value serves it with one division.  A stream slices what its array
+    holds, takes what its sparse dict holds, and asks its producer's
+    ``block(hi, lo)``, if it has one, for each missing run, appending the
+    result to the array at the frontier (or to the dict below it); a
+    producer without ``block`` is asked one position at a time.  So a block
+    read produces and reads the same positions as the loop of ``digit``
+    calls it replaces, at the same depth and through the same memo; only
+    the order of the reads inside a block may differ.
     """
 
     __slots__ = ("sign", "order", "_value", "_producer", "_witness", "_memo")
@@ -321,7 +326,7 @@ class Decimal:
         object.__setattr__(self, "_producer", producer)
         object.__setattr__(self, "_witness", witness)
         if memo is None:
-            memo = {} if producer is not None else [None, 0]
+            memo = (bytearray(), {}) if producer is not None else [None, 0]
         object.__setattr__(self, "_memo", memo)
 
     def __setattr__(self, name, value):
@@ -363,12 +368,21 @@ class Decimal:
             return 0
         producer = self._producer
         if producer is not None:
-            d = self._memo.get(n)
+            dense, sparse = self._memo
+            i = self.order - n
+            if i < len(dense):
+                return dense[i]
+            d = sparse.get(n)
             if d is None:
                 d = producer(n)
                 if not isinstance(d, int) or not 0 <= d <= 9:
                     raise InvariantViolation(f"stream produced {d!r}", position=n)
-                self._memo[n] = d
+                if i == len(dense):  # at the frontier
+                    dense.append(d)
+                    if sparse:
+                        self._fold()
+                else:
+                    sparse[n] = d
             return d
         q = self._value
         if n >= 0:
@@ -400,11 +414,16 @@ class Decimal:
         return out * p + block
 
     def _stream_digits(self, hi, lo):
-        """Positions ``hi >= lo`` of a stream: each memoised run from the
-        memo, and each missing run from the producer."""
-        known = list(map(self._memo.get, range(hi, lo - 1, -1)))
+        """Positions ``hi >= lo`` of a stream: those in the dense array as
+        one slice, then the rest from the sparse dict and the producer."""
+        order, (dense, sparse) = self.order, self._memo
+        top = max(min(hi, order - len(dense)), lo - 1)  # hi down to top + 1 are in the array
+        out = bytes_int(dense[order - hi:order - top])
+        if not sparse:
+            return out * pow10(top - lo + 1) + self._produce(top, lo)
+        known = list(map(sparse.get, range(top, lo - 1, -1)))
         k, missing = len(known), known.count(None)
-        out = i = 0
+        i = 0
         while i < k:
             if known[i] is not None:  # a memoised run
                 j = known.index(None, i) if missing else k
@@ -414,31 +433,45 @@ class Decimal:
                 while j < k and known[j] is None:
                     j += 1
                 missing -= j - i
-                run = self._produce(hi - i, hi - j + 1)
+                run = self._produce(top - i, top - j + 1)
             out = out * pow10(j - i) + run
             i = j
         return out
 
     def _produce(self, hi, lo):
         """Positions ``hi >= lo``, none memoised, from the producer, written
-        back into the memo.  A producer with a ``block(hi, lo)`` is asked
-        once per run of at most ``BLOCK`` positions, and its answer must lie
-        in ``[0, 10**k)``; one without is asked one position at a time."""
+        into the memo.  A producer with a ``block(hi, lo)`` is asked once per
+        run of at most ``BLOCK`` positions, and its answer must lie in
+        ``[0, 10**k)``; one without is asked one position at a time."""
         out = 0
         block = getattr(self._producer, "block", None)
         if block is None:
             for n in range(hi, lo - 1, -1):
                 out = out * 10 + self.digit(n)
             return out
+        dense, sparse = self._memo
         for top, bottom in runs(hi, lo):
             k = top - bottom + 1
             v = block(top, bottom)
             if not isinstance(v, int) or not 0 <= v < pow10(k):
                 raise InvariantViolation(f"stream produced block {v!r} for {k} digits",
                                          position=bottom)
-            self._memo.update(zip(range(top, bottom - 1, -1), digit_bytes(v, k)))
+            run = digit_bytes(v, k)
+            if self.order - top == len(dense):  # at the frontier
+                dense += run
+                self._fold()
+            else:
+                sparse.update(zip(range(top, bottom - 1, -1), run))
             out = out * pow10(k) + v
         return out
+
+    def _fold(self):
+        """Move the sparse positions that the array now reaches into it."""
+        dense, sparse = self._memo
+        n = self.order - len(dense)
+        while n in sparse:
+            dense.append(sparse.pop(n))
+            n -= 1
 
     def scaled_prefix(self, m):
         """``floor(|x| * 10**m)`` for ``m >= 0``: the digits at positions

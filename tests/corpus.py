@@ -1,8 +1,9 @@
 """A seeded corpus of command-line calls, pinned by one digest per call.
 
 Each call runs ``decreal.cli.main`` in-process.  Its digest covers stdout,
-stderr and the exit code.  Each call also carries an oracle check, which
-knows nothing of how decreal computes:
+stderr (only its last line, for an argument error) and the exit code.
+Each call also carries an oracle check, which knows nothing of how decreal
+computes:
 
 * a printed decimal digit agrees with ``Fraction`` long division, or,
   under ``--path paper``, with the fixed-depth rule worked out on exact
@@ -11,7 +12,7 @@ knows nothing of how decreal computes:
 * a tape agrees with the layout spelled from the exact value;
 * a printed hint decodes to the exact order and payload;
 * a refused call exits with a code its input calls for, and prints nothing
-  on stdout.
+  on stdout; an argument argparse refuses exits 2 and is named.
 
 Run it with ``src`` on the path::
 
@@ -158,6 +159,14 @@ def refused(codes):
     def check(code, out, err):
         if code not in codes or out or not err.startswith("error: "):
             return f"expected a refusal with exit {codes}, got exit {code}"
+    return check
+
+
+def bad_argument(option):
+    """Exit 2 from argparse, naming ``option``, with nothing on stdout."""
+    def check(code, out, err):
+        if code != 2 or out or f"error: argument {option}: " not in err:
+            return f"expected an argument error on {option}, got exit {code}"
     return check
 
 
@@ -489,6 +498,12 @@ def pinned_calls():
     yield ["eval", "1 +", "--digits", "3"], refused((2,))
     yield ["eval", "0.(3)+0.(3)", "--hint", int_str(hint_encode(honest_hint(Fraction(1))))], \
         refused((4,))
+    # a digit count is an integer >= 0
+    for argv in (["eval", "0.(3)"], ["padic", "3", "1/2"], ["sup", "0.5", "-0.(3)"],
+                 ["involution", "0.5"]):
+        yield argv + ["--digits", "-3"], bad_argument("--digits")
+    yield ["eval", "0.(3)", "--digits", "0"], printed(lambda: "0")
+    yield ["padic", "3", "1/2", "--digits", "0"], printed(lambda: "p=3 order=0: ")
 
 
 def calls(seed=SEED):
@@ -505,10 +520,15 @@ def calls(seed=SEED):
 
 
 def run(argv):
-    """``(code, stdout, stderr)`` of one in-process call."""
+    """``(code, stdout, stderr)`` of one in-process call.  An argument
+    error keeps only the last line of its stderr: argparse wraps the usage
+    lines above it to the width of the terminal."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code, err = exc.code, io.StringIO(err.getvalue().splitlines()[-1])
     return code, out.getvalue(), err.getvalue()
 
 

@@ -583,6 +583,23 @@ def test_involution_command(capsys):
     assert out.strip() == "-1.000000"
 
 
+@pytest.mark.parametrize("argv, zero_places", [
+    (["eval", "0.(3)"], "0"),
+    (["padic", "3", "1/2"], "p=3 order=0: "),
+    (["sup", "0.5", "-0.(3)"], "0"),
+    (["involution", "0.5"], "5"),
+])
+def test_a_digit_count_is_a_nonnegative_integer(capsys, argv, zero_places):
+    for bad in ("-3", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--digits", bad])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.splitlines()[-1].endswith(
+            f"error: argument --digits: invalid count value: '{bad}'")
+    assert run(capsys, *argv, "--digits", "0") == (0, zero_places + "\n", "")
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 

@@ -1,6 +1,7 @@
 """Core digit-stream behaviour: words, order, comparison, sup, literals."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -429,6 +430,114 @@ def test_long_stream_runs_go_to_the_producer_in_pieces():
     depth = 2 * BLOCK + 5
     assert render_digits(x, depth) == "0." + ("142857" * depth)[:depth]
     assert blocks == [(0, 1 - BLOCK), (-BLOCK, 1 - 2 * BLOCK), (-2 * BLOCK, -depth)]
+
+
+# ---------------------------------------------------------------------------
+# the shape of a stream's memo: a dense array from the order down to the
+# frontier, and a sparse dict of the positions read below it
+
+Q = Fraction(-4736, 7)  # -676.571428..., order 2
+
+
+def asked_stream(q, with_block, fail=()):
+    """A stream of q's digits, a ``Counter`` of its producer's asks per
+    position (a ``block`` ask counts each position of its run) and the list
+    of runs asked of ``block``.  Each position in ``fail`` raises the first
+    time it is asked, alone or in a run."""
+    asked, blocks, fail = Counter(), [], set(fail)
+
+    def ask(hi, lo):
+        asked.update(range(lo, hi + 1))
+        hit = fail.intersection(range(lo, hi + 1))
+        if hit:
+            fail.difference_update(hit)
+            raise OracleUnavailable(f"no digit at 10**{max(hit)} yet")
+
+    def producer(n):
+        ask(n, n)
+        return oracle_digit(q, n)
+
+    if with_block:
+        def block(hi, lo):
+            blocks.append((hi, lo))
+            ask(hi, lo)
+            return oracle_block(q, hi, lo)
+
+        producer.block = block
+    x = Decimal.from_fraction(q)
+    stream = Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer))
+    return stream, asked, blocks
+
+
+def memo_shape(x, q):
+    """The frontier of x's memo (the highest position its array lacks) and
+    the positions in its sparse dict, top first, once every memoised digit
+    is checked against q."""
+    dense, sparse = x._memo
+    frontier = x.order - len(dense)
+    assert list(dense) == [oracle_digit(q, n) for n in range(x.order, frontier, -1)]
+    assert all(frontier > n and d == oracle_digit(q, n) for n, d in sparse.items())
+    return frontier, sorted(sparse, reverse=True)
+
+
+@pytest.mark.parametrize("with_block", [False, True])
+def test_far_reads_stay_sparse_until_the_frontier_reaches_and_folds_them_in(with_block):
+    x, asked, blocks = asked_stream(Q, with_block)
+    assert [x.digit(n) for n in (-5, -9)] == [oracle_digit(Q, n) for n in (-5, -9)]
+    assert memo_shape(x, Q) == (2, [-5, -9])
+    assert x.digits(2, -3) == oracle_block(Q, 2, -3)
+    assert memo_shape(x, Q) == (-4, [-5, -9])
+    # a digit at the frontier, then a run there: each folds the far read below it
+    assert x.neg().digit(-4) == oracle_digit(Q, -4)
+    assert memo_shape(x, Q) == (-6, [-9])
+    assert x.neg().digits(-6, -8) == oracle_block(Q, -6, -8)
+    assert memo_shape(x, Q) == (-10, [])
+    assert x.neg().digits(2, -9) == x.digits(2, -9) == oracle_block(Q, 2, -9)
+    assert asked == Counter(range(-9, 3))
+    assert blocks == ([(2, -3), (-6, -8)] if with_block else [])
+
+
+@pytest.mark.parametrize("with_block", [False, True])
+def test_a_digits_range_spans_dense_sparse_and_missing_positions(with_block):
+    x, asked, blocks = asked_stream(Q, with_block)
+    assert x.digits(2, 0) == oracle_block(Q, 2, 0)
+    assert [x.digit(n) for n in (-3, -4, -7)] == [oracle_digit(Q, n) for n in (-3, -4, -7)]
+    assert memo_shape(x, Q) == (-1, [-3, -4, -7])
+    assert x.neg().digits(1, -9) == oracle_block(Q, 1, -9)
+    assert memo_shape(x, Q) == (-10, [])
+    assert x.digits(2, -9) == oracle_block(Q, 2, -9)
+    assert asked == Counter(range(-9, 3))
+    assert blocks == ([(2, 0), (-1, -2), (-5, -6), (-8, -9)] if with_block else [])
+
+
+def test_a_block_run_off_the_frontier_goes_to_the_sparse_dict():
+    x, asked, blocks = asked_stream(Q, True)
+    assert x.digits(-3, -6) == oracle_block(Q, -3, -6)
+    assert memo_shape(x, Q) == (2, [-3, -4, -5, -6])
+    assert x.neg().digits(-4, -5) == oracle_block(Q, -4, -5)
+    assert x.digits(2, -8) == oracle_block(Q, 2, -8)
+    assert memo_shape(x, Q) == (-9, [])
+    assert x.neg().digits(0, -8) == oracle_block(Q, 0, -8)
+    assert asked == Counter(range(-8, 3))
+    assert blocks == [(-3, -6), (2, -2), (-7, -8)]
+
+
+@pytest.mark.parametrize("with_block", [False, True])
+def test_a_raise_at_or_below_the_frontier_leaves_its_positions_to_be_asked_again(with_block):
+    x, asked, blocks = asked_stream(Q, with_block, fail=(-1, -4, -7))
+    assert x.digits(2, 0) == oracle_block(Q, 2, 0)
+    # below the frontier, at it, and a run below it
+    for read in (lambda: x.digit(-4), lambda: x.digit(-1), lambda: x.digits(-7, -8)):
+        with pytest.raises(OracleUnavailable):
+            read()
+        assert memo_shape(x, Q) == (-1, [])
+    assert x.neg().digit(-4) == oracle_digit(Q, -4)
+    assert x.neg().digits(-1, -8) == oracle_block(Q, -1, -8)
+    assert memo_shape(x, Q) == (-9, [])
+    assert x.digits(2, -8) == oracle_block(Q, 2, -8)
+    retried = [-4, -1, -7] + ([-8] if with_block else [])
+    assert asked == Counter(range(-8, 3)) + Counter(retried)
+    assert blocks == ([(2, 0), (-7, -8), (-1, -3), (-5, -8)] if with_block else [])
 
 
 def test_render_digits_reads_terminating_and_false_decimals_digit_by_digit():

@@ -5,6 +5,7 @@ They need ``hypothesis`` (``pip install .[test]``); without it this module
 is skipped and every other suite still runs.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -67,6 +68,11 @@ def counted_stream(q):
 
     x = Decimal.from_fraction(q)
     return Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer)), calls
+
+
+def oracle_block(q, hi, lo):
+    """The digits of |q| at positions hi down to lo, as one integer."""
+    return sum(oracle_digit(q, n) * 10 ** (n - lo) for n in range(lo, hi + 1))
 
 
 def check_prefixes(x, q, depths):
@@ -136,8 +142,7 @@ def test_rational_digits_match_fraction_oracle_in_any_read_order(qx, positions, 
             assert face.scaled_prefix(read[1]) == oracle_prefix(q, read[1])
         else:
             hi, lo = read
-            assert face.digits(hi, lo) == sum(oracle_digit(q, n) * 10 ** (n - lo)
-                                              for n in range(lo, hi + 1))
+            assert face.digits(hi, lo) == oracle_block(q, hi, lo)
 
 
 @PROPERTY
@@ -188,6 +193,40 @@ def test_digits_below_a_scaled_prefix_continue_it(q, m, count):
         assert [x.digit(-k) for k in range(m + 1, m + count + 1)] == below
     # the stream computed each position once, from its order down
     assert sorted(calls, reverse=True) == list(range(stream.order, -m - count - 1, -1))
+
+
+@PROPERTY
+@given(q=fractions_, with_block=st.booleans(),
+       reads=st.lists(st.tuples(st.booleans(), st.one_of(st.integers(-120, 6), runs_)),
+                      min_size=1, max_size=40))
+def test_stream_memo_serves_any_read_order_asking_each_position_once(q, with_block, reads):
+    # digit and digits reads in any order, on either sign view, land at the
+    # memo's frontier, below it or across both
+    asked = Counter()
+
+    def producer(n):
+        asked[n] += 1
+        return oracle_digit(q, n)
+
+    if with_block:
+        def block(hi, lo):
+            asked.update(range(lo, hi + 1))
+            return oracle_block(q, hi, lo)
+
+        producer.block = block
+    x = Decimal.from_fraction(q)
+    x = Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer))
+    read = set()
+    for flip, at in reads:
+        face = x.neg() if flip else x
+        if isinstance(at, int):
+            assert face.digit(at) == oracle_digit(q, at)
+            read.add(at)
+        else:
+            hi, lo = at
+            assert face.digits(hi, lo) == oracle_block(q, hi, lo)
+            read.update(range(lo, hi + 1))
+    assert asked == Counter(n for n in read if n <= x.order)
 
 
 # ---------------------------------------------------------------------------

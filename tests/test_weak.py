@@ -1,6 +1,7 @@
 """Hinted digit-by-digit addition and multiplication."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -734,6 +735,22 @@ def test_traced_operands_read_the_same_positions_under_block_rendering():
             seen.append((text.lstrip("-").replace(".", ""),
                          [(t.total, t.min_index, t.max_index) for t in traces]))
         assert seen[0] == seen[1]
+
+
+def test_a_long_sequential_sum_keeps_at_most_two_bytes_per_memoised_digit():
+    places = 128_000
+    f, v, _ = eval_expression(parse_expression("0.(3)+0.(142857)"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        render_digits(f, places)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    memoised = f.order + places + 1
+    assert len(f._memo[0]) == memoised and not f._memo[1]
+    assert kept <= 2 * memoised
+    assert f.digits(f.order, -places) == v.numerator * 10 ** places // v.denominator
 
 
 def test_certified_digit_refuses_negative_operands():
