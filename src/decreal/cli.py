@@ -40,7 +40,8 @@ MAX_HINT_LETTERS = 5
 
 
 def count(text):
-    """A ``--digits`` value: an integer >= 0, so argparse refuses "-3"."""
+    """A ``--digits`` or ``--letters`` value: an integer >= 0, so argparse
+    refuses "-3"."""
     n = int(text)
     if n < 0:
         raise ValueError(f"negative count {n}")
@@ -164,7 +165,7 @@ def build_parser():
     p.add_argument("value")
     p.add_argument("--format", choices=("xr", "xs", "xp"), default="xr")
     p.add_argument("--p", type=int, default=3, help="prime for --format xp")
-    p.add_argument("--letters", type=int, default=12)
+    p.add_argument("--letters", type=count, default=12)
     p.add_argument("--as-binary-tape", action="store_true",
                    help="treat VALUE as an integer and print its binary run")
     p.set_defaults(fn=cmd_encode)

@@ -103,10 +103,7 @@ class TermDecimal:
         raise AssertionError("canonical nonzero TermDecimal has a nonzero digit")
 
     def decfrac(self):
-        mant = 0
-        for d in self.digits:
-            mant = mant * 10 + d
-        return DecFrac(self.sign * mant, self.low)
+        return DecFrac(self.sign * bytes_int(self.digits), self.low)
 
     def value(self):
         return self.decfrac().to_fraction()
@@ -281,6 +278,13 @@ def interval_digit(lo, hi, n):
     return 0 if max(-lo, hi) < cell else None
 
 
+def order_of(q):
+    """The order of the decimal of a ``Fraction`` q: the position of the top
+    digit of ``|q|``, or 0 when ``|q| < 1``."""
+    n = abs(q.numerator) // q.denominator
+    return ilog10(n) if n else 0
+
+
 class Decimal:
     """A decimal digit stream with an exact or a stream backing.
 
@@ -341,9 +345,7 @@ class Decimal:
     @classmethod
     def from_fraction(cls, q):
         q = Fraction(q)
-        aq = abs(q)
-        order = ilog10(aq.numerator // aq.denominator) if aq >= 1 else 0
-        return cls(-1 if q < 0 else 1, order, value=q)
+        return cls(-1 if q < 0 else 1, order_of(q), value=q)
 
     @classmethod
     def from_int(cls, n):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .decimals import Decimal, interval_digit
 from .errors import NonzeroWitnessInvalid
-from .rational import DecFrac, approx_recip, pow10
+from .rational import DecFrac, approx_recip, ilog10
 
 # ---------------------------------------------------------------------------
 # the sequence type
@@ -64,10 +64,7 @@ def from_decimal(d: Decimal) -> CauchySeqQD:
         return DecFrac(d.sign * d.scaled_prefix(n), -n)
 
     def modulus(k):
-        m = 1
-        while pow10(m) <= 2 * k:
-            m += 1
-        return m
+        return ilog10(2 * k) + 1
 
     return CauchySeqQD(term, modulus)
 

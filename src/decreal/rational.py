@@ -271,9 +271,7 @@ def approx_recip(a, k):
     if k < 1:
         raise ValueError("k must be a positive integer")
     num, den = a.numerator, a.denominator
-    l = 1
-    while pow10(l) <= abs(num) * k:
-        l += 1
+    l = ilog10(abs(num) * k) + 1
     target = pow10(l)
     p_lo = target // num  # floor, also for negative num
     best = min((p_lo, p_lo + 1), key=lambda p: (abs(p * num - target), abs(p)))

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decimals import Decimal, TermDecimal, Verdict, compare, r_inv, searched_nine_escape
+from .decimals import (Decimal, TermDecimal, Verdict, compare, order_of, r_inv,
+                       searched_nine_escape)
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
 from .rational import DecFrac, pow10, ten_smooth
 from .words import bin_lsb_encode, decode_xr, encode_xr, traced
@@ -129,7 +130,7 @@ def hint_of(v: Fraction) -> Hint:
     if ten_smooth(v.denominator):
         t = r_inv(DecFrac.from_fraction(v))
         return Hint(t.order, t)
-    return Hint(Decimal.from_fraction(v).order, None)
+    return Hint(order_of(v), None)
 
 
 def compute_hint(op: str, d: Decimal, e: Decimal) -> Hint:
@@ -155,15 +156,16 @@ def add_digit_rule(d: Decimal, e: Decimal, n: int) -> int:
     pair, which tells whether a borrow reaches n.  Either scan runs forever
     only if the true result terminates at or above n -- the case a correct
     hint never routes here.  A decimal's digits are those of its magnitude,
-    so ``e`` is read as it is, with no ``abs()`` view per digit.
+    so both operands are read as given, and only ``e``'s sign picks the scan.
     """
     if d.sign < 0:
         raise ValueError("reduced cases require a nonnegative first operand")
-    return _sum_digits(d, e)(n)
+    return _sum_digits(d, e, e.sign < 0)(n)
 
 
-def _sum_digits(d: Decimal, e: Decimal):
-    """The digit producer of ``add_digit_rule`` for one operand pair.
+def _sum_digits(d: Decimal, e: Decimal, borrow: bool):
+    """The digit producer of ``|d| + |e|``, or of ``|d| - |e|`` for
+    ``|e| <= |d|`` under ``borrow``: the rule of ``add_digit_rule``.
 
     A scan from n that settles at position s (carry or borrow c) also
     settles every position in ``(s, n]``, since the pairs between pass c on
@@ -171,7 +173,6 @@ def _sum_digits(d: Decimal, e: Decimal):
     digit inside that range costs its own pair only.
     """
     d_digit, e_digit = d.digit, e.digit
-    borrow = e.sign < 0
     low = top = carry = 0  # the last scan settles every position in (low, top]
 
     def rescan(n):
@@ -210,7 +211,8 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     """The sum of two decimals under a hint.
 
     A terminating hint is the answer (see ``_payload``).  Otherwise the
-    sign and the reduced configuration are found by comparing magnitudes.
+    sign and the reduced configuration are found by comparing magnitudes:
+    the operand of the larger one goes first, and unequal signs borrow.
     Equal magnitudes make the sum zero, contradicting the hint; a
     comparison still undecided after ``sign_budget`` digits raises
     ``OracleUnavailable``.  Every digit comes from the rule of
@@ -220,10 +222,7 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     """
     if hint.terminating is not None:
         return _payload("add", d, e, hint)
-    if d.sign == e.sign:
-        sign = d.sign
-        a, b = d.abs(), e.abs()
-    else:
+    if d.sign != e.sign:
         c = compare(d.abs(), e.abs(), budget=sign_budget)
         if c.verdict is Verdict.UNDECIDED:
             raise OracleUnavailable(
@@ -232,10 +231,10 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
             raise HintMismatch(
                 "magnitudes look equal: the sum terminates, but the hint says otherwise"
             )
-        big, small = (d, e) if c.verdict is Verdict.GREATER else (e, d)
-        sign = big.sign
-        a, b = big.abs(), small.abs().neg()
-    return _checked_stream(sign, hint, _sum_digits(a, b), max(d.order, e.order) + 1)
+        if c.verdict is Verdict.LESS:
+            d, e = e, d
+    return _checked_stream(d.sign, hint, _sum_digits(d, e, d.sign != e.sign),
+                           max(d.order, e.order) + 1)
 
 
 def _payload(op: str, d: Decimal, e: Decimal, hint: Hint) -> Decimal:
@@ -247,28 +246,23 @@ def _payload(op: str, d: Decimal, e: Decimal, hint: Hint) -> Decimal:
     return Decimal.from_term(hint.terminating)
 
 
-def _checked_stream(sign: int, hint: Hint, producer, bound: int, check=None) -> Decimal:
+def _checked_stream(sign: int, hint: Hint, producer, bound: int) -> Decimal:
     """The stream of ``producer``, whose digits above ``bound`` (the
     operands' order bound) are 0, once the hinted order is checked: a hinted
     order above the bound fails at once, the digits from the bound down to
     the one above the order must be 0, and a positive order's digit must
     not be.  Each of them halts on an honest hint, so an order too low fails
-    instead of cutting the value short.  They are not stream positions, so
-    they are asked directly, top down and first, of ``check``: a producer
-    of exact digits, ``producer`` itself unless given.  A product starts one
-    bracket, at the bound, and steps it down to the top digit; the stream
-    of the fixed-depth rule, which can miss at its top digit, starts its own
-    bracket after the certified one has checked the order."""
+    instead of cutting the value short.  The digits above the order are not
+    stream positions, so they are asked of ``producer`` directly, top down
+    and first; the top digit is read through the stream, so a product's
+    bracket, started at the bound, steps down to it."""
     if hint.order > bound:
         raise HintMismatch("zero digit at the hinted (positive) order")
     f = Decimal.from_stream(sign, hint.order, producer, searched_nine_escape(producer))
-    check = check or producer
     above = 0
     for n in range(bound, hint.order, -1):
-        above |= check(n)
-    # through the stream, the top digit resumes the bracket of the probes
-    top = f.digit if check is producer else check
-    if hint.order > 0 and top(hint.order) == 0:
+        above |= producer(n)
+    if hint.order > 0 and f.digit(hint.order) == 0:
         raise HintMismatch("zero digit at the hinted (positive) order")
     if above:
         raise HintMismatch("nonzero digit above the hinted order")
@@ -403,9 +397,9 @@ def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
 
 
 def _product_digits(a: Decimal, b: Decimal, certified: bool):
-    """The digit producer of ``a * b`` (nonnegative operands) over one
-    resumable ``ProductBracket``, by the rule of ``mul_certified_digit`` or
-    of ``mul_stabilized_digit``.  A ``block`` request for the run just below
+    """The digit producer of ``|a * b|`` over one resumable
+    ``ProductBracket``, by the rule of ``mul_certified_digit`` or of
+    ``mul_stabilized_digit``.  A ``block`` request for the run just below
     the last position moves the bracket on; any other starts it cold at the
     run's top.  A digit read on its own is a run of one."""
     bracket = None
@@ -440,18 +434,22 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Deci
     A terminating hint is the answer (see ``_payload``), as it is for every
     zero operand, so in the streaming case the sign is just the product of
     the operand signs.  ``digit_path`` selects between the
-    certified bracket digits (default) and the paper's fixed-depth digits;
-    the hinted order is checked on certified digits under either.
+    certified bracket digits (default) and the paper's fixed-depth digits.
+    The hinted order is checked on the certified stream under either; the
+    fixed-depth rule can miss at its top digit, so its stream, with the
+    certified stream's sign and order, starts its own bracket only after
+    the check.  A square (``e is d``) reads each operand digit once.
     """
     if hint.terminating is not None:
         return _payload("mul", d, e, hint)
     if digit_path not in ("certified", "paper"):
         raise ValueError(f"unknown digit path {digit_path!r}")
-    a = d.abs()
-    b = a if e is d else e.abs()  # one object: each operand digit is read once
-    producer = _product_digits(a, b, digit_path == "certified")
-    check = None if digit_path == "certified" else _product_digits(a, b, True)
-    return _checked_stream(d.sign * e.sign, hint, producer, d.order + e.order + 1, check)
+    f = _checked_stream(d.sign * e.sign, hint, _product_digits(d, e, True),
+                        d.order + e.order + 1)
+    if digit_path == "certified":
+        return f
+    paper = _product_digits(d, e, False)
+    return Decimal.from_stream(f.sign, f.order, paper, searched_nine_escape(paper))
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,7 @@ def pinned_calls():
         yield argv + ["--digits", "-3"], bad_argument("--digits")
     yield ["eval", "0.(3)", "--digits", "0"], printed(lambda: "0")
     yield ["padic", "3", "1/2", "--digits", "0"], printed(lambda: "p=3 order=0: ")
+    yield ["encode", "0.5", "--letters", "-3"], bad_argument("--letters")
 
 
 def calls(seed=SEED):

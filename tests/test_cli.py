@@ -600,6 +600,17 @@ def test_a_digit_count_is_a_nonnegative_integer(capsys, argv, zero_places):
     assert run(capsys, *argv, "--digits", "0") == (0, zero_places + "\n", "")
 
 
+def test_a_letter_count_is_a_nonnegative_integer(capsys):
+    for bad in ("-3", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "0.5", "--letters", bad])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.splitlines()[-1].endswith(
+            f"error: argument --letters: invalid count value: '{bad}'")
+    assert run(capsys, "encode", "0.5", "--letters", "0") == (0, "\n", "")
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 

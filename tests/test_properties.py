@@ -1,5 +1,5 @@
-"""Property tests for rational digits, scaled prefixes, certified
-product digits and p-adic streams.
+"""Property tests for rational digits, scaled prefixes, streamed sums,
+certified product digits and p-adic streams.
 
 They need ``hypothesis`` (``pip install .[test]``); without it this module
 is skipped and every other suite still runs.
@@ -28,6 +28,7 @@ from decreal.decimals import (  # noqa: E402
 from decreal.padic import PAdic, padic_add, padic_from_rational, padic_mul  # noqa: E402
 from decreal.rational import DecFrac, ten_smooth  # noqa: E402
 from decreal.weak import (  # noqa: E402
+    add_digit_rule,
     compute_hint,
     mul_certified_digit,
     mul_stabilized_digit,
@@ -318,6 +319,56 @@ def test_paper_product_digits_are_the_one_shot_fixed_depth_digits_in_any_read_or
                  + list(range(f.order, -second - 1, -1)))
     for n in positions:
         assert f.digit(n) == mul_stabilized_digit(a, b, n)
+
+
+# ---------------------------------------------------------------------------
+# streamed sums under every pair of signs
+
+magnitudes = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 4))
+sum_reads = st.lists(st.one_of(st.integers(-120, 6), runs_), min_size=1, max_size=40)
+exact_or_stream = st.sampled_from(["exact", "stream"])
+
+
+def signed_pair(qa, qb, signs, flip):
+    """Two distinct magnitudes, both negative, or of opposite signs (the
+    left one negative under ``flip``) with the larger on the given side."""
+    if signs == "both negative":
+        return -qa, -qb
+    big, small = max(qa, qb), min(qa, qb)
+    s = -1 if flip else 1
+    return (s * big, -s * small) if signs == "left larger" else (s * small, -s * big)
+
+
+@PROPERTY
+@given(qa=magnitudes, qb=magnitudes, flip=st.booleans(), reads=sum_reads,
+       signs=st.sampled_from(["both negative", "left larger", "right larger"]),
+       kinds=st.tuples(exact_or_stream, exact_or_stream))
+def test_streamed_sum_digits_match_fraction_oracle_for_every_pair_of_signs(
+        qa, qb, flip, reads, signs, kinds):
+    # the operands are read as given: the larger magnitude goes first, and
+    # unequal signs make the carry scan a borrow scan
+    assume(qa != qb)
+    qa, qb = signed_pair(qa, qb, signs, flip)
+    total = qa + qb
+    assume(not ten_smooth(total.denominator))
+    a, b = operand(kinds[0], qa, None), operand(kinds[1], qb, None)
+    f = weak_add(a, b, compute_hint("add", Decimal.from_fraction(qa), Decimal.from_fraction(qb)))
+    assert f.sign == (1 if total > 0 else -1)
+    for at in reads:
+        if isinstance(at, int):
+            assert f.digit(at) == oracle_digit(total, at)
+        else:
+            assert f.digits(*at) == oracle_block(total, *at)
+
+
+@PROPERTY
+@given(qa=magnitudes, qb=magnitudes, n=st.integers(-120, 6),
+       kinds=st.tuples(exact_or_stream, exact_or_stream))
+def test_add_digit_rule_borrows_from_a_negative_second_operand(qa, qb, n, kinds):
+    big, small = max(qa, qb), min(qa, qb)
+    assume(not ten_smooth((big - small).denominator))
+    d, e = operand(kinds[0], big, None), operand(kinds[1], -small, None)
+    assert add_digit_rule(d, e, n) == oracle_digit(big - small, n)
 
 
 # ---------------------------------------------------------------------------

@@ -882,6 +882,37 @@ def test_weak_mul_rejects_wrong_order_hint():
         assert render_digits(prod, 3) == "101.333"
 
 
+def test_weak_operands_are_read_as_given(monkeypatch):
+    # the operands, their signs and the digit rule pass as plain arguments:
+    # a result builds its own streams and no sign or magnitude view, and a
+    # hint reads its order off the value without building a Decimal
+    qx, qy, qz = Fraction(-1, 3), Fraction(-2, 7), Fraction(5, 7)
+    x, y, z = (Decimal.from_fraction(q) for q in (qx, qy, qz))
+    hints = {q: hint_of(q) for q in (qx * qy, qx + qy, qx + qz)}
+    built = []
+    init = Decimal.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Decimal, "__init__", counted)
+    calls = [
+        (lambda: weak_mul(x, y, hints[qx * qy]), qx * qy, 1),
+        (lambda: weak_mul(x, y, hints[qx * qy], digit_path="paper"), qx * qy, 2),
+        (lambda: weak_add(x, y, hints[qx + qy]), qx + qy, 1),
+        (lambda: weak_add(x, z, hints[qx + qz]), qx + qz, 2),
+    ]
+    for call, q, want in calls:
+        built.clear()
+        result = call()
+        assert len(built) == want
+        assert render_digits(result, 30) == render_digits(Decimal.from_fraction(q), 30)
+    built.clear()
+    assert hint_of(Fraction(-2, 21)) == Hint(0)
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # the machine-level wrapper
 
