@@ -16,7 +16,6 @@ by an exact ``Fraction`` (a terminating decimal is a rational whose digits
 end in zeros) or by an arbitrary digit producer plus a nine-escape witness.
 """
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,8 +28,8 @@ from .errors import (
     InvariantViolation,
     OracleUnavailable,
 )
-from .rational import (DecFrac, bytes_int, digit_bytes, ilog10, int_str, pow10, runs,
-                       str_int, ten_smooth)
+from .rational import (LITERAL, DecFrac, bytes_int, digit_bytes, ilog10, int_str,
+                       literal_fraction, pow10, runs, ten_smooth)
 
 # ---------------------------------------------------------------------------
 # terminating decimals
@@ -324,14 +323,14 @@ class Decimal:
     __slots__ = ("sign", "order", "_value", "_producer", "_witness", "_memo")
 
     def __init__(self, sign, order, value=None, producer=None, witness=None, memo=None):
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_value", value)
-        object.__setattr__(self, "_producer", producer)
-        object.__setattr__(self, "_witness", witness)
         if memo is None:
             memo = (bytearray(), {}) if producer is not None else [None, 0]
-        object.__setattr__(self, "_memo", memo)
+        _set_sign(self, sign)
+        _set_order(self, order)
+        _set_value(self, value)
+        _set_producer(self, producer)
+        _set_witness(self, witness)
+        _set_memo(self, memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("Decimal is immutable")
@@ -344,8 +343,8 @@ class Decimal:
 
     @classmethod
     def from_fraction(cls, q):
-        q = Fraction(q)
-        return cls(-1 if q < 0 else 1, order_of(q), value=q)
+        q = q if isinstance(q, Fraction) else Fraction(q)
+        return cls(-1 if q.numerator < 0 else 1, order_of(q), value=q)
 
     @classmethod
     def from_int(cls, n):
@@ -551,6 +550,12 @@ class Decimal:
         return f"Decimal(<stream>, sign={self.sign}, order={self.order})"
 
 
+# The slots' own setters for ``Decimal.__init__``, since ``__setattr__`` refuses
+# every write: they skip the name lookup that ``object.__setattr__`` makes.
+(_set_sign, _set_order, _set_value, _set_producer, _set_witness,
+ _set_memo) = (getattr(Decimal, name).__set__ for name in Decimal.__slots__)
+
+
 def truncate(d, m):
     """Keep the digits of d at positions >= -m, zero below, canonicalized.
 
@@ -628,13 +633,6 @@ def _nine_free_position(d, n, budget):
     return m
 
 
-def _digit_verdict(x, y, n):
-    """Order of two same-signed words whose digits first differ at n."""
-    if (x.digit(n) < y.digit(n)) == (x.sign > 0):
-        return Verdict.LESS
-    return Verdict.GREATER
-
-
 def compare(d, e, budget=128):
     """Digitwise order on decimals.
 
@@ -645,43 +643,53 @@ def compare(d, e, budget=128):
     one needs a nine-free position below, found by scanning or by the
     stream's escape witness).
     """
-    exact = d.has_exact_value and e.has_exact_value
-    if exact:
-        if d.value() == e.value():
-            return Comparison(Verdict.EQUAL)
+    if d.sign == e.sign:  # the digits are those of the magnitudes
+        verdict, m = compare_magnitudes(d, e, budget)
+        if m is None:
+            return Comparison(verdict)
+        if d.sign < 0:
+            verdict = Verdict.GREATER if verdict is Verdict.LESS else Verdict.LESS
+        return Comparison(verdict, _sep_from_position(m))
+
+    # a minus word sits below a plus word; the witness needs the leading
+    # digit of some side known to be nonzero
+    verdict = Verdict.LESS if d.sign < 0 else Verdict.GREATER
+    neg, pos = (d, e) if d.sign < 0 else (e, d)
+    if d.has_exact_value and e.has_exact_value:  # the nonzero side alone separates
+        x = neg if pos.is_zero() else pos
+        t = x.leading_index()
+        return Comparison(verdict, _sep_from_position(t if x.digit(t) >= 2 else t - 1))
+    t = (neg.leading_index() if neg.has_exact_value
+         else first_difference(neg, TERM_ZERO, budget))
+    if t is None:
+        t = (pos.leading_index() if pos.has_exact_value
+             else first_difference(pos, TERM_ZERO, budget))
+    if t is None:
+        return Comparison(Verdict.UNDECIDED)
+    # truncation gap is at least 10**t; halve for strictness
+    w = SeparationWitness(2 * (pow10(-t) if t < 0 else 1), max(1, -t))
+    return Comparison(verdict, w)
+
+
+def compare_magnitudes(d, e, budget=128):
+    """``(verdict, m)`` for ``|d|`` against ``|e|``, read from d and e as given
+    (a decimal's digits are those of its magnitude).  The first differing
+    digit decides, at n; the truncations stay apart below m <= n (a gap of
+    one needs a nine-free position below, on the smaller side), and m is
+    None for EQUAL and UNDECIDED.  Exact values scan without a budget."""
+    if d.has_exact_value and e.has_exact_value:
+        p, q = d.value(), e.value()
+        if p.denominator == q.denominator and abs(p.numerator) == abs(q.numerator):
+            return Verdict.EQUAL, None
         budget = None
-
-    if d.sign != e.sign:
-        # a minus word sits below a plus word; the witness needs the leading
-        # digit of some side known to be nonzero
-        verdict = Verdict.LESS if d.sign < 0 else Verdict.GREATER
-        neg, pos = (d, e) if d.sign < 0 else (e, d)
-        if exact:  # the nonzero side alone separates the truncations
-            x = neg if pos.is_zero() else pos
-            t = x.leading_index()
-            return Comparison(verdict, _sep_from_position(t if x.digit(t) >= 2 else t - 1))
-        t = (neg.leading_index() if neg.has_exact_value
-             else first_difference(neg, TERM_ZERO, budget))
-        if t is None:
-            t = (pos.leading_index() if pos.has_exact_value
-                 else first_difference(pos, TERM_ZERO, budget))
-        if t is None:
-            return Comparison(Verdict.UNDECIDED)
-        # truncation gap is at least 10**t; halve for strictness
-        w = SeparationWitness(2 * (pow10(-t) if t < 0 else 1), max(1, -t))
-        return Comparison(verdict, w)
-
-    # same sign: the digits are those of the magnitudes
     n = first_difference(d, e, budget)
     if n is None:
-        return Comparison(Verdict.UNDECIDED)
+        return Verdict.UNDECIDED, None
     dd, de = d.digit(n), e.digit(n)
-    m = n
-    if abs(dd - de) < 2:
-        m = _nine_free_position(d if dd < de else e, n, budget)
-        if m is None:
-            return Comparison(Verdict.UNDECIDED)
-    return Comparison(_digit_verdict(d, e, n), _sep_from_position(m))
+    m = n if abs(dd - de) >= 2 else _nine_free_position(d if dd < de else e, n, budget)
+    if m is None:
+        return Verdict.UNDECIDED, None
+    return Verdict.LESS if dd < de else Verdict.GREATER, m
 
 
 def check_separation(d, e, w, samples=16):
@@ -711,7 +719,8 @@ def compare_extended(x, y, budget=128):
     n = first_difference(x, y, None if exact else budget)
     if n is None:
         return Comparison(Verdict.UNDECIDED)
-    return Comparison(_digit_verdict(x, y, n))
+    less = x.digit(n) < y.digit(n)
+    return Comparison(Verdict.LESS if less == (x.sign > 0) else Verdict.GREATER)
 
 
 def _is_exact_face(x):
@@ -846,8 +855,6 @@ def validate_prefix(d, depth):
 # ---------------------------------------------------------------------------
 # literals
 
-_DEC_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d*))?(?:\((\d+)\))?$")
-
 
 def parse_decimal(text):
     """Parse ``[-] digits ['.' digits] ['(' digits ')']`` into a Decimal.
@@ -855,22 +862,10 @@ def parse_decimal(text):
     A parenthesized block repeats forever: ``0.(3)`` is a third.  An all-nine
     block would name a nine-tail word and is rejected.
     """
-    m = _DEC_RE.match(text.strip())
-    if not m:
+    m = LITERAL.fullmatch(text.strip())
+    if not m or m[3] is not None:
         raise InvalidLiteral(f"not a decimal literal: {text!r}")
-    sign_s, int_s, frac_s, block_s = m.groups()
-    if frac_s is None:
-        frac_s = ""
-    elif frac_s == "" and block_s is None:
-        raise InvalidLiteral(f"dangling decimal point: {text!r}")
-    sign = -1 if sign_s == "-" else 1
-    f = len(frac_s)
-    base = Fraction(str_int(int_s + frac_s), pow10(f))
-    if block_s:
-        if set(block_s) == {"9"}:
-            raise InvalidLiteral("a repeating block of nines names a nine-tail word")
-        base += Fraction(str_int(block_s), pow10(f) * (pow10(len(block_s)) - 1))
-    return Decimal.from_fraction(sign * base)
+    return Decimal.from_fraction(literal_fraction(m.groups(), text))
 
 
 def format_decimal(d):

@@ -6,10 +6,10 @@ digit-by-digit routines or in the p-adic integers of a prime.
 
 import re
 
-from .decimals import Decimal, parse_decimal
+from .decimals import Decimal
 from .errors import ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
-from .rational import parse_rat
+from .rational import LITERAL, literal_fraction
 from .weak import hint_decode, hint_of, weak_add, weak_mul
 from .words import traced_decimal
 
@@ -22,8 +22,9 @@ from .words import traced_decimal
 #
 # literals: decimal  [-]digits[.digits][(digits)]   e.g. 2.5, 0.(3), -0.58(3)
 #           rational [-]int/posint                  e.g. 22/7, -1/3
+# (``rational.LITERAL``, whose '+' sign the expression language leaves out)
 
-_LITERAL = re.compile(r"-?\d+/\d+|-?\d+(?:\.\d*)?(?:\(\d+\))?")
+_SPACE = re.compile(r"\s*")
 
 # Deepest expression tree, and deepest bracket nesting, the parser accepts.
 # Parsing a bracket, evaluating a node and reading a digit of a sum or
@@ -34,6 +35,8 @@ MAX_DEPTH = 100
 
 
 class _Parser:
+    """Recursive descent over ``text``, matching in place at index ``self.i``."""
+
     def __init__(self, text):
         self.text = text
         self.i = 0
@@ -48,23 +51,24 @@ class _Parser:
         return depth
 
     def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
+        """Move to the next non-space character, and return its index."""
+        i = self.i
+        if self.text[i:i + 1].isspace():
+            i = self.i = _SPACE.match(self.text, i).end()
+        return i
 
     def peek(self):
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
+        i = self.skip_ws()
+        return self.text[i:i + 1]
 
     def eat(self, s):
-        self.skip_ws()
-        if not self.text.startswith(s, self.i):
+        if not self.text.startswith(s, self.skip_ws()):
             self.error(f"expected {s!r}")
         self.i += len(s)
 
     def parse(self):
         node, _ = self.expr()
-        self.skip_ws()
-        if self.i != len(self.text):
+        if self.skip_ws() != len(self.text):
             self.error("trailing input")
         return node
 
@@ -72,8 +76,7 @@ class _Parser:
 
     def expr(self):
         node, depth = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.text[self.i]
+        while (op := self.peek()) in ("+", "-"):
             self.i += 1
             rhs, rdepth = self.term()
             if op == "-":
@@ -90,22 +93,18 @@ class _Parser:
         return node, depth
 
     def factor(self):
-        self.skip_ws()
-        rest = self.text[self.i:]
-        if rest.startswith("neg("):
+        text, i = self.text, self.skip_ws()
+        m = LITERAL.match(text, i)
+        if m and m[1] != "+":
+            self.i = m.end()
+            return ("lit", Decimal.from_fraction(literal_fraction(m.groups(), m[0]))), 0
+        if text.startswith("neg(", i):
             return self.bracket(4, "neg")
-        if rest.startswith("recip("):
+        if text.startswith("recip(", i):
             return self.bracket(6, "recip")
-        if rest.startswith("("):
+        if text.startswith("(", i):
             return self.bracket(1, None)
-        m = _LITERAL.match(self.text, self.i)
-        if not m:
-            self.error("expected a literal")
-        self.i = m.end()
-        tok = m.group()
-        if "/" in tok:
-            return ("lit", Decimal.from_fraction(parse_rat(tok))), 0
-        return ("lit", parse_decimal(tok)), 0
+        self.error("expected a literal")
 
     def bracket(self, opener_len, kind):
         """The expression inside a bracket, wrapped in a ``kind`` node
@@ -148,7 +147,8 @@ def eval_expression(node, path="certified", root_hint=None, trace=False):
         return node[1], node[1].value(), None
     if kind == "neg":
         d, v, _ = eval_expression(node[1], path)
-        return d.neg(), -v, None
+        d = d.neg()  # an exact operand's flip carries the negated value already
+        return d, d.value() if d.has_exact_value else -v, None
     if kind == "recip":
         d, v, _ = eval_expression(node[1], path)
         if v == 0:

@@ -12,7 +12,10 @@ from fractions import Fraction
 
 from .errors import InvalidLiteral
 
-_RAT_RE = re.compile(r"^([+-]?)(\d+)(?:/(\d+))?$")
+# The one literal grammar: [sign] digits, then '/' digits (a rational) or
+# ['.' [digits]] ['(' digits ')'] (a decimal, the block repeating forever).
+# Groups: sign, integer part, denominator, fraction part, repeating block.
+LITERAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|(?:\.(\d*))?(?:\((\d+)\))?)")
 
 _POW10 = {}
 
@@ -125,18 +128,36 @@ def rat_cmp(a, b):
     return (a > b) - (a < b)
 
 
+def literal_fraction(groups, text):
+    """The exact value of a literal from the groups of its ``LITERAL`` match
+    (``text`` names it in errors): ``int.frac`` plus ``block / (10**b - 1)``
+    over ``10**f``, built as two integers and reduced once."""
+    sign, int_s, den_s, frac_s, block_s = groups
+    if den_s is not None:
+        num, den = str_int(int_s), str_int(den_s)
+        if den == 0:
+            raise InvalidLiteral(f"zero denominator: {text!r}")
+    else:
+        if frac_s is None:
+            frac_s = ""
+        elif not frac_s and block_s is None:
+            raise InvalidLiteral(f"dangling decimal point: {text!r}")
+        num, den = str_int(int_s + frac_s), pow10(len(frac_s))
+        if block_s:
+            if not block_s.strip("9"):
+                raise InvalidLiteral("a repeating block of nines names a nine-tail word")
+            nines = pow10(len(block_s)) - 1
+            num, den = num * nines + str_int(block_s), den * nines
+    return Fraction(-num if sign == "-" else num, den)
+
+
 def parse_rat(text):
     """Parse 'num/den' (or a bare integer) into a Fraction."""
     text = text.strip()
-    m = _RAT_RE.match(text)
-    if not m:
+    m = LITERAL.fullmatch(text)
+    if not m or m[4] is not None or m[5] is not None:
         raise InvalidLiteral(f"not a rational literal: {text!r}")
-    sign, num, den = m.groups()
-    try:
-        q = Fraction(str_int(num), str_int(den or "1"))
-    except ZeroDivisionError:
-        raise InvalidLiteral(f"zero denominator: {text!r}") from None
-    return -q if sign == "-" else q
+    return literal_fraction(m.groups(), text)
 
 
 def format_rat(q):
@@ -233,14 +254,10 @@ class DecFrac:
 
 def parse_decfrac(text):
     """Parse a plain (non-repeating) decimal literal like '-20.3'."""
-    m = re.match(r"^([+-]?)(\d+)(?:\.(\d+))?$", text.strip())
-    if not m:
+    m = LITERAL.fullmatch(text.strip())
+    if not m or m[3] is not None or m[4] == "" or m[5] is not None:
         raise InvalidLiteral(f"not a plain decimal literal: {text!r}")
-    sign, intpart, frac = m.group(1), m.group(2), m.group(3) or ""
-    mant = str_int(intpart + frac)
-    if sign == "-":
-        mant = -mant
-    return DecFrac(mant, -len(frac))
+    return DecFrac.from_fraction(literal_fraction(m.groups(), text))
 
 
 def format_decfrac(f):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decimals import (Decimal, TermDecimal, Verdict, compare, order_of, r_inv,
+from .decimals import (Decimal, TermDecimal, Verdict, compare_magnitudes, order_of, r_inv,
                        searched_nine_escape)
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
 from .rational import DecFrac, pow10, ten_smooth
@@ -223,15 +223,15 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     if hint.terminating is not None:
         return _payload("add", d, e, hint)
     if d.sign != e.sign:
-        c = compare(d.abs(), e.abs(), budget=sign_budget)
-        if c.verdict is Verdict.UNDECIDED:
+        verdict, _ = compare_magnitudes(d, e, budget=sign_budget)
+        if verdict is Verdict.UNDECIDED:
             raise OracleUnavailable(
                 f"the sign of the sum is undecided within the sign budget of {sign_budget} digits")
-        if c.verdict is Verdict.EQUAL:
+        if verdict is Verdict.EQUAL:
             raise HintMismatch(
                 "magnitudes look equal: the sum terminates, but the hint says otherwise"
             )
-        if c.verdict is Verdict.LESS:
+        if verdict is Verdict.LESS:
             d, e = e, d
     return _checked_stream(d.sign, hint, _sum_digits(d, e, d.sign != e.sign),
                            max(d.order, e.order) + 1)
@@ -258,7 +258,7 @@ def _checked_stream(sign: int, hint: Hint, producer, bound: int) -> Decimal:
     bracket, started at the bound, steps down to it."""
     if hint.order > bound:
         raise HintMismatch("zero digit at the hinted (positive) order")
-    f = Decimal.from_stream(sign, hint.order, producer, searched_nine_escape(producer))
+    f = Decimal(sign, hint.order, producer=producer, witness=searched_nine_escape(producer))
     above = 0
     for n in range(bound, hint.order, -1):
         above |= producer(n)

@@ -505,6 +505,14 @@ def pinned_calls():
     yield ["eval", "0.(3)", "--digits", "0"], printed(lambda: "0")
     yield ["padic", "3", "1/2", "--digits", "0"], printed(lambda: "p=3 order=0: ")
     yield ["encode", "0.5", "--letters", "-3"], bad_argument("--letters")
+    # literal edge cases and parse errors
+    for text in ("1.", "2..3", "0.(9)", "1/0", "1/-2", "(1+2", "neg(1", "0.5+", "+1", "1e3",
+                 "", "recip(0)"):
+        yield ["eval", text], refused((2,))
+    for text, v in ((" 0.5 + 1/3 ", Fraction(1, 2) + third), ("-0/5*0.(3)", Fraction(0)),
+                    ("007.50(0)*0.(3)", Fraction(15, 2) * third),
+                    ("0.(3) * 0.(09)", third * Fraction(1, 11))):
+        yield ["eval", text], printed(lambda v=v: render(v, 10))
 
 
 def calls(seed=SEED):

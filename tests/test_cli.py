@@ -40,12 +40,27 @@ def test_parse_expression_rational_literals():
 
 
 def test_parse_expression_errors_carry_position():
-    with pytest.raises(ParseError):
-        parse_expression("1 + ")
-    with pytest.raises(ParseError):
-        parse_expression("(1")
-    with pytest.raises(ParseError):
-        parse_expression("1 ** 2")
+    # a literal's own errors name the literal and carry no position
+    for text, message, position in [
+        ("1 + ", "expected a literal", 4),
+        ("(1", "expected ')'", 2),
+        ("1 ** 2", "expected a literal", 3),
+        ("1/-2", "trailing input", 1),
+        ("(1+2", "expected ')'", 4),
+        ("neg(1 ", "expected ')'", 6),
+        ("0.5+", "expected a literal", 4),
+        (" +1", "expected a literal", 1),
+        ("1e3", "trailing input", 1),
+        ("", "expected a literal", 0),
+        ("1 2", "trailing input", 2),
+        ("1.", "dangling decimal point: '1.'", None),
+        ("2 * 2..3", "dangling decimal point: '2.'", None),
+        ("0.(9)", "a repeating block of nines names a nine-tail word", None),
+        ("1 + 1/0", "zero denominator: '1/0'", None),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_expression(text)
+        assert (str(info.value), info.value.position) == (message, position)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ They need ``hypothesis`` (``pip install .[test]``); without it this module
 is skipped and every other suite still runs.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -13,7 +14,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from decreal.decimals import (  # noqa: E402
@@ -25,8 +26,9 @@ from decreal.decimals import (  # noqa: E402
     searched_nine_escape,
     truncate,
 )
+from decreal.expr import parse_expression  # noqa: E402
 from decreal.padic import PAdic, padic_add, padic_from_rational, padic_mul  # noqa: E402
-from decreal.rational import DecFrac, ten_smooth  # noqa: E402
+from decreal.rational import DecFrac, parse_rat, ten_smooth  # noqa: E402
 from decreal.weak import (  # noqa: E402
     add_digit_rule,
     compute_hint,
@@ -479,3 +481,106 @@ def test_padic_mul_matches_mod_oracle(case, reads, ahead):
     prod = padic_mul(a, b)
     assert prod.base == ba + bb
     check_padic(prod, p, q * r, reads)
+
+
+# ---------------------------------------------------------------------------
+# literals
+
+
+def digits_int(s):
+    """The integer spelled by the digit string ``s``, read 1,000 digits at
+    a time, so spellings past the int-to-str cap read too."""
+    v = 0
+    for i in range(0, len(s), 1000):
+        v = v * 10 ** len(s[i:i + 1000]) + int(s[i:i + 1000])
+    return v
+
+
+def long_digits(seed, n):
+    return "".join(random.Random(seed).choices("0123456789", k=n))
+
+
+# digit strings of every length up to 8, and some past 4,000 digits
+digit_strings = st.one_of(
+    st.text("0123456789", max_size=8), st.text("0123456789", max_size=8),
+    st.builds(long_digits, st.integers(0, 2 ** 32), st.integers(4001, 4400)))
+
+
+def literal_oracle(text):
+    """The exact value of ``[-] int [. frac] [(block)]`` or ``[-] num/den``,
+    worked out from its digit strings."""
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    if "/" in text:
+        num, den = text.split("/")
+        return sign * Fraction(digits_int(num), digits_int(den))
+    block = ""
+    if text.endswith(")"):
+        text, block = text[:-1].split("(")
+    ip, _, frac = text.partition(".")
+    value = Fraction(digits_int(ip + frac), 10 ** len(frac))
+    if block:
+        value += Fraction(digits_int(block), 10 ** len(frac) * (10 ** len(block) - 1))
+    return sign * value
+
+
+@st.composite
+def decimal_spellings(draw):
+    """``[-] [zeros] int [. frac] [(block)]``."""
+    sign = draw(st.sampled_from(["", "-"]))
+    ip = "0" * draw(st.integers(0, 3)) + draw(digit_strings)
+    assume(ip)
+    frac = draw(st.one_of(st.none(), digit_strings))
+    block = draw(st.one_of(st.none(), st.just("0"), st.text("0123456789", min_size=1, max_size=6)))
+    assume(block is None or block.strip("9"))  # an all-nine block is refused
+    if frac == "" and block is None:
+        frac = None  # "1." is refused
+    return (sign + ip + ("" if frac is None else "." + frac)
+            + ("" if block is None else f"({block})"))
+
+
+@st.composite
+def rational_spellings(draw):
+    """``[-] num/den``, with leading zeros, a zero numerator, or a common
+    power of ten left in."""
+    sign = draw(st.sampled_from(["", "-"]))
+    num = "0" * draw(st.integers(0, 2)) + draw(digit_strings)
+    assume(num)
+    den = draw(st.one_of(st.integers(1, 10 ** 6).map(str), digit_strings))
+    assume(den.strip("0"))
+    common = "0" * draw(st.integers(0, 3))
+    return f"{sign}{num}{common}/{den}{common}"
+
+
+def check_literal(x, value):
+    assert x.value() == value
+    assert x.sign == (-1 if value < 0 else 1)
+    whole = abs(value.numerator) // value.denominator
+    assert 10 ** x.order <= whole < 10 ** (x.order + 1) if whole else x.order == 0
+
+
+@PROPERTY
+@given(text=decimal_spellings())
+@example(text="-" + "7" * 4500 + ".(3)")
+@example(text="0." + "0" * 4100 + "1(12)")
+@example(text="-0.0(0)")
+def test_decimal_literals_read_one_value_on_every_path(text):
+    value = literal_oracle(text)
+    check_literal(parse_decimal(text), value)
+    node = parse_expression(text)
+    assert node[0] == "lit"
+    check_literal(node[1], value)
+
+
+@PROPERTY
+@given(text=rational_spellings())
+@example(text="-" + "3" * 5000 + "/7")
+@example(text="0/5")
+@example(text="-00/010")
+def test_rational_literals_read_one_value_on_every_path(text):
+    value = literal_oracle(text)
+    q = parse_rat(text)
+    assert q == value
+    check_literal(Decimal.from_fraction(q), value)
+    node = parse_expression(text)
+    assert node[0] == "lit"
+    check_literal(node[1], value)

@@ -18,7 +18,7 @@ from decreal.decimals import (
 )
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
 from decreal.expr import eval_expression, parse_expression
-from decreal.rational import DecFrac
+from decreal.rational import DecFrac, parse_rat
 from decreal.weak import (
     Hint,
     add_digit_rule,
@@ -884,8 +884,9 @@ def test_weak_mul_rejects_wrong_order_hint():
 
 def test_weak_operands_are_read_as_given(monkeypatch):
     # the operands, their signs and the digit rule pass as plain arguments:
-    # a result builds its own streams and no sign or magnitude view, and a
-    # hint reads its order off the value without building a Decimal
+    # a result builds its own streams and no sign or magnitude view (the
+    # magnitude comparison of opposite signs reads the operands as given),
+    # and a hint reads its order off the value without building a Decimal
     qx, qy, qz = Fraction(-1, 3), Fraction(-2, 7), Fraction(5, 7)
     x, y, z = (Decimal.from_fraction(q) for q in (qx, qy, qz))
     hints = {q: hint_of(q) for q in (qx * qy, qx + qy, qx + qz)}
@@ -901,7 +902,7 @@ def test_weak_operands_are_read_as_given(monkeypatch):
         (lambda: weak_mul(x, y, hints[qx * qy]), qx * qy, 1),
         (lambda: weak_mul(x, y, hints[qx * qy], digit_path="paper"), qx * qy, 2),
         (lambda: weak_add(x, y, hints[qx + qy]), qx + qy, 1),
-        (lambda: weak_add(x, z, hints[qx + qz]), qx + qz, 2),
+        (lambda: weak_add(x, z, hints[qx + qz]), qx + qz, 1),
     ]
     for call, q, want in calls:
         built.clear()
@@ -911,6 +912,51 @@ def test_weak_operands_are_read_as_given(monkeypatch):
     built.clear()
     assert hint_of(Fraction(-2, 21)) == Hint(0)
     assert built == []
+
+
+def test_request_set_up_builds_one_value_per_literal(monkeypatch):
+    """A literal is parsed once, into one ``Fraction`` and one ``Decimal``,
+    and a '+' or '*' node builds its result stream and nothing else.
+
+    Before the literal grammar was shared and ``weak_add`` compared the
+    magnitudes of its operands as given, a literal built one ``Decimal``
+    and, on Python 3.11, 3 (``-22/7``, ``0.5``) to 5 (``-1.2(3)``)
+    ``Fraction`` objects; ``eval_expression`` built 4 ``Decimal`` objects
+    for ``22/7+-5/3`` and 3 for ``22/7*5/3``.
+    """
+    decimals_built, fractions_built = [], []
+    init, new = Decimal.__init__, Fraction.__new__
+
+    def counted_init(self, *args, **kwargs):
+        decimals_built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_new(cls, *args, **kwargs):
+        fractions_built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Decimal, "__init__", counted_init)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    for text, q in (("-1.2(3)", Fraction(-37, 30)), ("-22/7", Fraction(-22, 7)),
+                    ("0.5", Fraction(1, 2)), ("007.50(0)", Fraction(15, 2))):
+        for parse in (parse_expression, parse_rat if "/" in text else parse_decimal):
+            decimals_built.clear()
+            fractions_built.clear()
+            value = parse(text)
+            if isinstance(value, tuple):
+                value = value[1]
+            assert (value if isinstance(value, Fraction) else value.value()) == q
+            assert len(fractions_built) == 1
+            assert len(decimals_built) == (0 if parse is parse_rat else 1)
+    for text, want in (("22/7+-5/3", 3), ("22/7*5/3", 3)):
+        node = parse_expression(text)
+        decimals_built.clear()
+        eval_expression(node)
+        assert len(decimals_built) == want - 2  # the two literals are built at parse time
+        decimals_built.clear()
+        d, v, _ = eval_expression(parse_expression(text))
+        assert len(decimals_built) == want
+        assert render_digits(d, 30) == render_digits(Decimal.from_fraction(v), 30)
 
 
 # ---------------------------------------------------------------------------
