@@ -21,7 +21,9 @@ from .shifts import classify_add_shift, classify_mul_shift, graph_type, involuti
 from .weak import hint_encode
 from .words import encode_xr, encode_xs, bin_lsb_encode, render_tape
 
-_NATURAL = re.compile(r"^\+?(\d+)$")
+# Numbers are spelt with ASCII digits only: ``\d`` and ``int`` would read
+# every Unicode decimal digit.
+_NATURAL = re.compile(r"^\+?(\d+)$", re.ASCII)
 
 # An expression or a literal may start with a minus sign ("-1/3*2",
 # "-0.(3)").  argparse takes any argument that starts with "-" for an
@@ -31,7 +33,7 @@ _NATURAL = re.compile(r"^\+?(\d+)$")
 # ``_negative_number_matcher`` is set instead, as checked on Python 3.10 to
 # 3.13.  The leading-minus tests in tests/test_cli.py catch a Python whose
 # argparse works otherwise.
-_NEGATIVE_START = re.compile(r"^-\d")
+_NEGATIVE_START = re.compile(r"^-\d", re.ASCII)
 
 # Most payload letters (sign, order bits, digits, terminator) of a hint that
 # ``decreal hint`` prints: the payload is a 2-adic exponent of about
@@ -42,7 +44,7 @@ MAX_HINT_LETTERS = 5
 def count(text):
     """A ``--digits`` or ``--letters`` value: an integer >= 0, so argparse
     refuses "-3"."""
-    n = int(text)
+    n = _int(text)
     if n < 0:
         raise ValueError(f"negative count {n}")
     return n
@@ -66,13 +68,16 @@ def cmd_eval(args):
     return 0
 
 
-def _hint_int(text):
-    """``int(text)``, reading digit strings past the int-to-str cap too."""
+def _int(text):
+    """``int(text)`` for ASCII text only, reading digit strings past the
+    int-to-str cap too."""
+    if not text.isascii():
+        raise ValueError(f"not ASCII: {text!r}")
     digits = text.strip()
     return str_int(digits) if digits.isdecimal() else int(text)
 
 
-_hint_int.__name__ = "int"  # argparse names the type in its error message
+_int.__name__ = "int"  # argparse names the type in its error message
 
 
 def cmd_padic(args):
@@ -148,14 +153,14 @@ def build_parser():
                    help="digits after the point (default 10)")
     p.add_argument("--path", choices=("certified", "paper"), default="certified",
                    help="digit rule for products")
-    p.add_argument("--hint", type=_hint_int, default=None,
+    p.add_argument("--hint", type=_int, default=None,
                    help="integer hint for the top-level operation")
     p.add_argument("--trace", action="store_true",
                    help="report how deep the top-level operands were read")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("padic", help="evaluate an expression in the p-adic integers")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_int)
     p.add_argument("expr")
     p.add_argument("--digits", type=count, default=12,
                    help="digits to print, ascending from the order")
@@ -164,7 +169,7 @@ def build_parser():
     p = sub.add_parser("encode", help="print the tape picture of a value")
     p.add_argument("value")
     p.add_argument("--format", choices=("xr", "xs", "xp"), default="xr")
-    p.add_argument("--p", type=int, default=3, help="prime for --format xp")
+    p.add_argument("--p", type=_int, default=3, help="prime for --format xp")
     p.add_argument("--letters", type=count, default=12)
     p.add_argument("--as-binary-tape", action="store_true",
                    help="treat VALUE as an integer and print its binary run")

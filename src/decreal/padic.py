@@ -8,16 +8,18 @@ sum or product only ever depends on input digits at positions ``<= n``.
 That makes both operations letter-by-letter computable, and the tracing
 helpers below let tests check the locality claim read by read.
 
-A product keeps its operand prefixes and ``X*Y // p**j`` as big integers,
-but moves them once per run of columns whose base-p weight ``p**r`` fits
-in one CPython limb; inside a run a digit is small-integer work modulo
-``p**r``, exact because the low digits of a product depend only on the low
-digits of its factors.  An exact leaf reads no stream, so it may peel its
-digits ahead in runs; every other stream produces one position per call.
+Streams produce in runs.  A leaf peels k digits with one inverse mod
+``p**k``; a sum, negation or product asks its operands for the position it
+was asked for only, and hands out every column from there up they already
+hold.  A product moves its big integers once per run of columns of weight
+``p**r`` below one CPython limb; inside a run a digit is small-integer
+work mod ``p**r``, as a product's low digits depend only on its factors'.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from operator import mul
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -37,8 +39,13 @@ from .words import bin_lsb_decode, xr_head
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
-# The longest run of digits an exact leaf peels into its memo at once.
+# The longest run a stream produces at once.  A leaf's runs double up to it
+# while ``p**k`` has at most RUN_BITS / 2 bits: a product over leaves at a
+# large prime works out few columns past the last one asked.  Primes up to
+# 32 read base-p digits m at a time off a table of ``p**m <= DIGIT_TABLE``.
 PEEL_RUN = 64
+RUN_BITS = 256
+DIGIT_TABLE = 1024
 
 
 @lru_cache
@@ -79,15 +86,17 @@ class PAdic:
     or a carry) from one position to the next.  A digit out of range raises
     before it is memoised, and a producer that raises leaves its position
     to be asked again.  With ``runs`` the producer instead returns a list of
-    the digits from the position asked upward, at least one: that is only
-    for producers that read no stream (``padic_from_rational``), since the
-    extra digits are positions no consumer asked for.  The true ``order``
+    the digits from the position asked upward, at least one; it reads no
+    stream (``padic_from_rational``), or hands out only columns its operands
+    hold (``known``), so it asks nothing above the position asked.  Over a view
+    that memoises only what it was asked (``traced_padic``), an arithmetic
+    node so goes a digit at a time.  The true ``order``
     (lowest nonzero position, or 0 for zero) may be left lazy: results of
     arithmetic scan the finitely many positions ``base..0`` for their first
     nonzero digit only when someone asks.
     """
 
-    __slots__ = ("p", "base", "_order", "_producer", "_runs", "_digits")
+    __slots__ = ("p", "base", "_order", "_producer", "_digits")
 
     def __init__(self, p, order, producer, base=None, runs=False):
         _check_prime(p)
@@ -100,8 +109,7 @@ class PAdic:
         self.p = p
         self.base = base
         self._order = order
-        self._producer = producer
-        self._runs = runs
+        self._producer = producer if runs else lambda n: [producer(n)]
         self._digits = []
 
     def digit(self, n):
@@ -111,26 +119,22 @@ class PAdic:
         if i < k:
             return digits[i] if i >= 0 else 0
         producer, p = self._producer, self.p
-        if self._runs:
-            while k <= i:
-                run = producer(self.base + k)
-                if min(run) < 0 or max(run) >= p:
-                    raise MalformedWord(f"digit out of range for p={p} in {run}")
-                digits += run
-                k = len(digits)
-            return digits[i]
-        if i == k:  # the next position: a sequential reader's one miss
-            d = producer(n)
-            if not 0 <= d < p:
-                raise MalformedWord(f"digit {d} out of range for p={p}")
-            digits.append(d)
-            return d
-        for m in range(self.base + k, n + 1):
-            d = producer(m)
-            if not 0 <= d < p:
-                raise MalformedWord(f"digit {d} out of range for p={p}")
-            digits.append(d)
-        return d
+        while k <= i:
+            run = producer(self.base + k)
+            if min(run) < 0 or max(run) >= p:
+                raise MalformedWord(f"digit out of range for p={p} in {run}")
+            digits += run
+            k = len(digits)
+        return digits[i]
+
+    def known(self, n, limit):
+        """``digit(n)``, then the digits memoised above it: 1 to ``limit``
+        digits, with nothing above ``n`` asked of the producer."""
+        i = n - self.base
+        if i < 0:
+            return [0] * min(-i, limit)
+        self.digit(n)
+        return self._digits[i:i + limit]
 
     @property
     def order(self):
@@ -153,37 +157,59 @@ class PAdic:
         return f"PAdic(p={self.p}, base={self.base}, {shown} ...)"
 
 
+@lru_cache
+def _digit_table(p):
+    """``(m, p**m, t)``, ``t[c]`` the m base-p digits of ``c < p**m``, lowest
+    first; ``(1, p, None)`` above p = 32.  Worked out once per prime."""
+    m = 1
+    while p <= 32 and p ** (m + 1) <= DIGIT_TABLE:
+        m += 1
+    return m, p ** m, [t[::-1] for t in product(range(p), repeat=m)] if p <= 32 else None
+
+
+def _base_digits(v, k, p):
+    """The k lowest base-p digits of ``0 <= v < p**k``, lowest first."""
+    m, pm, table = _digit_table(p)
+    out = []
+    for _ in range(0, k, m):
+        v, c = divmod(v, pm)
+        out += table[c] if table else (c,)
+    del out[k:]
+    return out
+
+
 def padic_from_rational(p, q) -> PAdic:
     """The p-adic expansion of a rational whose denominator p does not divide.
 
-    Digits are produced by the usual peeling: ``a = x mod p``, then
-    ``x := (x - a)/p``.  ``x`` is kept as an integer numerator over the fixed
-    denominator, whose inverse mod p is taken once; the division by p is
-    exact.  The digits go into the memo in runs whose length doubles from 1
-    up to ``PEEL_RUN``: the first digit costs one peel, and a long read
-    costs one producer call per run, not per digit.  Integers and rationals
-    with p-free denominators land in the p-adic integers, so the order is 0
-    and digits start there.
+    ``x`` is an integer numerator over the fixed denominator ``d``.  A run
+    of k digits is the k base-p digits of ``v = x/d mod p**k``, then ``x :=
+    (x - v*d) / p**k``, exactly.  The runs double from one digit, by ``1/d
+    mod p``, up to ``PEEL_RUN``; each doubling lifts the inverse by a Newton
+    step ``i := i*(2 - d*i) mod p**2k``.  The order is 0: digits start there.
     """
     _check_prime(p)
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator % p == 0:
         raise DenominatorDivisibleByP(
             f"{p} divides the denominator of {format_rat(q)}; no p-adic integer expansion"
         )
     num, den = q.numerator, q.denominator
-    inv = pow(den, -1, p)
-    size = 1
+    size, pk, inv = 0, p, pow(den, -1, p)  # the last run's length; p**k and 1/den mod p**k
 
     def peel(n):
-        nonlocal num, size
-        run = []
-        for _ in range(size):
+        nonlocal num, size, pk, inv
+        if not size:  # the first digit alone
             a = num * inv % p
             num = (num - a * den) // p
-            run.append(a)
-        size = min(2 * size, PEEL_RUN)
-        return run
+            size = 1
+            return [a]
+        if size < PEEL_RUN and 2 * pk.bit_length() <= RUN_BITS:
+            size, pk = 2 * size, pk * pk
+            inv = inv * (2 - den * inv) % pk
+        v = num * inv % pk
+        num = (num - v * den) // pk
+        return _base_digits(v, size, p)
 
     return PAdic(p, 0, peel, runs=True)
 
@@ -192,7 +218,8 @@ def padic_add(a: PAdic, b: PAdic) -> PAdic:
     """Digitwise sum with an upward carry in {0, 1}.
 
     The carry into position n is settled by positions < n alone, so the
-    digit at p**n reads nothing above n from either operand.
+    digit at p**n reads nothing above n from either operand.  Asked for n,
+    it reads ``a`` then ``b`` at n, and adds every column both hold.
     """
     if a.p != b.p:
         raise PrimeMismatch(f"cannot add p={a.p} and p={b.p}")
@@ -202,11 +229,15 @@ def padic_add(a: PAdic, b: PAdic) -> PAdic:
 
     def producer(n):
         nonlocal carry
-        s = a.digit(n) + b.digit(n) + carry
-        carry = s >= p
-        return s - p if carry else s
+        run_a = a.known(n, PEEL_RUN)
+        run_b = b.known(n, len(run_a))
+        for t, db in enumerate(run_b):  # the sum's digits overwrite b's run
+            s = run_a[t] + db + carry
+            carry = s >= p
+            run_b[t] = s - p if carry else s
+        return run_b
 
-    return PAdic(p, None, producer, base=k0)
+    return PAdic(p, None, producer, base=k0, runs=True)
 
 
 def padic_neg(a: PAdic) -> PAdic:
@@ -214,17 +245,22 @@ def padic_neg(a: PAdic) -> PAdic:
     at the base, with an upward carry in {0, 1}.
 
     The complement is ``-a - p**base``, since the all-``(p-1)`` stream from
-    the base is ``-p**base``.  The digit at p**n reads ``a`` at n only.
+    the base is ``-p**base``.  The digit at p**n reads ``a`` at n only, and
+    every position ``a`` holds from there up is negated with it.
     """
     p = a.p
     carry = 1
 
     def producer(n):
         nonlocal carry
-        carry, digit = divmod(p - 1 - a.digit(n) + carry, p)
-        return digit
+        run = a.known(n, PEEL_RUN)
+        for t, d in enumerate(run):
+            s = p - 1 - d + carry
+            carry = s == p
+            run[t] = 0 if carry else s
+        return run
 
-    return PAdic(p, None, producer, base=a.base)
+    return PAdic(p, None, producer, base=a.base, runs=True)
 
 
 @lru_cache
@@ -238,42 +274,47 @@ def _column_run(p):
     return r, p ** r
 
 
+@lru_cache
+def _run_powers(p):
+    """``p**t`` for the columns t of a run, to sum a run's digits."""
+    return [p ** t for t in range(_column_run(p)[0])]
+
+
 def padic_mul(a: PAdic, b: PAdic) -> PAdic:
     """Column products with an upward carry, on a running integer that
     moves once per run of columns.
 
     The result digit at p**n depends on operand digits at positions
     ``<= n - other.base`` -- in particular on positions ``<= n`` whenever
-    both operands are p-adic integers.  Column j reads its two new operand
-    positions through ``digit`` (``b`` first).  The columns go in runs of
-    ``r`` (``_column_run``), with ``R = p**r``.  Before a run that starts
-    at column j the state is the operand prefixes ``X = sum a_i p**i`` and
-    ``Y = sum b_i p**i`` (i counted from each base, below j), ``P = p**j``
-    and ``acc = X*Y // P``.  Within the run the new digits go into small
-    integers ``xr``, ``yr``, and the prefixes become ``X + P*xr``,
-    ``Y + P*yr``.  Since ``XY mod P < P``,
+    both operands are p-adic integers.  Asked for column j, the product
+    reads ``b`` then ``a`` through ``known`` and goes on through every
+    column both hold.  The columns go in runs of ``r`` (``_column_run``),
+    with ``R = p**r``.  Before a run that starts at column j the state is
+    the operand prefixes ``X = sum a_i p**i`` and ``Y = sum b_i p**i`` (i
+    counted from each base, below j), ``P = p**j`` and ``acc = X*Y // P``.
+    The run's digits go into small integers ``xr``, ``yr``, and the
+    prefixes become ``X + P*xr``, ``Y + P*yr``.  Since ``XY mod P < P``,
 
         (X + P*xr)(Y + P*yr) // P = acc + xr*Y + yr*X + P*xr*yr,
 
     and the run's output digits are the low r base-p digits of that sum.
-    Its digit t depends on ``xr`` and ``yr`` only modulo ``p**(t+1)``, that
-    is on the run's columns up to t, so it is exact as soon as column t is
-    read, and it can be taken modulo R: from ``acc``, ``X``, ``Y`` and ``P``
-    reduced mod R (``P`` is 0 mod R after the first run, and ``X``, ``Y``
-    are then fixed mod R).  That is small-integer work.  At the run's last
-    column the big integers move once: ``divmod`` of the sum by R gives the
-    new ``acc`` and, as the remainder's top digit, the last output digit;
-    ``X`` and ``Y`` take the run, and ``P`` is multiplied by R.  R fits in
-    one limb, so that division is CPython's one-limb fast path; a prime of
-    above 2**15 has runs of one column, which is the plain column
-    product.  The state moves only after both reads of a column succeed, so
-    a producer that raises leaves the stream resumable.
+    Its digit t depends on the run's columns up to t only, so a run whose
+    columns are not all in yet gives it from ``acc``, ``X``, ``Y`` and
+    ``P`` reduced mod R (``P`` is 0 mod R after the first run, and ``X``,
+    ``Y`` are then fixed mod R): small-integer work.  Once the run is in,
+    the big integers move once: ``divmod`` of the sum by R gives the new
+    ``acc`` and the run's digits; ``X`` and ``Y`` take the run, and ``P``
+    is multiplied by R.  R fits in one limb, so that division is CPython's
+    one-limb fast path; above p = 2**15 runs have one column.  The state
+    moves only after both reads succeed, so a producer that raises leaves
+    the stream resumable.
     """
     if a.p != b.p:
         raise PrimeMismatch(f"cannot multiply p={a.p} and p={b.p}")
     p = a.p
     k0 = a.base + b.base
     r, R = _column_run(p)
+    powers = _run_powers(p)
     last = R // p  # p**t at the run's last column
     x = y = acc = 0
     power = 1
@@ -284,29 +325,41 @@ def padic_mul(a: PAdic, b: PAdic) -> PAdic:
 
     def producer(n):
         nonlocal x, y, acc, power, x_low, y_low, acc_low, power_low, xr, yr, pt
-        db = b.digit(n - a.base)
-        da = a.digit(n - b.base)
-        xr += da * pt
-        yr += db * pt
-        if pt < last:  # inside the run: small integers only
-            digit = (acc_low + xr * y_low + yr * x_low + power_low * xr * yr) // pt % p
-            pt *= p
-            return digit
-        # the run is in: move the big integers once; the remainder holds the
-        # run's digits, and the last one is its top digit
-        acc, low = divmod(acc + xr * y + yr * x + power * (xr * yr), R)
-        x += power * xr
-        y += power * yr
-        power *= R
-        if r > 1:  # runs of one column never use the residues
-            acc_low = acc % R
-            if power_low:  # the end of the first run
-                x_low, y_low, power_low = xr, yr, 0
-        xr = yr = 0
-        pt = 1
-        return low // last
+        run_b = b.known(n - a.base, PEEL_RUN)
+        run_a = a.known(n - b.base, len(run_b))
+        k, t, out = len(run_a), 0, []
+        while t < k:
+            whole = pt == 1 < r <= k - t
+            if whole:  # all r columns of the run are in
+                xr = sum(map(mul, run_a[t:t + r], powers))
+                yr = sum(map(mul, run_b[t:t + r], powers))
+                t += r
+            else:
+                xr += run_a[t] * pt
+                yr += run_b[t] * pt
+                t += 1
+                if pt < last:  # inside the run: small integers only
+                    out.append((acc_low + xr * y_low + yr * x_low + power_low * xr * yr)
+                               // pt % p)
+                    pt *= p
+                    continue
+            # the run is in: move the big integers once; the remainder holds
+            # the run's digits
+            acc, low = divmod(acc + xr * y + yr * x + power * (xr * yr), R)
+            x += power * xr
+            y += power * yr
+            power *= R
+            if r > 1:  # runs of one column never use the residues
+                acc_low = acc % R
+                if power_low:  # the end of the first run
+                    x_low, y_low, power_low = xr, yr, 0
+            xr = yr = 0
+            pt = 1
+            # the run's digits, or the top one when the rest are out
+            out += _base_digits(low, r, p) if whole else (low // last,)
+        return out
 
-    return PAdic(p, None, producer, base=k0)
+    return PAdic(p, None, producer, base=k0, runs=True)
 
 
 def traced_padic(a: PAdic):

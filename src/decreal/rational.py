@@ -15,7 +15,8 @@ from .errors import InvalidLiteral
 # The one literal grammar: [sign] digits, then '/' digits (a rational) or
 # ['.' [digits]] ['(' digits ')'] (a decimal, the block repeating forever).
 # Groups: sign, integer part, denominator, fraction part, repeating block.
-LITERAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|(?:\.(\d*))?(?:\((\d+)\))?)")
+# Digits are ASCII: ``\d`` alone matches every Unicode decimal digit.
+LITERAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|(?:\.(\d*))?(?:\((\d+)\))?)", re.ASCII)
 
 _POW10 = {}
 

@@ -513,6 +513,14 @@ def pinned_calls():
                     ("007.50(0)*0.(3)", Fraction(15, 2) * third),
                     ("0.(3) * 0.(09)", third * Fraction(1, 11))):
         yield ["eval", text], printed(lambda v=v: render(v, 10))
+    # numbers are spelt with ASCII digits: Arabic-Indic digits are refused
+    for argv in (["eval", "0.(٩)"], ["eval", "١/٣"], ["padic", "3", "١/٢"],
+                 ["encode", "١٢", "--as-binary-tape"]):
+        yield argv, refused((2,))
+    for argv, option in ((["padic", "٣", "1/2"], "p"), (["eval", "1/3", "--digits", "٣"], "--digits"),
+                         (["eval", "1/3+1/3", "--hint", "٣"], "--hint"),
+                         (["encode", "1/2", "--format", "xp", "--p", "٣"], "--p")):
+        yield argv, bad_argument(option)
 
 
 def calls(seed=SEED):

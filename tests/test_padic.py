@@ -13,11 +13,15 @@ from decreal.errors import (
     PrimeMismatch,
 )
 from decreal.padic import (
+    DIGIT_TABLE,
     PEEL_RUN,
     PRIME_BOUND,
+    RUN_BITS,
     PAdic,
+    _base_digits,
     _check_prime,
     _column_run,
+    _digit_table,
     padic_add,
     padic_decode,
     padic_encode,
@@ -375,6 +379,146 @@ def test_traced_view_over_a_leaf_logs_no_position_above_the_one_asked():
         assert (trace.max_index, trace.total) == (n, n + 1)
         assert len(leaf._digits) > n  # the leaf itself peeled ahead
     assert view.digits_from(201) == oracle_digits(3, Fraction(-11, 4), 201)
+
+
+def flaky_runs(p, q, base, at, size=8):
+    """``q * p**base`` as a stream that produces runs of ``size`` digits and
+    raises once: the first time it is asked for the run that starts at
+    ``at``."""
+    src = padic_from_rational(p, q)
+    pending = {at}
+
+    def producer(n):
+        if n in pending:
+            pending.discard(n)
+            raise RuntimeError(f"transient failure at {n}")
+        return [src.digit(m - base) for m in range(n, n + size)]
+
+    return PAdic(p, None, producer, base=base, runs=True)
+
+
+def held(x):
+    """The position past the last digit in ``x``'s memo."""
+    return x.base + len(x._digits)
+
+
+@pytest.mark.parametrize("p", [3, 7, 2 ** 61 - 1])
+def test_a_node_holds_no_column_its_operands_do_not(p):
+    x, y, z = Fraction(-17, 4), Fraction(22, 9 if p != 3 else 7), Fraction(5, 13)
+    for ahead_a, ahead_b in ((0, 0), (50, 3), (3, 50), (130, 130)):
+        a, calls_a = recorded(p, x)
+        b, calls_b = recorded(p, y)
+        a.digits_from(ahead_a)
+        b.digits_from(ahead_b)
+        s, prod, neg = padic_add(a, b), padic_mul(a, b), padic_neg(a)
+        c = padic_from_rational(p, z)  # an exact leaf peels ahead of the reads
+        top = padic_add(padic_mul(s, c), neg)
+        for n in (0, 1, 5, 40, 41, 100, 170):
+            for node in (s, prod, neg, top):
+                node.digit(n)
+            asked = max(n + 1, ahead_a, ahead_b)
+            assert (held(a), held(b)) == (max(n + 1, ahead_a), max(n + 1, ahead_b))
+            assert calls_a == list(range(held(a))) and calls_b == list(range(held(b)))
+            assert n < held(s) <= min(held(a), held(b)) <= asked
+            assert n < held(prod) <= min(held(a), held(b))
+            assert n < held(neg) <= held(a)
+            assert n < held(top) <= min(held(s), held(c), held(neg))
+            if n == 0 and min(ahead_a, ahead_b) > PEEL_RUN:  # a whole run at once
+                assert held(s) == held(prod) == held(neg) == PEEL_RUN
+        expect = oracle_digits(p, (x + y) * z - x, 171)
+        assert top.digits_from(171) == expect
+
+
+def test_a_node_over_operands_with_unequal_bases_holds_no_column_they_do_not():
+    p = 5
+    for ba, bb in ((-3, 0), (0, -2), (-1, -4)):
+        a, _ = recorded(p, Fraction(7, 3), ba)
+        b, _ = recorded(p, Fraction(-4, 9), bb)
+        a.digits_from(30)
+        s, prod = padic_add(a, b), padic_mul(a, b)
+        s.digit(s.base + 10)
+        assert held(s) <= min(held(a), held(b))
+        prod.digit(prod.base + 10)
+        # column j of the product needs a at ba + j and b at bb + j
+        assert len(prod._digits) <= min(len(a._digits), len(b._digits))
+        assert s.digits_from(60) == oracle_digits(
+            p, Fraction(7, 3) * p ** (ba - s.base) + Fraction(-4, 9) * p ** (bb - s.base), 60)
+        assert prod.digits_from(60) == oracle_digits(p, Fraction(7, 3) * Fraction(-4, 9), 60)
+
+
+@pytest.mark.parametrize("op, which", [("add", "a"), ("add", "b"), ("neg", "a"), ("mul", "a"),
+                                       ("mul", "b")])
+@pytest.mark.parametrize("at", [24, 40, 48])  # inside a column run of 12, and at its edges
+def test_a_node_stays_resumable_when_a_run_read_fails(op, which, at):
+    p, x, y, base_a, base_b = 5, Fraction(-7, 3), Fraction(22, 9), -1, -2
+    a = flaky_runs(p, x, base_a, base_a + at) if which == "a" else recorded(p, x, base_a)[0]
+    b = flaky_runs(p, y, base_b, base_b + at) if which == "b" else recorded(p, y, base_b)[0]
+    if op == "add":
+        node, k0 = padic_add(a, b), min(base_a, base_b)
+        value = x * p ** (base_a - k0) + y * p ** (base_b - k0)
+    elif op == "neg":
+        node, k0, value = padic_neg(a), base_a, -x
+    else:
+        node, k0, value = padic_mul(a, b), base_a + base_b, x * y
+    # the column that reads the failing run's first position
+    col = at + (base_a - k0 if which == "a" else base_b - k0) if op != "mul" else at
+    expect = oracle_digits(p, value, 90)
+    assert node.digits_from(col) == expect[:col]
+    with pytest.raises(RuntimeError):
+        node.digit(k0 + 80)
+    assert node.digit(k0 + col) == expect[col]  # the retried digit
+    assert node.digits_from(90) == expect
+
+
+@pytest.mark.parametrize("p", [2, 3, 11])
+def test_carries_run_across_run_edges(p):
+    # -1 has every digit p - 1 and p**40 has forty low zeros, so the carries
+    # of these sums and negations run through many runs of both operands
+    for x, y in ((Fraction(-1), Fraction(1)), (Fraction(-1), Fraction(p ** 40)),
+                 (Fraction(1, 1 - p), Fraction(-1, 1 - p))):
+        a, b = padic_from_rational(p, x), padic_from_rational(p, y)
+        a.digits_from(70)  # runs from a's memo, which b does not hold yet
+        s, neg = padic_add(a, b), padic_neg(b)
+        assert s.digits_from(150) == oracle_digits(p, x + y, 150)
+        assert neg.digits_from(150) == oracle_digits(p, -y, 150)
+
+
+@pytest.mark.parametrize("p", [2, 2 ** 61 - 1])
+def test_bulk_leaf_peel_matches_the_oracle(p):
+    rng = random.Random(p % 1000)
+    for q in [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-5, 7)] + [
+            Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 6) * 2 + 1)
+            for _ in range(10)]:
+        a = padic_from_rational(p, q)
+        assert a.digit(0) == oracle_digits(p, q, 1)[0]
+        assert a.digits_from(400) == oracle_digits(p, q, 400)
+    a = padic_from_rational(p, Fraction(-5, 7))
+    sizes = []
+    for n in range(300):
+        if len(a._digits) == n:
+            a.digit(n)
+            sizes.append(len(a._digits) - n)
+    # the runs double up to PEEL_RUN, and stop doubling past RUN_BITS / 2 bits
+    top = max(k for k in (1, 2, 4, 8, 16, 32, 64)
+              if k == 1 or (p ** (k // 2)).bit_length() <= RUN_BITS // 2)
+    assert sizes[:top.bit_length()] == [2 ** i for i in range(top.bit_length())]
+    assert set(sizes[top.bit_length():]) == {top}
+    assert top == (PEEL_RUN if p == 2 else 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 37, 65537, 2 ** 61 - 1])
+def test_digit_tables_are_bounded_whatever_the_prime(p):
+    m, pm, table = _digit_table(p)
+    assert pm == p ** m
+    if p > 32:
+        assert (m, table) == (1, None)
+    else:
+        assert len(table) == pm <= DIGIT_TABLE < pm * p
+        assert all(sum(d * p ** i for i, d in enumerate(t)) == c for c, t in enumerate(table))
+    rng = random.Random(p % 1000)
+    for k in (1, 2, 5, 17, 64):
+        v = rng.randrange(p ** k)
+        assert _base_digits(v, k, p) == [v // p ** i % p for i in range(k)]
 
 
 def test_one_half_plus_one_half_is_one():

@@ -27,7 +27,14 @@ from decreal.decimals import (  # noqa: E402
     truncate,
 )
 from decreal.expr import parse_expression  # noqa: E402
-from decreal.padic import PAdic, padic_add, padic_from_rational, padic_mul  # noqa: E402
+from decreal.padic import (  # noqa: E402
+    PAdic,
+    padic_add,
+    padic_from_rational,
+    padic_mul,
+    padic_neg,
+    traced_padic,
+)
 from decreal.rational import DecFrac, parse_rat, ten_smooth  # noqa: E402
 from decreal.weak import (  # noqa: E402
     add_digit_rule,
@@ -481,6 +488,97 @@ def test_padic_mul_matches_mod_oracle(case, reads, ahead):
     prod = padic_mul(a, b)
     assert prod.base == ba + bb
     check_padic(prod, p, q * r, reads)
+
+
+TREE_DIGITS = 200
+TREE_PRIMES = [2, 3, 5, 7, 11, 2 ** 61 - 1]
+
+
+def padic_leaf(p):
+    """An exact leaf ``("exact", q)``, or ``("shifted", q, base, ahead)``: a
+    stream of ``q * p**base`` with ``ahead`` digits already in its memo."""
+    q = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(1, 10 ** 4).map(lambda d: p_free(d, p)))
+    return st.one_of(st.tuples(st.just("exact"), q),
+                     st.tuples(st.just("shifted"), q, st.integers(-6, 0), st.integers(0, 80)))
+
+
+def padic_tree(p, depth):
+    """``(kind, operands, traced)``: a sum, product or negation over
+    subtrees up to ``depth - 1`` operators deep, each operand read through
+    a ``traced_padic`` view or not."""
+    sub = padic_leaf(p) if depth == 1 else st.one_of(padic_leaf(p), padic_tree(p, depth - 1))
+    flag = st.booleans()
+    return st.one_of(
+        st.tuples(st.sampled_from(["add", "mul"]), st.tuples(sub, sub), st.tuples(flag, flag)),
+        st.tuples(st.just("neg"), st.tuples(sub), st.tuples(flag)))
+
+
+padic_trees = st.sampled_from(TREE_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, 3).flatmap(lambda d: padic_tree(p, d))))
+tree_reads = st.lists(st.integers(0, TREE_DIGITS - 1), max_size=30)
+
+
+def padic_tree_stream(p, tree, logs):
+    """``(stream, exact value, views)`` for ``tree``.  ``views`` holds
+    ``(trace, slack)`` for each traced operand view in it: read up to
+    position n, a digit-at-a-time stream of the tree reads that view at no
+    position above ``n + slack``.  The producer calls of each shifted leaf
+    go into ``logs``."""
+    kind = tree[0]
+    if kind == "exact":
+        return padic_from_rational(p, tree[1]), tree[1], []
+    if kind == "shifted":
+        _, q, base, ahead = tree
+        src, calls = padic_from_rational(p, q), []
+
+        def producer(n):
+            calls.append(n)
+            return src.digit(n - base)
+
+        x = PAdic(p, None, producer, base=base)
+        x.digits_from(ahead)
+        logs.append((base, calls))
+        return x, q * Fraction(p) ** base, []
+    _, subtrees, traced_flags = tree
+    subs = [padic_tree_stream(p, t, logs) for t in subtrees]
+    operands, views = [], []
+    for (x, _, inner), traced, (other, _, _) in zip(subs, traced_flags, reversed(subs)):
+        # a product column reads x at its position minus the other factor's base
+        slack = -other.base if kind == "mul" else 0
+        if traced:
+            x, trace = traced_padic(x)
+            inner = inner + [(trace, 0)]
+        operands.append(x)
+        views += [(t, s + slack) for t, s in inner]
+    values = [v for _, v, _ in subs]
+    if kind == "neg":
+        return padic_neg(*operands), -values[0], views
+    if kind == "add":
+        return padic_add(*operands), values[0] + values[1], views
+    return padic_mul(*operands), values[0] * values[1], views
+
+
+@PROPERTY
+@given(case=padic_trees, reads=tree_reads)
+# a negation's carry runs through the twelve low zeros of a run-fed operand
+@example(case=(2, ("neg", (("add", (("exact", Fraction(2 ** 12 * 3)), ("shifted", Fraction(0), 0, 9)),
+                            (False, False)),), (False,))), reads=[150])
+def test_padic_trees_match_mod_oracle_reading_nothing_a_digit_stream_would_not(case, reads):
+    p, tree = case
+    logs = []
+    x, value, views = padic_tree_stream(p, tree, logs)
+    want = padic_oracle(p, value * Fraction(p) ** -x.base, TREE_DIGITS)
+    top = None
+    for i in reads + list(range(TREE_DIGITS)):
+        assert x.digit(x.base + i) == want[i]
+        top = x.base + i if top is None else max(top, x.base + i)
+        for trace, slack in views:
+            assert trace.max_index is None or trace.max_index <= top + slack
+    for trace, _ in views:  # a view's producer: each position once, ascending
+        assert trace.total == trace.max_index - trace.min_index + 1
+    for base, calls in logs:
+        assert calls == list(range(base, base + len(calls)))
 
 
 # ---------------------------------------------------------------------------
