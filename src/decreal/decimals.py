@@ -28,8 +28,8 @@ from .errors import (
     InvariantViolation,
     OracleUnavailable,
 )
-from .rational import (LITERAL, DecFrac, bytes_int, digit_bytes, ilog10, int_str,
-                       literal_fraction, pow10, runs, ten_smooth)
+from .rational import (BLOCK, LITERAL, DecFrac, bytes_int, digit_bytes, digit_text, ilog10,
+                       int_str, literal_fraction, pow10, runs, ten_smooth)
 
 # ---------------------------------------------------------------------------
 # terminating decimals
@@ -222,13 +222,55 @@ def nine_free_below(digit_fn, n, budget=None):
 
 def first_difference(x, y, budget=None):
     """The highest position where the digits of x and y differ, scanning
-    down from the larger order; None when ``budget`` positions tie.
+    down from the larger order; None when ``budget`` positions tie.  Two
+    ``Decimal``s are read pair by pair for ``SCAN_PAIRS`` positions, then
+    in runs (``settling_pair``).
 
     Without a budget the scan ends only on words that differ somewhere.
     """
-    for n in _downward(max(x.order, y.order), budget):
+    top, few = max(x.order, y.order), budget
+    if isinstance(x, Decimal) and isinstance(y, Decimal) and (budget is None or budget > SCAN_PAIRS):
+        few = SCAN_PAIRS
+    for n in _downward(top, few):
         if x.digit(n) != y.digit(n):
             return n
+    if few == budget:
+        return None
+    found = settling_pair(x, y, top - few, budget=None if budget is None else budget - few)
+    return None if found is None else found[0]
+
+
+# A scan for the pair that settles a carry, a borrow or an order reads its
+# first ``SCAN_PAIRS`` pairs with ``digit``; one that goes on reads runs
+# through ``known``, of ``2 * SCAN_PAIRS`` positions, doubling up to ``BLOCK``.
+SCAN_PAIRS = 8
+_NINES = bytes.maketrans(bytes(range(10)), bytes(range(9, -1, -1)))  # d -> 9 - d
+
+
+def settling_pair(x, y, n, nines=False, budget=None):
+    """``(m, a, b)``: the highest position ``m <= n`` where the digits a of
+    ``x`` and b of ``y`` differ (under ``nines``, do not sum to 9); None when
+    ``budget`` positions tie.
+
+    Each step asks ``x.known`` and then ``y.known`` for its top position,
+    so the producers are asked for the positions, and in the order, that a
+    loop of ``digit`` calls asks; the memos give the rest of the run, and
+    one XOR of the two runs, read as integers, finds the settling pair.
+    """
+    k = 2 * SCAN_PAIRS
+    while budget is None or budget > 0:
+        limit = k if budget is None else min(k, budget)
+        a, b = x.known(n, limit), y.known(n, limit)
+        m = min(len(a), len(b))
+        a, b = a[:m], b[:m]
+        tied = int.from_bytes(a.translate(_NINES) if nines else a, "big") ^ int.from_bytes(b, "big")
+        if tied:
+            j = m - 1 - (tied.bit_length() - 1) // 8  # the first unequal byte
+            return n - j, a[j], b[j]
+        n -= m
+        if budget is not None:
+            budget -= m
+        k = min(2 * k, BLOCK)
     return None
 
 
@@ -318,6 +360,13 @@ class Decimal:
     read produces and reads the same positions as the loop of ``digit``
     calls it replaces, at the same depth and through the same memo; only
     the order of the reads inside a block may differ.
+
+    ``known(n, limit)`` reads ``digit(n)`` and returns, as bytes, the digits
+    from ``n`` down that the decimal then holds without asking its
+    producer: the zeros above the order, a stream's dense array (a traced
+    view's holds only what was read through it), an exact value's
+    division continued.  Carry, borrow and order scans read runs through
+    it, and ``render_digits`` prints a stream's runs from its array.
     """
 
     __slots__ = ("sign", "order", "_value", "_producer", "_witness", "_memo")
@@ -413,6 +462,16 @@ class Decimal:
         block, rem = divmod((pair[1] if pair[0] == top else _remainder(q, top)) * p, den)
         pair[0], pair[1] = lo - 1, rem
         return out * p + block
+
+    def known(self, n, limit):
+        """The digit at ``n`` and those below it that this decimal holds
+        without asking its producer: 1 to ``limit`` digit values, as bytes."""
+        if n > self.order:
+            return bytes(min(n - self.order, limit))
+        if self._producer is None:
+            return digit_bytes(self.digits(n, n - limit + 1), limit)
+        d, dense, i = self.digit(n), self._memo[0], self.order - n
+        return dense[i:i + limit] if i < len(dense) else bytes((d,))
 
     def _stream_digits(self, hi, lo):
         """Positions ``hi >= lo`` of a stream: those in the dense array as
@@ -899,15 +958,27 @@ def render_digits(d, frac_digits):
 
     ``d`` is anything with ``sign``, ``order`` and ``digit``: a ``Decimal``,
     read in blocks, or a ``TermDecimal`` or ``FalseDecimal``, read digit by
-    digit.
+    digit.  A stream's block is printed from the memo that reading it filled.
     """
     sign = "-" if d.sign < 0 else ""
     places = max(frac_digits, 0)
     if isinstance(d, Decimal):
-        text = "".join(int_str(d.digits(top, bottom)).zfill(top - bottom + 1)
-                       for top, bottom in runs(d.order, -places))
+        text = "".join(_block_text(d, top, bottom) for top, bottom in runs(d.order, -places))
     else:
         text = "".join(str(d.digit(n)) for n in range(d.order, -places - 1, -1))
     if places == 0:
         return sign + text
     return f"{sign}{text[:-places]}.{text[-places:]}"
+
+
+def _block_text(d, top, bottom):
+    """The digits of ``d`` at ``top`` down to ``bottom`` as text: a stream's
+    from the dense array that reading them filled, unless some went to the
+    sparse dict."""
+    k, v = top - bottom + 1, d.digits(top, bottom)
+    if d._producer is not None:
+        i = d.order - top
+        run = d._memo[0][i:i + k]
+        if len(run) == k:
+            return digit_text(run)
+    return int_str(v).zfill(k)

@@ -7,9 +7,9 @@ digit-by-digit routines or in the p-adic integers of a prime.
 import re
 
 from .decimals import Decimal
-from .errors import ParseError
+from .errors import HintMismatch, ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
-from .rational import LITERAL, literal_fraction
+from .rational import LITERAL, literal_fraction, ten_smooth
 from .weak import hint_decode, hint_of, weak_add, weak_mul
 from .words import traced_decimal
 
@@ -136,7 +136,9 @@ def eval_expression(node, path="certified", root_hint=None, trace=False):
 
     ``root_hint``, a hint's integer encoding (as ``--hint`` takes it),
     replaces the computed hint of the top-level operation, which must then
-    be a '+' or a '*'.
+    be a '+' or a '*'.  A payload is checked on the exact operands, and a
+    hint that claims a non-terminating result for a terminating ``v``
+    raises ``HintMismatch``.
     """
     kind = node[0]
     if root_hint is not None:
@@ -160,6 +162,8 @@ def eval_expression(node, path="certified", root_hint=None, trace=False):
     hint = root_hint or hint_of(v)
     if root_hint and hint.terminating is not None:  # checked on the exact operands
         dl, dr = Decimal.from_fraction(vl), Decimal.from_fraction(vr)
+    elif root_hint and ten_smooth(v.denominator):  # its first digit would scan forever
+        raise HintMismatch("the hint claims a non-terminating result, but the result terminates")
     traces = None
     if trace:  # traced views keep the exact values, so they change no decision
         (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)

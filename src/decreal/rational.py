@@ -93,9 +93,14 @@ def digit_bytes(v, k):
     return int_str(v).zfill(k).encode().translate(_VALUES) if k > 0 else b""
 
 
+def digit_text(digits):
+    """The text of digit values 0..9, top first."""
+    return bytes(digits).translate(_LETTERS).decode()
+
+
 def bytes_int(digits):
     """The integer spelled by digit values 0..9, top first."""
-    return str_int(bytes(digits).translate(_LETTERS).decode()) if digits else 0
+    return str_int(digit_text(digits)) if digits else 0
 
 
 def ten_valuation(m):
@@ -169,11 +174,17 @@ def format_rat(q):
 
 
 def ten_smooth(n):
-    """True when n (> 0) has no prime factor besides 2 and 5."""
-    for p in (2, 5):
-        while n % p == 0:
-            n //= p
-    return n == 1
+    """True when n (> 0) has no prime factor besides 2 and 5: the twos are
+    shifted out at once, and an odd part that 5 divides is compared with the
+    power of five of its size, guessed from its bit length through a
+    rational just above log2(5), so from below, and climbed to."""
+    m = n >> (n & -n).bit_length() - 1
+    if m % 5:
+        return m == 1
+    p = 5 ** ((m.bit_length() - 1) * 10 ** 16 // 23219280948873624)
+    while p < m:
+        p *= 5
+    return p == m
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ the one-shot rule; either way the same operand positions are read.  Both
 producers serve a run of positions in one ``block`` call (see
 ``Decimal.digits``): a sum adds two operand blocks as integers, and a
 certified product settles its bracket once, at the lowest position of the
-run.  A single digit is a run of one position.
+run.  A single digit is a run of one position.  A long carry or borrow
+scan reads operand runs (``decimals.settling_pair``), asking the operands
+for the positions a pair-by-pair scan asks for.
 
 Hints also travel as single positive integers, ``(2k + 1) * 2**r``: order
 in the odd part, terminating payload (if any) in the 2-adic part.
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decimals import (Decimal, TermDecimal, Verdict, compare_magnitudes, order_of, r_inv,
-                       searched_nine_escape)
+from .decimals import (SCAN_PAIRS, Decimal, TermDecimal, Verdict, compare_magnitudes, order_of,
+                       r_inv, searched_nine_escape, settling_pair)
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
 from .rational import DecFrac, pow10, ten_smooth
 from .words import bin_lsb_encode, decode_xr, encode_xr, traced
@@ -176,16 +178,24 @@ def _sum_digits(d: Decimal, e: Decimal, borrow: bool):
     low = top = carry = 0  # the last scan settles every position in (low, top]
 
     def rescan(n):
-        """Scan below n for the pair that settles the carry into n."""
+        """Scan below n for the pair that settles the carry into n: pair by
+        pair at first, in runs once the scan goes on (``settling_pair``)."""
         nonlocal low, top, carry
         s = n - 1
         if borrow:
             while (da := d_digit(s)) == (db := e_digit(s)):
                 s -= 1
+                if s == n - 1 - SCAN_PAIRS:
+                    s, da, db = settling_pair(d, e, s)
+                    break
             carry = 0 if da > db else -1
         else:
             while (t := d_digit(s) + e_digit(s)) == 9:
                 s -= 1
+                if s == n - 1 - SCAN_PAIRS:
+                    s, da, db = settling_pair(d, e, s, nines=True)
+                    t = da + db
+                    break
             carry = 0 if t < 9 else 1
         low, top = s, n
 

@@ -21,9 +21,11 @@ Run it with ``src`` on the path::
 
 ``--write`` refuses to pin a call that its oracle rejects.  A change that
 alters behaviour on purpose regenerates the file and lists the calls that
-changed.  Wrong hints come in the kinds that are refused in bounded time: a
-hint that claims a non-terminating result for a terminating one still
-makes the first digit scan forever, so no call makes that claim.
+changed.  Wrong hints come in the kinds that are refused in bounded time.
+A hint that claims a non-terminating result for a terminating one is
+refused by ``eval``, which holds the exact result; only the library calls
+``weak_add`` and ``weak_mul`` under such a hint still make the first digit
+scan forever, and no call here reaches them.
 """
 
 import hashlib
@@ -498,6 +500,9 @@ def pinned_calls():
     yield ["eval", "1 +", "--digits", "3"], refused((2,))
     yield ["eval", "0.(3)+0.(3)", "--hint", int_str(hint_encode(honest_hint(Fraction(1))))], \
         refused((4,))
+    # a non-terminating claim for the terminating sum 1
+    for trace in ([], ["--trace"]):
+        yield ["eval", "0.(3)+0.(6)", "--hint", "1"] + trace, refused((4,))
     # a digit count is an integer >= 0
     for argv in (["eval", "0.(3)"], ["padic", "3", "1/2"], ["sup", "0.5", "-0.(3)"],
                  ["involution", "0.5"]):

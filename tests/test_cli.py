@@ -274,6 +274,16 @@ def test_eval_wrong_hint_is_an_invariant_error(capsys):
     assert (code, out, err) == (4, "", "error: nonzero digit above the hinted order\n")
 
 
+@pytest.mark.parametrize("trace", [(), ("--trace",)])
+@pytest.mark.parametrize("expr", ["0.(3)+0.(6)", "0.(3)*3"])
+def test_eval_non_terminating_claim_for_a_terminating_result_is_exit_4(capsys, trace, expr):
+    # --hint 1 claims order 0 and no payload; the exact result is 1, whose
+    # first digit a stream would scan for forever
+    code, out, err = run(capsys, "eval", expr, *trace, "--hint", "1")
+    assert (code, out) == (4, "")
+    assert err == "error: the hint claims a non-terminating result, but the result terminates\n"
+
+
 def test_eval_wrong_terminating_payload_is_exit_4(capsys):
     # the payload of 0.5 + 0.2 is checked against the exact sum 2/3
     code, hint, _ = run(capsys, "hint", "0.5+0.2")

@@ -35,6 +35,7 @@ from decreal.decimals import (
 )
 from decreal.errors import EmptySetError, InvalidLiteral, InvariantViolation, OracleUnavailable
 from decreal.rational import BLOCK, DecFrac, pow10
+from decreal.words import traced_decimal
 
 
 def oracle_digit(q, n):
@@ -538,6 +539,70 @@ def test_a_raise_at_or_below_the_frontier_leaves_its_positions_to_be_asked_again
     retried = [-4, -1, -7] + ([-8] if with_block else [])
     assert asked == Counter(range(-8, 3)) + Counter(retried)
     assert blocks == ([(2, 0), (-7, -8), (-1, -3), (-5, -8)] if with_block else [])
+
+
+# ---------------------------------------------------------------------------
+# the runs a decimal holds (``known``)
+
+
+def oracle_run(q, n, k):
+    return bytes(oracle_digit(q, m) for m in range(n, n - k, -1))
+
+
+def test_known_above_the_order_is_the_zeros_down_to_it():
+    x, asked, _ = asked_stream(Q, True)  # order 2
+    assert x.known(5, 10) == bytes(3)
+    assert x.known(5, 2) == bytes(2)
+    assert x.known(3, 1) == bytes(1)
+    assert Decimal.from_fraction(Q).known(4, 9) == bytes(2)
+    assert not asked
+
+
+def test_known_on_an_exact_value_continues_its_division_across_the_point():
+    x = Decimal.from_fraction(Q)
+    assert x.known(2, 8) == oracle_run(Q, 2, 8)
+    assert x.known(0, 1) == oracle_run(Q, 0, 1)
+    # the pair stands below the last run, and the next one continues it
+    assert x.known(-1, 5) == oracle_run(Q, -1, 5)
+    assert x._memo == [-6, abs(Q.numerator) * 10 ** 5 % 7]
+    assert x.neg().known(-6, 2 * BLOCK) == oracle_run(Q, -6, 2 * BLOCK)
+    assert x.known(-3, 1) == oracle_run(Q, -3, 1)
+
+
+def test_known_on_a_stream_is_its_digit_then_its_dense_array():
+    x, asked, _ = asked_stream(Q, True)
+    assert x.digits(2, -6) == oracle_block(Q, 2, -6)
+    asked.clear()
+    assert x.known(0, 4) == oracle_run(Q, 0, 4)
+    assert x.neg().known(-3, 10) == oracle_run(Q, -3, 4)  # down to the frontier
+    assert x.known(1, 1) == oracle_run(Q, 1, 1)
+    assert not asked
+    # at the frontier the producer is asked for the one digit read
+    assert x.known(-7, 10) == oracle_run(Q, -7, 1)
+    assert asked == Counter([-7])
+
+
+@pytest.mark.parametrize("with_block", [False, True])
+def test_known_off_the_frontier_is_the_one_digit_read(with_block):
+    x, asked, _ = asked_stream(Q, with_block)
+    assert [x.digit(n) for n in (-5, -6)] == [oracle_digit(Q, n) for n in (-5, -6)]
+    assert memo_shape(x, Q) == (2, [-5, -6])
+    assert x.known(-5, 4) == oracle_run(Q, -5, 1)
+    assert x.known(-9, 4) == oracle_run(Q, -9, 1)
+    assert memo_shape(x, Q) == (2, [-5, -6, -9])
+    assert asked == Counter([-5, -6, -9])
+
+
+def test_known_on_a_traced_view_is_what_was_read_through_it():
+    t, trace = traced_decimal(Decimal.from_fraction(Q))
+    assert t.digits(2, -4) == oracle_block(Q, 2, -4)
+    seen = (trace.total, trace.max_index, trace.min_index)
+    # the exact value behind the view holds every digit; the view, only these
+    assert t.known(0, 100) == oracle_run(Q, 0, 5)
+    assert t.known(-4, 1) == oracle_run(Q, -4, 1)
+    assert (trace.total, trace.max_index, trace.min_index) == seen
+    assert t.known(-5, 100) == oracle_run(Q, -5, 1)
+    assert (trace.total, trace.min_index) == (seen[0] + 1, -5)
 
 
 def test_render_digits_reads_terminating_and_false_decimals_digit_by_digit():

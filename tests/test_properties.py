@@ -19,7 +19,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from decreal.decimals import (  # noqa: E402
     Decimal,
+    Verdict,
+    compare_magnitudes,
     digit_of_fraction,
+    first_difference,
     parse_decimal,
     r_inv,
     render_digits,
@@ -35,7 +38,7 @@ from decreal.padic import (  # noqa: E402
     padic_neg,
     traced_padic,
 )
-from decreal.rational import DecFrac, parse_rat, ten_smooth  # noqa: E402
+from decreal.rational import BLOCK, DecFrac, parse_rat, ten_smooth  # noqa: E402
 from decreal.weak import (  # noqa: E402
     add_digit_rule,
     compute_hint,
@@ -378,6 +381,112 @@ def test_add_digit_rule_borrows_from_a_negative_second_operand(qa, qb, n, kinds)
     assume(not ten_smooth((big - small).denominator))
     d, e = operand(kinds[0], big, None), operand(kinds[1], -small, None)
     assert add_digit_rule(d, e, n) == oracle_digit(big - small, n)
+
+
+# ---------------------------------------------------------------------------
+# carry, borrow and order scans over runs longer than a block
+
+LONG = settings(PROPERTY, max_examples=20)
+TAILS = ("3", "142857", "81", "076923", "4", "27")
+
+
+def forced_value(digits, point, tail):
+    """The value spelled by ``digits``, ``point`` of them above the point,
+    then the block ``tail`` repeating."""
+    scale = 10 ** (len(digits) - point)
+    return Fraction(int(digits), scale) + Fraction(int(tail), scale * (10 ** len(tail) - 1))
+
+
+def forced_pair(head, point, tails, borrow):
+    """``(qa, qb, k)``: the digits ``head``, and its nine-complement (or,
+    under ``borrow``, ``head`` again), each followed by its tail; the run
+    ends k positions below the point."""
+    mate = head if borrow else "".join(str(9 - int(c)) for c in head)
+    return (forced_value(head, point, tails[0]), forced_value(mate, point, tails[1]),
+            len(head) - point)
+
+
+# runs across the point, over two blocks long
+LONG_HEAD = ("3141592653" * 250)[:2 * BLOCK + 29]
+
+
+@st.composite
+def forced_pairs(draw, borrow):
+    """Two magnitudes whose digit pairs sum to 9 (equal digits, under
+    ``borrow``) from the top of the run down to its end, which may lie more
+    than one or two blocks below; the run starts up to 3 positions above
+    the point.  Their repeating tails differ."""
+    length = draw(st.one_of(st.integers(1, 40), st.integers(BLOCK - 2, 2 * BLOCK + 40)))
+    point = draw(st.integers(0, min(3, length)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    head = "".join(rng.choice("0123456789") for _ in range(length))
+    tail = draw(st.sampled_from(TAILS))
+    other = draw(st.sampled_from([t for t in TAILS if t != tail] if borrow else TAILS))
+    return forced_pair(head, point, (tail, other), borrow)
+
+
+def run_operand(kind, q, warm):
+    """q as an exact decimal, or as the stream of the nested sum
+    ``(q - 2/7) + 2/7``, its memo first filled down to ``-warm``."""
+    if kind == "exact":
+        return Decimal.from_fraction(q)
+    left, c = Decimal.from_fraction(q - Fraction(2, 7)), Decimal.from_fraction(Fraction(2, 7))
+    f = weak_add(left, c, compute_hint("add", left, c))
+    f.digits(f.order, -warm)
+    return f
+
+
+def oracle_places(q, places):
+    """The digits of |q| from 10**3 down to 10**-places, as text."""
+    return str(oracle_prefix(q, places)).zfill(places + 4)
+
+
+@LONG
+@given(pair=forced_pairs(False), kinds=st.tuples(exact_or_stream, exact_or_stream),
+       warm=st.integers(0, 3 * BLOCK))
+@example(pair=forced_pair(LONG_HEAD, 2, ("3", "142857"), False), kinds=("exact", "exact"), warm=0)
+@example(pair=forced_pair(LONG_HEAD, 1, ("27", "4"), False), kinds=("stream", "exact"),
+         warm=BLOCK + 3)
+def test_carry_runs_longer_than_a_block_match_fraction_oracle(pair, kinds, warm):
+    qa, qb, below = pair
+    total = qa + qb
+    assume(not ten_smooth(total.denominator))
+    a, b = run_operand(kinds[0], qa, warm), run_operand(kinds[1], qb, warm)
+    for n in (1, 0, -1, -below + 1, -below, -below - 1):
+        assert add_digit_rule(a, b, n) == oracle_digit(total, n)
+    a, b = run_operand(kinds[0], qa, warm), run_operand(kinds[1], qb, warm)
+    f = weak_add(a, b, compute_hint("add", Decimal.from_fraction(qa), Decimal.from_fraction(qb)))
+    assert render_digits(f, below + 8) == oracle_render(total, below + 8)
+
+
+@LONG
+@given(pair=forced_pairs(True), kinds=st.tuples(exact_or_stream, exact_or_stream),
+       warm=st.integers(0, 3 * BLOCK))
+@example(pair=forced_pair(LONG_HEAD, 3, ("3", "142857"), True), kinds=("exact", "exact"), warm=0)
+@example(pair=forced_pair(LONG_HEAD, 0, ("81", "4"), True), kinds=("exact", "stream"),
+         warm=2 * BLOCK)
+def test_borrow_and_order_runs_longer_than_a_block_match_fraction_oracle(pair, kinds, warm):
+    qa, qb, below = pair
+    big, small = max(qa, qb), min(qa, qb)
+    total = big - small
+    assume(not ten_smooth(total.denominator))
+    a, b = run_operand(kinds[0], big, warm), run_operand(kinds[1], small, warm)
+    # the first difference, from the digits of the two values as text
+    ta, tb = oracle_places(big, below + 20), oracle_places(small, below + 20)
+    first = next(i for i in range(len(ta)) if ta[i] != tb[i])
+    top = max(a.order, b.order)
+    assert first_difference(a, b) == 3 - first
+    tied = top - (3 - first)
+    assert first_difference(a, b, tied) is None
+    assert first_difference(a, b, tied + 1) == 3 - first
+    verdict, m = compare_magnitudes(b, a, budget=None)
+    assert verdict is Verdict.LESS and m <= 3 - first
+    for n in (1, 0, -1, -below + 1, -below, -below - 1):
+        assert add_digit_rule(a, b.neg(), n) == oracle_digit(total, n)
+    a, b = run_operand(kinds[0], big, warm), run_operand(kinds[1], small, warm)
+    f = weak_add(b.neg(), a, compute_hint("add", Decimal.from_fraction(-small),
+                                          Decimal.from_fraction(big)))
+    assert render_digits(f, below + 8) == oracle_render(total, below + 8)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,28 @@ def test_ten_smooth():
     assert not ten_smooth(2 * 7)
 
 
+def ten_smooth_by_division(n):
+    """Divide out the twos and the fives one at a time (the reference)."""
+    for p in (2, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 9, 11, 5 ** 60 + 2, 2 * 5 ** 60 - 1])
+def test_ten_smooth_agrees_with_division_on_every_mix_of_twos_and_fives(m):
+    for a in range(0, 130, 7):
+        for b in range(0, 400, 11):
+            n = 2 ** a * 5 ** b * m
+            assert ten_smooth(n) == ten_smooth_by_division(n) == (m == 1), (a, b)
+
+
+def test_ten_smooth_of_fifty_thousand_digit_numbers():
+    assert ten_smooth(10 ** 50000)
+    assert not ten_smooth(9 * 10 ** 50000)
+    assert not ten_smooth(5 ** 50000 + 2)
+
+
 def test_decfrac_canonical_form():
     f = DecFrac(25000, -4)
     assert (f.mant, f.exp) == (25, -1)
