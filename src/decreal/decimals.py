@@ -220,23 +220,24 @@ def nine_free_below(digit_fn, n, budget=None):
     return None
 
 
-def first_difference(x, y, budget=None):
-    """The highest position where the digits of x and y differ, scanning
-    down from the larger order; None when ``budget`` positions tie.  Two
-    ``Decimal``s are read pair by pair for ``SCAN_PAIRS`` positions, then
-    in runs (``settling_pair``).
+def first_difference(x, y, budget=None, top=None, nines=False):
+    """The highest position where the digits of x and y differ (under
+    ``nines``, do not sum to 9), scanning down from ``top``, by default the
+    larger order; None when ``budget`` positions tie.  Two ``Decimal``s are
+    read pair by pair for ``SCAN_PAIRS`` positions, then in runs
+    (``settling_pair``).
 
     Without a budget the scan ends only on words that differ somewhere.
     """
-    top, few = max(x.order, y.order), budget
+    top, few = max(x.order, y.order) if top is None else top, budget
     if isinstance(x, Decimal) and isinstance(y, Decimal) and (budget is None or budget > SCAN_PAIRS):
         few = SCAN_PAIRS
     for n in _downward(top, few):
-        if x.digit(n) != y.digit(n):
+        if x.digit(n) + y.digit(n) != 9 if nines else x.digit(n) != y.digit(n):
             return n
     if few == budget:
         return None
-    found = settling_pair(x, y, top - few, budget=None if budget is None else budget - few)
+    found = settling_pair(x, y, top - few, nines, None if budget is None else budget - few)
     return None if found is None else found[0]
 
 
@@ -685,8 +686,11 @@ def _escape(d, n):
 
 
 def _nine_free_position(d, n, budget):
-    """Some position m < n with digit(m) != 9, via scan then escape witness."""
-    m = nine_free_below(d.digit, n, None if d.has_exact_value else budget)
+    """Some position m < n with digit(m) != 9: the highest, where the digits
+    of d and of zero do not sum to 9 (``first_difference``, in runs), or
+    else the one the escape witness names."""
+    budget = None if d.has_exact_value else budget
+    m = first_difference(d, Decimal.zero(), budget, n - 1, nines=True)
     if m is None and d.nine_escape is not None:
         return _escape(d, n)
     return m

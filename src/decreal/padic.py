@@ -8,18 +8,19 @@ sum or product only ever depends on input digits at positions ``<= n``.
 That makes both operations letter-by-letter computable, and the tracing
 helpers below let tests check the locality claim read by read.
 
-Streams produce in runs.  A leaf peels k digits with one inverse mod
-``p**k``; a sum, negation or product asks its operands for the position it
-was asked for only, and hands out every column from there up they already
-hold.  A product moves its big integers once per run of columns of weight
-``p**r`` below one CPython limb; inside a run a digit is small-integer
-work mod ``p**r``, as a product's low digits depend only on its factors'.
+Streams produce runs of digits held as integers.  A leaf peels k digits
+with one inverse mod ``p**k``; a sum, negation or product asks its operands
+for the position it was asked for only, takes every column they hold from
+there up as one integer (``known``), and hands its own out as one.  Only a
+node that is read spells its runs into digits.  A product moves its big
+integers once per call; columns that come a few at a time are small-integer
+work mod ``p**r`` below one CPython limb.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -78,25 +79,24 @@ def _check_prime(p):
 
 
 class PAdic:
-    """A p-adic number as a memoized digit stream.
+    """A p-adic number as a memoized stream of digit runs.
 
     ``base`` is a position at or below every nonzero digit.  The producer
-    is called in ascending order from ``base``, each position once, and its
-    digits are kept in one list; so a producer may carry state (a remainder
-    or a carry) from one position to the next.  A digit out of range raises
-    before it is memoised, and a producer that raises leaves its position
-    to be asked again.  With ``runs`` the producer instead returns a list of
-    the digits from the position asked upward, at least one; it reads no
-    stream (``padic_from_rational``), or hands out only columns its operands
-    hold (``known``), so it asks nothing above the position asked.  Over a view
-    that memoises only what it was asked (``traced_padic``), an arithmetic
-    node so goes a digit at a time.  The true ``order``
-    (lowest nonzero position, or 0 for zero) may be left lazy: results of
-    arithmetic scan the finitely many positions ``base..0`` for their first
-    nonzero digit only when someone asks.
+    is called in ascending order from ``base``, each position once, so it
+    may carry state (a remainder or a carry) from one position to the next.
+    It returns the digit there; with ``runs``, the run ``(v, k)`` instead:
+    1 to ``PEEL_RUN`` digits from there up as one integer ``v < p**k``,
+    lowest digit lowest.  A run producer reads no stream, or hands out only
+    columns its operands hold (``known``): over a view that memoises only
+    what it was asked (``traced_padic``), a node so goes a digit at a time.
+    A run out of range raises before it is held; a producer that raises
+    leaves its position to be asked again.  Runs are held as integers and
+    spelled into digits only when ``digit`` reads one.  The true ``order``
+    (lowest nonzero position, or 0 for zero) may be left lazy: it is found
+    among the finitely many positions ``base..0`` only when someone asks.
     """
 
-    __slots__ = ("p", "base", "_order", "_producer", "_digits")
+    __slots__ = ("p", "base", "_order", "_producer", "_powers", "_runs", "_ends", "_digits")
 
     def __init__(self, p, order, producer, base=None, runs=False):
         _check_prime(p)
@@ -109,43 +109,65 @@ class PAdic:
         self.p = p
         self.base = base
         self._order = order
-        self._producer = producer if runs else lambda n: [producer(n)]
-        self._digits = []
+        self._producer = producer if runs else lambda n: (producer(n), 1)
+        self._powers = _powers(p)
+        self._runs = []  # run j holds the digits from ends[j] to ends[j + 1] - 1,
+        self._ends = [0]  # counted from the base
+        self._digits = []  # the first runs, spelled
+
+    def _hold(self, i):
+        """Ask the producer for runs until the digit ``i`` past the base is held."""
+        ends = self._ends
+        while ends[-1] <= i:
+            v, k = self._producer(self.base + ends[-1])
+            if not (0 < k <= PEEL_RUN and isinstance(v, int) and 0 <= v < self._powers[k]):
+                raise MalformedWord(f"run {v!r} of {k!r} digits out of range for p={self.p}")
+            self._runs.append(v)
+            ends.append(ends[-1] + k)
 
     def digit(self, n):
         i = n - self.base
         digits = self._digits
-        k = len(digits)
-        if i < k:
+        if i < len(digits):
             return digits[i] if i >= 0 else 0
-        producer, p = self._producer, self.p
-        while k <= i:
-            run = producer(self.base + k)
-            if min(run) < 0 or max(run) >= p:
-                raise MalformedWord(f"digit out of range for p={p} in {run}")
-            digits += run
-            k = len(digits)
+        ends, runs, p = self._ends, self._runs, self.p
+        # the first run not spelled; a node read by digit has spelled all it held
+        j = len(runs) if len(digits) == ends[-1] else bisect_right(ends, len(digits)) - 1
+        if i >= ends[-1]:
+            self._hold(i)
+        for j in range(j, len(runs)):  # spell every run held
+            k = ends[j + 1] - ends[j]
+            digits += _base_digits(runs[j], k, p) if k > 1 else (runs[j],)
         return digits[i]
 
     def known(self, n, limit):
-        """``digit(n)``, then the digits memoised above it: 1 to ``limit``
-        digits, with nothing above ``n`` asked of the producer."""
+        """``(v, k)``: the digit at ``n`` and those held above it, 1 to ``limit
+        <= PEEL_RUN`` of them, as one integer ``v < p**k``.  Nothing above
+        ``n`` is asked of the producer, and nothing is spelled."""
         i = n - self.base
         if i < 0:
-            return [0] * min(-i, limit)
-        self.digit(n)
-        return self._digits[i:i + limit]
+            return 0, min(-i, limit)
+        ends = self._ends
+        if i < ends[-1]:
+            j = bisect_right(ends, i) - 1
+        else:  # the producer's last run holds i
+            self._hold(i)
+            j = len(ends) - 2
+        runs, powers = self._runs, self._powers
+        v, k = runs[j], ends[j + 1] - i
+        if i > ends[j]:
+            v //= powers[i - ends[j]]
+        while k < limit and j + 2 < len(ends):  # the runs above, while held
+            j += 1
+            v += runs[j] * powers[k]
+            k = ends[j + 1] - i
+        return (v % powers[limit], limit) if k > limit else (v, k)
 
     @property
     def order(self):
         """Lowest nonzero position (0 for zero); computed on first use."""
         if self._order is None:
-            o = 0
-            for j in range(self.base, 1):
-                if self.digit(j) != 0:
-                    o = j
-                    break
-            self._order = o
+            self._order = next((j for j in range(self.base, 1) if self.digit(j)), 0)
         return self._order
 
     def digits_from(self, count):
@@ -155,6 +177,12 @@ class PAdic:
     def __repr__(self):
         shown = " ".join(str(d) for d in self.digits_from(8))
         return f"PAdic(p={self.p}, base={self.base}, {shown} ...)"
+
+
+@lru_cache
+def _powers(p):
+    """``p**k`` for the lengths k of a run, ``0 <= k <= PEEL_RUN``."""
+    return [p ** k for k in range(PEEL_RUN + 1)]
 
 
 @lru_cache
@@ -182,10 +210,11 @@ def padic_from_rational(p, q) -> PAdic:
     """The p-adic expansion of a rational whose denominator p does not divide.
 
     ``x`` is an integer numerator over the fixed denominator ``d``.  A run
-    of k digits is the k base-p digits of ``v = x/d mod p**k``, then ``x :=
-    (x - v*d) / p**k``, exactly.  The runs double from one digit, by ``1/d
-    mod p``, up to ``PEEL_RUN``; each doubling lifts the inverse by a Newton
-    step ``i := i*(2 - d*i) mod p**2k``.  The order is 0: digits start there.
+    of k digits is ``v = x/d mod p**k``, handed out as that integer, then
+    ``x := (x - v*d) / p**k``, exactly.  The runs double from one digit, by
+    ``1/d mod p``, up to ``PEEL_RUN``; each doubling lifts the inverse by a
+    Newton step ``i := i*(2 - d*i) mod p**2k``.  The order is 0: digits
+    start there.
     """
     _check_prime(p)
     if not isinstance(q, Fraction):
@@ -200,16 +229,13 @@ def padic_from_rational(p, q) -> PAdic:
     def peel(n):
         nonlocal num, size, pk, inv
         if not size:  # the first digit alone
-            a = num * inv % p
-            num = (num - a * den) // p
             size = 1
-            return [a]
-        if size < PEEL_RUN and 2 * pk.bit_length() <= RUN_BITS:
+        elif size < PEEL_RUN and 2 * pk.bit_length() <= RUN_BITS:
             size, pk = 2 * size, pk * pk
             inv = inv * (2 - den * inv) % pk
         v = num * inv % pk
         num = (num - v * den) // pk
-        return _base_digits(v, size, p)
+        return v, size
 
     return PAdic(p, 0, peel, runs=True)
 
@@ -219,25 +245,23 @@ def padic_add(a: PAdic, b: PAdic) -> PAdic:
 
     The carry into position n is settled by positions < n alone, so the
     digit at p**n reads nothing above n from either operand.  Asked for n,
-    it reads ``a`` then ``b`` at n, and adds every column both hold.
+    it reads ``a`` then ``b`` at n, and adds every column both hold as
+    integers: ``s = va + vb + carry``, less ``p**k`` when it carries.
     """
     if a.p != b.p:
         raise PrimeMismatch(f"cannot add p={a.p} and p={b.p}")
-    p = a.p
-    k0 = min(a.base, b.base)
+    powers = _powers(a.p)
     carry = 0
 
     def producer(n):
         nonlocal carry
-        run_a = a.known(n, PEEL_RUN)
-        run_b = b.known(n, len(run_a))
-        for t, db in enumerate(run_b):  # the sum's digits overwrite b's run
-            s = run_a[t] + db + carry
-            carry = s >= p
-            run_b[t] = s - p if carry else s
-        return run_b
+        va, ka = a.known(n, PEEL_RUN)
+        vb, k = b.known(n, ka)
+        s = va % powers[k] + vb + carry
+        carry = s >= powers[k]
+        return s - powers[k] if carry else s, k
 
-    return PAdic(p, None, producer, base=k0, runs=True)
+    return PAdic(a.p, None, producer, base=min(a.base, b.base), runs=True)
 
 
 def padic_neg(a: PAdic) -> PAdic:
@@ -246,21 +270,20 @@ def padic_neg(a: PAdic) -> PAdic:
 
     The complement is ``-a - p**base``, since the all-``(p-1)`` stream from
     the base is ``-p**base``.  The digit at p**n reads ``a`` at n only, and
-    every position ``a`` holds from there up is negated with it.
+    every column ``a`` holds from there up is negated with it, as one
+    integer: ``p**k - 1 - v + carry``.
     """
-    p = a.p
+    powers = _powers(a.p)
     carry = 1
 
     def producer(n):
         nonlocal carry
-        run = a.known(n, PEEL_RUN)
-        for t, d in enumerate(run):
-            s = p - 1 - d + carry
-            carry = s == p
-            run[t] = 0 if carry else s
-        return run
+        v, k = a.known(n, PEEL_RUN)
+        s = powers[k] - 1 - v + carry
+        carry = s == powers[k]
+        return 0 if carry else s, k
 
-    return PAdic(p, None, producer, base=a.base, runs=True)
+    return PAdic(a.p, None, producer, base=a.base, runs=True)
 
 
 @lru_cache
@@ -274,92 +297,68 @@ def _column_run(p):
     return r, p ** r
 
 
-@lru_cache
-def _run_powers(p):
-    """``p**t`` for the columns t of a run, to sum a run's digits."""
-    return [p ** t for t in range(_column_run(p)[0])]
-
-
 def padic_mul(a: PAdic, b: PAdic) -> PAdic:
     """Column products with an upward carry, on a running integer that
-    moves once per run of columns.
+    moves once per call.
 
     The result digit at p**n depends on operand digits at positions
     ``<= n - other.base`` -- in particular on positions ``<= n`` whenever
     both operands are p-adic integers.  Asked for column j, the product
-    reads ``b`` then ``a`` through ``known`` and goes on through every
-    column both hold.  The columns go in runs of ``r`` (``_column_run``),
-    with ``R = p**r``.  Before a run that starts at column j the state is
-    the operand prefixes ``X = sum a_i p**i`` and ``Y = sum b_i p**i`` (i
-    counted from each base, below j), ``P = p**j`` and ``acc = X*Y // P``.
-    The run's digits go into small integers ``xr``, ``yr``, and the
-    prefixes become ``X + P*xr``, ``Y + P*yr``.  Since ``XY mod P < P``,
+    reads ``b`` then ``a`` through ``known``: every column both hold, as
+    integers ``xr`` and ``yr`` of k columns.  The state is the operand
+    prefixes ``X = sum a_i p**i`` and ``Y = sum b_i p**i`` (i counted from
+    each base, below j), ``P = p**j`` and ``acc = X*Y // P``.  Since ``XY
+    mod P < P``,
 
         (X + P*xr)(Y + P*yr) // P = acc + xr*Y + yr*X + P*xr*yr,
 
-    and the run's output digits are the low r base-p digits of that sum.
-    Its digit t depends on the run's columns up to t only, so a run whose
-    columns are not all in yet gives it from ``acc``, ``X``, ``Y`` and
-    ``P`` reduced mod R (``P`` is 0 mod R after the first run, and ``X``,
-    ``Y`` are then fixed mod R): small-integer work.  Once the run is in,
-    the big integers move once: ``divmod`` of the sum by R gives the new
-    ``acc`` and the run's digits; ``X`` and ``Y`` take the run, and ``P``
-    is multiplied by R.  R fits in one limb, so that division is CPython's
-    one-limb fast path; above p = 2**15 runs have one column.  The state
-    moves only after both reads succeed, so a producer that raises leaves
-    the stream resumable.
+    whose ``divmod`` by ``p**k`` is the new ``acc`` and the k output digits
+    as one integer: the big integers move once for all k columns.  Columns
+    that come fewer than r at a time (``_column_run``, ``R = p**r``) gather
+    into ``xr`` and ``yr`` until r are in; until then the digits come from
+    ``acc``, ``X``, ``Y`` and ``P`` reduced mod R (``P`` is 0 mod R after
+    the first run, and ``X``, ``Y`` are then fixed mod R), small-integer
+    work, as a column's digit depends on the columns up to it only.  The
+    state moves only after both reads succeed, so a producer that raises
+    leaves the stream resumable.
     """
     if a.p != b.p:
         raise PrimeMismatch(f"cannot multiply p={a.p} and p={b.p}")
-    p = a.p
-    k0 = a.base + b.base
-    r, R = _column_run(p)
-    powers = _run_powers(p)
-    last = R // p  # p**t at the run's last column
+    r, R = _column_run(a.p)
+    powers = _powers(a.p)
     x = y = acc = 0
     power = 1
     x_low = y_low = acc_low = 0  # x, y and acc mod R
     power_low = 1  # power mod R
-    xr = yr = 0
-    pt = 1  # p**t at column t of the run
+    xr = yr = 0  # the columns gathered, past those in x and y
+    pt = 1  # p**t for the t columns gathered
 
     def producer(n):
         nonlocal x, y, acc, power, x_low, y_low, acc_low, power_low, xr, yr, pt
-        run_b = b.known(n - a.base, PEEL_RUN)
-        run_a = a.known(n - b.base, len(run_b))
-        k, t, out = len(run_a), 0, []
-        while t < k:
-            whole = pt == 1 < r <= k - t
-            if whole:  # all r columns of the run are in
-                xr = sum(map(mul, run_a[t:t + r], powers))
-                yr = sum(map(mul, run_b[t:t + r], powers))
-                t += r
-            else:
-                xr += run_a[t] * pt
-                yr += run_b[t] * pt
-                t += 1
-                if pt < last:  # inside the run: small integers only
-                    out.append((acc_low + xr * y_low + yr * x_low + power_low * xr * yr)
-                               // pt % p)
-                    pt *= p
-                    continue
-            # the run is in: move the big integers once; the remainder holds
-            # the run's digits
-            acc, low = divmod(acc + xr * y + yr * x + power * (xr * yr), R)
-            x += power * xr
-            y += power * yr
-            power *= R
-            if r > 1:  # runs of one column never use the residues
+        vb, kb = b.known(n - a.base, PEEL_RUN)
+        va, k = a.known(n - b.base, kb)
+        xr += pt * va
+        yr += pt * (vb % powers[k])
+        top = pt * powers[k]  # p**t once these columns are in
+        if top < R:  # fewer than r columns gathered: small integers only
+            if pt == 1:
                 acc_low = acc % R
-                if power_low:  # the end of the first run
-                    x_low, y_low, power_low = xr, yr, 0
-            xr = yr = 0
-            pt = 1
-            # the run's digits, or the top one when the rest are out
-            out += _base_digits(low, r, p) if whole else (low // last,)
-        return out
+            out = (acc_low + xr * y_low + yr * x_low + power_low * xr * yr) % top // pt
+            pt = top
+            return out, k
+        # move the big integers once; the remainder holds the columns' digits
+        acc, low = divmod(acc + xr * y + yr * x + power * (xr * yr), top)
+        x += power * xr
+        y += power * yr
+        power *= top
+        if power_low:  # the end of the first run
+            x_low, y_low, power_low = x % R, y % R, 0
+        out = low // pt
+        xr = yr = 0
+        pt = 1
+        return out, k
 
-    return PAdic(p, None, producer, base=k0, runs=True)
+    return PAdic(a.p, None, producer, base=a.base + b.base, runs=True)
 
 
 def traced_padic(a: PAdic):

@@ -19,6 +19,7 @@ from decreal.decimals import (
     check_separation,
     compare,
     compare_extended,
+    compare_magnitudes,
     digit_of_fraction,
     format_decimal,
     inf_finite,
@@ -782,6 +783,36 @@ def test_compare_nine_free_scan_budget_boundary(budget):
     c = compare(small(-budget - 1, escape), big, budget=budget)
     assert (c.verdict, c.witness) == \
         (Verdict.LESS, SeparationWitness(pow10(budget + 1), budget + 1))
+
+
+@pytest.mark.parametrize("with_block", [False, True])
+def test_nine_free_scan_reads_runs_asking_each_position_once_in_order(with_block):
+    # 0.1, then 3000 nines, then 3, against 0.2: the digit gap of one at
+    # 10**-1 needs the 3; the scan asks the producer for 0 down to it, each
+    # position once, and stops within its budget
+    def counted():
+        calls = []
+
+        def producer(n):
+            calls.append(n)
+            return 1 if n == -1 else 9 if -3002 < n < -1 else 3 if n == -3002 else 0
+
+        if with_block:  # runs of the memo that a block read filled
+            producer.block = lambda hi, lo: sum(
+                producer(n) * 10 ** (n - lo) for n in range(hi, lo - 1, -1))
+        return Decimal.from_stream(1, 0, producer, None), calls
+
+    big = Decimal.from_fraction(Fraction(2, 10))
+    small, calls = counted()
+    if with_block:
+        small.digits(0, -2500)
+        del calls[:]
+    assert compare_magnitudes(small, big, budget=None) == (Verdict.LESS, -3002)
+    assert compare_magnitudes(big, small, budget=3001) == (Verdict.GREATER, -3002)
+    assert calls == list(range(-2501 if with_block else 0, -3003, -1))
+    small, calls = counted()
+    assert compare_magnitudes(small, big, budget=3000) == (Verdict.UNDECIDED, None)
+    assert calls == list(range(0, -3002, -1))  # -2 down to -3001: 3000 positions
 
 
 def test_searched_witness_reads_the_memo_so_compare_produces_each_position_once():

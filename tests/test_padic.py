@@ -360,15 +360,18 @@ def test_mul_stays_resumable_when_a_read_fails_at_a_run_edge(which, at):
 def test_leaf_peels_its_first_digit_alone_then_doubling_runs():
     a = padic_from_rational(7, Fraction(-5, 3))
     assert a.digit(0) == oracle_digits(7, Fraction(-5, 3), 1)[0]
-    assert len(a._digits) == 1
+    assert held(a) == 1
     sizes = [1]
     for n in range(1, 300):
         a.digit(n)
-        if len(a._digits) != sum(sizes):
-            sizes.append(len(a._digits) - sum(sizes))
+        if held(a) != sum(sizes):
+            sizes.append(held(a) - sum(sizes))
     assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 64, 64]
     assert max(sizes) == PEEL_RUN
-    assert a._digits == oracle_digits(7, Fraction(-5, 3), sum(sizes))
+    # each run is held as the integer its digits spell
+    expect = oracle_digits(7, Fraction(-5, 3), sum(sizes))
+    assert a._runs == [sum(d * 7 ** t for t, d in enumerate(expect[i - k:i]))
+                       for k, i in zip(sizes, a._ends[1:])]
 
 
 def test_traced_view_over_a_leaf_logs_no_position_above_the_one_asked():
@@ -377,14 +380,14 @@ def test_traced_view_over_a_leaf_logs_no_position_above_the_one_asked():
     for n in (0, 1, 2, 5, 6, 40, 41, 200):
         view.digit(n)
         assert (trace.max_index, trace.total) == (n, n + 1)
-        assert len(leaf._digits) > n  # the leaf itself peeled ahead
+        assert held(leaf) > n  # the leaf itself peeled ahead
     assert view.digits_from(201) == oracle_digits(3, Fraction(-11, 4), 201)
 
 
 def flaky_runs(p, q, base, at, size=8):
-    """``q * p**base`` as a stream that produces runs of ``size`` digits and
-    raises once: the first time it is asked for the run that starts at
-    ``at``."""
+    """``q * p**base`` as a stream that produces runs of ``size`` digits, as
+    integers, and raises once: the first time it is asked for the run that
+    starts at ``at``."""
     src = padic_from_rational(p, q)
     pending = {at}
 
@@ -392,14 +395,14 @@ def flaky_runs(p, q, base, at, size=8):
         if n in pending:
             pending.discard(n)
             raise RuntimeError(f"transient failure at {n}")
-        return [src.digit(m - base) for m in range(n, n + size)]
+        return sum(src.digit(m - base) * p ** (m - n) for m in range(n, n + size)), size
 
     return PAdic(p, None, producer, base=base, runs=True)
 
 
 def held(x):
-    """The position past the last digit in ``x``'s memo."""
-    return x.base + len(x._digits)
+    """The position past the last digit in ``x``'s runs."""
+    return x.base + x._ends[-1]
 
 
 @pytest.mark.parametrize("p", [3, 7, 2 ** 61 - 1])
@@ -440,7 +443,7 @@ def test_a_node_over_operands_with_unequal_bases_holds_no_column_they_do_not():
         assert held(s) <= min(held(a), held(b))
         prod.digit(prod.base + 10)
         # column j of the product needs a at ba + j and b at bb + j
-        assert len(prod._digits) <= min(len(a._digits), len(b._digits))
+        assert held(prod) - prod.base <= min(held(a) - a.base, held(b) - b.base)
         assert s.digits_from(60) == oracle_digits(
             p, Fraction(7, 3) * p ** (ba - s.base) + Fraction(-4, 9) * p ** (bb - s.base), 60)
         assert prod.digits_from(60) == oracle_digits(p, Fraction(7, 3) * Fraction(-4, 9), 60)
@@ -470,6 +473,86 @@ def test_a_node_stays_resumable_when_a_run_read_fails(op, which, at):
     assert node.digits_from(90) == expect
 
 
+@pytest.mark.parametrize("p", [3, 11])
+def test_only_the_node_read_spells_its_digits(p):
+    # the leaves and the inner product hand their runs on as integers; the
+    # top node spells each digit it holds once
+    x, y, z = Fraction(-517, 437), Fraction(311, 97), Fraction(5, 13)
+    a, b, c = (padic_from_rational(p, q) for q in (x, y, z))
+    prod = padic_mul(a, b)
+    top = padic_add(prod, c)
+    for n in range(2000):
+        top.digit(n)
+        assert len(top._digits) == held(top) > n
+        assert not (a._digits or b._digits or c._digits or prod._digits)
+    assert held(prod) == held(top) and len(prod._runs) == len(top._runs)
+    assert top.digits_from(2000) == oracle_digits(p, x * y + z, 2000)
+
+
+def random_runs(p, q, base, seed, bad=None):
+    """``q * p**base`` as a stream of runs of random lengths 1 to
+    ``PEEL_RUN``, plus the positions its producer was asked for, in call
+    order.  ``bad``, if given, maps the run length k to a malformed run
+    value, handed out once, at the third call."""
+    src, rng, calls = padic_from_rational(p, q), random.Random(seed), []
+
+    def producer(n):
+        calls.append(n)
+        k = rng.randint(1, PEEL_RUN)
+        if bad is not None and len(calls) == 3:
+            return bad(k), k
+        return sum(src.digit(m - base) * p ** (m - n) for m in range(n, n + k)), k
+
+    return PAdic(p, None, producer, base=base, runs=True), calls
+
+
+def asked_once_ascending(x, calls):
+    """The producer of x was asked for the first position of each run it
+    holds, once each, in ascending order."""
+    return calls == [x.base + e for e in x._ends[:-1]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 2 ** 61 - 1])
+@pytest.mark.parametrize("base_a, base_b", [(0, 0), (-3, 0), (0, -2), (-1, -4)])
+def test_run_producers_of_random_lengths_match_mod_oracle(p, base_a, base_b):
+    x, y = Fraction(-517, 437), Fraction(311, 97)
+    for seed in range(3):
+        a, calls_a = random_runs(p, x, base_a, seed)
+        b, calls_b = random_runs(p, y, base_b, seed + 10)
+        s, prod, neg = padic_add(a, b), padic_mul(a, b), padic_neg(b)
+        k0 = min(base_a, base_b)
+        for n in (5, 0, 130, 64, 299):  # out of order, past several runs
+            for node in (s, prod, neg):
+                node.digit(node.base + n)
+        assert s.digits_from(300) == oracle_digits(
+            p, x * p ** (base_a - k0) + y * p ** (base_b - k0), 300)
+        assert prod.digits_from(300) == oracle_digits(p, x * y, 300)
+        assert neg.digits_from(300) == oracle_digits(p, -y, 300)
+        assert a.digits_from(300) == oracle_digits(p, x, 300)
+        assert asked_once_ascending(a, calls_a) and asked_once_ascending(b, calls_b)
+
+
+@pytest.mark.parametrize("bad", [lambda k: -1, lambda k: 3 ** k, lambda k: 1.0, lambda k: None,
+                                 lambda k: "1"])
+@pytest.mark.parametrize("op", ["leaf", "add", "neg", "mul"])
+def test_a_malformed_run_raises_before_it_is_held_and_the_node_reads_on(bad, op):
+    p, x, y = 3, Fraction(-517, 437), Fraction(311, 97)
+    a, calls = random_runs(p, x, -1, 7, bad)
+    b = padic_from_rational(p, y)
+    node, value = {"leaf": (a, x), "add": (padic_add(a, b), x + y * p),
+                   "neg": (padic_neg(a), -x), "mul": (padic_mul(a, b), x * y)}[op]
+    for _ in range(2):  # the first two runs
+        a.known(held(a), 1)
+    runs, ends = list(a._runs), list(a._ends)
+    with pytest.raises(MalformedWord):
+        node.digit(node.base + 200)
+    assert (a._runs, a._ends) == (runs, ends)  # nothing of the bad run is held
+    assert node.digits_from(200) == oracle_digits(p, value, 200)
+    assert calls[2] == calls[3] == a.base + ends[-1]  # the bad run's position, asked again
+    del calls[2]
+    assert asked_once_ascending(a, calls)
+
+
 @pytest.mark.parametrize("p", [2, 3, 11])
 def test_carries_run_across_run_edges(p):
     # -1 has every digit p - 1 and p**40 has forty low zeros, so the carries
@@ -495,9 +578,9 @@ def test_bulk_leaf_peel_matches_the_oracle(p):
     a = padic_from_rational(p, Fraction(-5, 7))
     sizes = []
     for n in range(300):
-        if len(a._digits) == n:
+        if held(a) == n:
             a.digit(n)
-            sizes.append(len(a._digits) - n)
+            sizes.append(held(a) - n)
     # the runs double up to PEEL_RUN, and stop doubling past RUN_BITS / 2 bits
     top = max(k for k in (1, 2, 4, 8, 16, 32, 64)
               if k == 1 or (p ** (k // 2)).bit_length() <= RUN_BITS // 2)

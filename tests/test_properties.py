@@ -489,6 +489,42 @@ def test_borrow_and_order_runs_longer_than_a_block_match_fraction_oracle(pair, k
     assert render_digits(f, below + 8) == oracle_render(total, below + 8)
 
 
+@st.composite
+def nine_runs(draw):
+    """``(small, big, places)``: two magnitudes whose digits agree down to a
+    gap of one, below which the smaller has a run of nines, 1 to 40 digits
+    or over a block long, then a digit that is not 9; ``places`` digits
+    below the point reach past the run.  The gap lies up to 3 positions
+    above the point."""
+    length = draw(st.one_of(st.integers(1, 40), st.integers(BLOCK - 2, 2 * BLOCK + 40)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    head = "".join(rng.choice("0123456789") for _ in range(draw(st.integers(0, 3))))
+    point = draw(st.integers(0, len(head) + 1))
+    low = rng.randrange(9)
+    small = head + str(low) + "9" * length + rng.choice("012345678")
+    tails = draw(st.tuples(st.sampled_from(TAILS), st.sampled_from(TAILS)))
+    return (forced_value(small, point, tails[0]),
+            forced_value(head + str(low + 1), point, tails[1]), len(small) - point + 4)
+
+
+@LONG
+@given(case=nine_runs(), kinds=st.tuples(exact_or_stream, exact_or_stream),
+       warm=st.integers(0, 3 * BLOCK))
+@example(case=(Fraction(2, 10) - Fraction(1, 10 ** (2 * BLOCK + 41) * 3), Fraction(2, 10),
+               2 * BLOCK + 45), kinds=("exact", "stream"), warm=0)
+def test_nine_free_scans_over_long_nine_runs_match_fraction_oracle(case, kinds, warm):
+    small, big, places = case
+    # the gap and the digit that ends the run, from the digits as text
+    ts, tb = oracle_places(small, places), oracle_places(big, places)
+    gap = next(i for i in range(len(ts)) if ts[i] != tb[i])
+    assert int(tb[gap]) - int(ts[gap]) == 1
+    m = 3 - next(i for i in range(gap + 1, len(ts)) if ts[i] != "9")
+    for budget in (None, 128):
+        a, b = run_operand(kinds[0], small, warm), run_operand(kinds[1], big, warm)
+        assert compare_magnitudes(a, b, budget) == (Verdict.LESS, m)
+        assert compare_magnitudes(b, a, budget) == (Verdict.GREATER, m)
+
+
 # ---------------------------------------------------------------------------
 # block rendering of expression trees
 
