@@ -345,12 +345,15 @@ class Decimal:
       index ``order - n``), and a dict of the positions read out of
       sequence below it, which fold into the array when the frontier
       reaches them;
-    * an exact value keeps the long-division pair ``[position, remainder]``,
-      ``remainder = |num| * 10**(-position - 1) mod den``, which yields the
-      digit at ``position``.  A read below the point that starts there
-      continues the division; any other jumps there with one ``pow``, so a
-      far read costs no big power.  Either way the pair is left just below
-      the last digit read.
+    * an exact value keeps the long-division pair ``[position, remainder,
+      above]``, ``remainder = |num| * 10**(-position - 1) mod den``, which
+      yields the digit at ``position``; ``above`` is the digit at
+      ``position + 1`` after a ``digit`` read there, else None.  A read
+      below the point that starts at ``position`` continues the division,
+      and one at ``position + 1`` is ``above``; any other jumps there with
+      one ``pow``, so a far read costs no big power.  Either way the pair is
+      left just below the last digit read: a carry scan that reads the pair
+      below n leaves the digit at n - 1 to be read again for nothing.
 
     ``digits(hi, lo)`` reads a run of positions as one integer.  An exact
     value serves it with one division.  A stream slices what its array
@@ -374,7 +377,7 @@ class Decimal:
 
     def __init__(self, sign, order, value=None, producer=None, witness=None, memo=None):
         if memo is None:
-            memo = (bytearray(), {}) if producer is not None else [None, 0]
+            memo = (bytearray(), {}) if producer is not None else [None, 0, None]
         _set_sign(self, sign)
         _set_order(self, order)
         _set_value(self, value)
@@ -439,8 +442,12 @@ class Decimal:
         if n >= 0:
             return digit_of_fraction(q, n)
         pair = self._memo
-        d, rem = divmod(10 * (pair[1] if pair[0] == n else _remainder(q, n)), q.denominator)
-        pair[0], pair[1] = n - 1, rem
+        if pair[0] != n:
+            if pair[0] == n - 1 and pair[2] is not None:
+                return pair[2]
+            pair[1] = _remainder(q, n)
+        d, rem = divmod(10 * pair[1], q.denominator)
+        pair[0], pair[1], pair[2] = n - 1, rem, d
         return d
 
     def digits(self, hi, lo):
@@ -461,7 +468,7 @@ class Decimal:
         out = num // den % pow10(hi + 1) if hi >= 0 else 0
         p = pow10(top - lo + 1)
         block, rem = divmod((pair[1] if pair[0] == top else _remainder(q, top)) * p, den)
-        pair[0], pair[1] = lo - 1, rem
+        pair[0], pair[1], pair[2] = lo - 1, rem, None  # the digit at lo is not split off
         return out * p + block
 
     def known(self, n, limit):

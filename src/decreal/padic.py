@@ -12,9 +12,10 @@ Streams produce runs of digits held as integers.  A leaf peels k digits
 with one inverse mod ``p**k``; a sum, negation or product asks its operands
 for the position it was asked for only, takes every column they hold from
 there up as one integer (``known``), and hands its own out as one.  Only a
-node that is read spells its runs into digits.  A product moves its big
-integers once per call; columns that come a few at a time are small-integer
-work mod ``p**r`` below one CPython limb.
+node that is read spells its runs into digits, and a spelled digit is read
+with one index.  A product moves its big integers once per call; columns
+that come a few at a time are small-integer work mod ``p**r`` below one
+CPython limb.
 """
 
 from bisect import bisect_right
@@ -91,12 +92,20 @@ class PAdic:
     what it was asked (``traced_padic``), a node so goes a digit at a time.
     A run out of range raises before it is held; a producer that raises
     leaves its position to be asked again.  Runs are held as integers and
-    spelled into digits only when ``digit`` reads one.  The true ``order``
-    (lowest nonzero position, or 0 for zero) may be left lazy: it is found
-    among the finitely many positions ``base..0`` only when someone asks.
+    spelled into digits only when ``digit`` reads one; a digit producer's
+    runs are its digits, held spelled.
+
+    ``order`` (lowest nonzero position, or 0 for zero) is a plain attribute
+    whenever no read is needed to know it: an explicit order, or a base of
+    0, since the order lies in ``base..0``.  Every rational, and every sum,
+    negation and product of rationals, has base 0.  A stream below 0 with
+    no explicit order asks its producer nothing until ``order`` or a digit
+    is read; it finds the order among the positions ``base..0`` on the
+    first read of ``order``.
     """
 
-    __slots__ = ("p", "base", "_order", "_producer", "_powers", "_runs", "_ends", "_digits")
+    __slots__ = ("p", "base", "order", "_producer", "_unit", "_powers", "_runs", "_ends",
+                 "_digits", "_spelled")
 
     def __init__(self, p, order, producer, base=None, runs=False):
         _check_prime(p)
@@ -108,18 +117,25 @@ class PAdic:
             raise ValueError("an explicit order must equal the base position")
         self.p = p
         self.base = base
-        self._order = order
-        self._producer = producer if runs else lambda n: (producer(n), 1)
+        if order is not None or base == 0:
+            self.order = base
+        else:
+            self.__class__ = _LazyOrder
+        self._producer = producer
+        self._unit = not runs
         self._powers = _powers(p)
-        self._runs = []  # run j holds the digits from ends[j] to ends[j + 1] - 1,
-        self._ends = [0]  # counted from the base
         self._digits = []  # the first runs, spelled
+        self._spelled = 0  # how many of them ``digit`` serves by index
+        # run j holds the digits from ends[j] to ends[j + 1] - 1, counted from the base
+        self._runs = self._digits if self._unit else []
+        self._ends = [0]
 
     def _hold(self, i):
         """Ask the producer for runs until the digit ``i`` past the base is held."""
-        ends = self._ends
+        ends, producer = self._ends, self._producer
         while ends[-1] <= i:
-            v, k = self._producer(self.base + ends[-1])
+            n = self.base + ends[-1]
+            v, k = (producer(n), 1) if self._unit else producer(n)
             if not (0 < k <= PEEL_RUN and isinstance(v, int) and 0 <= v < self._powers[k]):
                 raise MalformedWord(f"run {v!r} of {k!r} digits out of range for p={self.p}")
             self._runs.append(v)
@@ -127,17 +143,21 @@ class PAdic:
 
     def digit(self, n):
         i = n - self.base
+        if i < self._spelled:
+            return self._digits[i] if i >= 0 else 0
         digits = self._digits
-        if i < len(digits):
-            return digits[i] if i >= 0 else 0
-        ends, runs, p = self._ends, self._runs, self.p
-        # the first run not spelled; a node read by digit has spelled all it held
-        j = len(runs) if len(digits) == ends[-1] else bisect_right(ends, len(digits)) - 1
-        if i >= ends[-1]:
+        if self._unit:  # the runs are the digits
             self._hold(i)
-        for j in range(j, len(runs)):  # spell every run held
-            k = ends[j + 1] - ends[j]
-            digits += _base_digits(runs[j], k, p) if k > 1 else (runs[j],)
+        else:
+            ends, runs = self._ends, self._runs
+            # the first run not spelled; a node read by digit has spelled all it held
+            j = len(runs) if len(digits) == ends[-1] else bisect_right(ends, len(digits)) - 1
+            if i >= ends[-1]:
+                self._hold(i)
+            for j in range(j, len(runs)):  # spell every run held
+                k = ends[j + 1] - ends[j]
+                digits += _base_digits(runs[j], k, self.p) if k > 1 else (runs[j],)
+        self._spelled = len(digits)
         return digits[i]
 
     def known(self, n, limit):
@@ -163,13 +183,6 @@ class PAdic:
             k = ends[j + 1] - i
         return (v % powers[limit], limit) if k > limit else (v, k)
 
-    @property
-    def order(self):
-        """Lowest nonzero position (0 for zero); computed on first use."""
-        if self._order is None:
-            self._order = next((j for j in range(self.base, 1) if self.digit(j)), 0)
-        return self._order
-
     def digits_from(self, count):
         """The first ``count`` digits starting at the base position."""
         return [self.digit(self.base + i) for i in range(count)]
@@ -177,6 +190,25 @@ class PAdic:
     def __repr__(self):
         shown = " ".join(str(d) for d in self.digits_from(8))
         return f"PAdic(p={self.p}, base={self.base}, {shown} ...)"
+
+
+_order_slot = PAdic.order  # the slot itself, under _LazyOrder's property
+
+
+class _LazyOrder(PAdic):
+    """The class ``PAdic`` gives a stream below 0 with no explicit order:
+    the first read of ``order`` scans ``base..0`` and fills the slot."""
+
+    __slots__ = ()
+
+    @property
+    def order(self):
+        try:
+            return _order_slot.__get__(self)
+        except AttributeError:
+            order = next((j for j in range(self.base, 1) if self.digit(j)), 0)
+            _order_slot.__set__(self, order)
+            return order
 
 
 @lru_cache

@@ -262,19 +262,22 @@ def test_truncate_above_the_point():
 def test_rational_pair_jumps_to_far_reads_and_continues_from_them():
     x = Decimal.from_fraction(Fraction(-22, 7))
     y = x.neg()
-    assert x._memo is y._memo == [None, 0]  # both sign views share one pair
-    # a far read jumps there and leaves the pair just below it
-    assert x.digit(-10 ** 6) == [1, 4, 2, 8, 5, 7][(10 ** 6 - 1) % 6]
-    assert x._memo == [-10 ** 6 - 1, 22 * pow(10, 10 ** 6, 7) % 7]
+    assert x._memo is y._memo == [None, 0, None]  # both sign views share one pair
+    # a far read jumps there and leaves the pair just below it, with the
+    # digit read above it
+    assert x.digit(-10 ** 6) == [1, 4, 2, 8, 5, 7][(10 ** 6 - 1) % 6] == 8
+    assert x._memo == [-10 ** 6 - 1, 22 * pow(10, 10 ** 6, 7) % 7, 8]
     # the next read continues from there, through the other sign view
     assert [y.digit(-10 ** 6 - j) for j in range(1, 4)] == [5, 7, 1]
     assert y.digits(-10 ** 6 - 4, -10 ** 6 - 6) == 428
-    assert x._memo == [-10 ** 6 - 7, 22 * pow(10, 10 ** 6 + 6, 7) % 7]
+    assert x._memo == [-10 ** 6 - 7, 22 * pow(10, 10 ** 6 + 6, 7) % 7, None]  # a run keeps no digit
     # a read above the pair jumps back up; a run reaches into the integer part
     assert [x.digit(-j) for j in (3, 4, 2)] == [2, 8, 4]
-    assert x._memo == [-3, 22 * 100 % 7]
-    assert x.digits(0, -6) == 3142857 and y._memo == [-7, 22 * 10 ** 6 % 7]
-    assert x.scaled_prefix(2) == 314 and x._memo == [-3, 22 * 100 % 7]
+    assert x._memo == [-3, 22 * 100 % 7, 4]
+    # the digit just read is read again from the pair, which stays put
+    assert y.digit(-2) == 4 and x._memo == [-3, 22 * 100 % 7, 4]
+    assert x.digits(0, -6) == 3142857 and y._memo == [-7, 22 * 10 ** 6 % 7, None]
+    assert x.scaled_prefix(2) == 314 and x._memo == [-3, 22 * 100 % 7, None]
 
 
 def test_from_fraction_beyond_the_int_to_str_cap():
@@ -565,7 +568,7 @@ def test_known_on_an_exact_value_continues_its_division_across_the_point():
     assert x.known(0, 1) == oracle_run(Q, 0, 1)
     # the pair stands below the last run, and the next one continues it
     assert x.known(-1, 5) == oracle_run(Q, -1, 5)
-    assert x._memo == [-6, abs(Q.numerator) * 10 ** 5 % 7]
+    assert x._memo == [-6, abs(Q.numerator) * 10 ** 5 % 7, None]
     assert x.neg().known(-6, 2 * BLOCK) == oracle_run(Q, -6, 2 * BLOCK)
     assert x.known(-3, 1) == oracle_run(Q, -3, 1)
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from padic_oracle import CHUNK, main, padic_digits, rational
 
 from decreal.errors import (
     DenominatorDivisibleByP,
@@ -43,6 +44,24 @@ def oracle_digits(p, q, count):
         x, d = divmod(x, p)
         out.append(d)
     return out
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, CHUNK])
+def test_the_chunked_ci_oracle_matches_the_per_digit_one(chunk):
+    for p in (2, 3, 11, 2 ** 61 - 1):
+        for q in (Fraction(0), Fraction(-1), Fraction(-517, 913), Fraction(22, 9 if p != 3 else 7)):
+            for n in sorted({0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2}):
+                if p < 100 or n < 50:
+                    assert padic_digits(q, p, n, chunk) == oracle_digits(p, q, n)
+
+
+def test_the_ci_oracle_reads_expressions_and_prints_as_the_cli(capsys):
+    assert rational("1/3*-2/9") == Fraction(-2, 27)
+    assert rational("0-(1/3*2/9)") == Fraction(-2, 27)
+    assert rational("(1/7+-5/13)*(2/17+3/19)") == (Fraction(1, 7) - Fraction(5, 13)) * (
+        Fraction(2, 17) + Fraction(3, 19))
+    main(["padic_oracle.py", "3", "1/2", "5"])
+    assert capsys.readouterr().out == "p=3 order=0: 2 1 1 1 1\n"
 
 
 def recorded(p, q, base=0):
@@ -202,6 +221,33 @@ def test_lazy_order_scans_from_base():
     assert a.order == -2
     z = PAdic(5, None, lambda n: 0, base=-2)
     assert z.order == 0  # all-zero window defaults to the integer floor
+
+
+def test_order_of_a_base_zero_stream_asks_its_producer_nothing():
+    a, calls_a = recorded(7, Fraction(-5, 3))
+    b, calls_b = recorded(7, Fraction(7, 2))  # its digit at 0 is 0
+    view, trace = traced_padic(a)
+    for x in (a, b, padic_add(a, b), padic_mul(b, a), padic_neg(b), view,
+              padic_mul(padic_add(view, b), padic_from_rational(7, 49))):
+        assert x.order == 0
+    assert calls_a == calls_b == [] and trace.total == 0
+    assert PAdic(7, -3, lambda n: 1 / 0).order == -3  # an explicit order asks nothing either
+
+
+def test_a_stream_below_zero_asks_nothing_until_its_order_or_a_digit_is_read():
+    a, calls_a = recorded(7, Fraction(14, 3), -2)  # digits 0 3 ..., so order -1
+    b, calls_b = recorded(7, Fraction(-5, 3), -1)  # order -1
+    view, trace = traced_padic(a)
+    nodes = [padic_add(a, b), padic_mul(a, b), padic_neg(a), view, padic_add(view, b)]
+    assert calls_a == calls_b == [] and trace.total == 0
+    assert [x.order for x in nodes] == [-1, -2, -1, -1, -1]
+    assert a.order == -1 and b.order == -1
+    # the scans read nothing above 0: the product's column -2 reads b at 0
+    assert calls_a == [-2, -1] and calls_b == [-1, 0]
+    # once found, the order is held: reading it again asks nothing
+    del calls_a[:], calls_b[:]
+    assert [x.order for x in nodes + [a, b]] == [-1, -2, -1, -1, -1, -1, -1]
+    assert calls_a == calls_b == []
 
 
 def test_add_matches_mod_oracle():

@@ -635,6 +635,42 @@ def test_padic_mul_matches_mod_oracle(case, reads, ahead):
     check_padic(prod, p, q * r, reads)
 
 
+padic_order_reads = st.lists(st.one_of(st.just("order"), st.integers(0, PADIC_DIGITS - 1)),
+                             max_size=20)
+
+
+@PROPERTY
+@given(case=padic_cases, reads=padic_order_reads,
+       kind=st.sampled_from(["leaf", "add", "mul", "neg"]))
+def test_padic_order_reads_interleave_with_digit_reads(case, reads, kind):
+    # a stream with a base below 0 finds its order on the first read of
+    # ``order``, before, after or between digit reads, and asks its producer
+    # nothing until then; the order is the lowest nonzero position in
+    # base..0, or 0
+    p, (q, ba), (r, bb) = case
+    src, calls = padic_from_rational(p, q), []
+
+    def producer(n):
+        calls.append(n)
+        return src.digit(n - ba)
+
+    a = PAdic(p, None, producer, base=ba)
+    b = shifted(p, r, bb)
+    m = min(ba, bb)
+    x, value = {"leaf": (a, q), "add": (padic_add(a, b), q * p ** (ba - m) + r * p ** (bb - m)),
+                "mul": (padic_mul(a, b), q * r), "neg": (padic_neg(a), -q)}[kind]
+    assert not calls
+    want = padic_oracle(p, value, PADIC_DIGITS)
+    order = next((x.base + i for i in range(1 - x.base) if want[i]), 0)
+    for i in reads:
+        if i == "order":
+            assert x.order == order
+        else:
+            assert x.digit(x.base + i) == want[i]
+    assert x.order == order
+    assert x.digits_from(PADIC_DIGITS) == want
+
+
 TREE_DIGITS = 200
 TREE_PRIMES = [2, 3, 5, 7, 11, 2 ** 61 - 1]
 

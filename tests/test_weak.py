@@ -472,6 +472,28 @@ def test_squared_operand_is_read_once_per_prefix_and_deepening(monkeypatch, q):
         assert len(jumps) == starts
 
 
+def test_a_sum_read_digit_by_digit_re_reads_its_exact_operands_without_a_jump(monkeypatch):
+    # the carry scan for n reads each operand at n - 1, leaving its
+    # long-division pair below n - 1; the digit at n - 1 is then read again
+    # from the pair, so only a scan that reads more than one pair leaves a
+    # jump back up (one pair per position read in order would jump 5,600
+    # times here, with a denominator of about 3,000 digits)
+    jumps = []
+    remainder = decimals._remainder
+
+    def counted(q, n):
+        jumps.append(n)
+        return remainder(q, n)
+
+    monkeypatch.setattr(decimals, "_remainder", counted)
+    expr = "0." + "1234567890" * 300 + "(142857)+2/7"
+    d, value, _ = eval_expression(parse_expression(expr))
+    jumps.clear()
+    assert [d.digit(n) for n in range(-1, -3001, -1)] == [oracle_digit(value, n)
+                                                         for n in range(-1, -3001, -1)]
+    assert len(jumps) == 402
+
+
 def counted_bracket_starts(monkeypatch):
     """The positions at which ``weak.ProductBracket`` starts, in order."""
     starts = []
