@@ -14,7 +14,8 @@ import sys
 
 from .decimals import parse_decimal, render_digits, sup_finite
 from .errors import DecrealError, ModulusTooLarge, NotPrime, OracleUnavailable, ParseError
-from .expr import eval_expression, expression_hint, padic_eval, parse_expression
+from .expr import (eval_expression, expression_hint, fixed_depth_misses, padic_eval,
+                   parse_expression)
 from .padic import padic_encode, padic_from_rational
 from .rational import int_str, parse_rat, str_int
 from .shifts import classify_add_shift, classify_mul_shift, graph_type, involution_F
@@ -55,8 +56,8 @@ def count(text):
 
 
 def cmd_eval(args):
-    d, _, traces = eval_expression(parse_expression(args.expr), path=args.path,
-                                   root_hint=args.hint, trace=args.trace)
+    node = parse_expression(args.expr)
+    d, _, traces = eval_expression(node, root_hint=args.hint, trace=args.trace)
     print(render_digits(d, args.digits))
     if traces:
         for name, t in zip(("left", "right"), traces):
@@ -65,6 +66,11 @@ def cmd_eval(args):
             else:
                 print(f"# {name}: read {t.total} digits, "
                       f"positions {t.max_index} down to {t.min_index}")
+    if args.path == "paper":
+        for i, misses in enumerate(fixed_depth_misses(node, -args.digits), 1):
+            if misses:
+                print(f"# paper: product {i} misses at "
+                      + ", ".join(f"10**{n}" for n in misses), file=sys.stderr)
     return 0
 
 
@@ -152,7 +158,8 @@ def build_parser():
     p.add_argument("--digits", type=count, default=10,
                    help="digits after the point (default 10)")
     p.add_argument("--path", choices=("certified", "paper"), default="certified",
-                   help="digit rule for products")
+                   help="paper: also report on stderr where the paper's fixed-depth "
+                        "product digits miss the certified ones")
     p.add_argument("--hint", type=_int, default=None,
                    help="integer hint for the top-level operation")
     p.add_argument("--trace", action="store_true",

@@ -6,11 +6,11 @@ digit-by-digit routines or in the p-adic integers of a prime.
 
 import re
 
-from .decimals import Decimal
+from .decimals import Decimal, order_of
 from .errors import HintMismatch, ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
-from .rational import LITERAL, literal_fraction, ten_smooth
-from .weak import hint_decode, hint_of, weak_add, weak_mul
+from .rational import LITERAL, int_str, literal_fraction, pow10, ten_smooth
+from .weak import fixed_depth_digits, hint_decode, hint_of, weak_add, weak_mul
 from .words import traced_decimal
 
 # ---------------------------------------------------------------------------
@@ -131,14 +131,31 @@ def parse_expression(text):
 # returned for a '+' or '*' node is nevertheless the streamed weak result.
 
 
-def eval_expression(node, path="certified", root_hint=None, trace=False):
+def value_of(node):
+    """The exact value of ``node``, folded from its literals with no
+    ``Decimal`` built."""
+    kind = node[0]
+    if kind == "lit":
+        return node[1].value()
+    if kind == "neg":
+        return -value_of(node[1])
+    if kind == "recip":
+        v = value_of(node[1])
+        if v == 0:
+            raise ParseError("reciprocal of zero")
+        return 1 / v
+    vl, vr = value_of(node[1]), value_of(node[2])
+    return vl + vr if kind == "add" else vl * vr
+
+
+def eval_expression(node, root_hint=None, trace=False):
     """Evaluate to (Decimal, Fraction, traces); traces is None unless asked.
 
     ``root_hint``, a hint's integer encoding (as ``--hint`` takes it),
     replaces the computed hint of the top-level operation, which must then
     be a '+' or a '*'.  A payload is checked on the exact operands, and a
     hint that claims a non-terminating result for a terminating ``v``
-    raises ``HintMismatch``.
+    raises ``HintMismatch``.  A ``recip`` builds no stream below it.
     """
     kind = node[0]
     if root_hint is not None:
@@ -148,16 +165,14 @@ def eval_expression(node, path="certified", root_hint=None, trace=False):
     if kind == "lit":
         return node[1], node[1].value(), None
     if kind == "neg":
-        d, v, _ = eval_expression(node[1], path)
+        d, v, _ = eval_expression(node[1])
         d = d.neg()  # an exact operand's flip carries the negated value already
         return d, d.value() if d.has_exact_value else -v, None
     if kind == "recip":
-        d, v, _ = eval_expression(node[1], path)
-        if v == 0:
-            raise ParseError("reciprocal of zero")
-        return Decimal.from_fraction(1 / v), 1 / v, None
-    dl, vl, _ = eval_expression(node[1], path)
-    dr, vr, _ = eval_expression(node[2], path)
+        v = value_of(node)
+        return Decimal.from_fraction(v), v, None
+    dl, vl, _ = eval_expression(node[1])
+    dr, vr, _ = eval_expression(node[2])
     v = vl + vr if kind == "add" else vl * vr
     hint = root_hint or hint_of(v)
     if root_hint and hint.terminating is not None:  # checked on the exact operands
@@ -168,7 +183,7 @@ def eval_expression(node, path="certified", root_hint=None, trace=False):
     if trace:  # traced views keep the exact values, so they change no decision
         (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
         traces = (tl, tr)
-    f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint, digit_path=path)
+    f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint)
     return f, v, traces
 
 
@@ -177,9 +192,27 @@ def expression_hint(node):
     exact values of its operands."""
     if node[0] not in ("add", "mul"):
         raise ParseError("hint needs a top-level '+' or '*'")
-    _, vl, _ = eval_expression(node[1])
-    _, vr, _ = eval_expression(node[2])
-    return hint_of(vl + vr if node[0] == "add" else vl * vr)
+    return hint_of(value_of(node))
+
+
+def fixed_depth_misses(node, lo):
+    """Where the paper's fixed-depth rule misses, for each '*' of ``node``
+    outside a ``recip``, operands first: the positions from the product's
+    order down to 10**lo, top down, at which ``fixed_depth_digits`` of its
+    exact operands differs from the exact product."""
+    if node[0] in ("lit", "recip"):
+        return []
+    audits = [misses for child in node[1:] for misses in fixed_depth_misses(child, lo)]
+    if node[0] == "mul":
+        vl, vr = value_of(node[1]), value_of(node[2])
+        v = vl * vr
+        hi = order_of(v)
+        width = hi - lo + 1
+        got, want = (int_str(run).zfill(width) for run in (
+            fixed_depth_digits(Decimal.from_fraction(vl), Decimal.from_fraction(vr), hi, lo),
+            abs(v.numerator) * pow10(-lo) // v.denominator))
+        audits.append([hi - i for i, (g, w) in enumerate(zip(got, want)) if g != w])
+    return audits
 
 
 def padic_eval(node, p):

@@ -10,23 +10,23 @@ else is honest bounded lookahead:
 * each digit of a sum scans below its position for the first digit pair
   that settles the carry (pair sum != 9) or the borrow (unequal digits);
 * each digit of a product squeezes an exact truncation bracket until it
-  fits inside one digit cell.
+  fits inside one digit cell (the paper's fixed-depth rule reads it before
+  it fits, and is no stream: ``fixed_depth_digits`` is for audits).
 
 Both scans halt on every input whose result really is non-terminating,
 which is precisely what a correct hint promises.  Streams read in sequence
 resume instead of starting over (online arithmetic): a sum keeps the
 settling pair of its last scan, which also settles every position between
-that pair and the scan's start; a product keeps one ``ProductBracket``
-under either digit rule, which moves down to the next digit cell and
-deepens by operand digits, so each sequential digit costs integer work
-linear in the prefix length.  A request out of sequence starts cold, with
-the one-shot rule; either way the same operand positions are read.  Both
-producers serve a run of positions in one ``block`` call (see
-``Decimal.digits``): a sum adds two operand blocks as integers, and a
-certified product settles its bracket once, at the lowest position of the
-run.  A single digit is a run of one position.  A long carry or borrow
-scan reads operand runs (``decimals.settling_pair``), asking the operands
-for the positions a pair-by-pair scan asks for.
+that pair and the scan's start; a product keeps one ``ProductBracket``,
+which moves down to the next digit cell and deepens by operand digits, so
+each sequential digit costs integer work linear in the prefix length.  A
+request out of sequence starts cold, with the one-shot rule; either way
+the same operand positions are read.  Both producers serve a run of
+positions in one ``block`` call (see ``Decimal.digits``): a sum adds two
+operand blocks as integers, and a product settles its bracket once, at the
+lowest position of the run.  A single digit is a run of one position.  A
+long carry or borrow scan reads operand runs (``decimals.settling_pair``),
+asking the operands for the positions a pair-by-pair scan asks for.
 
 Hints also travel as single positive integers, ``(2k + 1) * 2**r``: order
 in the odd part, terminating payload (if any) in the 2-adic part.
@@ -171,8 +171,9 @@ def _sum_digits(d: Decimal, e: Decimal, borrow: bool):
 
     A scan from n that settles at position s (carry or borrow c) also
     settles every position in ``(s, n]``, since the pairs between pass c on
-    unchanged; so the producer keeps the last scan's range and carry, and a
-    digit inside that range costs its own pair only.
+    unchanged; so the producer keeps the last scan's range and carry.  A
+    digit strictly inside it reads nothing, as its pair sums to 9 (or ties,
+    under ``borrow``); the digit at the scan's start reads its own pair.
     """
     d_digit, e_digit = d.digit, e.digit
     low = top = carry = 0  # the last scan settles every position in (low, top]
@@ -200,6 +201,8 @@ def _sum_digits(d: Decimal, e: Decimal, borrow: bool):
         low, top = s, n
 
     def producer(n):
+        if low < n < top:
+            return carry % 10 if borrow else (9 + carry) % 10
         s0 = d_digit(n) - e_digit(n) if borrow else d_digit(n) + e_digit(n)
         if not low < n <= top:
             rescan(n)
@@ -319,15 +322,15 @@ class ProductBracket:
     and its ``digit`` is the paper's fixed-depth digit.  ``move(lo)``
     deepens to the cold depth of ``lo`` (unless deeper already), then shifts
     the split to ``lo``; ``settle`` deepens one digit at a time until the
-    digit at ``pos`` is certified.  The fixed-depth rule moves one position
-    at a time and reads ``digit`` unsettled: the cold depth grows by at most
-    one per position, so the bracket has the prefixes and the split of a
-    cold start at ``pos``.  The certified rule moves to the lowest position
-    of a run and settles there only: a bracket inside one cell of ``lo`` is
-    inside one cell of every coarser position too, so the run is certified
-    at the depth that settling each of its digits in turn would reach, from
-    the same operand reads.  Moving and deepening are integer work linear in
-    the prefix length.
+    digit at ``pos`` is certified.  A product stream moves to the lowest
+    position of a run and settles there only: a bracket inside one cell of
+    ``lo`` is inside one cell of every coarser position too, so the run is
+    certified at the depth that settling each of its digits in turn would
+    reach, from the same operand reads.  ``fixed_depth_digits`` moves one
+    position at a time and reads ``digit`` unsettled: the cold depth grows
+    by at most one per position, so the bracket has the prefixes and the
+    split of a cold start at ``pos``.  Moving and deepening are integer work
+    linear in the prefix length.
     """
 
     __slots__ = ("pos", "depth", "_digit", "_a", "_b", "_x", "_y", "_cell", "_rem",
@@ -406,12 +409,24 @@ def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
     return ProductBracket(d, e, n).settle(max_depth) % 10
 
 
-def _product_digits(a: Decimal, b: Decimal, certified: bool):
+def fixed_depth_digits(d: Decimal, e: Decimal, hi: int, lo: int) -> int:
+    """The digits of ``|d * e|`` from 10**hi down to 10**lo, as an integer,
+    by the fixed-depth rule of ``mul_stabilized_digit``: one bracket started
+    cold at ``hi`` moves down a position at a time, read before it settles."""
+    bracket = ProductBracket(d, e, hi)
+    run = 0
+    for n in range(hi, lo - 1, -1):
+        bracket.move(n)
+        run = 10 * run + bracket.digit
+    return run
+
+
+def _product_digits(a: Decimal, b: Decimal):
     """The digit producer of ``|a * b|`` over one resumable
-    ``ProductBracket``, by the rule of ``mul_certified_digit`` or of
-    ``mul_stabilized_digit``.  A ``block`` request for the run just below
-    the last position moves the bracket on; any other starts it cold at the
-    run's top.  A digit read on its own is a run of one."""
+    ``ProductBracket``, by the rule of ``mul_certified_digit``.  A ``block``
+    request for the run just below the last position moves the bracket on;
+    any other starts it cold at the run's top.  A digit read on its own is a
+    run of one."""
     bracket = None
 
     def producer(n):
@@ -423,14 +438,8 @@ def _product_digits(a: Decimal, b: Decimal, certified: bool):
         current, bracket = bracket, None
         if current is None or hi != current.pos - 1:
             current = ProductBracket(a, b, hi)
-        if certified:
-            current.move(lo)
-            run = current.settle() % pow10(hi - lo + 1)
-        else:
-            run = 0
-            for n in range(hi, lo - 1, -1):
-                current.move(n)
-                run = 10 * run + current.digit
+        current.move(lo)
+        run = current.settle() % pow10(hi - lo + 1)
         bracket = current
         return run
 
@@ -438,28 +447,18 @@ def _product_digits(a: Decimal, b: Decimal, certified: bool):
     return producer
 
 
-def weak_mul(d: Decimal, e: Decimal, hint: Hint, digit_path="certified") -> Decimal:
+def weak_mul(d: Decimal, e: Decimal, hint: Hint) -> Decimal:
     """The product of two decimals under a hint.
 
     A terminating hint is the answer (see ``_payload``), as it is for every
     zero operand, so in the streaming case the sign is just the product of
-    the operand signs.  ``digit_path`` selects between the
-    certified bracket digits (default) and the paper's fixed-depth digits.
-    The hinted order is checked on the certified stream under either; the
-    fixed-depth rule can miss at its top digit, so its stream, with the
-    certified stream's sign and order, starts its own bracket only after
-    the check.  A square (``e is d``) reads each operand digit once.
+    the operand signs.  Every digit is certified, and the hinted order is
+    checked on the stream itself.  A square (``e is d``) reads each operand
+    digit once.
     """
     if hint.terminating is not None:
         return _payload("mul", d, e, hint)
-    if digit_path not in ("certified", "paper"):
-        raise ValueError(f"unknown digit path {digit_path!r}")
-    f = _checked_stream(d.sign * e.sign, hint, _product_digits(d, e, True),
-                        d.order + e.order + 1)
-    if digit_path == "certified":
-        return f
-    paper = _product_digits(d, e, False)
-    return Decimal.from_stream(f.sign, f.order, paper, searched_nine_escape(paper))
+    return _checked_stream(d.sign * e.sign, hint, _product_digits(d, e), d.order + e.order + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ stderr (only its last line, for an argument error) and the exit code.
 Each call also carries an oracle check, which knows nothing of how decreal
 computes:
 
-* a printed decimal digit agrees with ``Fraction`` long division, or,
-  under ``--path paper``, with the fixed-depth rule worked out on exact
-  truncations;
+* a printed decimal digit agrees with ``Fraction`` long division;
+* under ``--path paper``, stderr names, for each product, the positions
+  where the fixed-depth rule worked out on exact truncations differs from
+  long division;
 * a p-adic digit agrees with arithmetic modulo ``p**n``;
 * a tape agrees with the layout spelled from the exact value;
 * a printed hint decodes to the exact order and payload;
@@ -131,6 +132,14 @@ def fixed_depth(a, b, places):
     return spell("".join(out), places, a * b < 0)
 
 
+def fixed_depth_misses(a, b, places):
+    """The positions at which ``fixed_depth(a, b, places)`` differs from
+    ``render(a * b, places)``, top down."""
+    got, want = (s.lstrip("-").replace(".", "") for s in (fixed_depth(a, b, places),
+                                                          render(a * b, places)))
+    return [order_of(a * b) - i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+
+
 def payload(v):
     """The digits of a terminating |v| from its order down to its lowest
     nonzero digit."""
@@ -183,6 +192,23 @@ def printed(line_of, refusals=()):
         first = out.split("\n", 1)[0]
         if first != line_of():
             return f"printed {first[:80]!r}, oracle says {line_of()[:80]!r}"
+    return check
+
+
+def audited(v, places, products=()):
+    """``printed`` with the digits of ``v``, and on stderr one line for each
+    product ``(a, b)`` (numbered in order from 1) whose fixed-depth digits
+    miss."""
+    def check(code, out, err):
+        problem = printed(lambda: render(v, places))(code, out, err)
+        if problem:
+            return problem
+        want = "".join(f"# paper: product {i} misses at "
+                       + ", ".join(f"10**{n}" for n in misses) + "\n"
+                       for i, (a, b) in enumerate(products, 1)
+                       if (misses := fixed_depth_misses(a, b, places)))
+        if err != want:
+            return f"stderr {err[:80]!r}, oracle says {want[:80]!r}"
     return check
 
 
@@ -287,15 +313,12 @@ def eval_calls(rng):
         a, b = literal(rng), literal(rng)
         va, vb = literal_value(a), literal_value(b)
         places = rng.randrange(0, 30)
-        v = va * vb
-        line = ((lambda v=v, p=places: render(v, p)) if terminates(v) else
-                (lambda a=va, b=vb, p=places: fixed_depth(a, b, p)))
-        yield ["eval", f"{a}*{b}", "--path", "paper", "--digits", str(places)], printed(line)
-    for _ in range(20):  # sums are the same under either rule
+        yield (["eval", f"{a}*{b}", "--path", "paper", "--digits", str(places)],
+               audited(va * vb, places, [(va, vb)]))
+    for _ in range(20):  # sums have no product to audit
         text, v = binary_expression(rng, 2, "+-")
         places = rng.randrange(0, 30)
-        yield (["eval", text, "--path", "paper", "--digits", str(places)],
-               printed(lambda v=v, p=places: render(v, p)))
+        yield ["eval", text, "--path", "paper", "--digits", str(places)], audited(v, places)
 
 
 def hint_calls(rng):
@@ -492,11 +515,11 @@ def pinned_calls():
     for trace in ([], ["--trace"]):
         yield (["eval", "(1/7*22/9973)*0.(142857)", "--digits", "2000"] + trace,
                printed(lambda: render(q, 2000)))
-    # the inner fixed-depth digit misses at 10**1 and the sum refuses it
-    yield (["eval", "(-902/9973*-776/7)+1", "--path", "paper"],
-           printed(lambda: render(Fraction(699952, 69811) + 1, 10), refusals=(4,)))
+    # the fixed-depth digit of the product misses at 10**1
+    a, b = Fraction(-902, 9973), Fraction(-776, 7)
+    yield ["eval", "(-902/9973*-776/7)+1", "--path", "paper"], audited(a * b + 1, 10, [(a, b)])
     yield (["eval", "-902/9973*-776/7", "--path", "paper", "--digits", "4"],
-           printed(lambda: fixed_depth(Fraction(-902, 9973), Fraction(-776, 7), 4)))
+           audited(a * b, 4, [(a, b)]))
     yield ["eval", "1 +", "--digits", "3"], refused((2,))
     yield ["eval", "0.(3)+0.(3)", "--hint", int_str(hint_encode(honest_hint(Fraction(1))))], \
         refused((4,))

@@ -42,6 +42,7 @@ from decreal.rational import BLOCK, DecFrac, parse_rat, ten_smooth  # noqa: E402
 from decreal.weak import (  # noqa: E402
     add_digit_rule,
     compute_hint,
+    fixed_depth_digits,
     mul_certified_digit,
     mul_stabilized_digit,
     weak_add,
@@ -303,34 +304,18 @@ def test_streamed_product_digits_match_fraction_oracle_in_any_read_order(
         assert f.digit(n) == oracle_digit(prod, n)
 
 
-def paper_operand(kind, q, other):
-    """q as an exact decimal, a producer-backed stream, or the streamed
-    fixed-depth product ``(q / other) * other``, whose digits only
-    approximate q."""
-    if kind != "nested":
-        return operand(kind, q, other)
-    a, b = Decimal.from_fraction(q / other), Decimal.from_fraction(other)
-    return weak_mul(a, b, compute_hint("mul", a, b), digit_path="paper")
-
-
 @PROPERTY
 @given(qa=signed_nonterminating, qb=signed_nonterminating, qc=nonterminating,
        kinds=st.tuples(*[st.sampled_from(["exact", "stream", "nested"])] * 2),
-       reads=product_reads)
+       windows=st.lists(runs_, min_size=1, max_size=8))
 def test_paper_product_digits_are_the_one_shot_fixed_depth_digits_in_any_read_order(
-        qa, qb, qc, kinds, reads):
-    # one resumed bracket gives the digit a cold bracket at each position
-    # gives, however the positions are read
-    prod = qa * qb
-    assume(not ten_smooth(prod.denominator))
-    a, b = paper_operand(kinds[0], qa, qc), paper_operand(kinds[1], qb, qc)
-    f = weak_mul(a, b, compute_hint("mul", Decimal.from_fraction(qa), Decimal.from_fraction(qb)),
-                 digit_path="paper")
-    first, scattered, second = reads
-    positions = (list(range(f.order, -first - 1, -1)) + scattered
-                 + list(range(f.order, -second - 1, -1)))
-    for n in positions:
-        assert f.digit(n) == mul_stabilized_digit(a, b, n)
+        qa, qb, qc, kinds, windows):
+    # a bracket moved down a window gives the digit a cold bracket at each
+    # position gives, whatever the operand signs and the windows read before
+    a, b = operand(kinds[0], qa, qc), operand(kinds[1], qb, qc)
+    for hi, lo in windows:
+        got = fixed_depth_digits(a, b, hi, lo)
+        assert got == sum(mul_stabilized_digit(a, b, n) * 10 ** (n - lo) for n in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------

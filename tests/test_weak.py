@@ -17,12 +17,13 @@ from decreal.decimals import (
     searched_nine_escape,
 )
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
-from decreal.expr import eval_expression, parse_expression
+from decreal.expr import eval_expression, expression_hint, parse_expression, value_of
 from decreal.rational import DecFrac, parse_rat
 from decreal.weak import (
     Hint,
     add_digit_rule,
     compute_hint,
+    fixed_depth_digits,
     hint_decode,
     hint_encode,
     hint_of,
@@ -461,23 +462,22 @@ def test_squared_operand_is_read_once_per_prefix_and_deepening(monkeypatch, q):
         return remainder(q, n)
 
     monkeypatch.setattr(decimals, "_remainder", counted)
-    for path, starts in (("certified", 1), ("paper", 2)):
-        x, y, z = (Decimal.from_fraction(q) for _ in range(3))
-        want = render_digits(weak_mul(y, z, compute_hint("mul", y, z), digit_path=path), 4000)
-        jumps.clear()
-        got = render_digits(weak_mul(x, x, compute_hint("mul", x, x), digit_path=path), 4000)
-        assert got == want
-        # one jump per bracket start: the paper path checks its order on a
-        # certified bracket of its own
-        assert len(jumps) == starts
+    x, y, z = (Decimal.from_fraction(q) for _ in range(3))
+    want = render_digits(weak_mul(y, z, compute_hint("mul", y, z)), 4000)
+    jumps.clear()
+    got = render_digits(weak_mul(x, x, compute_hint("mul", x, x)), 4000)
+    assert got == want
+    assert len(jumps) == 1  # the one bracket start
 
 
 def test_a_sum_read_digit_by_digit_re_reads_its_exact_operands_without_a_jump(monkeypatch):
     # the carry scan for n reads each operand at n - 1, leaving its
     # long-division pair below n - 1; the digit at n - 1 is then read again
-    # from the pair, so only a scan that reads more than one pair leaves a
-    # jump back up (one pair per position read in order would jump 5,600
-    # times here, with a denominator of about 3,000 digits)
+    # from the pair, and a digit strictly inside a longer scan's range reads
+    # no pair at all, so a scan never leaves a jump back up (one pair per
+    # position read in order would jump 5,600 times here, with a
+    # denominator of about 3,000 digits; re-reading the pairs inside the
+    # scanned ranges jumped 402 times)
     jumps = []
     remainder = decimals._remainder
 
@@ -491,7 +491,7 @@ def test_a_sum_read_digit_by_digit_re_reads_its_exact_operands_without_a_jump(mo
     jumps.clear()
     assert [d.digit(n) for n in range(-1, -3001, -1)] == [oracle_digit(value, n)
                                                          for n in range(-1, -3001, -1)]
-    assert len(jumps) == 402
+    assert len(jumps) == 2  # the first read of each operand
 
 
 def counted_bracket_starts(monkeypatch):
@@ -526,36 +526,26 @@ def test_product_of_positive_order_starts_one_bracket(monkeypatch):
         assert starts == [bound]
 
 
-def test_paper_product_checks_its_order_on_a_certified_bracket(monkeypatch):
-    # the fixed-depth rule can miss at the top digit, so the order is
-    # checked on a certified bracket started at the bound; the stream's own
-    # bracket starts cold at the order, as the fixed-depth digit there does
-    starts = counted_bracket_starts(monkeypatch)
-    for x, y, rendered, bound in POSITIVE_ORDER_PRODUCTS:
-        x, y = parse_decimal(x), parse_decimal(y)
-        starts.clear()
-        h = compute_hint("mul", x, y)
-        prod = weak_mul(x, y, h, digit_path="paper")
-        assert starts == [bound]
-        assert render_digits(prod, 40) == rendered
-        assert starts == [bound, h.order]
-
-
-def test_paper_product_with_a_missed_top_digit_prints_every_fixed_depth_digit(capsys):
+def test_paper_product_with_a_missed_top_digit_prints_certified_digits_and_the_miss(capsys):
     # -902/9973 * -776/7 = 10.026...: at the cold depth of 10**1 the
     # truncations multiply to 9.97..., so the fixed-depth digit there is 0.
-    # The certified check accepts the hinted order 1, and every printed
-    # digit, the missed one included, is the fixed-depth digit
+    # The paper path prints the certified digits, exit 0, and names on
+    # stderr exactly the positions where the one-shot fixed-depth digit
+    # differs from them, here the top one alone; nested under a sum, the
+    # same product is audited the same way
     from decreal.cli import main
 
-    assert main(["eval", "-902/9973*-776/7", "--path", "paper", "--digits", "60"]) == 0
-    out = capsys.readouterr().out.strip()
     a, b = Decimal.from_fraction(Fraction(902, 9973)), Decimal.from_fraction(Fraction(776, 7))
-    assert out[:3] == "00."
-    printed = out.replace(".", "")
-    assert printed == "".join(str(mul_stabilized_digit(a, b, n)) for n in range(1, -61, -1))
-    assert main(["eval", "-902/9973*-776/7", "--digits", "12"]) == 0
-    assert capsys.readouterr().out.strip() == "10.026385526636"
+    assert main(["eval", "-902/9973*-776/7", "--digits", "60"]) == 0
+    certified = capsys.readouterr().out.strip()
+    assert certified.startswith("10.0263855266")
+    misses = [n for n, c in zip(range(1, -61, -1), certified.replace(".", ""))
+              if mul_stabilized_digit(a, b, n) != int(c)]
+    assert misses == [1]
+    for expr, want in (("-902/9973*-776/7", certified),
+                       ("(-902/9973*-776/7)+1", "11" + certified[2:])):
+        assert main(["eval", expr, "--path", "paper", "--digits", "60"]) == 0
+        assert capsys.readouterr() == (want + "\n", "# paper: product 1 misses at 10**1\n")
 
 
 def test_product_digits_above_the_order_bound_build_no_bracket(monkeypatch):
@@ -572,9 +562,8 @@ def test_product_digits_above_the_order_bound_build_no_bracket(monkeypatch):
     monkeypatch.setattr(weak, "ProductBracket", Counted)
     x, y = parse_decimal("12.(3)"), parse_decimal("0.(3)")
     for order in (3, 10 ** 20):
-        for path in ("certified", "paper"):
-            with pytest.raises(HintMismatch):
-                weak_mul(x, y, Hint(order), digit_path=path)
+        with pytest.raises(HintMismatch):
+            weak_mul(x, y, Hint(order))
     assert mul_stabilized_digit(x, y, 3) == 0
     assert starts == []
 
@@ -590,9 +579,9 @@ def singles(hi, lo):
     ("digit by digit", [("a", 0, -1), ("b", 0, -1)] + singles(-2, -16)),
     # a run: one block per side deepens to the run's lowest cold depth
     ("render", [("a", 0, -1), ("b", 0, -1), ("a", -2, -16), ("b", -2, -16)]),
-    # the order is checked on a certified bracket at the bound 1, then the
-    # paper rule starts cold at the order and moves one position at a time
-    ("paper", [("a", 0, -1), ("b", 0, -1), ("a", 0, -2), ("b", 0, -2)] + singles(-3, -16)),
+    # fixed_depth_digits starts cold at the order and moves one position at
+    # a time, with no product stream and no order check
+    ("paper", [("a", 0, -2), ("b", 0, -2)] + singles(-3, -16)),
     # a far digit starts cold and settles one digit deeper; the render after
     # it starts cold again at the top and reads the memo
     ("far", [("a", 0, -1), ("b", 0, -1), ("a", 0, -62), ("b", 0, -62)] + singles(-63, -63)
@@ -634,15 +623,18 @@ def test_product_reads_operand_positions_in_a_pinned_order(monkeypatch, scenario
     monkeypatch.setattr(Decimal, "digit", read_digit)
     monkeypatch.setattr(Decimal, "digits", read_digits)
     x, y = operand("a", "0.(3)"), operand("b", "0.306000(001)")
-    h = compute_hint("mul", parse_decimal("0.(3)"), parse_decimal("0.306000(001)"))
-    prod = weak_mul(x, y, h, digit_path="paper" if scenario == "paper" else "certified")
-    if scenario == "digit by digit":
-        text = "".join(str(prod.digit(n)) for n in range(0, -15, -1))
-        text = text[0] + "." + text[1:]
+    if scenario == "paper":
+        text = f"0.{fixed_depth_digits(x, y, 0, -14):014}"
     else:
+        prod = weak_mul(x, y, compute_hint("mul", parse_decimal("0.(3)"),
+                                           parse_decimal("0.306000(001)")))
         if scenario == "far":
             assert prod.digit(-60) == 7
-        text = render_digits(prod, 14)
+        if scenario == "digit by digit":
+            text = "".join(str(prod.digit(n)) for n in range(0, -15, -1))
+            text = text[0] + "." + text[1:]
+        else:
+            text = render_digits(prod, 14)
     assert text == ("0.10199900033366" if scenario == "paper" else "0.10200000033366")
     assert reads == want
     assert len(made) == len(set(made))
@@ -786,13 +778,11 @@ def test_certified_digit_refuses_negative_operands():
 
 def test_paper_digits_ignore_operand_signs():
     # the fixed-depth digit is read off the truncation product of the
-    # magnitudes; the product's sign comes from the operand signs alone
+    # magnitudes, one digit or a run at a time
     u, v = Decimal.from_fraction(Fraction(-10, 3)), parse_decimal("0.25")
     for x, y in ((u, v), (u.neg(), v), (u, v.neg()), (u.neg(), v.neg())):
         assert [mul_stabilized_digit(x, y, n) for n in (0, -1, -2, -3)] == [0, 8, 3, 3]
-        prod = weak_mul(x, y, compute_hint("mul", x, y), digit_path="paper")
-        assert prod.sign == x.sign * y.sign
-        assert render_digits(prod, 6).lstrip("-") == "0.833333"
+        assert fixed_depth_digits(x, y, 0, -6) == 833333
 
 
 def test_compute_hint_beyond_the_int_to_str_cap():
@@ -841,53 +831,44 @@ PAPER_KINDS = [("exact", "exact"), ("stream", "exact"), ("exact", "nested"),
                ("nested", "stream"), ("nested", "nested")]
 
 
-def paper_product(qa, qb, kinds=("exact", "exact")):
-    """The streamed fixed-depth product of qa and qb, each given as an exact
-    decimal, a producer-backed stream, or the streamed fixed-depth product
-    ``(q * 3/7) * 7/3``; the operands come back too."""
+def paper_operands(qa, qb, kinds=("exact", "exact")):
+    """qa and qb, each as an exact decimal, a producer-backed stream, or the
+    streamed product ``(q * 3/7) * 7/3``."""
     def operand(kind, q):
         x = Decimal.from_fraction(q)
         if kind == "stream":
             return Decimal.from_stream(x.sign, x.order, x.digit, searched_nine_escape(x.digit))
         if kind == "nested":
-            return paper_product(q * Fraction(3, 7), Fraction(7, 3))[0]
+            a, b = Decimal.from_fraction(q * Fraction(3, 7)), Decimal.from_fraction(Fraction(7, 3))
+            return weak_mul(a, b, compute_hint("mul", a, b))
         return x
 
-    a, b = operand(kinds[0], qa), operand(kinds[1], qb)
-    h = compute_hint("mul", Decimal.from_fraction(qa), Decimal.from_fraction(qb))
-    return weak_mul(a, b, h, digit_path="paper"), a, b
+    return operand(kinds[0], qa), operand(kinds[1], qb)
 
 
-def test_weak_mul_paper_path_is_the_stabilized_rule():
+def test_fixed_depth_digits_are_the_stabilized_rule():
     u = Decimal.from_fraction(Fraction(1, 3))
     v = parse_decimal("0.306000001")
-    h = compute_hint("mul", u, v)
-    via_paper = weak_mul(u, v, h, digit_path="paper")
-    assert via_paper.digit(-3) == mul_stabilized_digit(u, v, -3) == 1
-    for path in ("stabilized", "floating"):
-        with pytest.raises(ValueError):
-            weak_mul(u, v, h, digit_path=path)
-    # every rendered position is the one-shot digit, read in sequence (one
-    # resumed bracket), out of order (cold starts) and after a far read
+    assert fixed_depth_digits(u, v, -3, -3) == mul_stabilized_digit(u, v, -3) == 1
+    # every position of a run is the one-shot digit: read off one moved
+    # bracket, in one-position windows out of order (cold starts), and after
+    # a far read
     places = 60
     for qa, qb in PAPER_PAIRS:
+        top = Decimal.from_fraction(qa * qb).order
+        positions = range(top, -places - 1, -1)
         for kinds in PAPER_KINDS:
-            f, a, b = paper_product(qa, qb, kinds)
-            positions = range(f.order, -places - 1, -1)
-            rendered = render_digits(f, places).lstrip("-").replace(".", "")
-            assert rendered == "".join(str(mul_stabilized_digit(a, b, n)) for n in positions)
-            f, a, b = paper_product(qa, qb, kinds)
-            for n in (-30, -3, -45, f.order, -8, -7, -6, -2, -59, -31):
-                assert f.digit(n) == mul_stabilized_digit(a, b, n)
-            f, a, b = paper_product(qa, qb, kinds)
-            f.digit(-400)
-            for n in positions:
-                assert f.digit(n) == mul_stabilized_digit(a, b, n)
-    # the pairs above do tell the fixed-depth rule from the certified one
-    misses = [(qa, qb) for qa, qb in PAPER_PAIRS
-              if render_digits(paper_product(qa, qb)[0], places)
-              != render_digits(Decimal.from_fraction(qa * qb), places)]
-    assert misses == PAPER_PAIRS
+            a, b = paper_operands(qa, qb, kinds)
+            want = int("".join(str(mul_stabilized_digit(a, b, n)) for n in positions))
+            assert fixed_depth_digits(a, b, top, -places) == want
+            a, b = paper_operands(qa, qb, kinds)
+            for n in (-30, -3, -45, top, -8, -7, -6, -2, -59, -31):
+                assert fixed_depth_digits(a, b, n, n) == mul_stabilized_digit(a, b, n)
+            a, b = paper_operands(qa, qb, kinds)
+            fixed_depth_digits(a, b, -400, -400)
+            assert fixed_depth_digits(a, b, top, -places) == want
+        # the pair does tell the fixed-depth rule from the certified one
+        assert want != qa * qb * 10 ** places // 1
 
 
 def test_weak_mul_rejects_wrong_order_hint():
@@ -897,16 +878,15 @@ def test_weak_mul_rejects_wrong_order_hint():
     # 101.(3) has a zero digit at 10**1 but a 1 at 10**2, below the
     # operands' order bound 1 + 1 + 1 = 3
     y, ten = parse_decimal("10.1(3)"), parse_decimal("10")
-    for path in ("certified", "paper"):
-        with pytest.raises(HintMismatch, match="^nonzero digit above the hinted order$"):
-            weak_mul(y, ten, Hint(0), digit_path=path)
-        prod = weak_mul(y, ten, compute_hint("mul", y, ten), digit_path=path)
-        assert render_digits(prod, 3) == "101.333"
+    with pytest.raises(HintMismatch, match="^nonzero digit above the hinted order$"):
+        weak_mul(y, ten, Hint(0))
+    prod = weak_mul(y, ten, compute_hint("mul", y, ten))
+    assert render_digits(prod, 3) == "101.333"
 
 
 def test_weak_operands_are_read_as_given(monkeypatch):
-    # the operands, their signs and the digit rule pass as plain arguments:
-    # a result builds its own streams and no sign or magnitude view (the
+    # the operands and their signs pass as plain arguments: a result
+    # builds its one stream and no sign or magnitude view (the
     # magnitude comparison of opposite signs reads the operands as given),
     # and a hint reads its order off the value without building a Decimal
     qx, qy, qz = Fraction(-1, 3), Fraction(-2, 7), Fraction(5, 7)
@@ -922,7 +902,6 @@ def test_weak_operands_are_read_as_given(monkeypatch):
     monkeypatch.setattr(Decimal, "__init__", counted)
     calls = [
         (lambda: weak_mul(x, y, hints[qx * qy]), qx * qy, 1),
-        (lambda: weak_mul(x, y, hints[qx * qy], digit_path="paper"), qx * qy, 2),
         (lambda: weak_add(x, y, hints[qx + qy]), qx + qy, 1),
         (lambda: weak_add(x, z, hints[qx + qz]), qx + qz, 1),
     ]
@@ -979,6 +958,31 @@ def test_request_set_up_builds_one_value_per_literal(monkeypatch):
         d, v, _ = eval_expression(parse_expression(text))
         assert len(decimals_built) == want
         assert render_digits(d, 30) == render_digits(Decimal.from_fraction(v), 30)
+
+
+def test_expression_hint_builds_no_decimal_and_no_bracket(monkeypatch):
+    """``expression_hint`` and ``recip`` fold exact values: the hint of
+    ``recip((0.(3)*0.(7))*(1/7*22/9973))+1`` builds no ``Decimal`` beyond the
+    parsed literals and no ``ProductBracket``, and its evaluation builds no
+    stream under the ``recip``.  When both evaluated their operand streams,
+    the hint built 4 ``Decimal`` objects and 3 brackets."""
+    decimals_built = []
+    init = Decimal.__init__
+
+    def counted_init(self, *args, **kwargs):
+        decimals_built.append(self)
+        init(self, *args, **kwargs)
+
+    starts = counted_bracket_starts(monkeypatch)
+    monkeypatch.setattr(Decimal, "__init__", counted_init)
+    node = parse_expression("recip((0.(3)*0.(7))*(1/7*22/9973))+1")
+    decimals_built.clear()
+    v = 1 / (Fraction(1, 3) * Fraction(7, 9) * Fraction(22, 7 * 9973)) + 1
+    assert expression_hint(node) == hint_of(v) and value_of(node) == v
+    assert decimals_built == [] and starts == []
+    d, _, _ = eval_expression(node)
+    assert len(decimals_built) == 2  # the reciprocal's value and the sum
+    assert render_digits(d, 20) == render_digits(Decimal.from_fraction(v), 20)
 
 
 # ---------------------------------------------------------------------------
