@@ -256,12 +256,20 @@ def settling_pair(x, y, n, nines=False, budget=None):
     Each step asks ``x.known`` and then ``y.known`` for its top position,
     so the producers are asked for the positions, and in the order, that a
     loop of ``digit`` calls asks; the memos give the rest of the run, and
-    one XOR of the two runs, read as integers, finds the settling pair.
+    one XOR of the two runs, read as integers, finds the settling pair.  The
+    side with a producer is asked first (an exact value asks none), and the
+    other for no more digits than it returned, so an exact side's division
+    stops where the next step reads on.
     """
     k = 2 * SCAN_PAIRS
     while budget is None or budget > 0:
         limit = k if budget is None else min(k, budget)
-        a, b = x.known(n, limit), y.known(n, limit)
+        if x._producer is None and y._producer is not None:  # the stream side first
+            b = y.known(n, limit)
+            a = x.known(n, len(b))
+        else:
+            a = x.known(n, limit)
+            b = y.known(n, len(a))
         m = min(len(a), len(b))
         a, b = a[:m], b[:m]
         tied = int.from_bytes(a.translate(_NINES) if nines else a, "big") ^ int.from_bytes(b, "big")
@@ -692,12 +700,15 @@ def _escape(d, n):
     return m
 
 
+_ZERO = Decimal.zero()  # its long-division pair only ever holds remainder 0
+
+
 def _nine_free_position(d, n, budget):
     """Some position m < n with digit(m) != 9: the highest, where the digits
     of d and of zero do not sum to 9 (``first_difference``, in runs), or
     else the one the escape witness names."""
     budget = None if d.has_exact_value else budget
-    m = first_difference(d, Decimal.zero(), budget, n - 1, nines=True)
+    m = first_difference(d, _ZERO, budget, n - 1, nines=True)
     if m is None and d.nine_escape is not None:
         return _escape(d, n)
     return m
@@ -747,19 +758,26 @@ def compare_magnitudes(d, e, budget=128):
     digit decides, at n; the truncations stay apart below m <= n (a gap of
     one needs a nine-free position below, on the smaller side), and m is
     None for EQUAL and UNDECIDED.  Exact values scan without a budget."""
+    verdict, _, m = magnitude_scan(d, e, budget)
+    return verdict, m
+
+
+def magnitude_scan(d, e, budget=128):
+    """``(verdict, n, m)``: ``compare_magnitudes`` with the first differing
+    position n, None where m is."""
     if d.has_exact_value and e.has_exact_value:
         p, q = d.value(), e.value()
         if p.denominator == q.denominator and abs(p.numerator) == abs(q.numerator):
-            return Verdict.EQUAL, None
+            return Verdict.EQUAL, None, None
         budget = None
     n = first_difference(d, e, budget)
     if n is None:
-        return Verdict.UNDECIDED, None
+        return Verdict.UNDECIDED, None, None
     dd, de = d.digit(n), e.digit(n)
     m = n if abs(dd - de) >= 2 else _nine_free_position(d if dd < de else e, n, budget)
     if m is None:
-        return Verdict.UNDECIDED, None
-    return Verdict.LESS if dd < de else Verdict.GREATER, m
+        return Verdict.UNDECIDED, None, None
+    return Verdict.LESS if dd < de else Verdict.GREATER, n, m
 
 
 def check_separation(d, e, w, samples=16):

@@ -9,8 +9,8 @@ import re
 from .decimals import Decimal, order_of
 from .errors import HintMismatch, ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
-from .rational import LITERAL, int_str, literal_fraction, pow10, ten_smooth
-from .weak import fixed_depth_digits, hint_decode, hint_of, weak_add, weak_mul
+from .rational import LITERAL, digit_bytes, ilog10, literal_fraction, pow10, ten_smooth
+from .weak import ProductBracket, hint_decode, hint_of, weak_add, weak_mul
 from .words import traced_decimal
 
 # ---------------------------------------------------------------------------
@@ -197,22 +197,50 @@ def expression_hint(node):
 
 def fixed_depth_misses(node, lo):
     """Where the paper's fixed-depth rule misses, for each '*' of ``node``
-    outside a ``recip``, operands first: the positions from the product's
-    order down to 10**lo, top down, at which ``fixed_depth_digits`` of its
-    exact operands differs from the exact product."""
+    outside a ``recip``, operands first: ``product_misses`` of its exact
+    operands, from the product's order down to 10**lo."""
     if node[0] in ("lit", "recip"):
         return []
     audits = [misses for child in node[1:] for misses in fixed_depth_misses(child, lo)]
     if node[0] == "mul":
-        vl, vr = value_of(node[1]), value_of(node[2])
-        v = vl * vr
-        hi = order_of(v)
-        width = hi - lo + 1
-        got, want = (int_str(run).zfill(width) for run in (
-            fixed_depth_digits(Decimal.from_fraction(vl), Decimal.from_fraction(vr), hi, lo),
-            abs(v.numerator) * pow10(-lo) // v.denominator))
-        audits.append([hi - i for i, (g, w) in enumerate(zip(got, want)) if g != w])
+        u, v = value_of(node[1]), value_of(node[2])
+        audits.append(product_misses(u, v, order_of(u * v), lo))
     return audits
+
+
+def product_misses(u, v, hi, lo):
+    """The positions from 10**hi down to 10**lo, top down, at which the
+    fixed-depth digit of ``|u*v|`` (``mul_stabilized_digit``) is not the
+    exact one.
+
+    Below the point it misses where a cold bracket's ``G < 0`` (see
+    ``weak._exact_split``), which, with ``l`` the cold depth, ``K`` the
+    larger operand order and ``M = A*r_y + C*r_x``, is ``10**l * (M -
+    r_P*10**(K+2)) > r_x*r_y``; once ``10**l > B*D > r_x*r_y`` it is
+    ``M > r_P*10**(K+2)``.  Each remainder takes one step per position,
+    so the walk is linear.  The positions at or above the point are read
+    off one cold bracket moved down a position at a time: the cold depth
+    grows by at most one per position, so each move leaves the split of a
+    cold start."""
+    x, y, w = Decimal.from_fraction(u), Decimal.from_fraction(v), u * v
+    misses, point = [], max(lo, 0)
+    if hi >= point:
+        exact = digit_bytes(abs(w.numerator) // w.denominator % pow10(hi + 1), hi + 1)
+        bracket = ProductBracket(x, y, hi)
+        for n in range(hi, point - 1, -1):
+            bracket.move(n)
+            if bracket.digit != exact[hi - n]:
+                misses.append(n)
+    a, b, c, d = abs(u.numerator), u.denominator, abs(v.numerator), v.denominator
+    s, k, top = b * d, max(x.order, y.order), min(hi, -1)
+    l, wide, small = k - top + 2, pow10(k + 2), ilog10(s)
+    rx, ry, rp = a * pow(10, l, b) % b, c * pow(10, l, d) % d, a * c * pow(10, -top, s) % s
+    for n in range(top, lo - 1, -1):
+        gap = a * ry + c * rx - rp * wide
+        if gap > 0 and (l > small or gap * pow10(l) > rx * ry):
+            misses.append(n)
+        rx, ry, rp, l = rx * 10 % b, ry * 10 % d, rp * 10 % s, l + 1
+    return misses
 
 
 def padic_eval(node, p):

@@ -19,11 +19,12 @@ from .errors import InvalidLiteral
 LITERAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|(?:\.(\d*))?(?:\((\d+)\))?)", re.ASCII)
 
 _POW10 = {}
+POW10_CACHED = 4096  # the largest exponent that ``pow10`` caches
 
 
 def pow10(n):
     """10**n for n >= 0, cached for small exponents."""
-    if n > 4096:
+    if n > POW10_CACHED:
         return 10 ** n
     p = _POW10.get(n)
     if p is None:

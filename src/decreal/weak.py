@@ -11,7 +11,7 @@ else is honest bounded lookahead:
   that settles the carry (pair sum != 9) or the borrow (unequal digits);
 * each digit of a product squeezes an exact truncation bracket until it
   fits inside one digit cell (the paper's fixed-depth rule reads it before
-  it fits, and is no stream: ``fixed_depth_digits`` is for audits).
+  it fits, and is no stream: ``mul_stabilized_digit`` is for audits).
 
 Both scans halt on every input whose result really is non-terminating,
 which is precisely what a correct hint promises.  Streams read in sequence
@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decimals import (SCAN_PAIRS, Decimal, TermDecimal, Verdict, compare_magnitudes, order_of,
-                       r_inv, searched_nine_escape, settling_pair)
+from .decimals import (SCAN_PAIRS, Decimal, TermDecimal, Verdict, magnitude_scan, order_of, r_inv,
+                       searched_nine_escape, settling_pair)
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
-from .rational import DecFrac, pow10, ten_smooth
+from .rational import POW10_CACHED, DecFrac, pow10, ten_smooth
 from .words import bin_lsb_encode, decode_xr, encode_xr, traced
 
 # ---------------------------------------------------------------------------
@@ -165,18 +165,19 @@ def add_digit_rule(d: Decimal, e: Decimal, n: int) -> int:
     return _sum_digits(d, e, e.sign < 0)(n)
 
 
-def _sum_digits(d: Decimal, e: Decimal, borrow: bool):
+def _sum_digits(d: Decimal, e: Decimal, borrow: bool, low=0, top=0):
     """The digit producer of ``|d| + |e|``, or of ``|d| - |e|`` for
     ``|e| <= |d|`` under ``borrow``: the rule of ``add_digit_rule``.
 
     A scan from n that settles at position s (carry or borrow c) also
     settles every position in ``(s, n]``, since the pairs between pass c on
-    unchanged; so the producer keeps the last scan's range and carry.  A
-    digit strictly inside it reads nothing, as its pair sums to 9 (or ties,
-    under ``borrow``); the digit at the scan's start reads its own pair.
+    unchanged; so the producer keeps the last scan's range and carry (at
+    first ``(low, top]``, carry 0).  A digit strictly inside it reads
+    nothing, as its pair sums to 9 (or ties, under ``borrow``); the digit
+    at the scan's start reads its own pair.
     """
     d_digit, e_digit = d.digit, e.digit
-    low = top = carry = 0  # the last scan settles every position in (low, top]
+    carry = 0  # the last scan settles every position in (low, top]
 
     def rescan(n):
         """Scan below n for the pair that settles the carry into n: pair by
@@ -229,14 +230,15 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     Equal magnitudes make the sum zero, contradicting the hint; a
     comparison still undecided after ``sign_budget`` digits raises
     ``OracleUnavailable``.  Every digit comes from the rule of
-    ``add_digit_rule``, resuming the last carry or borrow scan where it
-    still settles the position.  The hinted order is checked against the
-    operands' order bound; digits are computed, never trusted.
+    ``add_digit_rule``, resuming the last carry or borrow scan (at first,
+    the comparison's) where it still settles the position.  The hinted order
+    is checked against the operands' order bound; digits are computed.
     """
     if hint.terminating is not None:
         return _payload("add", d, e, hint)
+    low = bound = max(d.order, e.order) + 1
     if d.sign != e.sign:
-        verdict, _ = compare_magnitudes(d, e, budget=sign_budget)
+        verdict, low, _ = magnitude_scan(d, e, budget=sign_budget)
         if verdict is Verdict.UNDECIDED:
             raise OracleUnavailable(
                 f"the sign of the sum is undecided within the sign budget of {sign_budget} digits")
@@ -244,10 +246,9 @@ def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
             raise HintMismatch(
                 "magnitudes look equal: the sum terminates, but the hint says otherwise"
             )
-        if verdict is Verdict.LESS:
+        if verdict is Verdict.LESS:  # the larger digit at low: no borrow into it
             d, e = e, d
-    return _checked_stream(d.sign, hint, _sum_digits(d, e, d.sign != e.sign),
-                           max(d.order, e.order) + 1)
+    return _checked_stream(d.sign, hint, _sum_digits(d, e, d.sign != e.sign, low, bound), bound)
 
 
 def _payload(op: str, d: Decimal, e: Decimal, hint: Hint) -> Decimal:
@@ -297,6 +298,20 @@ def mul_stabilized_digit(d: Decimal, e: Decimal, n: int) -> int:
     return ProductBracket(d, e, n).digit
 
 
+def _exact_split(u: Fraction, v: Fraction, n: int, depth: int, cell: int):
+    """``(digit, rem)`` of ``X*Y = Q*cell + G`` for the prefixes X, Y of
+    ``|u| = A/B``, ``|v| = C/D`` at the cold depth of ``n < 0``, from the
+    exact digit t at n and three remainders, in linear time: ``G = (r_P*cell
+    - E)/(B*D)`` with ``|G| < cell`` and ``Q % 10 == t`` (README, *Open
+    questions*, has the derivation)."""
+    a, b, c, d = abs(u.numerator), u.denominator, abs(v.numerator), v.denominator
+    s = b * d
+    rx, ry = a * pow(10, depth, b) % b, c * pow(10, depth, d) % d
+    t, r_p = divmod(a * c % s * pow(10, -n - 1, s) % s * 10, s)
+    g = (r_p * cell - pow10(depth) * (a * ry + c * rx) + rx * ry) // s
+    return (t, g) if g >= 0 else ((t - 1) % 10, g + cell)
+
+
 class ProductBracket:
     """A resumable bracket for the digits of ``|a * b|``, read downwards
     from position ``pos`` (operands are read as magnitudes).
@@ -318,19 +333,17 @@ class ProductBracket:
     the cold depth ``max(1, K - pos + 2)`` the slack is at least a cell
     wide, so nothing is certified there.
 
-    A cold start at n reads both ``scaled_prefix`` at the cold depth of n,
-    and its ``digit`` is the paper's fixed-depth digit.  ``move(lo)``
-    deepens to the cold depth of ``lo`` (unless deeper already), then shifts
-    the split to ``lo``; ``settle`` deepens one digit at a time until the
-    digit at ``pos`` is certified.  A product stream moves to the lowest
-    position of a run and settles there only: a bracket inside one cell of
-    ``lo`` is inside one cell of every coarser position too, so the run is
-    certified at the depth that settling each of its digits in turn would
-    reach, from the same operand reads.  ``fixed_depth_digits`` moves one
-    position at a time and reads ``digit`` unsettled: the cold depth grows
-    by at most one per position, so the bracket has the prefixes and the
-    split of a cold start at ``pos``.  Moving and deepening are integer work
-    linear in the prefix length.
+    A cold start at n reads both ``scaled_prefix`` at the cold depth of n;
+    its ``digit`` is the paper's fixed-depth digit, split off below the
+    point over exact operands with no product (``_exact_split``).
+    ``move(lo)`` deepens to the cold depth of ``lo`` (unless deeper
+    already), then shifts the split to ``lo``; ``settle`` deepens one digit
+    at a time until the digit at ``pos`` is certified.  A product stream
+    moves to the lowest position of a run and settles there only: a bracket
+    inside one cell of ``lo`` is inside one cell of every coarser position
+    too, so the run is certified at the depth that settling each of its
+    digits in turn would reach, from the same operand reads.  Moving and
+    deepening are integer work linear in the prefix length.
     """
 
     __slots__ = ("pos", "depth", "_digit", "_a", "_b", "_x", "_y", "_cell", "_rem",
@@ -342,9 +355,12 @@ class ProductBracket:
         self._a, self._b = a, b
         self._x = a.scaled_prefix(depth)
         self._y = self._x if b is a else b.scaled_prefix(depth)
-        self._cell = pow10(n + 2 * depth)
-        top, self._rem = divmod(self._x * self._y, self._cell)
-        self._digit = top % 10
+        self._cell = cell = pow10(n + 2 * depth)
+        if n < 0 and a.has_exact_value and b.has_exact_value:
+            self._digit, self._rem = _exact_split(a.value(), b.value(), n, depth, cell)
+        else:
+            top, self._rem = divmod(self._x * self._y, cell)
+            self._digit = top % 10
         self._slack = 2 * pow10(k_top + 1 + depth)
         self.pos, self.depth = n, depth
 
@@ -360,8 +376,8 @@ class ProductBracket:
         a = self._a.digit(n) if t == 1 else self._a.digits(n, n - t + 1)
         b = (a if self._b is self._a else
              self._b.digit(n) if t == 1 else self._b.digits(n, n - t + 1))
-        x, y, p = self._x, self._y, pow10(t)
-        cell = self._cell * p * p
+        x, y, p, e = self._x, self._y, pow10(t), self.pos + 2 * (self.depth + t)
+        cell = pow10(e) if e <= POW10_CACHED else self._cell * p * p  # past the cache, cheaper
         carry, self._rem = divmod(self._rem * p * p + p * (x * b + a * y) + a * b, cell)
         self._x, self._y, self._cell = x * p + a, y * p + b, cell
         self._digit += carry
@@ -376,8 +392,8 @@ class ProductBracket:
             self._deepen(t)
         j = self.pos - lo
         if j:  # the digits from pos - 1 down to lo are a quotient of rem
-            p = pow10(j)
-            self._cell //= p
+            p, e = pow10(j), lo + 2 * self.depth
+            self._cell = pow10(e) if e <= POW10_CACHED else self._cell // p
             top, self._rem = divmod(self._rem, self._cell)
             self._digit = self._digit % 10 * p + top
             self.pos = lo
@@ -399,26 +415,10 @@ class ProductBracket:
 
 def mul_certified_digit(d: Decimal, e: Decimal, n: int, max_depth=None) -> int:
     """Digit at 10**n of ``d * e`` for nonnegative operands, certified: a
-    ``ProductBracket`` started cold at n and deepened until both ends of
-    ``[f(l), f(l) + 2*10**(K+1-l)]`` floor to one digit cell.  Terminates
-    whenever the product does not terminate; ``max_depth`` (if given) turns
-    a misuse into an error instead of a loop.
-    """
+    ``ProductBracket`` started cold at n and settled (``max_depth`` as there)."""
     if d.sign < 0 or e.sign < 0:
         raise ValueError("certified product digits need nonnegative operands")
     return ProductBracket(d, e, n).settle(max_depth) % 10
-
-
-def fixed_depth_digits(d: Decimal, e: Decimal, hi: int, lo: int) -> int:
-    """The digits of ``|d * e|`` from 10**hi down to 10**lo, as an integer,
-    by the fixed-depth rule of ``mul_stabilized_digit``: one bracket started
-    cold at ``hi`` moves down a position at a time, read before it settles."""
-    bracket = ProductBracket(d, e, hi)
-    run = 0
-    for n in range(hi, lo - 1, -1):
-        bracket.move(n)
-        run = 10 * run + bracket.digit
-    return run
 
 
 def _product_digits(a: Decimal, b: Decimal):

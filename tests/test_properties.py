@@ -29,7 +29,7 @@ from decreal.decimals import (  # noqa: E402
     searched_nine_escape,
     truncate,
 )
-from decreal.expr import parse_expression  # noqa: E402
+from decreal.expr import parse_expression, product_misses  # noqa: E402
 from decreal.padic import (  # noqa: E402
     PAdic,
     padic_add,
@@ -39,10 +39,11 @@ from decreal.padic import (  # noqa: E402
     traced_padic,
 )
 from decreal.rational import BLOCK, DecFrac, parse_rat, ten_smooth  # noqa: E402
+from test_weak import fixed_depth_digits  # noqa: E402
 from decreal.weak import (  # noqa: E402
     add_digit_rule,
+    ProductBracket,
     compute_hint,
-    fixed_depth_digits,
     mul_certified_digit,
     mul_stabilized_digit,
     weak_add,
@@ -316,6 +317,41 @@ def test_paper_product_digits_are_the_one_shot_fixed_depth_digits_in_any_read_or
     for hi, lo in windows:
         got = fixed_depth_digits(a, b, hi, lo)
         assert got == sum(mul_stabilized_digit(a, b, n) * 10 ** (n - lo) for n in range(lo, hi + 1))
+
+
+# signed exact pairs whose denominators reach 10**8, so that both 10**depth >
+# B*D and 10**depth <= B*D occur; now and then a zero factor or a square
+wide_sides = st.builds(lambda num, den, sign: sign * Fraction(num, den),
+                       st.integers(0, 10 ** 9), st.integers(1, 10 ** 8), st.sampled_from([1, -1]))
+exact_pairs = st.one_of(st.tuples(wide_sides, wide_sides),
+                        st.tuples(st.just(Fraction(0)), wide_sides),
+                        wide_sides.map(lambda q: (q, q)))
+
+
+@PROPERTY
+@given(pair=exact_pairs, n=st.integers(-300, -1))
+def test_closed_form_cold_bracket_is_the_divmod_split(pair, n):
+    # two exact operands split the bracket from remainders; views with no
+    # exact value divide the prefix product by the cell
+    u, v = pair
+    a = Decimal.from_fraction(u)
+    b = a if v is u else Decimal.from_fraction(v)
+    sa = counted_stream(u)[0]
+    sb = sa if v is u else counted_stream(v)[0]
+    got, want = ProductBracket(a, b, n), ProductBracket(sa, sb, n)
+    assert (got.digit, got._rem) == (want.digit, want._rem)
+    if not ten_smooth((u * v).denominator):
+        assert got.settle() == want.settle()
+
+
+@PROPERTY
+@given(pair=exact_pairs, hi=st.integers(-60, 20), width=st.integers(0, 60))
+def test_closed_form_audit_is_the_stabilized_digit_at_every_position(pair, hi, width):
+    u, v = pair
+    a, b = Decimal.from_fraction(u), Decimal.from_fraction(v)
+    assert product_misses(u, v, hi, hi - width) == [
+        n for n in range(hi, hi - width - 1, -1)
+        if mul_stabilized_digit(a, b, n) != oracle_digit(u * v, n)]
 
 
 # ---------------------------------------------------------------------------

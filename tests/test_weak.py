@@ -17,13 +17,14 @@ from decreal.decimals import (
     searched_nine_escape,
 )
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
-from decreal.expr import eval_expression, expression_hint, parse_expression, value_of
-from decreal.rational import DecFrac, parse_rat
+from decreal.expr import (eval_expression, expression_hint, parse_expression, product_misses,
+                          value_of)
+from decreal.rational import DecFrac, parse_rat, ten_smooth
 from decreal.weak import (
     Hint,
     add_digit_rule,
+    ProductBracket,
     compute_hint,
-    fixed_depth_digits,
     hint_decode,
     hint_encode,
     hint_of,
@@ -568,6 +569,19 @@ def test_product_digits_above_the_order_bound_build_no_bracket(monkeypatch):
     assert starts == []
 
 
+def fixed_depth_digits(d, e, hi, lo):
+    """The fixed-depth digits of ``|d * e|`` from 10**hi down to 10**lo, as
+    one integer, off one bracket started cold at ``hi`` and moved down a
+    position at a time without settling: the cold depth grows by at most
+    one per position, so each move leaves the split of a cold start."""
+    bracket = ProductBracket(d, e, hi)
+    run = 0
+    for n in range(hi, lo - 1, -1):
+        bracket.move(n)
+        run = 10 * run + bracket.digit
+    return run
+
+
 def singles(hi, lo):
     """One-digit reads of both operands, a then b, from hi down to lo."""
     return [(name, n, n) for n in range(hi, lo - 1, -1) for name in "ab"]
@@ -579,8 +593,8 @@ def singles(hi, lo):
     ("digit by digit", [("a", 0, -1), ("b", 0, -1)] + singles(-2, -16)),
     # a run: one block per side deepens to the run's lowest cold depth
     ("render", [("a", 0, -1), ("b", 0, -1), ("a", -2, -16), ("b", -2, -16)]),
-    # fixed_depth_digits starts cold at the order and moves one position at
-    # a time, with no product stream and no order check
+    # a bracket started cold at the order and moved one position at a
+    # time, with no product stream and no order check
     ("paper", [("a", 0, -2), ("b", 0, -2)] + singles(-3, -16)),
     # a far digit starts cold and settles one digit deeper; the render after
     # it starts cold again at the top and reads the memo
@@ -869,6 +883,59 @@ def test_fixed_depth_digits_are_the_stabilized_rule():
             assert fixed_depth_digits(a, b, top, -places) == want
         # the pair does tell the fixed-depth rule from the certified one
         assert want != qa * qb * 10 ** places // 1
+
+
+def exact_pair(rng):
+    """Two signed rationals for a product bracket, with numerators and
+    denominators of 1 to 8 digits, so that the operand orders fall above
+    and below the point, and ``10**depth`` above and below the product of
+    the denominators; now and then a zero factor or a square."""
+    def side():
+        den = rng.randrange(1, 10 ** rng.randrange(1, 9))
+        return Fraction(rng.choice((1, -1)) * rng.randrange(10 ** rng.randrange(1, 9)), den)
+
+    u, v = side(), side()
+    draw = rng.random()
+    return (Fraction(0), v) if draw < 0.05 else (u, u) if draw < 0.2 else (u, v)
+
+
+def stream_of(x):
+    """A producer-backed view of ``x``, with no exact value."""
+    return Decimal.from_stream(x.sign, x.order, x.digit, searched_nine_escape(x.digit))
+
+
+def test_cold_bracket_over_exact_operands_is_the_divmod_split():
+    # below the point a cold bracket over two exact operands takes its
+    # split from long-division remainders; over views with no exact value
+    # it divides the prefix product by the cell: the two agree on digit,
+    # remainder, depth and cell, and settle to the same integer
+    rng = random.Random(26)
+    for _ in range(600):
+        u, v = exact_pair(rng)
+        n = -rng.randrange(1, 200)
+        a = Decimal.from_fraction(u)
+        b = a if v is u else Decimal.from_fraction(v)
+        sa = stream_of(Decimal.from_fraction(u))
+        sb = sa if v is u else stream_of(Decimal.from_fraction(v))
+        got, want = ProductBracket(a, b, n), ProductBracket(sa, sb, n)
+        assert ((got.digit, got._rem, got.depth, got._cell)
+                == (want.digit, want._rem, want.depth, want._cell)), (u, v, n)
+        if not ten_smooth((u * v).denominator):  # a terminating product never settles
+            assert got.settle() == want.settle()
+
+
+def test_product_misses_are_where_the_fixed_depth_digit_is_wrong():
+    assert product_misses(Fraction(1, 3), Fraction(306000001, 10 ** 9), 0, -4) == [-3, -4]
+    assert product_misses(Fraction(-902, 9973), Fraction(-776, 7), 1, -4) == [1]
+    rng = random.Random(17)
+    for _ in range(300):
+        u, v = exact_pair(rng)
+        a, b = Decimal.from_fraction(u), Decimal.from_fraction(v)
+        hi = rng.randrange(-30, a.order + b.order + 3)
+        lo = hi - rng.randrange(40)
+        assert product_misses(u, v, hi, lo) == [
+            n for n in range(hi, lo - 1, -1)
+            if mul_stabilized_digit(a, b, n) != oracle_digit(u * v, n)], (u, v, hi, lo)
 
 
 def test_weak_mul_rejects_wrong_order_hint():
