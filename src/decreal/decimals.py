@@ -12,8 +12,9 @@ obtained from a terminating one by borrowing one unit at its lowest nonzero
 digit and paying it back with an infinite tail of nines; such words are
 value-equal to their base but sit immediately below it in the digitwise
 order, forming a gap pair.  ``Decimal`` is the general stream, backed either
-by an exact ``Fraction`` (a terminating decimal is a rational whose digits
-end in zeros) or by an arbitrary digit producer plus a nine-escape witness.
+by an exact rational, a reduced integer pair (a terminating decimal is a
+rational whose digits end in zeros), or by an arbitrary digit producer plus a
+nine-escape witness.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .errors import (
     OracleUnavailable,
 )
 from .rational import (BLOCK, LITERAL, DecFrac, bytes_int, digit_bytes, digit_text, ilog10,
-                       int_str, literal_fraction, pow10, runs, ten_smooth)
+                       int_str, literal_pair, pow10, runs, ten_smooth)
 
 # ---------------------------------------------------------------------------
 # terminating decimals
@@ -293,20 +294,20 @@ def searched_nine_escape(digit_fn):
     return NineEscapeWitness(escape)
 
 
-def _remainder(q, n):
-    """The long-division remainder ``|num| * 10**(-n-1) mod den`` that
-    yields the digit of ``|q|`` at ``n < 0``.  ``pow`` finds it modulo
+def _remainder(num, den, n):
+    """The long-division remainder ``num * 10**(-n-1) mod den`` that yields
+    the digit of ``num / den`` at ``n < 0``.  ``pow`` finds it modulo
     ``den``, so a far position costs no power of ten of its size."""
-    den = q.denominator
-    return abs(q.numerator) % den * pow(10, -n - 1, den) % den
+    return num % den * pow(10, -n - 1, den) % den
 
 
 def digit_of_fraction(q, n):
     """Digit at 10**n of the standard (no nine-tail) expansion of |q|: the
-    long-division digit that follows ``_remainder(q, n)`` below the point."""
+    long-division digit that follows ``_remainder`` below the point."""
+    num, den = abs(q.numerator), q.denominator
     if n >= 0:
-        return abs(q.numerator) // (q.denominator * pow10(n)) % 10
-    return 10 * _remainder(q, n) // q.denominator
+        return num // (den * pow10(n)) % 10
+    return 10 * _remainder(num, den, n) // den
 
 
 def interval_digit(lo, hi, n):
@@ -328,20 +329,24 @@ def interval_digit(lo, hi, n):
     return 0 if max(-lo, hi) < cell else None
 
 
-def order_of(q):
-    """The order of the decimal of a ``Fraction`` q: the position of the top
-    digit of ``|q|``, or 0 when ``|q| < 1``."""
-    n = abs(q.numerator) // q.denominator
+def pair_order(num, den):
+    """The order of the decimal of the rational ``num / den >= 0``: the
+    position of its top digit, or 0 when it is below 1."""
+    n = num // den
     return ilog10(n) if n else 0
 
 
 class Decimal:
     """A decimal digit stream with an exact or a stream backing.
 
-    The exact backing is a ``Fraction``; a terminating decimal is one whose
-    denominator divides a power of ten, with no backing of its own.  The
-    stream backing is a digit producer plus a nine-escape witness.  A view
-    with both (``words.traced_decimal``) reads its digits from its producer.
+    The exact backing is the reduced integer pair of ``|x|``, read-only
+    slots ``num`` and ``den`` (both None for a stream), set once at
+    construction; the exact paths read nothing else.  ``value()`` builds
+    the signed ``Fraction`` on its first call and keeps it.  A terminating
+    decimal is one whose denominator divides a power of ten, with no
+    backing of its own.  The stream backing is a digit producer plus a
+    nine-escape witness.  A view with both (``words.traced_decimal``) reads
+    its digits from its producer.
 
     Digits are those of ``|x|``, so both sign views of a value (``neg()``
     and ``abs()``) share one ``_memo``, and neither re-does work the other
@@ -354,7 +359,7 @@ class Decimal:
       sequence below it, which fold into the array when the frontier
       reaches them;
     * an exact value keeps the long-division pair ``[position, remainder,
-      above]``, ``remainder = |num| * 10**(-position - 1) mod den``, which
+      above]``, ``remainder = num * 10**(-position - 1) mod den``, which
       yields the digit at ``position``; ``above`` is the digit at
       ``position + 1`` after a ``digit`` read there, else None.  A read
       below the point that starts at ``position`` continues the division,
@@ -381,14 +386,16 @@ class Decimal:
     it, and ``render_digits`` prints a stream's runs from its array.
     """
 
-    __slots__ = ("sign", "order", "_value", "_producer", "_witness", "_memo")
+    __slots__ = ("sign", "order", "num", "den", "_value", "_producer", "_witness", "_memo")
 
-    def __init__(self, sign, order, value=None, producer=None, witness=None, memo=None):
+    def __init__(self, sign, order, num=None, den=None, producer=None, witness=None, memo=None):
         if memo is None:
             memo = (bytearray(), {}) if producer is not None else [None, 0, None]
         _set_sign(self, sign)
         _set_order(self, order)
-        _set_value(self, value)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_value(self, None)
         _set_producer(self, producer)
         _set_witness(self, witness)
         _set_memo(self, memo)
@@ -405,11 +412,17 @@ class Decimal:
     @classmethod
     def from_fraction(cls, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
-        return cls(-1 if q.numerator < 0 else 1, order_of(q), value=q)
+        return cls.from_pair(q.numerator, q.denominator)
+
+    @classmethod
+    def from_pair(cls, num, den):
+        """The exact decimal ``num / den``, for a reduced pair with ``den > 0``."""
+        sign, num = (-1, -num) if num < 0 else (1, num)
+        return cls(sign, pair_order(num, den), num, den)
 
     @classmethod
     def from_int(cls, n):
-        return cls.from_fraction(Fraction(n))
+        return cls.from_pair(n, 1)
 
     @classmethod
     def from_stream(cls, sign, order, producer, witness):
@@ -421,7 +434,7 @@ class Decimal:
 
     @classmethod
     def zero(cls):
-        return cls.from_fraction(0)
+        return cls.from_pair(0, 1)
 
     # -- digit access
 
@@ -446,15 +459,15 @@ class Decimal:
                 else:
                     sparse[n] = d
             return d
-        q = self._value
+        num, den = self.num, self.den
         if n >= 0:
-            return digit_of_fraction(q, n)
+            return num // (den * pow10(n)) % 10
         pair = self._memo
         if pair[0] != n:
             if pair[0] == n - 1 and pair[2] is not None:
                 return pair[2]
-            pair[1] = _remainder(q, n)
-        d, rem = divmod(10 * pair[1], q.denominator)
+            pair[1] = _remainder(num, den, n)
+        d, rem = divmod(10 * pair[1], den)
         pair[0], pair[1], pair[2] = n - 1, rem, d
         return d
 
@@ -466,8 +479,7 @@ class Decimal:
             return 0
         if self._producer is not None:
             return self._stream_digits(hi, lo)
-        q = self._value
-        num, den = abs(q.numerator), q.denominator
+        num, den = self.num, self.den
         if lo >= 0:
             return num // (den * pow10(lo)) % pow10(hi - lo + 1)
         # the digits above the point, then one division below it from the
@@ -475,7 +487,7 @@ class Decimal:
         top, pair = min(hi, -1), self._memo
         out = num // den % pow10(hi + 1) if hi >= 0 else 0
         p = pow10(top - lo + 1)
-        block, rem = divmod((pair[1] if pair[0] == top else _remainder(q, top)) * p, den)
+        block, rem = divmod((pair[1] if pair[0] == top else _remainder(num, den, top)) * p, den)
         pair[0], pair[1], pair[2] = lo - 1, rem, None  # the digit at lo is not split off
         return out * p + block
 
@@ -563,12 +575,17 @@ class Decimal:
 
     @property
     def has_exact_value(self):
-        return self._value is not None
+        return self.den is not None
 
     def value(self):
-        if self._value is None:
-            raise OracleUnavailable("stream backing has no exact value")
-        return self._value
+        """The exact value as a ``Fraction``, built on the first call."""
+        q = self._value
+        if q is None:
+            if self.den is None:
+                raise OracleUnavailable("stream backing has no exact value")
+            q = Fraction(self.sign * self.num, self.den)
+            _set_value(self, q)
+        return q
 
     @property
     def nine_escape(self):
@@ -580,28 +597,28 @@ class Decimal:
         return w
 
     def is_zero(self):
-        return self.has_exact_value and self.value() == 0
+        return self.num == 0
 
     def leading_index(self):
         """Position of the most significant nonzero digit, None for zero."""
-        if self._value is None:
+        num, den = self.num, self.den
+        if den is None:
             raise OracleUnavailable("leading index of a stream is not observable")
-        q = abs(self._value)
-        if q == 0:
+        if num == 0:
             return None
-        if q >= 1:
+        if num >= den:
             return self.order
-        return -(ilog10((q.denominator - 1) // q.numerator) + 1)
+        return -(ilog10((den - 1) // num) + 1)
 
     # -- structure
 
     def neg(self):
-        """The sign flip, sharing this value's memo or long-division pair;
-        zero never carries a minus sign, so it is its own flip."""
-        q = self._value
-        if q == 0:
+        """The sign flip, sharing this value's exact pair and memo or
+        long-division pair; zero never carries a minus sign, so it is its
+        own flip."""
+        if self.num == 0:
             return self
-        return Decimal(-self.sign, self.order, None if q is None else -q, self._producer,
+        return Decimal(-self.sign, self.order, self.num, self.den, self._producer,
                        self._witness, self._memo)
 
     def abs(self):
@@ -610,8 +627,8 @@ class Decimal:
     def __eq__(self, other):
         if not isinstance(other, Decimal):
             return NotImplemented
-        if self.has_exact_value and other.has_exact_value:
-            return self.value() == other.value()
+        if self.den is not None and other.den is not None:  # an exact zero has sign +1
+            return self.num == other.num and self.den == other.den and self.sign == other.sign
         return self is other
 
     def __hash__(self):
@@ -627,7 +644,7 @@ class Decimal:
 
 # The slots' own setters for ``Decimal.__init__``, since ``__setattr__`` refuses
 # every write: they skip the name lookup that ``object.__setattr__`` makes.
-(_set_sign, _set_order, _set_value, _set_producer, _set_witness,
+(_set_sign, _set_order, _set_num, _set_den, _set_value, _set_producer, _set_witness,
  _set_memo) = (getattr(Decimal, name).__set__ for name in Decimal.__slots__)
 
 
@@ -707,7 +724,7 @@ def _nine_free_position(d, n, budget):
     """Some position m < n with digit(m) != 9: the highest, where the digits
     of d and of zero do not sum to 9 (``first_difference``, in runs), or
     else the one the escape witness names."""
-    budget = None if d.has_exact_value else budget
+    budget = None if d.den is not None else budget
     m = first_difference(d, _ZERO, budget, n - 1, nines=True)
     if m is None and d.nine_escape is not None:
         return _escape(d, n)
@@ -765,9 +782,8 @@ def compare_magnitudes(d, e, budget=128):
 def magnitude_scan(d, e, budget=128):
     """``(verdict, n, m)``: ``compare_magnitudes`` with the first differing
     position n, None where m is."""
-    if d.has_exact_value and e.has_exact_value:
-        p, q = d.value(), e.value()
-        if p.denominator == q.denominator and abs(p.numerator) == abs(q.numerator):
+    if d.den is not None and e.den is not None:
+        if d.num == e.num and d.den == e.den:
             return Verdict.EQUAL, None, None
         budget = None
     n = first_difference(d, e, budget)
@@ -934,7 +950,7 @@ def validate_prefix(d, depth):
                 position=bottom)
         _escape(d, bottom)
     if not seen_nonzero and d.sign < 0:
-        if not (d.has_exact_value and d.value() != 0):
+        if not d.num:
             raise InvariantViolation(
                 "minus sign on an all-zero prefix", position=bottom)
     return ValidationReport(depth=depth, positions_checked=count)
@@ -953,7 +969,7 @@ def parse_decimal(text):
     m = LITERAL.fullmatch(text.strip())
     if not m or m[3] is not None:
         raise InvalidLiteral(f"not a decimal literal: {text!r}")
-    return Decimal.from_fraction(literal_fraction(m.groups(), text))
+    return Decimal.from_pair(*literal_pair(m.groups(), text))
 
 
 def format_decimal(d):

@@ -5,12 +5,14 @@ digit-by-digit routines or in the p-adic integers of a prime.
 """
 
 import re
+from fractions import Fraction
 
-from .decimals import Decimal, order_of
-from .errors import HintMismatch, ParseError
+from .decimals import Decimal, pair_order
+from .errors import ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
-from .rational import LITERAL, digit_bytes, ilog10, literal_fraction, pow10, ten_smooth
-from .weak import ProductBracket, hint_decode, hint_of, weak_add, weak_mul
+from .rational import LITERAL, digit_bytes, ilog10, literal_pair, pair_fold, pow10
+from .weak import (ProductBracket, hint_decode, pair_hint, refuse_terminating, weak_add,
+                   weak_mul)
 from .words import traced_decimal
 
 # ---------------------------------------------------------------------------
@@ -97,7 +99,7 @@ class _Parser:
         m = LITERAL.match(text, i)
         if m and m[1] != "+":
             self.i = m.end()
-            return ("lit", Decimal.from_fraction(literal_fraction(m.groups(), m[0]))), 0
+            return ("lit", Decimal.from_pair(*literal_pair(m.groups(), m[0]))), 0
         if text.startswith("neg(", i):
             return self.bracket(4, "neg")
         if text.startswith("recip(", i):
@@ -126,26 +128,34 @@ def parse_expression(text):
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# Every node carries its exact rational value (literals are exact and the
-# operations preserve exactness), which is what feeds the hints; the decimal
-# returned for a '+' or '*' node is nevertheless the streamed weak result.
+# Every node carries its exact value as a reduced integer pair ``(num, den)``,
+# ``den > 0``, folded with one ``gcd`` per operation (``rational.pair_fold``);
+# it feeds the hints.  The decimal returned for a '+' or '*' node is
+# nevertheless the streamed weak result.
+
+
+def _fold(node):
+    """The exact value of ``node`` as a reduced pair, folded from its
+    literals with no ``Decimal`` built."""
+    kind = node[0]
+    if kind == "lit":
+        d = node[1]
+        return d.sign * d.num, d.den
+    if kind == "neg":
+        num, den = _fold(node[1])
+        return -num, den
+    if kind == "recip":
+        num, den = _fold(node[1])
+        if num == 0:
+            raise ParseError("reciprocal of zero")
+        return (den, num) if num > 0 else (-den, -num)
+    return pair_fold(kind, *_fold(node[1]), *_fold(node[2]))
 
 
 def value_of(node):
-    """The exact value of ``node``, folded from its literals with no
-    ``Decimal`` built."""
-    kind = node[0]
-    if kind == "lit":
-        return node[1].value()
-    if kind == "neg":
-        return -value_of(node[1])
-    if kind == "recip":
-        v = value_of(node[1])
-        if v == 0:
-            raise ParseError("reciprocal of zero")
-        return 1 / v
-    vl, vr = value_of(node[1]), value_of(node[2])
-    return vl + vr if kind == "add" else vl * vr
+    """The exact value of ``node`` as a ``Fraction``, folded from its
+    literals with no ``Decimal`` built."""
+    return Fraction(*_fold(node))
 
 
 def eval_expression(node, root_hint=None, trace=False):
@@ -155,36 +165,44 @@ def eval_expression(node, root_hint=None, trace=False):
     replaces the computed hint of the top-level operation, which must then
     be a '+' or a '*'.  A payload is checked on the exact operands, and a
     hint that claims a non-terminating result for a terminating ``v``
-    raises ``HintMismatch``.  A ``recip`` builds no stream below it.
+    raises ``HintMismatch``.  A ``recip`` builds no stream below it.  The
+    one ``Fraction`` built is the value returned.
     """
-    kind = node[0]
     if root_hint is not None:
-        if kind not in ("add", "mul"):
+        if node[0] not in ("add", "mul"):
             raise ParseError("--hint needs a top-level '+' or '*'")
         root_hint = hint_decode(root_hint)
+    d, num, den, traces = _evaluate(node, root_hint, trace)
+    return d, Fraction(num, den), traces
+
+
+def _evaluate(node, root_hint=None, trace=False):
+    """``eval_expression`` with the exact value as a reduced pair:
+    ``(Decimal, num, den, traces)``."""
+    kind = node[0]
     if kind == "lit":
-        return node[1], node[1].value(), None
+        d = node[1]
+        return d, d.sign * d.num, d.den, None
     if kind == "neg":
-        d, v, _ = eval_expression(node[1])
-        d = d.neg()  # an exact operand's flip carries the negated value already
-        return d, d.value() if d.has_exact_value else -v, None
+        d, num, den, _ = _evaluate(node[1])
+        return d.neg(), -num, den, None
     if kind == "recip":
-        v = value_of(node)
-        return Decimal.from_fraction(v), v, None
-    dl, vl, _ = eval_expression(node[1])
-    dr, vr, _ = eval_expression(node[2])
-    v = vl + vr if kind == "add" else vl * vr
-    hint = root_hint or hint_of(v)
+        num, den = _fold(node)
+        return Decimal.from_pair(num, den), num, den, None
+    dl, lnum, lden, _ = _evaluate(node[1])
+    dr, rnum, rden, _ = _evaluate(node[2])
+    num, den = pair_fold(kind, lnum, lden, rnum, rden)
+    hint = root_hint or pair_hint(num, den)
     if root_hint and hint.terminating is not None:  # checked on the exact operands
-        dl, dr = Decimal.from_fraction(vl), Decimal.from_fraction(vr)
-    elif root_hint and ten_smooth(v.denominator):  # its first digit would scan forever
-        raise HintMismatch("the hint claims a non-terminating result, but the result terminates")
+        dl, dr = Decimal.from_pair(lnum, lden), Decimal.from_pair(rnum, rden)
+    elif root_hint:  # a terminating result's first digit would scan forever
+        refuse_terminating(den)
     traces = None
     if trace:  # traced views keep the exact values, so they change no decision
         (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
         traces = (tl, tr)
     f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint)
-    return f, v, traces
+    return f, num, den, traces
 
 
 def expression_hint(node):
@@ -192,7 +210,7 @@ def expression_hint(node):
     exact values of its operands."""
     if node[0] not in ("add", "mul"):
         raise ParseError("hint needs a top-level '+' or '*'")
-    return hint_of(value_of(node))
+    return pair_hint(*_fold(node))
 
 
 def fixed_depth_misses(node, lo):
@@ -203,15 +221,20 @@ def fixed_depth_misses(node, lo):
         return []
     audits = [misses for child in node[1:] for misses in fixed_depth_misses(child, lo)]
     if node[0] == "mul":
-        u, v = value_of(node[1]), value_of(node[2])
-        audits.append(product_misses(u, v, order_of(u * v), lo))
+        x, y = (Decimal.from_pair(*_fold(child)) for child in node[1:])
+        audits.append(_misses(x, y, pair_order(x.num * y.num, x.den * y.den), lo))
     return audits
 
 
 def product_misses(u, v, hi, lo):
     """The positions from 10**hi down to 10**lo, top down, at which the
     fixed-depth digit of ``|u*v|`` (``mul_stabilized_digit``) is not the
-    exact one.
+    exact one, for ``Fraction``s u and v."""
+    return _misses(Decimal.from_fraction(u), Decimal.from_fraction(v), hi, lo)
+
+
+def _misses(x, y, hi, lo):
+    """``product_misses`` of the exact decimals x and y.
 
     Below the point it misses where a cold bracket's ``G < 0`` (see
     ``weak._exact_split``), which, with ``l`` the cold depth, ``K`` the
@@ -222,16 +245,15 @@ def product_misses(u, v, hi, lo):
     off one cold bracket moved down a position at a time: the cold depth
     grows by at most one per position, so each move leaves the split of a
     cold start."""
-    x, y, w = Decimal.from_fraction(u), Decimal.from_fraction(v), u * v
+    a, b, c, d = x.num, x.den, y.num, y.den
     misses, point = [], max(lo, 0)
     if hi >= point:
-        exact = digit_bytes(abs(w.numerator) // w.denominator % pow10(hi + 1), hi + 1)
+        exact = digit_bytes(a * c // (b * d) % pow10(hi + 1), hi + 1)
         bracket = ProductBracket(x, y, hi)
         for n in range(hi, point - 1, -1):
             bracket.move(n)
             if bracket.digit != exact[hi - n]:
                 misses.append(n)
-    a, b, c, d = abs(u.numerator), u.denominator, abs(v.numerator), v.denominator
     s, k, top = b * d, max(x.order, y.order), min(hi, -1)
     l, wide, small = k - top + 2, pow10(k + 2), ilog10(s)
     rx, ry, rp = a * pow(10, l, b) % b, c * pow(10, l, d) % d, a * c * pow(10, -top, s) % s

@@ -9,6 +9,7 @@ carry scans pure integer work.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InvalidLiteral
 
@@ -135,10 +136,11 @@ def rat_cmp(a, b):
     return (a > b) - (a < b)
 
 
-def literal_fraction(groups, text):
+def literal_pair(groups, text):
     """The exact value of a literal from the groups of its ``LITERAL`` match
-    (``text`` names it in errors): ``int.frac`` plus ``block / (10**b - 1)``
-    over ``10**f``, built as two integers and reduced once."""
+    (``text`` names it in errors), as a reduced pair ``(num, den)``, ``den >
+    0``: ``int.frac`` plus ``block / (10**b - 1)`` over ``10**f``, built as
+    two integers and reduced with one ``gcd``."""
     sign, int_s, den_s, frac_s, block_s = groups
     if den_s is not None:
         num, den = str_int(int_s), str_int(den_s)
@@ -155,7 +157,21 @@ def literal_fraction(groups, text):
                 raise InvalidLiteral("a repeating block of nines names a nine-tail word")
             nines = pow10(len(block_s)) - 1
             num, den = num * nines + str_int(block_s), den * nines
-    return Fraction(-num if sign == "-" else num, den)
+    g = gcd(num, den)
+    return (-num if sign == "-" else num) // g, den // g
+
+
+def literal_fraction(groups, text):
+    """``literal_pair`` as a ``Fraction``."""
+    return Fraction(*literal_pair(groups, text))
+
+
+def pair_fold(op, a, b, c, d):
+    """The reduced pair of ``a/b + c/d`` (``op`` "add") or ``a/b * c/d``
+    (``op`` "mul"), for reduced pairs with ``b, d > 0``: one ``gcd``."""
+    num, den = a * d + c * b if op == "add" else a * c, b * d
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def parse_rat(text):
@@ -210,19 +226,23 @@ class DecFrac:
     @classmethod
     def from_fraction(cls, q):
         q = Fraction(q)
-        den = q.denominator
-        e2 = e5 = 0
-        while den % 2 == 0:
-            den //= 2
+        return cls.from_pair(q.numerator, q.denominator)
+
+    @classmethod
+    def from_pair(cls, num, den):
+        """``num / den`` for a reduced pair with ``den > 0``."""
+        rest, e2, e5 = den, 0, 0
+        while rest % 2 == 0:
+            rest //= 2
             e2 += 1
-        while den % 5 == 0:
-            den //= 5
+        while rest % 5 == 0:
+            rest //= 5
             e5 += 1
-        if den != 1:
-            raise ValueError(f"{q} is not a decimal fraction")
+        if rest != 1:
+            raise ValueError(f"{num}/{den} is not a decimal fraction")
         scale = max(e2, e5)
         # multiply up to a common power of ten
-        mant = q.numerator * 2 ** (scale - e2) * 5 ** (scale - e5)
+        mant = num * 2 ** (scale - e2) * 5 ** (scale - e5)
         return cls(mant, -scale)
 
     def to_fraction(self):

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decimals import (SCAN_PAIRS, Decimal, TermDecimal, Verdict, magnitude_scan, order_of, r_inv,
-                       searched_nine_escape, settling_pair)
+from .decimals import (SCAN_PAIRS, Decimal, TermDecimal, Verdict, magnitude_scan, pair_order,
+                       r_inv, searched_nine_escape, settling_pair)
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
-from .rational import POW10_CACHED, DecFrac, pow10, ten_smooth
+from .rational import POW10_CACHED, DecFrac, pair_fold, pow10, ten_smooth
 from .words import bin_lsb_encode, decode_xr, encode_xr, traced
 
 # ---------------------------------------------------------------------------
@@ -129,20 +129,36 @@ def hint_decode(x: int) -> Hint:
 
 def hint_of(v: Fraction) -> Hint:
     """The hint of a result whose exact value is ``v``."""
-    if ten_smooth(v.denominator):
-        t = r_inv(DecFrac.from_fraction(v))
+    return pair_hint(v.numerator, v.denominator)
+
+
+def pair_hint(num: int, den: int) -> Hint:
+    """``hint_of`` the reduced pair ``num / den``, ``den > 0``."""
+    if ten_smooth(den):
+        t = r_inv(DecFrac.from_pair(num, den))
         return Hint(t.order, t)
-    return Hint(order_of(v), None)
+    return Hint(pair_order(abs(num), den), None)
+
+
+def exact_result(op: str, d: Decimal, e: Decimal):
+    """The reduced pair of ``d op e`` for exact ``d`` and ``e``."""
+    return pair_fold(op, d.sign * d.num, d.den, e.sign * e.num, e.den)
+
+
+def refuse_terminating(den: int) -> None:
+    """Refuse a hint with no payload for a result whose reduced denominator
+    is ``den`` if the result terminates: its first digit would scan forever."""
+    if ten_smooth(den):
+        raise HintMismatch("the hint claims a non-terminating result, but the result terminates")
 
 
 def compute_hint(op: str, d: Decimal, e: Decimal) -> Hint:
     """Oracle for the hint of ``d op e``; needs exact operand values."""
     if op not in ("add", "mul"):
         raise ValueError(f"unknown operation {op!r}")
-    if not (d.has_exact_value and e.has_exact_value):
+    if d.den is None or e.den is None:
         raise OracleUnavailable("hints are only computable from exact operands")
-    vd, ve = d.value(), e.value()
-    return hint_of(vd + ve if op == "add" else vd * ve)
+    return pair_hint(*exact_result(op, d, e))
 
 
 # ---------------------------------------------------------------------------
@@ -224,28 +240,28 @@ def _sum_digits(d: Decimal, e: Decimal, borrow: bool, low=0, top=0):
 def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
     """The sum of two decimals under a hint.
 
-    A terminating hint is the answer (see ``_payload``).  Otherwise the
-    sign and the reduced configuration are found by comparing magnitudes:
-    the operand of the larger one goes first, and unequal signs borrow.
-    Equal magnitudes make the sum zero, contradicting the hint; a
-    comparison still undecided after ``sign_budget`` digits raises
-    ``OracleUnavailable``.  Every digit comes from the rule of
-    ``add_digit_rule``, resuming the last carry or borrow scan (at first,
-    the comparison's) where it still settles the position.  The hinted order
-    is checked against the operands' order bound; digits are computed.
+    A terminating hint is the answer (see ``_payload``).  A hint with no
+    payload over two exact values whose sum terminates raises
+    ``HintMismatch`` before any digit is read.  Otherwise the sign and the
+    reduced configuration are found by comparing magnitudes: the operand of
+    the larger one goes first, and unequal signs borrow.  Only exact values
+    compare equal, and their zero sum is refused above; a comparison still
+    undecided after ``sign_budget`` digits raises ``OracleUnavailable``.
+    Every digit comes from the rule of ``add_digit_rule``, resuming the
+    last carry or borrow scan (at first, the comparison's) where it still
+    settles the position.  The hinted order is checked against the
+    operands' order bound; digits are computed.
     """
     if hint.terminating is not None:
         return _payload("add", d, e, hint)
+    if d.den is not None and e.den is not None:
+        refuse_terminating(exact_result("add", d, e)[1])
     low = bound = max(d.order, e.order) + 1
     if d.sign != e.sign:
         verdict, low, _ = magnitude_scan(d, e, budget=sign_budget)
         if verdict is Verdict.UNDECIDED:
             raise OracleUnavailable(
                 f"the sign of the sum is undecided within the sign budget of {sign_budget} digits")
-        if verdict is Verdict.EQUAL:
-            raise HintMismatch(
-                "magnitudes look equal: the sum terminates, but the hint says otherwise"
-            )
         if verdict is Verdict.LESS:  # the larger digit at low: no borrow into it
             d, e = e, d
     return _checked_stream(d.sign, hint, _sum_digits(d, e, d.sign != e.sign, low, bound), bound)
@@ -298,13 +314,13 @@ def mul_stabilized_digit(d: Decimal, e: Decimal, n: int) -> int:
     return ProductBracket(d, e, n).digit
 
 
-def _exact_split(u: Fraction, v: Fraction, n: int, depth: int, cell: int):
+def _exact_split(x: Decimal, y: Decimal, n: int, depth: int, cell: int):
     """``(digit, rem)`` of ``X*Y = Q*cell + G`` for the prefixes X, Y of
-    ``|u| = A/B``, ``|v| = C/D`` at the cold depth of ``n < 0``, from the
-    exact digit t at n and three remainders, in linear time: ``G = (r_P*cell
-    - E)/(B*D)`` with ``|G| < cell`` and ``Q % 10 == t`` (README, *Open
-    questions*, has the derivation)."""
-    a, b, c, d = abs(u.numerator), u.denominator, abs(v.numerator), v.denominator
+    exact ``|x| = A/B``, ``|y| = C/D`` at the cold depth of ``n < 0``, from
+    the exact digit t at n and three remainders, in linear time: ``G =
+    (r_P*cell - E)/(B*D)`` with ``|G| < cell`` and ``Q % 10 == t`` (README,
+    *Open questions*, has the derivation)."""
+    a, b, c, d = x.num, x.den, y.num, y.den
     s = b * d
     rx, ry = a * pow(10, depth, b) % b, c * pow(10, depth, d) % d
     t, r_p = divmod(a * c % s * pow(10, -n - 1, s) % s * 10, s)
@@ -356,8 +372,8 @@ class ProductBracket:
         self._x = a.scaled_prefix(depth)
         self._y = self._x if b is a else b.scaled_prefix(depth)
         self._cell = cell = pow10(n + 2 * depth)
-        if n < 0 and a.has_exact_value and b.has_exact_value:
-            self._digit, self._rem = _exact_split(a.value(), b.value(), n, depth, cell)
+        if n < 0 and a.den is not None and b.den is not None:
+            self._digit, self._rem = _exact_split(a, b, n, depth, cell)
         else:
             top, self._rem = divmod(self._x * self._y, cell)
             self._digit = top % 10
@@ -452,12 +468,15 @@ def weak_mul(d: Decimal, e: Decimal, hint: Hint) -> Decimal:
 
     A terminating hint is the answer (see ``_payload``), as it is for every
     zero operand, so in the streaming case the sign is just the product of
-    the operand signs.  Every digit is certified, and the hinted order is
-    checked on the stream itself.  A square (``e is d``) reads each operand
-    digit once.
+    the operand signs; a hint with no payload over two exact values whose
+    product terminates raises ``HintMismatch`` before any digit is read.
+    Every digit is certified, and the hinted order is checked on the stream
+    itself.  A square (``e is d``) reads each operand digit once.
     """
     if hint.terminating is not None:
         return _payload("mul", d, e, hint)
+    if d.den is not None and e.den is not None:
+        refuse_terminating(exact_result("mul", d, e)[1])
     return _checked_stream(d.sign * e.sign, hint, _product_digits(d, e), d.order + e.order + 1)
 
 

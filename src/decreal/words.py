@@ -90,8 +90,7 @@ def traced_decimal(d):
         return d.digits(hi, lo)
 
     producer.block = block
-    value = d.value() if d.has_exact_value else None
-    return Decimal(d.sign, d.order, value, producer, searched_nine_escape(producer)), trace
+    return Decimal(d.sign, d.order, d.num, d.den, producer, searched_nine_escape(producer)), trace
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from decreal.decimals import (  # noqa: E402
     searched_nine_escape,
     truncate,
 )
-from decreal.expr import parse_expression, product_misses  # noqa: E402
+from decreal.errors import ParseError  # noqa: E402
+from decreal.expr import eval_expression, parse_expression, product_misses, value_of  # noqa: E402
 from decreal.padic import (  # noqa: E402
     PAdic,
     padic_add,
@@ -579,6 +580,100 @@ def test_block_rendering_of_nested_trees_matches_fraction_oracle(tree, places, t
     if top_first:
         d.digit(d.order)
     assert render_digits(d, places) == oracle_render(q, places)
+
+
+# ---------------------------------------------------------------------------
+# exact pairs: literals, their leaves and folds
+
+# digit strings below and above ``str_int``'s 3,900-digit split point; the
+# oracle reads each part with ``int``, so no part passes the 4,300-digit
+# int-to-str limit
+short_digits = st.text("0123456789", min_size=1, max_size=12)
+long_digits = st.tuples(st.integers(3901, 4290), st.integers(0, 2 ** 32)).map(
+    lambda t: "".join(random.Random(t[1]).choices("0123456789", k=t[0])))
+digit_strings = st.one_of(short_digits, short_digits, long_digits)
+
+
+@st.composite
+def literals(draw, digits=digit_strings):
+    """``(text, value)``: a rational, repeating or plain literal, signed or
+    not, and its value read part by part with ``int`` and ``Fraction``."""
+    sign = draw(st.sampled_from(["", "-"]))
+    ip = draw(digits)
+    kind = draw(st.sampled_from(["rational", "repeating", "plain", "point"]))
+    if kind == "rational":
+        den = draw(digits.filter(lambda t: t.strip("0")))
+        text, q = f"{ip}/{den}", Fraction(int(ip), int(den))
+    elif kind == "plain":
+        text, q = ip, Fraction(int(ip))
+    else:
+        frac = draw(st.one_of(st.just(""), short_digits)) if kind == "repeating" else draw(digits)
+        text, q = f"{ip}.{frac}", int(ip) + Fraction(int(frac or "0"), 10 ** len(frac))
+        if kind == "repeating":
+            block = draw(digits.filter(lambda t: t.strip("9")))
+            text += f"({block})"
+            q += Fraction(int(block), (10 ** len(block) - 1) * 10 ** len(frac))
+    return sign + text, -q if sign else q
+
+
+signed_literals = st.one_of(literals(), st.sampled_from([("-0", Fraction(0)),
+                                                         ("0.(0)", Fraction(0))]))
+
+
+@PROPERTY
+@given(lit=signed_literals)
+def test_a_parsed_leaf_is_the_decimal_of_its_fraction(lit):
+    text, q = lit
+    node = parse_expression(text)
+    assert node[0] == "lit"
+    leaf, ref = node[1], Decimal.from_fraction(q)
+    assert leaf.value() == q and leaf.value() is leaf.value()
+    assert (leaf.sign, leaf.order) == (ref.sign, ref.order)
+    assert hash(leaf) == hash(ref) and leaf == ref
+    assert (leaf == Decimal.from_fraction(q + 1)) is False
+    if "/" not in text:
+        assert parse_decimal(text) == ref
+
+
+@PROPERTY
+@given(lit=signed_literals, n=st.integers(-60, 3))
+def test_a_flip_shares_the_pair_and_the_memo(lit, n):
+    text, q = lit
+    leaf = parse_expression(text)[1]
+    flip = leaf.neg()
+    if q == 0:
+        assert flip is leaf
+        return
+    assert flip.num is leaf.num and flip.den is leaf.den and flip._memo is leaf._memo
+    assert flip.value() == -q and flip.sign == -leaf.sign and flip.order == leaf.order
+    assert flip.digit(n) == oracle_digit(q, n)
+    assert leaf.digit(n - 1) == oracle_digit(q, n - 1)  # where the flip's read left the pair
+
+
+@st.composite
+def expression_texts(draw, depth=4):
+    """An expression of depth at most ``depth`` over short literals."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        text, _ = draw(literals(short_digits))
+        return f"({text})" if text.startswith("-") else text
+    kind = draw(st.sampled_from(["+", "-", "*", "neg", "recip"]))
+    x = draw(expression_texts(depth - 1))
+    if kind in ("neg", "recip"):
+        return f"{kind}({x})"
+    return f"({x}){kind}({draw(expression_texts(depth - 1))})"
+
+
+@PROPERTY
+@given(text=expression_texts())
+def test_the_evaluated_value_is_the_folded_value(text):
+    node = parse_expression(text)
+    try:
+        v = value_of(node)
+    except ParseError:  # a reciprocal of zero
+        with pytest.raises(ParseError):
+            eval_expression(node)
+        return
+    assert eval_expression(node)[1] == v
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Hinted digit-by-digit addition and multiplication."""
 
+import os
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -278,6 +280,66 @@ def test_weak_add_rejects_hint_on_vanishing_sum():
         weak_add(d, d.neg(), Hint(0))  # true sum terminates (at zero)
 
 
+def exact_views(*texts):
+    """Traced views of the exact literals ``texts``: they keep the exact
+    values, and their traces count every digit read."""
+    return zip(*(traced_decimal(parse_decimal(t)) for t in texts))
+
+
+def test_weak_add_refuses_a_non_terminating_hint_over_exact_operands_at_once():
+    # 0.(3) + 0.(6) = 1 terminates: the first digit of a stream would scan
+    # for a carry forever, so the call is refused before any digit is read
+    (x, y), traces = exact_views("0.(3)", "0.(6)")
+    with pytest.raises(HintMismatch, match="claims a non-terminating result, but the result"):
+        weak_add(x, y, Hint(0, None))
+    assert [t.total for t in traces] == [0, 0]
+
+
+def test_weak_mul_refuses_a_non_terminating_hint_over_exact_operands_at_once():
+    (x, y), traces = exact_views("0.(3)", "3")
+    with pytest.raises(HintMismatch, match="claims a non-terminating result, but the result"):
+        weak_mul(x, y, Hint(0, None))
+    assert [t.total for t in traces] == [0, 0]
+    # a zero factor makes every product terminate
+    with pytest.raises(HintMismatch, match="the result terminates"):
+        weak_mul(parse_decimal("0.(3)"), parse_decimal("-0"), Hint(0, None))
+
+
+def fractions_calls(fn):
+    """``(fn(), names)``: the names of the ``fractions.py`` functions that
+    ``fn`` calls, in call order, from ``sys.setprofile``."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.basename(frame.f_code.co_filename) == "fractions.py":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, names
+
+
+def test_a_request_builds_one_fraction_for_its_value():
+    # parsing, evaluating and a far digit read go through the exact pairs;
+    # the one ``Fraction`` is the value ``eval_expression`` returns, so the
+    # request runs what building that ``Fraction`` runs and nothing more.
+    # ``Fraction``'s internals differ between Python versions, so the
+    # baseline is measured here
+    def request():
+        d, v, _ = eval_expression(parse_expression("158/137-6.1(979515)-428/137"))
+        return d.digit(-1500), v
+
+    (digit, v), names = fractions_calls(request)
+    want = Fraction(158 - 428, 137) - Fraction(61, 10) - Fraction(979515, 10 * 999999)
+    assert v == want and digit == oracle_digit(want, -1500)
+    num, den = want.numerator, want.denominator
+    _, baseline = fractions_calls(lambda: Fraction(num, den))
+    assert baseline and names == baseline
+
+
 def test_weak_add_sign_comparison_out_of_budget_is_oracle_unavailable():
     # 0.(3) * 1 is a stream; it and 0.33...34 agree on their top 4,096
     # digits, so the sign of their difference is undecided, not a mismatch
@@ -289,8 +351,8 @@ def test_weak_add_sign_comparison_out_of_budget_is_oracle_unavailable():
         weak_add(third, parse_decimal("-0.333333333"), Hint(0), sign_budget=8)
     # with both values exact the comparison has no budget
     assert render_digits(weak_add(parse_decimal("0.(3)"), close.neg(), Hint(0)), 4) == "-0.0000"
-    # an exact tie is still a mismatch
-    with pytest.raises(HintMismatch, match="the sum terminates"):
+    # an exact tie is still a mismatch, refused from the exact values
+    with pytest.raises(HintMismatch, match="the result terminates"):
         weak_add(parse_decimal("0.(3)"), parse_decimal("-0.(3)"), Hint(0))
 
 
@@ -458,9 +520,9 @@ def test_squared_operand_is_read_once_per_prefix_and_deepening(monkeypatch, q):
     jumps = []
     remainder = decimals._remainder
 
-    def counted(q, n):
-        jumps.append(n)
-        return remainder(q, n)
+    def counted(*args):
+        jumps.append(args[-1])
+        return remainder(*args)
 
     monkeypatch.setattr(decimals, "_remainder", counted)
     x, y, z = (Decimal.from_fraction(q) for _ in range(3))
@@ -482,9 +544,9 @@ def test_a_sum_read_digit_by_digit_re_reads_its_exact_operands_without_a_jump(mo
     jumps = []
     remainder = decimals._remainder
 
-    def counted(q, n):
-        jumps.append(n)
-        return remainder(q, n)
+    def counted(*args):
+        jumps.append(args[-1])
+        return remainder(*args)
 
     monkeypatch.setattr(decimals, "_remainder", counted)
     expr = "0." + "1234567890" * 300 + "(142857)+2/7"
