@@ -20,7 +20,9 @@ nine-escape witness.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import count
+from math import gcd
 from typing import Callable, Optional
 
 from .errors import (
@@ -200,7 +202,12 @@ def bar_inv(f):
 class NineEscapeWitness:
     """Certifies no nine-tail: escape(n) is a position m < n with digit(m) != 9."""
 
-    escape: Callable[[int], int]
+    escape: Optional[Callable[[int], int]]
+
+
+# The witness of a stream with no nine tail, found by searching its own
+# digits downward (through its memo, so no position is produced twice).
+SEARCHED = NineEscapeWitness(None)
 
 
 def _downward(top, budget):
@@ -284,16 +291,6 @@ def settling_pair(x, y, n, nines=False, budget=None):
     return None
 
 
-def searched_nine_escape(digit_fn):
-    """Escape witness found by plain downward search (use for honest streams);
-    a stream whose witness searches its own producer searches its memo."""
-    def escape(n):
-        return nine_free_below(digit_fn, n)
-
-    escape.searches = digit_fn
-    return NineEscapeWitness(escape)
-
-
 def _remainder(num, den, n):
     """The long-division remainder ``num * 10**(-n-1) mod den`` that yields
     the digit of ``num / den`` at ``n < 0``.  ``pow`` finds it modulo
@@ -339,8 +336,8 @@ def pair_order(num, den):
 class Decimal:
     """A decimal digit stream with an exact or a stream backing.
 
-    The exact backing is the reduced integer pair of ``|x|``, read-only
-    slots ``num`` and ``den`` (both None for a stream), set once at
+    The exact backing is the reduced integer pair of ``|x|``, the slots
+    ``num`` and ``den`` (both None for a stream), set once at
     construction; the exact paths read nothing else.  ``value()`` builds
     the signed ``Fraction`` on its first call and keeps it.  A terminating
     decimal is one whose denominator divides a power of ten, with no
@@ -391,23 +388,17 @@ class Decimal:
     def __init__(self, sign, order, num=None, den=None, producer=None, witness=None, memo=None):
         if memo is None:
             memo = (bytearray(), {}) if producer is not None else [None, 0, None]
-        _set_sign(self, sign)
-        _set_order(self, order)
-        _set_num(self, num)
-        _set_den(self, den)
-        _set_value(self, None)
-        _set_producer(self, producer)
-        _set_witness(self, witness)
-        _set_memo(self, memo)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Decimal is immutable")
+        self.sign, self.order, self.num, self.den = sign, order, num, den
+        self._value, self._producer, self._witness, self._memo = None, producer, witness, memo
 
     # -- constructors
 
     @classmethod
     def from_term(cls, t):
-        return cls.from_fraction(t.value())
+        f = t.decfrac()
+        num, den = f.mant * pow10(max(f.exp, 0)), pow10(max(-f.exp, 0))
+        g = gcd(num, den)
+        return cls.from_pair(num // g, den // g)
 
     @classmethod
     def from_fraction(cls, q):
@@ -583,18 +574,14 @@ class Decimal:
         if q is None:
             if self.den is None:
                 raise OracleUnavailable("stream backing has no exact value")
-            q = Fraction(self.sign * self.num, self.den)
-            _set_value(self, q)
+            q = self._value = Fraction(self.sign * self.num, self.den)
         return q
 
     @property
     def nine_escape(self):
-        """The witness, searching the memo in place of the producer, so that
-        no position is produced twice."""
+        """The witness; ``SEARCHED`` becomes a search of this stream's digits."""
         w = self._witness
-        if w is not None and getattr(w.escape, "searches", None) is self._producer:
-            return searched_nine_escape(self.digit)
-        return w
+        return NineEscapeWitness(partial(nine_free_below, self.digit)) if w is SEARCHED else w
 
     def is_zero(self):
         return self.num == 0
@@ -640,12 +627,6 @@ class Decimal:
         if self.has_exact_value:
             return f"Decimal({format_decimal(self)!r})"
         return f"Decimal(<stream>, sign={self.sign}, order={self.order})"
-
-
-# The slots' own setters for ``Decimal.__init__``, since ``__setattr__`` refuses
-# every write: they skip the name lookup that ``object.__setattr__`` makes.
-(_set_sign, _set_order, _set_num, _set_den, _set_value, _set_producer, _set_witness,
- _set_memo) = (getattr(Decimal, name).__set__ for name in Decimal.__slots__)
 
 
 def truncate(d, m):
@@ -710,8 +691,12 @@ def _sep_from_position(t):
 
 
 def _escape(d, n):
-    """The position m < n that d's nine-escape witness names, checked."""
-    m = d.nine_escape.escape(n)
+    """The position m < n that d's nine-escape witness names, checked; None
+    when d has no witness."""
+    witness = d.nine_escape
+    if witness is None:
+        return None
+    m = witness.escape(n)
     if not m < n or d.digit(m) == 9:
         raise InvariantViolation("nine-escape witness lied", position=m)
     return m
@@ -726,9 +711,7 @@ def _nine_free_position(d, n, budget):
     else the one the escape witness names."""
     budget = None if d.den is not None else budget
     m = first_difference(d, _ZERO, budget, n - 1, nines=True)
-    if m is None and d.nine_escape is not None:
-        return _escape(d, n)
-    return m
+    return _escape(d, n) if m is None else m
 
 
 def compare(d, e, budget=128):
@@ -900,8 +883,7 @@ def sup_finite(elems, domain="extended"):
             return Decimal.from_term(bar_inv(winner))
         return winner
 
-    return Decimal.from_stream(sign, engine.top, engine.digit,
-                               searched_nine_escape(engine.digit))
+    return Decimal.from_stream(sign, engine.top, engine.digit, SEARCHED)
 
 
 def inf_finite(elems, domain="extended"):
@@ -944,11 +926,10 @@ def validate_prefix(d, depth):
         run = run + 1 if g == 9 else 0
     bottom = -depth
     if run >= depth and not d.has_exact_value:  # exact expansions have no nine tail
-        if d.nine_escape is None:
+        if _escape(d, bottom) is None:
             raise InvariantViolation(
                 f"run of {run} nines with no escape below 10**{bottom}",
                 position=bottom)
-        _escape(d, bottom)
     if not seen_nonzero and d.sign < 0:
         if not d.num:
             raise InvariantViolation(

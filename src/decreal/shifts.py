@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .decimals import Decimal, NineEscapeWitness, format_decimal, searched_nine_escape, truncate
+from .decimals import SEARCHED, Decimal, NineEscapeWitness, format_decimal, truncate
 from .errors import OracleUnavailable, ZeroShift
 from .rational import ten_smooth
 from .words import encode_xr, xr_head
@@ -230,10 +230,8 @@ def involution_F(d: Decimal, leading=None) -> Decimal:
         return d.digit(n - step)
 
     inner = d.nine_escape
-    if inner is not None:
-        witness = NineEscapeWitness(lambda n: inner.escape(n - step) + step)
-    else:
-        witness = searched_nine_escape(producer)
+    witness = SEARCHED if inner is None else NineEscapeWitness(
+        lambda n: inner.escape(n - step) + step)
     return Decimal.from_stream(d.sign, order, producer, witness)
 
 

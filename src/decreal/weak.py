@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decimals import (SCAN_PAIRS, Decimal, TermDecimal, Verdict, magnitude_scan, pair_order,
-                       r_inv, searched_nine_escape, settling_pair)
+from .decimals import (SCAN_PAIRS, SEARCHED, Decimal, TermDecimal, Verdict, magnitude_scan,
+                       pair_order, r_inv, settling_pair)
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
 from .rational import POW10_CACHED, DecFrac, pair_fold, pow10, ten_smooth
 from .words import bin_lsb_encode, decode_xr, encode_xr, traced
@@ -288,7 +288,7 @@ def _checked_stream(sign: int, hint: Hint, producer, bound: int) -> Decimal:
     bracket, started at the bound, steps down to it."""
     if hint.order > bound:
         raise HintMismatch("zero digit at the hinted (positive) order")
-    f = Decimal(sign, hint.order, producer=producer, witness=searched_nine_escape(producer))
+    f = Decimal(sign, hint.order, producer=producer, witness=SEARCHED)
     above = 0
     for n in range(bound, hint.order, -1):
         above |= producer(n)

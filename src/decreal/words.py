@@ -15,7 +15,7 @@ word (or how deep into a digit stream) a computation had to look.
 from dataclasses import dataclass
 from typing import Optional
 
-from .decimals import TERM_ZERO, Decimal, first_difference, searched_nine_escape
+from .decimals import SEARCHED, TERM_ZERO, Decimal, first_difference
 from .errors import InvariantViolation, MalformedWord, OracleUnavailable
 from .rational import digit_bytes
 
@@ -81,16 +81,23 @@ def traced(w):
 def traced_decimal(d):
     """A view of a decimal, with its exact value if any, recording which
     digit positions are read.  The view memoizes, so the trace counts each
-    distinct position once, and it reads a run through ``d.digits``."""
+    distinct position once.  It reads an exact value through ``d.digit``
+    and ``d.digits``, and a stream through the stream's producer and its
+    ``block``, if any, so the digits read are held once, in the view.  Every
+    producer answers any position in any order, so a position that ``d``
+    produced before it was traced is produced once more, through the view."""
     trace = ReadTrace()
-    producer = trace.logged(d.digit)
+    read, block = d.digit, d.digits
+    if d._producer is not None:
+        read, block = d._producer, getattr(d._producer, "block", None)
+    producer = trace.logged(read)
+    if block is not None:
+        def logged_block(hi, lo):
+            trace.note_run(hi, lo)
+            return block(hi, lo)
 
-    def block(hi, lo):
-        trace.note_run(hi, lo)
-        return d.digits(hi, lo)
-
-    producer.block = block
-    return Decimal(d.sign, d.order, d.num, d.den, producer, searched_nine_escape(producer)), trace
+        producer.block = logged_block
+    return Decimal(d.sign, d.order, d.num, d.den, producer, SEARCHED), trace
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,7 @@ def decode_xr(w, head_limit=64):
     def producer(n):
         return _digit_letter(w, body + (order - n))
 
-    return Decimal.from_stream(sign, order, producer, searched_nine_escape(producer))
+    return Decimal.from_stream(sign, order, producer, SEARCHED)
 
 
 def decode_xr_prefix(w, depth):
@@ -259,7 +266,7 @@ def decode_xs(w, head_limit=10_000):
             return 0
         return _digit_letter(w, body + (m0 - n))
 
-    return Decimal.from_stream(sign, order, producer, searched_nine_escape(producer))
+    return Decimal.from_stream(sign, order, producer, SEARCHED)
 
 
 def convert_xr_xs(w, leading=None, search_limit=10_000):

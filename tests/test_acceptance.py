@@ -25,7 +25,7 @@ from decreal.decimals import (
     compare_extended,
     parse_decimal,
     r_inv,
-    searched_nine_escape,
+    SEARCHED,
     sup_finite,
     truncate,
 )
@@ -444,7 +444,7 @@ def test_criterion_08_conjugation_and_involution_identities():
     for _ in range(20):
         d = rand_nonterminating_point(rng)
         # a traced view keeps an exact value, so trace a stream of its digits
-        stream = Decimal.from_stream(d.sign, d.order, d.digit, searched_nine_escape(d.digit))
+        stream = Decimal.from_stream(d.sign, d.order, d.digit, SEARCHED)
         td, trace = traced_decimal(stream)
         g = involution_F(td, leading=d.leading_index())
         for n in range(g.order, -21, -1):

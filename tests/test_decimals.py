@@ -8,6 +8,7 @@ import pytest
 
 from decreal.decimals import (
     TERM_ZERO,
+    Comparison,
     Decimal,
     FalseDecimal,
     NineEscapeWitness,
@@ -29,7 +30,7 @@ from decreal.decimals import (
     r_inv,
     r_map,
     render_digits,
-    searched_nine_escape,
+    SEARCHED,
     sup_finite,
     truncate,
     validate_prefix,
@@ -164,7 +165,7 @@ def test_stream_backing_memoizes_and_validates():
         calls.append(n)
         return 3
 
-    d = Decimal.from_stream(1, 0, producer, searched_nine_escape(producer))
+    d = Decimal.from_stream(1, 0, producer, SEARCHED)
     assert d.digit(-2) == 3
     assert d.digit(-2) == 3
     assert calls.count(-2) == 1  # memoized
@@ -302,7 +303,7 @@ def counted_stream(q):
         return oracle_digit(q, n)
 
     x = Decimal.from_fraction(q)
-    return Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer)), calls
+    return Decimal.from_stream(x.sign, x.order, producer, SEARCHED), calls
 
 
 def test_scaled_prefix_rejects_negative_depth():
@@ -388,7 +389,7 @@ def test_stream_digits_serve_memoised_runs_and_ask_for_missing_ones():
         return oracle_block(q, hi, lo)
 
     producer.block = block
-    x = Decimal.from_stream(-1, 0, producer, searched_nine_escape(producer))
+    x = Decimal.from_stream(-1, 0, producer, SEARCHED)
     assert [x.digit(n) for n in (0, -3)] == [3, 2]
     assert x.digits(0, -6) == 3142857
     assert blocks == [(-1, -2), (-4, -6)]
@@ -413,7 +414,7 @@ def test_stream_block_outside_its_range_is_an_invariant_violation(bad):
         return 1
 
     producer.block = lambda hi, lo: bad
-    x = Decimal.from_stream(1, 0, producer, searched_nine_escape(producer))
+    x = Decimal.from_stream(1, 0, producer, SEARCHED)
     with pytest.raises(InvariantViolation):
         x.digits(-1, -3)
     assert x.digit(-1) == 1  # nothing bad reached the memo
@@ -431,7 +432,7 @@ def test_long_stream_runs_go_to_the_producer_in_pieces():
         return oracle_block(q, hi, lo)
 
     producer.block = block
-    x = Decimal.from_stream(1, 0, producer, searched_nine_escape(producer))
+    x = Decimal.from_stream(1, 0, producer, SEARCHED)
     depth = 2 * BLOCK + 5
     assert render_digits(x, depth) == "0." + ("142857" * depth)[:depth]
     assert blocks == [(0, 1 - BLOCK), (-BLOCK, 1 - 2 * BLOCK), (-2 * BLOCK, -depth)]
@@ -470,7 +471,7 @@ def asked_stream(q, with_block, fail=()):
 
         producer.block = block
     x = Decimal.from_fraction(q)
-    stream = Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer))
+    stream = Decimal.from_stream(x.sign, x.order, producer, SEARCHED)
     return stream, asked, blocks
 
 
@@ -705,6 +706,22 @@ def test_compare_random_exact_pairs_with_witnesses():
         assert check_separation(lo, hi, c.witness)
 
 
+@pytest.mark.parametrize("text, q", [("0.(3)", Fraction(1, 3)), ("-0.(3)", Fraction(-1, 3))])
+def test_compare_equal_exact_values_is_equal_with_no_witness(text, q):
+    # a literal and a fraction of one value: the exact pairs decide, no scan
+    d, e = parse_decimal(text), Decimal.from_fraction(q)
+    assert compare(d, e) == Comparison(Verdict.EQUAL)
+    assert compare_magnitudes(d, d.neg()) == (Verdict.EQUAL, None)
+
+
+def test_check_separation_rejects_a_witness_that_is_too_strong():
+    # their truncations at 10**-1 agree, so they are not 10**-9 apart from n0 = 1 on
+    d = Decimal.from_fraction(Fraction(1, 3))
+    e = Decimal.from_fraction(Fraction(1, 3) + Fraction(1, 10 ** 6))
+    assert check_separation(d, e, compare(d, e).witness)
+    assert not check_separation(d, e, SeparationWitness(10 ** 9, 1))
+
+
 def test_compare_streams_decides_from_digits():
     a = Decimal.from_stream(1, 0, lambda n: 3, None)
     b = Decimal.from_stream(1, 0, lambda n: 3 if n > -4 else 5, None)
@@ -829,7 +846,7 @@ def test_searched_witness_reads_the_memo_so_compare_produces_each_position_once(
             calls.append(n)
             return top if n == -1 else 9 if -300 < n < -1 else 0
 
-        return Decimal.from_stream(1, 0, producer, searched_nine_escape(producer)), calls
+        return Decimal.from_stream(1, 0, producer, SEARCHED), calls
 
     (a, a_calls), (b, b_calls) = counted(1), counted(2)
     c = compare(a, b, budget=128)

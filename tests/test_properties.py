@@ -26,7 +26,7 @@ from decreal.decimals import (  # noqa: E402
     parse_decimal,
     r_inv,
     render_digits,
-    searched_nine_escape,
+    SEARCHED,
     truncate,
 )
 from decreal.errors import ParseError  # noqa: E402
@@ -83,7 +83,7 @@ def counted_stream(q):
         return oracle_digit(q, n)
 
     x = Decimal.from_fraction(q)
-    return Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer)), calls
+    return Decimal.from_stream(x.sign, x.order, producer, SEARCHED), calls
 
 
 def oracle_block(q, hi, lo):
@@ -231,7 +231,7 @@ def test_stream_memo_serves_any_read_order_asking_each_position_once(q, with_blo
 
         producer.block = block
     x = Decimal.from_fraction(q)
-    x = Decimal.from_stream(x.sign, x.order, producer, searched_nine_escape(producer))
+    x = Decimal.from_stream(x.sign, x.order, producer, SEARCHED)
     read = set()
     for flip, at in reads:
         face = x.neg() if flip else x

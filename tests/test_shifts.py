@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from decreal.decimals import Decimal, Verdict, compare, parse_decimal, searched_nine_escape
+from decreal.decimals import Decimal, Verdict, compare, parse_decimal, SEARCHED
 from decreal.errors import OracleUnavailable, ZeroShift
 from decreal.shifts import (
     GraphType,
@@ -174,7 +174,7 @@ def test_involution_fixes_only_zero():
 def test_involution_on_streams_reads_one_position_away():
     base = Decimal.from_fraction(Fraction(5, 7))
     # a traced view keeps an exact value, so trace a stream of its digits
-    stream = Decimal.from_stream(1, 0, base.digit, searched_nine_escape(base.digit))
+    stream = Decimal.from_stream(1, 0, base.digit, SEARCHED)
     traced, trace = traced_decimal(stream)
     out = involution_F(traced, leading=base.leading_index())
     for n in (-1, -2, -5):

@@ -16,7 +16,7 @@ from decreal.decimals import (
     parse_decimal,
     r_inv,
     render_digits,
-    searched_nine_escape,
+    SEARCHED,
 )
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
 from decreal.expr import (eval_expression, expression_hint, parse_expression, product_misses,
@@ -204,7 +204,7 @@ def test_a_terminating_payload_is_checked_against_exact_operands():
         Fraction(-1, 2)
     # a stream operand has no exact value to check against: the payload is
     # taken as it stands
-    stream = Decimal.from_stream(1, 0, third.digit, searched_nine_escape(third.digit))
+    stream = Decimal.from_stream(1, 0, third.digit, SEARCHED)
     assert weak_add(stream, six, wrong).value() == Fraction(7, 10)
 
 
@@ -322,18 +322,23 @@ def fractions_calls(fn):
     return out, names
 
 
-def test_a_request_builds_one_fraction_for_its_value():
+@pytest.mark.parametrize("text, want", [
+    ("158/137-6.1(979515)-428/137",
+     Fraction(158 - 428, 137) - Fraction(61, 10) - Fraction(979515, 10 * 999999)),
+    ("0.5+0.2", Fraction(7, 10)),  # terminating results: the payload is a pair too
+    ("0.(3)*3", Fraction(1)),
+], ids=["repeating", "terminating-sum", "terminating-product"])
+def test_a_request_builds_one_fraction_for_its_value(text, want):
     # parsing, evaluating and a far digit read go through the exact pairs;
     # the one ``Fraction`` is the value ``eval_expression`` returns, so the
     # request runs what building that ``Fraction`` runs and nothing more.
     # ``Fraction``'s internals differ between Python versions, so the
     # baseline is measured here
     def request():
-        d, v, _ = eval_expression(parse_expression("158/137-6.1(979515)-428/137"))
+        d, v, _ = eval_expression(parse_expression(text))
         return d.digit(-1500), v
 
     (digit, v), names = fractions_calls(request)
-    want = Fraction(158 - 428, 137) - Fraction(61, 10) - Fraction(979515, 10 * 999999)
     assert v == want and digit == oracle_digit(want, -1500)
     num, den = want.numerator, want.denominator
     _, baseline = fractions_calls(lambda: Fraction(num, den))
@@ -692,7 +697,7 @@ def test_product_reads_operand_positions_in_a_pinned_order(monkeypatch, scenario
             return d.digits(hi, lo)
 
         producer.block = block
-        s = Decimal.from_stream(d.sign, d.order, producer, searched_nine_escape(producer))
+        s = Decimal.from_stream(d.sign, d.order, producer, SEARCHED)
         names[id(s)] = name
         return s
 
@@ -789,7 +794,7 @@ def logged(trace):
             return d.digits(hi, lo)
 
         producer.block = block
-        return Decimal.from_stream(d.sign, d.order, producer, searched_nine_escape(producer))
+        return Decimal.from_stream(d.sign, d.order, producer, SEARCHED)
 
     return leaf
 
@@ -913,7 +918,7 @@ def paper_operands(qa, qb, kinds=("exact", "exact")):
     def operand(kind, q):
         x = Decimal.from_fraction(q)
         if kind == "stream":
-            return Decimal.from_stream(x.sign, x.order, x.digit, searched_nine_escape(x.digit))
+            return Decimal.from_stream(x.sign, x.order, x.digit, SEARCHED)
         if kind == "nested":
             a, b = Decimal.from_fraction(q * Fraction(3, 7)), Decimal.from_fraction(Fraction(7, 3))
             return weak_mul(a, b, compute_hint("mul", a, b))
@@ -963,7 +968,7 @@ def exact_pair(rng):
 
 def stream_of(x):
     """A producer-backed view of ``x``, with no exact value."""
-    return Decimal.from_stream(x.sign, x.order, x.digit, searched_nine_escape(x.digit))
+    return Decimal.from_stream(x.sign, x.order, x.digit, SEARCHED)
 
 
 def test_cold_bracket_over_exact_operands_is_the_divmod_split():

@@ -7,6 +7,7 @@ import pytest
 
 from decreal.decimals import Decimal, parse_decimal
 from decreal.errors import InvariantViolation, MalformedWord, OracleUnavailable
+from decreal.weak import compute_hint, weak_add
 from decreal.words import (
     XI,
     InfWord,
@@ -201,6 +202,20 @@ def test_traced_decimal_counts_distinct_positions():
     d.digit(-3)
     d.digit(-1)
     assert (trace.max_index, trace.min_index, trace.total) == (-1, -3, 2)
+
+
+def test_traced_stream_holds_its_digits_once():
+    # the view asks the stream's producer, so what it reads is held in the
+    # view alone: the stream's memo stays as it was when the view was built
+    x, y = parse_decimal("0.(3)"), parse_decimal("0.(142857)")
+    s = weak_add(x, y, compute_hint("add", x, y))
+    s.digit(-5)
+    before = (bytes(s._memo[0]), dict(s._memo[1]))
+    view, trace = traced_decimal(s)
+    got = view.digits(0, -9999)
+    assert (bytes(s._memo[0]), dict(s._memo[1])) == before
+    assert trace.total == len(view._memo[0]) == 10_000
+    assert got == s.digits(0, -9999)
 
 
 def test_render_tape_binary_sixteen():
