@@ -11,8 +11,8 @@ from .decimals import Decimal, pair_order
 from .errors import ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
 from .rational import LITERAL, digit_bytes, ilog10, literal_pair, pair_fold, pow10
-from .weak import (ProductBracket, hint_decode, pair_hint, refuse_terminating, weak_add,
-                   weak_mul)
+from .weak import (ProductBracket, add_stream, hint_decode, mul_stream, pair_hint,
+                   refuse_terminating, weak_add, weak_mul)
 from .words import traced_decimal
 
 # ---------------------------------------------------------------------------
@@ -59,10 +59,6 @@ class _Parser:
             i = self.i = _SPACE.match(self.text, i).end()
         return i
 
-    def peek(self):
-        i = self.skip_ws()
-        return self.text[i:i + 1]
-
     def eat(self, s):
         if not self.text.startswith(s, self.skip_ws()):
             self.error(f"expected {s!r}")
@@ -78,24 +74,33 @@ class _Parser:
 
     def expr(self):
         node, depth = self.term()
-        while (op := self.peek()) in ("+", "-"):
+        while True:  # the next character, tested in place: term skipped the spaces
+            op = self.text[self.i:self.i + 1]
+            if op != "+" and op != "-":
+                return node, depth
             self.i += 1
             rhs, rdepth = self.term()
             if op == "-":
                 rhs, rdepth = ("neg", rhs), rdepth + 1
             node, depth = ("add", node, rhs), self.bounded(max(depth, rdepth) + 1)
-        return node, depth
 
     def term(self):
         node, depth = self.factor()
-        while self.peek() == "*":
-            self.i += 1
+        text = self.text
+        while True:  # the next character, tested in place
+            i = self.i
+            if text[i:i + 1].isspace():
+                i = self.i = _SPACE.match(text, i).end()
+            if not text.startswith("*", i):
+                return node, depth
+            self.i = i + 1
             rhs, rdepth = self.factor()
             node, depth = ("mul", node, rhs), self.bounded(max(depth, rdepth) + 1)
-        return node, depth
 
     def factor(self):
-        text, i = self.text, self.skip_ws()
+        text, i = self.text, self.i
+        if text[i:i + 1].isspace():
+            i = self.i = _SPACE.match(text, i).end()
         m = LITERAL.match(text, i)
         if m and m[1] != "+":
             self.i = m.end()
@@ -201,7 +206,10 @@ def _evaluate(node, root_hint=None, trace=False):
     if trace:  # traced views keep the exact values, so they change no decision
         (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
         traces = (tl, tr)
-    f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint)
+    if hint.terminating is not None:
+        f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint)
+    else:  # pair_hint or refuse_terminating has shown that the result does not terminate
+        f = add_stream(dl, dr, hint) if kind == "add" else mul_stream(dl, dr, hint)
     return f, num, den, traces
 
 

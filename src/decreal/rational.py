@@ -19,18 +19,23 @@ from .errors import InvalidLiteral
 # Digits are ASCII: ``\d`` alone matches every Unicode decimal digit.
 LITERAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|(?:\.(\d*))?(?:\((\d+)\))?)", re.ASCII)
 
-_POW10 = {}
 POW10_CACHED = 4096  # the largest exponent that ``pow10`` caches
 
 
-def pow10(n):
-    """10**n for n >= 0, cached for small exponents."""
-    if n > POW10_CACHED:
-        return 10 ** n
-    p = _POW10.get(n)
-    if p is None:
-        p = _POW10[n] = 10 ** n
-    return p
+class _Pow10(dict):
+    """Powers of ten by exponent: a miss computes ``10**n``, and keeps it
+    only for ``n <= POW10_CACHED``."""
+
+    __slots__ = ()
+
+    def __missing__(self, n):
+        p = 10 ** n
+        if n <= POW10_CACHED:
+            self[n] = p
+        return p
+
+
+pow10 = _Pow10().__getitem__  # 10**n for n >= 0; a cached power is one C-level lookup
 
 
 def ilog10(n):

@@ -32,7 +32,6 @@ Hints also travel as single positive integers, ``(2k + 1) * 2**r``: order
 in the odd part, terminating payload (if any) in the 2-adic part.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -46,23 +45,33 @@ from .words import bin_lsb_encode, decode_xr, encode_xr, traced
 # hints
 
 
-@dataclass(frozen=True)
 class Hint:
     """What a digit-by-digit computation cannot find out on its own.
 
     ``order`` bounds the result: every digit above it is zero.  A non-None
     ``terminating`` carries the entire answer for the terminating case; its
-    order must agree with the hint order.
+    order must agree with the hint order.  Hints compare and hash by value.
     """
 
-    order: int
-    terminating: Optional[TermDecimal] = None
+    __slots__ = ("order", "terminating")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int, terminating: Optional[TermDecimal] = None):
+        if order < 0:
             raise MalformedHint("hint order must be >= 0")
-        if self.terminating is not None and self.terminating.order != self.order:
+        if terminating is not None and terminating.order != order:
             raise MalformedHint("payload order disagrees with the hint order")
+        self.order, self.terminating = order, terminating
+
+    def __eq__(self, other):
+        if not isinstance(other, Hint):
+            return NotImplemented
+        return self.order == other.order and self.terminating == other.terminating
+
+    def __hash__(self):
+        return hash((self.order, self.terminating))
+
+    def __repr__(self):
+        return f"Hint(order={self.order!r}, terminating={self.terminating!r})"
 
 
 _TERMINATOR = 10
@@ -238,24 +247,30 @@ def _sum_digits(d: Decimal, e: Decimal, borrow: bool, low=0, top=0):
 
 
 def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
-    """The sum of two decimals under a hint.
-
-    A terminating hint is the answer (see ``_payload``).  A hint with no
-    payload over two exact values whose sum terminates raises
-    ``HintMismatch`` before any digit is read.  Otherwise the sign and the
-    reduced configuration are found by comparing magnitudes: the operand of
-    the larger one goes first, and unequal signs borrow.  Only exact values
-    compare equal, and their zero sum is refused above; a comparison still
-    undecided after ``sign_budget`` digits raises ``OracleUnavailable``.
-    Every digit comes from the rule of ``add_digit_rule``, resuming the
-    last carry or borrow scan (at first, the comparison's) where it still
-    settles the position.  The hinted order is checked against the
-    operands' order bound; digits are computed.
-    """
+    """The sum of two decimals under a hint, in three steps: a terminating
+    hint is the answer (see ``_payload``); a hint with no payload over two
+    exact values whose sum terminates raises ``HintMismatch`` before any
+    digit is read; any other sum is the stream of ``add_stream``."""
     if hint.terminating is not None:
         return _payload("add", d, e, hint)
     if d.den is not None and e.den is not None:
         refuse_terminating(exact_result("add", d, e)[1])
+    return add_stream(d, e, hint, sign_budget)
+
+
+def add_stream(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
+    """The stream of ``weak_add`` under a hint with no payload, for a sum
+    already known not to terminate.
+
+    The sign and the reduced configuration are found by comparing
+    magnitudes: the operand of the larger one goes first, and unequal signs
+    borrow.  Only exact values compare equal, and their zero sum terminates;
+    a comparison still undecided after ``sign_budget`` digits raises
+    ``OracleUnavailable``.  Every digit comes from the rule of
+    ``add_digit_rule``, resuming the last carry or borrow scan (at first,
+    the comparison's) where it still settles the position.  The hinted
+    order is checked against the operands' order bound; digits are computed.
+    """
     low = bound = max(d.order, e.order) + 1
     if d.sign != e.sign:
         verdict, low, _ = magnitude_scan(d, e, budget=sign_budget)
@@ -464,19 +479,21 @@ def _product_digits(a: Decimal, b: Decimal):
 
 
 def weak_mul(d: Decimal, e: Decimal, hint: Hint) -> Decimal:
-    """The product of two decimals under a hint.
-
-    A terminating hint is the answer (see ``_payload``), as it is for every
-    zero operand, so in the streaming case the sign is just the product of
-    the operand signs; a hint with no payload over two exact values whose
-    product terminates raises ``HintMismatch`` before any digit is read.
-    Every digit is certified, and the hinted order is checked on the stream
-    itself.  A square (``e is d``) reads each operand digit once.
-    """
+    """The product of two decimals under a hint, in the three steps of
+    ``weak_add``; a terminating hint is the answer for every zero operand."""
     if hint.terminating is not None:
         return _payload("mul", d, e, hint)
     if d.den is not None and e.den is not None:
         refuse_terminating(exact_result("mul", d, e)[1])
+    return mul_stream(d, e, hint)
+
+
+def mul_stream(d: Decimal, e: Decimal, hint: Hint) -> Decimal:
+    """The stream of ``weak_mul`` under a hint with no payload, for a
+    product already known not to terminate, so with no zero operand: its
+    sign is the product of the operand signs, every digit is certified, and
+    the hinted order is checked on the stream itself.  A square (``e is d``)
+    reads each operand digit once."""
     return _checked_stream(d.sign * e.sign, hint, _product_digits(d, e), d.order + e.order + 1)
 
 

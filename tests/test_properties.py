@@ -8,7 +8,7 @@ is skipped and every other suite still runs.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 
 import pytest
 
@@ -20,6 +20,8 @@ from hypothesis import strategies as st  # noqa: E402
 from decreal.decimals import (  # noqa: E402
     Decimal,
     Verdict,
+    check_separation,
+    compare,
     compare_magnitudes,
     digit_of_fraction,
     first_difference,
@@ -45,6 +47,7 @@ from decreal.weak import (  # noqa: E402
     add_digit_rule,
     ProductBracket,
     compute_hint,
+    hint_of,
     mul_certified_digit,
     mul_stabilized_digit,
     weak_add,
@@ -403,6 +406,95 @@ def test_add_digit_rule_borrows_from_a_negative_second_operand(qa, qb, n, kinds)
     assume(not ten_smooth((big - small).denominator))
     d, e = operand(kinds[0], big, None), operand(kinds[1], -small, None)
     assert add_digit_rule(d, e, n) == oracle_digit(big - small, n)
+
+
+# ---------------------------------------------------------------------------
+# order: a streamed compare against the Fraction order
+
+def weak_stream(kind, q, part):
+    """A ``weak_add`` or ``weak_mul`` stream of the non-terminating q, over
+    the exact leaves ``part`` and ``q - part`` (or ``part`` and ``q / part``)."""
+    x = Decimal.from_fraction(part)
+    if kind == "sum":
+        return weak_add(x, Decimal.from_fraction(q - part), hint_of(q))
+    return weak_mul(x, Decimal.from_fraction(q / part), hint_of(q))
+
+
+def oracle_order(q):
+    whole = abs(q.numerator) // q.denominator
+    return len(str(whole)) - 1 if whole else 0
+
+
+def oracle_leading(q):
+    """The position of the top nonzero digit of |q|, None for zero."""
+    if q == 0:
+        return None
+    return next(n for n in count(oracle_order(q), -1) if oracle_digit(q, n))
+
+
+def undecided_within(qd, qe, budget):
+    """Whether ``compare`` may leave qd against qe UNDECIDED after ``budget``
+    positions: the first differing digit lies past them (for opposite signs,
+    the leading digit of each side, below its own order), or a digit gap of
+    one needs a nine-free position, on the smaller side, that does."""
+    if (qd < 0) != (qe < 0):
+        return all(oracle_leading(q) is None or oracle_leading(q) <= oracle_order(q) - budget
+                   for q in (qd, qe))
+    top = max(oracle_order(qd), oracle_order(qe))
+    for n in range(top, top - budget, -1):
+        a, b = oracle_digit(qd, n), oracle_digit(qe, n)
+        if a != b:
+            break
+    else:
+        return True
+    if abs(a - b) >= 2:
+        return False
+    smaller = qd if a < b else qe
+    m = next(m for m in count(n - 1, -1) if oracle_digit(smaller, m) != 9)
+    return m <= n - 1 - budget
+
+
+nonzero_parts = st.builds(Fraction, st.integers(1, 10 ** 4), st.integers(1, 10 ** 3)).flatmap(
+    lambda q: st.sampled_from([q, -q]))
+# offsets from the first side: none, any, or small enough to tie for a while
+tiny_offsets = st.builds(lambda num, den, k: Fraction(num, den * 10 ** k),
+                         st.integers(-9, 9), st.integers(1, 30), st.integers(1, 60))
+nearby = st.one_of(st.just(Fraction(0)), fractions_, fractions_, tiny_offsets, tiny_offsets)
+
+
+@st.composite
+def compare_sides(draw):
+    """``((d, qd), (e, qe))``: a stream of the non-terminating qd, and a
+    stream or the exact value of qe near qd or -qd, in either order."""
+    qd = draw(nonterminating) * draw(st.sampled_from([1, -1]))
+    qe = draw(st.sampled_from([1, -1])) * qd + draw(nearby)
+    kd = draw(st.sampled_from(["sum", "product"]))
+    ke = draw(st.sampled_from(["sum", "product", "exact"]))
+    if ten_smooth(qe.denominator):
+        ke = "exact"
+    d = weak_stream(kd, qd, draw(nonzero_parts))
+    e = Decimal.from_fraction(qe) if ke == "exact" else weak_stream(ke, qe, draw(nonzero_parts))
+    sides = ((d, qd), (e, qe))
+    return sides[::-1] if draw(st.booleans()) else sides
+
+
+@PROPERTY
+@given(sides=compare_sides(), budget=st.integers(1, 80))
+@example(sides=((weak_stream("sum", Fraction(1, 3), Fraction(1, 7)), Fraction(1, 3)),
+                (Decimal.from_fraction(Fraction(1, 3)), Fraction(1, 3))), budget=40)
+@example(sides=((weak_stream("product", Fraction(-2, 7), Fraction(3)), Fraction(-2, 7)),
+                (Decimal.from_fraction(Fraction(0)), Fraction(0))), budget=1)
+def test_streamed_compare_agrees_with_fraction_order(sides, budget):
+    # never the opposite verdict, UNDECIDED only past the budget, and every
+    # witness passes the exact spot-check
+    (d, qd), (e, qe) = sides
+    c = compare(d, e, budget)
+    if c.verdict is Verdict.UNDECIDED:
+        assert c.witness is None and undecided_within(qd, qe, budget)
+        return
+    assert c.verdict is (Verdict.LESS if qd < qe else Verdict.GREATER)
+    smaller, larger = (d, e) if qd < qe else (e, d)
+    assert c.witness is not None and check_separation(smaller, larger, c.witness)
 
 
 # ---------------------------------------------------------------------------

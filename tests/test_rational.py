@@ -7,6 +7,7 @@ import pytest
 
 from decreal.errors import InvalidLiteral
 from decreal.rational import (
+    POW10_CACHED,
     DecFrac,
     approx_recip,
     format_decfrac,
@@ -24,6 +25,10 @@ def test_pow10_small_and_large():
     assert pow10(0) == 1
     assert pow10(3) == 1000
     assert pow10(5000) == 10 ** 5000
+    for n in (0, POW10_CACHED, POW10_CACHED + 1, 3 * POW10_CACHED):
+        assert pow10(n) == 10 ** n
+    # the cache keeps its bound: a huge power is computed again, not kept
+    assert max(pow10.__self__) <= POW10_CACHED
 
 
 def test_ten_valuation_matches_direct_division():

@@ -62,6 +62,20 @@ def test_hint_validation():
     assert Hint(0, TERM_ZERO).terminating is TERM_ZERO
 
 
+def test_hint_is_a_value():
+    # equal hints hash alike, whichever way they were built; the two checks
+    # keep their messages
+    assert Hint(3) == Hint(3, None) and hash(Hint(3)) == hash(Hint(3, None))
+    assert Hint(3) != Hint(4) and Hint(0) != Hint(0, TERM_ZERO)
+    assert len({Hint(0, TERM_ZERO), Hint(0, TermDecimal(1, 0, (0,))), Hint(0)}) == 2
+    for h in (Hint(5), Hint(2, TermDecimal(-1, 2, (4, 0, 7, 5)))):
+        assert hint_decode(hint_encode(h)) == h and hash(hint_decode(hint_encode(h))) == hash(h)
+    with pytest.raises(MalformedHint, match="^hint order must be >= 0$"):
+        Hint(-1)
+    with pytest.raises(MalformedHint, match="^payload order disagrees with the hint order$"):
+        Hint(2, TERM_ZERO)
+
+
 def test_hint_encode_frozen_small_values():
     # no payload: the hint is just the odd number 2k+1
     assert hint_encode(Hint(0)) == 1
@@ -343,6 +357,33 @@ def test_a_request_builds_one_fraction_for_its_value(text, want):
     num, den = want.numerator, want.denominator
     _, baseline = fractions_calls(lambda: Fraction(num, den))
     assert baseline and names == baseline
+
+
+@pytest.mark.parametrize("text, nodes", [
+    ("1/7+2/13", 1),
+    ("1/7*22/9973", 1),
+    ("(1/7+2/13)*0.(3)-4/9", 3),
+])
+def test_evaluation_folds_each_node_once(monkeypatch, text, nodes):
+    # the pair fold of a '+' or '*' node, and its ten-smooth test, serve
+    # both its hint and its stream: the weak operation does not fold again
+    calls = {"pair_fold": 0, "ten_smooth": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    node = parse_expression(text)
+    for name in calls:
+        fn = getattr(sys.modules["decreal.rational"], name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("decreal")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    d, v, _ = eval_expression(node)
+    assert calls == {"pair_fold": nodes, "ten_smooth": nodes}
+    assert v == value_of(node) and d.digit(-40) == oracle_digit(v, -40)
 
 
 def test_weak_add_sign_comparison_out_of_budget_is_oracle_unavailable():
