@@ -206,10 +206,12 @@ def _evaluate(node, root_hint=None, trace=False):
     if trace:  # traced views keep the exact values, so they change no decision
         (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
         traces = (tl, tr)
-    if hint.terminating is not None:
-        f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint)
-    else:  # pair_hint or refuse_terminating has shown that the result does not terminate
+    if hint.terminating is None:  # pair_hint or refuse_terminating has shown it does not terminate
         f = add_stream(dl, dr, hint) if kind == "add" else mul_stream(dl, dr, hint)
+    elif root_hint:  # a given payload is checked against the exact result
+        f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint)
+    else:  # pair_hint built the payload from the exact result itself
+        f = Decimal.from_term(hint.terminating)
     return f, num, den, traces
 
 

@@ -41,12 +41,14 @@ from .words import bin_lsb_decode, xr_head
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
-# The longest run a stream produces at once.  A leaf's runs double up to it
-# while ``p**k`` has at most RUN_BITS / 2 bits: a product over leaves at a
-# large prime works out few columns past the last one asked.  Primes up to
-# 32 read base-p digits m at a time off a table of ``p**m <= DIGIT_TABLE``.
-PEEL_RUN = 64
-RUN_BITS = 256
+# The longest run a stream produces at once; past a few hundred digits,
+# spelling a run by ``divmod`` grows quadratic in its length.  A leaf's runs
+# double up to it while ``p**k`` stays within RUN_BITS bits (32 digits at
+# p = 2**61 - 1): a product over leaves at a large prime works out few
+# columns past the last one asked.  Primes up to 32 read base-p digits m at
+# a time off a table of ``p**m <= DIGIT_TABLE``.
+PEEL_RUN = 256
+RUN_BITS = 2048
 DIGIT_TABLE = 1024
 
 
@@ -342,10 +344,12 @@ def padic_mul(a: PAdic, b: PAdic) -> PAdic:
     each base, below j), ``P = p**j`` and ``acc = X*Y // P``.  Since ``XY
     mod P < P``,
 
-        (X + P*xr)(Y + P*yr) // P = acc + xr*Y + yr*X + P*xr*yr,
+        (X + P*xr)(Y + P*yr) // P = acc + xr*Y + yr*(X + P*xr),
 
     whose ``divmod`` by ``p**k`` is the new ``acc`` and the k output digits
-    as one integer: the big integers move once for all k columns.  Columns
+    as one integer: ``X`` moves first, so the cross term ``P*xr*yr`` costs
+    no multiply of its own, and the big integers move once for all k
+    columns.  Columns
     that come fewer than r at a time (``_column_run``, ``R = p**r``) gather
     into ``xr`` and ``yr`` until r are in; until then the digits come from
     ``acc``, ``X``, ``Y`` and ``P`` reduced mod R (``P`` is 0 mod R after
@@ -379,8 +383,8 @@ def padic_mul(a: PAdic, b: PAdic) -> PAdic:
             pt = top
             return out, k
         # move the big integers once; the remainder holds the columns' digits
-        acc, low = divmod(acc + xr * y + yr * x + power * (xr * yr), top)
-        x += power * xr
+        x += power * xr  # first, so that yr * x holds P*xr*yr
+        acc, low = divmod(acc + xr * y + yr * x, top)
         y += power * yr
         power *= top
         if power_low:  # the end of the first run

@@ -407,12 +407,15 @@ def test_leaf_peels_its_first_digit_alone_then_doubling_runs():
     a = padic_from_rational(7, Fraction(-5, 3))
     assert a.digit(0) == oracle_digits(7, Fraction(-5, 3), 1)[0]
     assert held(a) == 1
+    # at p = 7 the runs double all the way to PEEL_RUN within RUN_BITS
+    assert (7 ** (PEEL_RUN // 2)).bit_length() <= RUN_BITS // 2
+    ladder = [2 ** i for i in range(PEEL_RUN.bit_length())]
     sizes = [1]
-    for n in range(1, 300):
+    for n in range(1, sum(ladder) + 3 * PEEL_RUN):
         a.digit(n)
         if held(a) != sum(sizes):
             sizes.append(held(a) - sum(sizes))
-    assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 64, 64]
+    assert sizes == ladder + [PEEL_RUN] * 3
     assert max(sizes) == PEEL_RUN
     # each run is held as the integer its digits spell
     expect = oracle_digits(7, Fraction(-5, 3), sum(sizes))
@@ -590,10 +593,12 @@ def test_a_malformed_run_raises_before_it_is_held_and_the_node_reads_on(bad, op)
     for _ in range(2):  # the first two runs
         a.known(held(a), 1)
     runs, ends = list(a._runs), list(a._ends)
+    at = held(a)  # the first position of the third run, in a's and the node's columns
     with pytest.raises(MalformedWord):
-        node.digit(node.base + 200)
+        node.digit(at)
     assert (a._runs, a._ends) == (runs, ends)  # nothing of the bad run is held
-    assert node.digits_from(200) == oracle_digits(p, value, 200)
+    count = at - node.base + 200
+    assert node.digits_from(count) == oracle_digits(p, value, count)
     assert calls[2] == calls[3] == a.base + ends[-1]  # the bad run's position, asked again
     del calls[2]
     assert asked_once_ascending(a, calls)
@@ -615,24 +620,49 @@ def test_carries_run_across_run_edges(p):
 @pytest.mark.parametrize("p", [2, 2 ** 61 - 1])
 def test_bulk_leaf_peel_matches_the_oracle(p):
     rng = random.Random(p % 1000)
+    count = 4 * PEEL_RUN  # past the doubling, into runs of the longest length
     for q in [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-5, 7)] + [
             Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 6) * 2 + 1)
             for _ in range(10)]:
         a = padic_from_rational(p, q)
         assert a.digit(0) == oracle_digits(p, q, 1)[0]
-        assert a.digits_from(400) == oracle_digits(p, q, 400)
+        assert a.digits_from(count) == oracle_digits(p, q, count)
     a = padic_from_rational(p, Fraction(-5, 7))
     sizes = []
-    for n in range(300):
+    for n in range(count):
         if held(a) == n:
             a.digit(n)
             sizes.append(held(a) - n)
     # the runs double up to PEEL_RUN, and stop doubling past RUN_BITS / 2 bits
-    top = max(k for k in (1, 2, 4, 8, 16, 32, 64)
+    top = max(k for k in (2 ** i for i in range(PEEL_RUN.bit_length()))
               if k == 1 or (p ** (k // 2)).bit_length() <= RUN_BITS // 2)
     assert sizes[:top.bit_length()] == [2 ** i for i in range(top.bit_length())]
     assert set(sizes[top.bit_length():]) == {top}
-    assert top == (PEEL_RUN if p == 2 else 4)
+    # p = 2**61 - 1 has 61 bits: p**(k // 2) fits RUN_BITS / 2 bits for k // 2 <= RUN_BITS // 122
+    assert top == (PEEL_RUN if p == 2 else 1 << (RUN_BITS // 122).bit_length())
+
+
+def run_lengths(x):
+    """The lengths of the runs ``x`` holds."""
+    return [j - i for i, j in zip(x._ends, x._ends[1:])]
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 2 ** 61 - 1])
+def test_no_held_run_exceeds_peel_run_digits_or_run_bits_bits(p):
+    # a node read from the top holds no run longer than its operands hand
+    # on, so no run longer than a leaf peels
+    x, y, z = Fraction(-517, 437), Fraction(311, 97), Fraction(5, 13)
+    a, b, c = (padic_from_rational(p, q) for q in (x, y, z))
+    prod = padic_mul(a, b)
+    neg = padic_neg(prod)
+    top = padic_add(neg, c)
+    assert top.digits_from(3000) == oracle_digits(p, z - x * y, 3000)
+    for node in (a, b, c, prod, neg, top):
+        sizes = run_lengths(node)
+        assert sum(sizes) >= 3000
+        assert all(k <= PEEL_RUN and (p ** k - 1).bit_length() <= RUN_BITS for k in sizes)
+    if p == 11:
+        assert max(run_lengths(prod)) == PEEL_RUN
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 37, 65537, 2 ** 61 - 1])

@@ -29,9 +29,11 @@ from decreal.decimals import (  # noqa: E402
     r_inv,
     render_digits,
     SEARCHED,
+    TermDecimal,
     truncate,
 )
-from decreal.errors import ParseError  # noqa: E402
+from decreal.cli import MAX_HINT_LETTERS  # noqa: E402
+from decreal.errors import HintMismatch, ParseError  # noqa: E402
 from decreal.expr import eval_expression, parse_expression, product_misses, value_of  # noqa: E402
 from decreal.padic import (  # noqa: E402
     PAdic,
@@ -42,11 +44,14 @@ from decreal.padic import (  # noqa: E402
     traced_padic,
 )
 from decreal.rational import BLOCK, DecFrac, parse_rat, ten_smooth  # noqa: E402
+from decreal.words import bin_lsb_encode  # noqa: E402
 from test_weak import fixed_depth_digits  # noqa: E402
 from decreal.weak import (  # noqa: E402
+    Hint,
     add_digit_rule,
     ProductBracket,
     compute_hint,
+    hint_encode,
     hint_of,
     mul_certified_digit,
     mul_stabilized_digit,
@@ -766,6 +771,57 @@ def test_the_evaluated_value_is_the_folded_value(text):
             eval_expression(node)
         return
     assert eval_expression(node)[1] == v
+
+
+# ---------------------------------------------------------------------------
+# wrong hints over exact operands
+
+
+@st.composite
+def wrong_hints(draw, q):
+    """A hint for the exact result q that is not ``hint_of(q)``: its order
+    one too high or one too low, no payload for a result that terminates, a
+    wrong payload (a short one, or the right one off by one in its lowest
+    digit), or a payload for a result that does not terminate."""
+    order, terminates = oracle_order(q), ten_smooth(q.denominator)
+    kind = draw(st.sampled_from(["high", "payload"] + ["low"] * (order > 0)
+                                + ["bare", "near"] * terminates))
+    if kind in ("high", "low", "bare"):
+        return Hint(order + {"high": 1, "low": -1, "bare": 0}[kind])
+    if kind == "near":
+        unit = Fraction(10) ** hint_of(q).terminating.low
+        t = r_inv(DecFrac.from_fraction(q + draw(st.sampled_from([1, -1])) * unit))
+    else:
+        digits = draw(st.lists(st.integers(0, 9), min_size=1, max_size=2))
+        t = TermDecimal.from_digits(draw(st.sampled_from([1, -1])), order, digits)
+    assume(Hint(t.order, t) != hint_of(q))
+    return Hint(t.order, t)
+
+
+def encodes_small(h):
+    """Whether ``hint_encode(h)`` is an integer the CLI would build: a
+    payload of s letters puts a number near 11**s in its exponent."""
+    t = h.terminating
+    return t is None or 2 + len(bin_lsb_encode(t.order)) + len(t.digits) <= MAX_HINT_LETTERS
+
+
+@PROPERTY
+@given(a=literals(short_digits), b=literals(short_digits), op=st.sampled_from(["+", "*"]),
+       data=st.data())
+def test_a_wrong_hint_raises_before_any_digit(a, b, op, data):
+    # stream operands are left out: their carry and borrow scans, product
+    # brackets and nine-escape searches have no budget yet (ROADMAP item 2),
+    # so a wrong hint over one may never return.  Exact magnitudes compare
+    # with no budget, so the sum's OracleUnavailable, raised only past its
+    # sign budget, cannot come either
+    (ta, qa), (tb, qb) = a, b
+    h = data.draw(wrong_hints(qa + qb if op == "+" else qa * qb))
+    x, y = Decimal.from_fraction(qa), Decimal.from_fraction(qb)
+    with pytest.raises(HintMismatch):
+        (weak_add if op == "+" else weak_mul)(x, y, h)
+    if encodes_small(h):
+        with pytest.raises(HintMismatch):
+            eval_expression(parse_expression(f"({ta}){op}({tb})"), root_hint=hint_encode(h))
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,8 @@ def test_a_request_builds_one_fraction_for_its_value(text, want):
     ("1/7+2/13", 1),
     ("1/7*22/9973", 1),
     ("(1/7+2/13)*0.(3)-4/9", 3),
+    ("0.5+0.2", 1),  # a terminating node is its computed payload
+    ("0.5*0.2", 1),
 ])
 def test_evaluation_folds_each_node_once(monkeypatch, text, nodes):
     # the pair fold of a '+' or '*' node, and its ten-smooth test, serve
