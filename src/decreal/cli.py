@@ -36,11 +36,6 @@ _NATURAL = re.compile(r"^\+?(\d+)$", re.ASCII)
 # argparse works otherwise.
 _NEGATIVE_START = re.compile(r"^-\d", re.ASCII)
 
-# Most payload letters (sign, order bits, digits, terminator) of a hint that
-# ``decreal hint`` prints: the payload is a 2-adic exponent of about
-# 11**letters bits, so five letters spell some 48,000 digits, six 530,000.
-MAX_HINT_LETTERS = 5
-
 
 def count(text):
     """A ``--digits`` or ``--letters`` value: an integer >= 0, so argparse
@@ -120,12 +115,7 @@ def cmd_classify(args):
 
 
 def cmd_hint(args):
-    h = expression_hint(parse_expression(args.expr))
-    t = h.terminating
-    if t is not None and 2 + len(bin_lsb_encode(t.order)) + len(t.digits) > MAX_HINT_LETTERS:
-        raise OracleUnavailable(f"a terminating hint of more than {MAX_HINT_LETTERS} "
-                                "payload letters is too large to print")
-    print(int_str(hint_encode(h)))
+    print(int_str(hint_encode(expression_hint(parse_expression(args.expr)))))
     return 0
 
 

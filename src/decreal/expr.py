@@ -8,11 +8,11 @@ import re
 from fractions import Fraction
 
 from .decimals import Decimal, pair_order
-from .errors import ParseError
+from .errors import HintMismatch, ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
 from .rational import LITERAL, digit_bytes, ilog10, literal_pair, pair_fold, pow10
 from .weak import (ProductBracket, add_stream, hint_decode, mul_stream, pair_hint,
-                   refuse_terminating, weak_add, weak_mul)
+                   refuse_terminating)
 from .words import traced_decimal
 
 # ---------------------------------------------------------------------------
@@ -135,8 +135,8 @@ def parse_expression(text):
 #
 # Every node carries its exact value as a reduced integer pair ``(num, den)``,
 # ``den > 0``, folded with one ``gcd`` per operation (``rational.pair_fold``);
-# it feeds the hints.  The decimal returned for a '+' or '*' node is
-# nevertheless the streamed weak result.
+# it feeds the hints.  A terminating '+' or '*' node is its exact value, and
+# any other is the streamed weak result.
 
 
 def _fold(node):
@@ -168,10 +168,10 @@ def eval_expression(node, root_hint=None, trace=False):
 
     ``root_hint``, a hint's integer encoding (as ``--hint`` takes it),
     replaces the computed hint of the top-level operation, which must then
-    be a '+' or a '*'.  A payload is checked on the exact operands, and a
-    hint that claims a non-terminating result for a terminating ``v``
-    raises ``HintMismatch``.  A ``recip`` builds no stream below it.  The
-    one ``Fraction`` built is the value returned.
+    be a '+' or a '*'.  A payload that is not the hint of the exact value
+    ``v``, and a hint that claims a non-terminating result for a
+    terminating ``v``, raise ``HintMismatch``.  A ``recip`` builds no
+    stream below it.  The one ``Fraction`` built is the value returned.
     """
     if root_hint is not None:
         if node[0] not in ("add", "mul"):
@@ -197,21 +197,23 @@ def _evaluate(node, root_hint=None, trace=False):
     dl, lnum, lden, _ = _evaluate(node[1])
     dr, rnum, rden, _ = _evaluate(node[2])
     num, den = pair_fold(kind, lnum, lden, rnum, rden)
-    hint = root_hint or pair_hint(num, den)
-    if root_hint and hint.terminating is not None:  # checked on the exact operands
-        dl, dr = Decimal.from_pair(lnum, lden), Decimal.from_pair(rnum, rden)
-    elif root_hint:  # a terminating result's first digit would scan forever
+    if root_hint is None or root_hint.terminating is not None:
+        hint = pair_hint(num, den)
+        if root_hint is not None and root_hint != hint:  # a payload is the exact result
+            raise HintMismatch("the terminating payload is not the exact result")
+    else:  # a terminating result's first digit would scan forever
         refuse_terminating(den)
+        hint = root_hint
     traces = None
     if trace:  # traced views keep the exact values, so they change no decision
         (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
         traces = (tl, tr)
-    if hint.terminating is None:  # pair_hint or refuse_terminating has shown it does not terminate
-        f = add_stream(dl, dr, hint) if kind == "add" else mul_stream(dl, dr, hint)
-    elif root_hint:  # a given payload is checked against the exact result
-        f = weak_add(dl, dr, hint) if kind == "add" else weak_mul(dl, dr, hint)
-    else:  # pair_hint built the payload from the exact result itself
-        f = Decimal.from_term(hint.terminating)
+    if hint.terminating is not None:  # a terminating node is its exact value
+        f = Decimal.from_pair(num, den)
+    elif kind == "add":  # pair_hint or refuse_terminating has shown it does not terminate
+        f = add_stream(dl, dr, hint)
+    else:
+        f = mul_stream(dl, dr, hint)
     return f, num, den, traces
 
 

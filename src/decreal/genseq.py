@@ -170,17 +170,19 @@ def limit_digits(seq: CauchySeqQD, n, budget=48) -> Optional[int]:
     """Digit at 10**n of the limit of ``seq``, or None if undecided.
 
     Each round pins the limit inside the closed bracket ``[c - 1/k, c + 1/k]``
-    with ``c = a_M(k)`` and doubles k.  The digit is emitted once the whole
-    bracket shares it.  A ``None`` after ``budget`` rounds means every bracket
-    straddled a cell boundary -- the signature of a terminating limit, whose
-    digit at 10**n genuinely depends on which of its two expansions is meant.
+    with ``c = a_M(k)`` and doubles k, from ``2 * 10**max(-n, 0)``: the
+    first bracket is as wide as the digit cell, so the budget counts rounds
+    past the cell size.  The digit is emitted once the whole bracket shares
+    it.  A ``None`` after ``budget`` rounds means every bracket straddled a
+    cell boundary -- the signature of a terminating limit, whose digit at
+    10**n genuinely depends on which of its two expansions is meant.
 
     Cost warning: each round evaluates the term at index ``modulus(k)``.
     Truncation-backed sequences keep that index logarithmic in k, but a
     reciprocal's modulus grows linearly, so give reciprocal-shaped
     sequences a single-digit budget.
     """
-    k = 1
+    k = 10 ** max(-n, 0)
     for _ in range(budget):
         k *= 2
         c = seq.term(seq.modulus(k)).to_fraction()

@@ -28,18 +28,23 @@ lowest position of the run.  A single digit is a run of one position.  A
 long carry or borrow scan reads operand runs (``decimals.settling_pair``),
 asking the operands for the positions a pair-by-pair scan asks for.
 
-Hints also travel as single positive integers, ``(2k + 1) * 2**r``: order
-in the odd part, terminating payload (if any) in the 2-adic part.
+Hints also travel as single positive integers (``hint_encode``): an odd
+``2k + 1`` is order k with no payload, and an even ``2 * <k, code>`` pairs
+the order with the payload's code, the decimal integer spelled by a leading
+1, the sign digit and the stored digits.  A hint thus takes about 6.6
+bits per stored digit, and every positive integer is a hint or malformed.
 """
 
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 from .decimals import (SCAN_PAIRS, SEARCHED, Decimal, TermDecimal, Verdict, magnitude_scan,
                        pair_order, r_inv, settling_pair)
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
-from .rational import POW10_CACHED, DecFrac, pair_fold, pow10, ten_smooth
-from .words import bin_lsb_encode, decode_xr, encode_xr, traced
+from .rational import (POW10_CACHED, DecFrac, digit_text, int_str, pair_fold, pow10, str_int,
+                       ten_smooth)
+from .words import decode_xr, encode_xr, traced
 
 # ---------------------------------------------------------------------------
 # hints
@@ -74,66 +79,45 @@ class Hint:
         return f"Hint(order={self.order!r}, terminating={self.terminating!r})"
 
 
-_TERMINATOR = 10
-
-
-def _payload_code(t: TermDecimal) -> int:
-    """Base-11 packing of a terminating decimal, least significant first.
-
-    The letter stream is: sign (0 plus / 1 minus), the bits of the order
-    (least first), the stored digits from the top down, then the terminator
-    letter 10 -- which doubles as the guarantee that the code is nonzero.
-    """
-    seq = [0 if t.sign > 0 else 1]
-    seq.extend(int(b) for b in bin_lsb_encode(t.order))
-    seq.extend(t.digits)
-    seq.append(_TERMINATOR)
-    code = 0
-    for v in reversed(seq):
-        code = code * 11 + v
-    return code
-
-
 def _payload_decode(code: int, order: int) -> TermDecimal:
-    seq = []
-    while code:
-        code, v = divmod(code, 11)
-        seq.append(v)
-    if not seq or seq[-1] != _TERMINATOR:
-        raise MalformedHint("payload lacks its terminator letter")
-    seq.pop()
-    if _TERMINATOR in seq:
-        raise MalformedHint("stray terminator letter inside the payload")
-    if not seq:
+    """The payload of order ``order`` spelled by ``code``: the decimal
+    integer of a leading 1, the sign digit (0 plus, 1 minus) and the stored
+    digits."""
+    text = int_str(code)
+    if text[0] != "1":
+        raise MalformedHint("payload code lacks its leading 1")
+    if len(text) < 3:
         raise MalformedHint("empty payload")
-    sign_letter = seq.pop(0)
-    if sign_letter not in (0, 1):
-        raise MalformedHint(f"bad sign letter {sign_letter}")
-    bits = bin_lsb_encode(order)
-    if len(seq) < len(bits) + 1:
-        raise MalformedHint("payload too short for its order field")
-    if [str(v) for v in seq[: len(bits)]] != bits:
-        raise MalformedHint("payload order bits disagree with the hint order")
-    digits = seq[len(bits):]
+    if text[1] not in "01":
+        raise MalformedHint(f"bad sign digit {text[1]}")
     try:
-        return TermDecimal(-1 if sign_letter else 1, order, tuple(digits))
+        return TermDecimal(-1 if text[1] == "1" else 1, order, tuple(map(int, text[2:])))
     except ValueError as exc:
         raise MalformedHint(str(exc)) from None
 
 
 def hint_encode(h: Hint) -> int:
-    r = 0 if h.terminating is None else 1 + _payload_code(h.terminating)
-    return (2 * h.order + 1) << r
+    """``2k + 1`` for order k with no payload, ``2 * <k, code>`` with one
+    (the Cantor pairing; ``code`` as in ``_payload_decode``)."""
+    t = h.terminating
+    if t is None:
+        return 2 * h.order + 1
+    code = str_int("1" + ("1" if t.sign < 0 else "0") + digit_text(t.digits))
+    s = h.order + code
+    return s * (s + 1) + 2 * code
 
 
 def hint_decode(x: int) -> Hint:
+    """The hint that ``hint_encode`` spells as ``x``; every positive integer
+    is one or raises ``MalformedHint``."""
     if not isinstance(x, int) or x <= 0:
         raise MalformedHint("a hint travels as a positive integer")
-    r = (x & -x).bit_length() - 1
-    order = ((x >> r) - 1) // 2
-    if r == 0:
-        return Hint(order, None)
-    return Hint(order, _payload_decode(r - 1, order))
+    if x & 1:
+        return Hint(x >> 1, None)
+    z = x >> 1
+    s = (isqrt(8 * z + 1) - 1) // 2
+    code = z - s * (s + 1) // 2
+    return Hint(s - code, _payload_decode(code, s - code))
 
 
 def hint_of(v: Fraction) -> Hint:

@@ -12,6 +12,8 @@ computes:
 * a p-adic digit agrees with arithmetic modulo ``p**n``;
 * a tape agrees with the layout spelled from the exact value;
 * a printed hint decodes to the exact order and payload;
+* an ``eval`` call with no ``--hint`` prints the same under the hint that
+  ``hint`` prints for its expression;
 * a refused call exits with a code its input calls for, and prints nothing
   on stdout; an argument argparse refuses exits 2 and is named.
 
@@ -36,12 +38,11 @@ import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 from decreal.cli import main
-from decreal.decimals import TermDecimal
 from decreal.rational import int_str, str_int
-from decreal.weak import Hint, hint_encode
 
 CORPUS_FILE = Path(__file__).with_name("corpus.txt")
 SEED = 17
@@ -150,16 +151,27 @@ def payload(v):
     return text.rstrip("0") or "0"
 
 
+def payload_code(v):
+    """The code of a terminating v's payload: the decimal integer spelled by
+    1, the sign digit (1 for minus) and the payload digits."""
+    return int("1" + ("1" if v < 0 else "0") + payload(v))
+
+
 def honest_hint(v):
-    """The hint of a result of exact value v."""
+    """The hint integer of a result of exact value v: ``2k + 1`` for order
+    k, or ``2 * <k, code>`` (Cantor pairing) when v terminates."""
     if not terminates(v):
-        return Hint(order_of(v), None)
-    digits = tuple(int(c) for c in payload(v))
-    return Hint(order_of(v), TermDecimal(-1 if v < 0 else 1, order_of(v), digits))
+        return 2 * order_of(v) + 1
+    c = payload_code(v)
+    s = order_of(v) + c
+    return s * (s + 1) + 2 * c
 
 
-def payload_letters(v):
-    return 2 + len(bits(order_of(v))) + len(payload(v))
+def unpair(z):
+    """``(k, c)`` with ``z = <k, c> = (k + c)(k + c + 1)/2 + c``."""
+    s = (isqrt(8 * z + 1) - 1) // 2
+    c = z - s * (s + 1) // 2
+    return s - c, c
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +229,16 @@ def tape(letters):
 
 
 def check_hint(v, code, out, err):
-    if terminates(v) and payload_letters(v) > 5:
-        return refused((3,))(code, out, err)
     if code != 0:
         return f"exit {code}: {err.strip()}"
     x = str_int(out.strip())
-    r = (x & -x).bit_length() - 1
-    if ((x >> r) - 1) // 2 != order_of(v):
-        return "wrong hinted order"
-    if (r == 0) != (not terminates(v)):
+    if (x % 2 == 0) != terminates(v):
         return "wrong terminating flag"
-    if r:
-        rest, seq = r - 1, []
-        while rest:
-            rest, d = divmod(rest, 11)
-            seq.append(d)
-        nbits = len(bits(order_of(v)))
-        digits = seq[1 + nbits:-1]
-        value = Fraction(int("".join(map(str, digits))), 10 ** (len(digits) - 1 - order_of(v)))
-        if (-value if seq[0] else value) != v:
-            return "wrong payload"
+    order, c = ((x - 1) // 2, None) if x % 2 else unpair(x // 2)
+    if order != order_of(v):
+        return "wrong hinted order"
+    if c is not None and c != payload_code(v):
+        return "wrong payload"
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +324,20 @@ def eval_calls(rng):
 
 
 def hint_calls(rng):
-    honest = 0
-    while honest < 30:  # honest hints
+    for _ in range(30):  # honest hints
         text, v = binary_expression(rng, rng.randrange(1, 3))
-        if terminates(v) and payload_letters(v) > 4:
-            continue  # a five-letter payload is a 160,000-bit integer
-        honest += 1
         places = rng.randrange(0, 20)
         trace = ["--trace"] if rng.random() < 0.3 else []
-        yield (["eval", text, "--digits", str(places), "--hint",
-                int_str(hint_encode(honest_hint(v)))] + trace,
+        yield (["eval", text, "--digits", str(places), "--hint", int_str(honest_hint(v))] + trace,
                printed(lambda v=v, p=places: render(v, p)))
     for i in range(45):  # wrong hints
         text, v = binary_expression(rng, rng.randrange(1, 3))
         kind = i % 5
         if kind == 0 and not terminates(v):  # order too high
-            h = hint_encode(Hint(order_of(v) + rng.randrange(1, 4), None))
+            h = 2 * (order_of(v) + rng.randrange(1, 4)) + 1
         elif kind == 1 and not terminates(v) and order_of(v) > 0:  # order too low
-            h = hint_encode(Hint(rng.randrange(order_of(v)), None))
-        elif kind == 2:  # an even code whose payload has no terminator letter
+            h = 2 * rng.randrange(order_of(v)) + 1
+        elif kind == 2:  # an even hint below 2000: a code of two digits at most, no payload
             h = rng.randrange(1, 1000) << 1
         elif kind == 3:
             h = rng.choice([0, -3])
@@ -348,7 +345,7 @@ def hint_calls(rng):
             wrong = rng.choice([0, 1, 5])
             if wrong == v:
                 wrong += 2
-            h = hint_encode(honest_hint(Fraction(wrong)))
+            h = honest_hint(Fraction(wrong))
         trace = ["--trace"] if rng.random() < 0.3 else []
         yield ["eval", text, "--hint", int_str(h) if h > 0 else str(h)] + trace, refused((4,))
     yield ["eval", "0.5", "--hint", "3"], refused((2,))  # no top-level operation
@@ -521,8 +518,7 @@ def pinned_calls():
     yield (["eval", "-902/9973*-776/7", "--path", "paper", "--digits", "4"],
            audited(a * b, 4, [(a, b)]))
     yield ["eval", "1 +", "--digits", "3"], refused((2,))
-    yield ["eval", "0.(3)+0.(3)", "--hint", int_str(hint_encode(honest_hint(Fraction(1))))], \
-        refused((4,))
+    yield ["eval", "0.(3)+0.(3)", "--hint", int_str(honest_hint(Fraction(1)))], refused((4,))
     # a non-terminating claim for the terminating sum 1
     for trace in ([], ["--trace"]):
         yield ["eval", "0.(3)+0.(6)", "--hint", "1"] + trace, refused((4,))
@@ -598,14 +594,30 @@ def changed(pinned, committed):
     return [lab for (d, lab), (d0, lab0) in zip(pinned, committed) if (d, lab) != (d0, lab0)]
 
 
+def rehinted(argv, result):
+    """For an ``eval X`` call with no ``--hint`` that succeeded, a problem
+    if ``hint X`` fails on a top-level '+' or '*', or if the call under
+    ``--hint "$(hint X)"`` does not print its ``result`` again."""
+    if argv[0] != "eval" or "--hint" in argv or result[0] != 0:
+        return None
+    code, hint, err = run(["hint", argv[1]])
+    if code == 2:  # no top-level '+' or '*'
+        return None
+    if code != 0:
+        return f"hint: exit {code}: {err.strip()}"
+    if run([*argv, "--hint", hint.strip()]) != result:
+        return "prints otherwise under its own hint"
+
+
 def replay(seed=SEED):
     """``(pinned, problems)``: the ``(digest, label)`` of every call, and
-    one message per call its oracle rejects."""
+    one message per call its oracle, or its rerun under its own hint
+    (``rehinted``), rejects."""
     pinned, problems = [], []
     for argv, check in calls(seed):
         code, out, err = run(argv)
         pinned.append((digest(code, out, err), label(argv)))
-        problem = check(code, out, err)
+        problem = check(code, out, err) or rehinted(argv, (code, out, err))
         if problem:
             problems.append(f"{label(argv)}: {problem}")
     return pinned, problems

@@ -285,15 +285,14 @@ test "$(wc -l < "$RUNNER_TEMP/paper.txt")" = 1
 grep -qE '^# paper: product 1 misses at 10\*\*1, ' "$RUNNER_TEMP/paper.txt"
 )
 
-gate "A long terminating hint is refused, and a hint of any length reads back"
+gate "A terminating hint of 1,001 stored digits is printed and reads back"
 (
-code=0
-timeout 5 decreal hint "748-51.01165*69.5489" 2> "$RUNNER_TEMP/hint.txt" || code=$?
-test "$code" = 3
-test "$(wc -l < "$RUNNER_TEMP/hint.txt")" = 1
-grep -q "^error: " "$RUNNER_TEMP/hint.txt"
-h=$(decreal hint "0.5+0.2")
-test "$(decreal eval "0.5+0.2" --hint "$h" --digits 3)" = "0.700"
+x=$(python -c 'print("0.5+0." + str(5 ** 1000).zfill(1000))')
+h=$(timeout 20 decreal hint "$x")
+hinted=$(timeout 20 decreal eval "$x" --digits 1100 --hint "$h")
+test "$hinted" = "$(timeout 20 decreal eval "$x" --digits 1100)"
+test "$(timeout 5 decreal eval "748-51.01165*69.5489" --hint "$(decreal hint "748-51.01165*69.5489")")" \
+  = "-2799.8041446850"
 )
 
 gate "Every subcommand runs warning-free in development mode"

@@ -318,9 +318,9 @@ def test_eval_terminating_payload_under_trace_is_checked_and_reads_no_digit(caps
 
 
 def test_eval_malformed_hint_payload_is_exit_4(capsys):
-    # payload letters 10, 10: a terminator before the last letter
-    code, out, err = run(capsys, "eval", "0.(3)+0.(3)", "--hint", str(1 << 121))
-    assert (code, out, err) == (4, "", "error: stray terminator letter inside the payload\n")
+    # 16000 = 2 * <0, 125>: order 0, payload code 125, whose sign digit is 2
+    code, out, err = run(capsys, "eval", "0.(3)+0.(3)", "--hint", "16000")
+    assert (code, out, err) == (4, "", "error: bad sign digit 2\n")
 
 
 @pytest.mark.parametrize("expr", ["neg(0.(3)+0.(3))", "0.5"])
@@ -330,11 +330,14 @@ def test_eval_hint_needs_a_top_level_operation(capsys, expr):
 
 
 def test_eval_hint_reads_integers_of_any_length(capsys):
-    # a terminating payload of five letters: a hint of 46,880 digits
-    code, hint, _ = run(capsys, "hint", "0.5+0.2")
+    # a payload of 3,001 stored digits: a hint of about 6,000 digits, past
+    # the int-to-str cap
+    expr = "0.5+0." + str(5 ** 3000).zfill(3000)
+    code, hint, _ = run(capsys, "hint", expr)
     assert code == 0 and len(hint.strip()) > 4300
-    code, out, _ = run(capsys, "eval", "0.5+0.2", "--hint", hint.strip(), "--digits", "3")
-    assert (code, out) == (0, "0.700\n")
+    code, out, _ = run(capsys, "eval", expr, "--hint", hint.strip(), "--digits", "3010")
+    assert (code, out) == run(capsys, "eval", expr, "--digits", "3010")[:2]
+    assert out.startswith("0.50") and out.endswith("0" * 10 + "\n")
     for value in ("-3", "0"):
         code, _, err = run(capsys, "eval", "0.5+0.2", "--hint", value)
         assert (code, err) == (4, "error: a hint travels as a positive integer\n")
@@ -587,11 +590,13 @@ def test_hint_requires_top_level_operation(capsys):
     assert code == 2
 
 
-def test_hint_of_a_long_terminating_result_is_refused(capsys):
-    # 17 payload letters would need an integer of about 11**17 bits
-    code, out, err = run(capsys, "hint", "748-51.01165*69.5489")
-    assert (code, out) == (3, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+def test_hint_of_a_long_terminating_result_round_trips(capsys):
+    # a hint grows with its payload's digits: every terminating result has one
+    for expr in ("748-51.01165*69.5489", "0.5+0.25", "0.1+0.025"):
+        code, hint, err = run(capsys, "hint", expr)
+        assert (code, err) == (0, "")
+        hinted = run(capsys, "eval", expr, "--hint", hint.strip(), "--digits", "20")
+        assert hinted == run(capsys, "eval", expr, "--digits", "20") and hinted[0] == 0
 
 
 def test_sup_command(capsys):

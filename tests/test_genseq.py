@@ -1,5 +1,6 @@
 """Cauchy sequences with explicit moduli and digit extraction from limits."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -170,6 +171,15 @@ def test_limit_digits_none_when_reciprocal_limit_terminates():
     a = from_decimal(parse_decimal("0.(3)"))
     r = seq_recip(a, NonzeroWitness(k=4, n0=1))
     assert limit_digits(r, 0, budget=6) is None
+
+
+def test_limit_digits_of_sqrt2_far_below_the_point():
+    # floor(sqrt(2) * 10**n) / 10**n; the budget counts rounds past the cell
+    # size, so deep digits settle instead of reading None
+    seq = CauchySeqQD(lambda n: DecFrac(math.isqrt(2 * 10 ** (2 * n)), -n),
+                      lambda k: len(str(2 * k)))
+    for n in (-1, -15, -16, -30, -1000):
+        assert limit_digits(seq, n) == math.isqrt(2 * 10 ** (-2 * n)) % 10
 
 
 def test_limit_digits_of_a_decimal_sequence():

@@ -32,8 +32,7 @@ from decreal.decimals import (  # noqa: E402
     TermDecimal,
     truncate,
 )
-from decreal.cli import MAX_HINT_LETTERS  # noqa: E402
-from decreal.errors import HintMismatch, ParseError  # noqa: E402
+from decreal.errors import HintMismatch, MalformedHint, ParseError  # noqa: E402
 from decreal.expr import eval_expression, parse_expression, product_misses, value_of  # noqa: E402
 from decreal.padic import (  # noqa: E402
     PAdic,
@@ -44,13 +43,13 @@ from decreal.padic import (  # noqa: E402
     traced_padic,
 )
 from decreal.rational import BLOCK, DecFrac, parse_rat, ten_smooth  # noqa: E402
-from decreal.words import bin_lsb_encode  # noqa: E402
 from test_weak import fixed_depth_digits  # noqa: E402
 from decreal.weak import (  # noqa: E402
     Hint,
     add_digit_rule,
     ProductBracket,
     compute_hint,
+    hint_decode,
     hint_encode,
     hint_of,
     mul_certified_digit,
@@ -774,6 +773,51 @@ def test_the_evaluated_value_is_the_folded_value(text):
 
 
 # ---------------------------------------------------------------------------
+# hints as integers
+
+
+@st.composite
+def hints(draw):
+    """A hint of order up to 10**6, with no payload or one of up to 1,000
+    stored digits."""
+    order = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        return Hint(order)
+    digits = draw(st.lists(st.integers(0, 9), min_size=1, max_size=1000))
+    t = TermDecimal.from_digits(draw(st.sampled_from([1, -1])), order, digits)
+    return Hint(t.order, t)
+
+
+@PROPERTY
+@given(h=hints())
+def test_hints_round_trip_through_integers_of_linear_size(h):
+    x = hint_encode(h)
+    assert hint_decode(x) == h
+    t = h.terminating
+    if t is None:
+        assert x == 2 * h.order + 1
+    else:  # 2 * <order, code>, with a code below 10**(digits + 2)
+        larger = max(h.order, 10 ** (len(t.digits) + 2))
+        assert x % 2 == 0 and x.bit_length() <= 2 * larger.bit_length() + 3
+
+
+@settings(PROPERTY, max_examples=60)
+@example(length=100_000, parity=0, rng=random.Random(1))
+@example(length=100_000, parity=1, rng=random.Random(2))
+@given(length=st.sampled_from([1, 2, 3, 6, 20, 40, 1000, 100_000]),
+       parity=st.sampled_from([0, 1, None]), rng=st.randoms(use_true_random=False))
+def test_every_positive_integer_is_a_hint_or_malformed(length, parity, rng):
+    # odd, even or either, of up to 100,000 digits
+    x = rng.randrange(10 ** (length - 1), 10 ** length)
+    x = max(1, x - x % 2 + parity) if parity is not None else x
+    try:
+        h = hint_decode(x)
+    except MalformedHint:
+        return
+    assert isinstance(h, Hint) and hint_encode(h) == x
+
+
+# ---------------------------------------------------------------------------
 # wrong hints over exact operands
 
 
@@ -792,17 +836,10 @@ def wrong_hints(draw, q):
         unit = Fraction(10) ** hint_of(q).terminating.low
         t = r_inv(DecFrac.from_fraction(q + draw(st.sampled_from([1, -1])) * unit))
     else:
-        digits = draw(st.lists(st.integers(0, 9), min_size=1, max_size=2))
+        digits = draw(st.lists(st.integers(0, 9), min_size=1))
         t = TermDecimal.from_digits(draw(st.sampled_from([1, -1])), order, digits)
     assume(Hint(t.order, t) != hint_of(q))
     return Hint(t.order, t)
-
-
-def encodes_small(h):
-    """Whether ``hint_encode(h)`` is an integer the CLI would build: a
-    payload of s letters puts a number near 11**s in its exponent."""
-    t = h.terminating
-    return t is None or 2 + len(bin_lsb_encode(t.order)) + len(t.digits) <= MAX_HINT_LETTERS
 
 
 @PROPERTY
@@ -819,9 +856,8 @@ def test_a_wrong_hint_raises_before_any_digit(a, b, op, data):
     x, y = Decimal.from_fraction(qa), Decimal.from_fraction(qb)
     with pytest.raises(HintMismatch):
         (weak_add if op == "+" else weak_mul)(x, y, h)
-    if encodes_small(h):
-        with pytest.raises(HintMismatch):
-            eval_expression(parse_expression(f"({ta}){op}({tb})"), root_hint=hint_encode(h))
+    with pytest.raises(HintMismatch):
+        eval_expression(parse_expression(f"({ta}){op}({tb})"), root_hint=hint_encode(h))
 
 
 # ---------------------------------------------------------------------------

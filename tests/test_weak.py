@@ -93,12 +93,22 @@ def test_hint_round_trip_with_payloads():
     assert hint_decode(hint_encode(Hint(17))) == Hint(17)
 
 
-def test_hint_payload_integers_are_huge_but_exact():
-    # the payload for the single digit 1 already needs thousands of bits;
-    # keep test payloads short for this reason
-    x = hint_encode(Hint(0, TermDecimal(1, 0, (1,))))
-    assert x.bit_length() > 10 ** 4
-    assert hint_decode(x).terminating == TermDecimal(1, 0, (1,))
+def test_hint_payload_integers_are_linear_in_the_payload():
+    # the code is the decimal integer "1", sign digit, stored digits; the
+    # pairing with the order at most doubles its length
+    assert hint_encode(Hint(0, TermDecimal(1, 0, (1,)))) == 10504  # <0, 101> = 5252
+    tiny = hint_of(Fraction(1, 2 ** 40))
+    assert len(tiny.terminating.digits) == 41 and hint_encode(tiny).bit_length() <= 400
+    long = hint_of(Fraction(1, 2) + Fraction(1, 2 ** 1000))
+    x = hint_encode(long)
+    assert len(long.terminating.digits) == 1001 and x.bit_length() <= 8000
+    assert hint_decode(x) == long
+
+
+def payload_hint(order, code):
+    """The even hint ``2 * <order, code>`` (Cantor pairing) of a payload code."""
+    s = order + code
+    return s * (s + 1) + 2 * code
 
 
 def test_hint_decode_rejects_garbage():
@@ -106,21 +116,19 @@ def test_hint_decode_rejects_garbage():
         hint_decode(0)
     with pytest.raises(MalformedHint):
         hint_decode(-3)
-    # an even number whose payload field is not a valid letter stream
-    with pytest.raises(MalformedHint):
-        hint_decode(3 << 1)
-    # order 0 with a payload packing these letters, least significant first
-    for letters, message in (
-            ([10], "empty payload"),
-            ([10, 10], "stray terminator letter inside the payload"),
-            ([2, 10], "bad sign letter 2"),
-            ([0, 10], "payload too short for its order field"),
-            ([0, 1, 5, 10], "payload order bits disagree with the hint order"),
-            ([0, 0, 5, 0, 10], "stored digits must not end in zero")):
-        code = sum(v * 11 ** i for i, v in enumerate(letters))
+    for order, code, message in (
+            (1, 0, "payload code lacks its leading 1"),
+            (3, 205, "payload code lacks its leading 1"),
+            (0, 1, "empty payload"),
+            (0, 10, "empty payload"),
+            (0, 125, "bad sign digit 2"),
+            (0, 1050, "stored digits must not end in zero"),
+            (0, 110, "zero must be +, order 0"),
+            (2, 1005, "zero top digit forces order 0")):
         with pytest.raises(MalformedHint) as exc:
-            hint_decode(1 << (code + 1))
+            hint_decode(payload_hint(order, code))
         assert str(exc.value) == message
+    assert hint_decode(payload_hint(2, 11405)) == Hint(2, TermDecimal(-1, 2, (4, 0, 5)))
 
 
 def test_compute_hint_cases():
@@ -359,16 +367,24 @@ def test_a_request_builds_one_fraction_for_its_value(text, want):
     assert baseline and names == baseline
 
 
-@pytest.mark.parametrize("text, nodes", [
-    ("1/7+2/13", 1),
-    ("1/7*22/9973", 1),
-    ("(1/7+2/13)*0.(3)-4/9", 3),
-    ("0.5+0.2", 1),  # a terminating node is its computed payload
-    ("0.5*0.2", 1),
+@pytest.mark.parametrize("text, nodes, hinted", [
+    pytest.param("1/7+2/13", 1, False, id="1/7+2/13-1"),
+    pytest.param("1/7*22/9973", 1, False, id="1/7*22/9973-1"),
+    pytest.param("(1/7+2/13)*0.(3)-4/9", 3, False, id="(1/7+2/13)*0.(3)-4/9-3"),
+    # a terminating node is its exact value
+    pytest.param("0.5+0.2", 1, False, id="0.5+0.2-1"),
+    pytest.param("0.5*0.2", 1, False, id="0.5*0.2-1"),
+    pytest.param("0.5+0.2", 1, True, id="0.5+0.2-1-hinted"),
+    pytest.param("0.5*0.2", 1, True, id="0.5*0.2-1-hinted"),
+    pytest.param("1/7+2/13", 1, True, id="1/7+2/13-1-hinted"),
+    pytest.param("(1/7+2/13)*0.(3)-4/9", 3, True, id="(1/7+2/13)*0.(3)-4/9-3-hinted"),
 ])
-def test_evaluation_folds_each_node_once(monkeypatch, text, nodes):
+def test_evaluation_folds_each_node_once(monkeypatch, text, nodes, hinted):
     # the pair fold of a '+' or '*' node, and its ten-smooth test, serve
-    # both its hint and its stream: the weak operation does not fold again
+    # both its hint and its stream: the weak operation does not fold again.
+    # A given hint is the node's own: a payload is compared with the hint
+    # of the folded pair, and a hint with no payload tests it ten-smooth
+    root_hint = hint_encode(expression_hint(parse_expression(text))) if hinted else None
     calls = {"pair_fold": 0, "ten_smooth": 0}
 
     def counted(name, fn):
@@ -383,7 +399,7 @@ def test_evaluation_folds_each_node_once(monkeypatch, text, nodes):
         for module in [m for key, m in sys.modules.items() if key.startswith("decreal")]:
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
-    d, v, _ = eval_expression(node)
+    d, v, _ = eval_expression(node, root_hint=root_hint)
     assert calls == {"pair_fold": nodes, "ten_smooth": nodes}
     assert v == value_of(node) and d.digit(-40) == oracle_digit(v, -40)
 
