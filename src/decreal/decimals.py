@@ -342,8 +342,9 @@ class Decimal:
     the signed ``Fraction`` on its first call and keeps it.  A terminating
     decimal is one whose denominator divides a power of ten, with no
     backing of its own.  The stream backing is a digit producer plus a
-    nine-escape witness.  A view with both (``words.traced_decimal``) reads
-    its digits from its producer.
+    nine-escape witness.  A decimal with both (a weak result over exact
+    operands, or a ``words.traced_decimal`` view) reads its digits from its
+    producer.
 
     Digits are those of ``|x|``, so both sign views of a value (``neg()``
     and ``abs()``) share one ``_memo``, and neither re-does work the other

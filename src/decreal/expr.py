@@ -8,11 +8,10 @@ import re
 from fractions import Fraction
 
 from .decimals import Decimal, pair_order
-from .errors import HintMismatch, ParseError
+from .errors import ParseError
 from .padic import padic_add, padic_from_rational, padic_mul, padic_neg
 from .rational import LITERAL, digit_bytes, ilog10, literal_pair, pair_fold, pow10
-from .weak import (ProductBracket, add_stream, hint_decode, mul_stream, pair_hint,
-                   refuse_terminating)
+from .weak import ProductBracket, hint_decode, pair_hint, weak_add, weak_mul
 from .words import traced_decimal
 
 # ---------------------------------------------------------------------------
@@ -133,10 +132,11 @@ def parse_expression(text):
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# Every node carries its exact value as a reduced integer pair ``(num, den)``,
-# ``den > 0``, folded with one ``gcd`` per operation (``rational.pair_fold``);
-# it feeds the hints.  A terminating '+' or '*' node is its exact value, and
-# any other is the streamed weak result.
+# A node's exact value is a reduced integer pair ``(num, den)``, ``den > 0``,
+# folded with one ``gcd`` per operation (``rational.pair_fold``).  Evaluation
+# folds it inside ``weak_add`` and ``weak_mul``, whose results keep it: a
+# terminating '+' or '*' node is its exact value, and any other is a stream
+# with that value.
 
 
 def _fold(node):
@@ -168,53 +168,33 @@ def eval_expression(node, root_hint=None, trace=False):
 
     ``root_hint``, a hint's integer encoding (as ``--hint`` takes it),
     replaces the computed hint of the top-level operation, which must then
-    be a '+' or a '*'.  A payload that is not the hint of the exact value
-    ``v``, and a hint that claims a non-terminating result for a
-    terminating ``v``, raise ``HintMismatch``.  A ``recip`` builds no
-    stream below it.  The one ``Fraction`` built is the value returned.
+    be a '+' or a '*', and is checked there by ``weak_add`` or ``weak_mul``.
+    A ``recip`` builds no stream below it.  The one ``Fraction`` built is
+    the value returned.
     """
     if root_hint is not None:
         if node[0] not in ("add", "mul"):
             raise ParseError("--hint needs a top-level '+' or '*'")
         root_hint = hint_decode(root_hint)
-    d, num, den, traces = _evaluate(node, root_hint, trace)
-    return d, Fraction(num, den), traces
+    d, traces = _evaluate(node, root_hint, trace)
+    return d, d.value(), traces
 
 
 def _evaluate(node, root_hint=None, trace=False):
-    """``eval_expression`` with the exact value as a reduced pair:
-    ``(Decimal, num, den, traces)``."""
+    """``(Decimal, traces)`` of ``eval_expression``."""
     kind = node[0]
     if kind == "lit":
-        d = node[1]
-        return d, d.sign * d.num, d.den, None
+        return node[1], None
     if kind == "neg":
-        d, num, den, _ = _evaluate(node[1])
-        return d.neg(), -num, den, None
+        return _evaluate(node[1])[0].neg(), None
     if kind == "recip":
-        num, den = _fold(node)
-        return Decimal.from_pair(num, den), num, den, None
-    dl, lnum, lden, _ = _evaluate(node[1])
-    dr, rnum, rden, _ = _evaluate(node[2])
-    num, den = pair_fold(kind, lnum, lden, rnum, rden)
-    if root_hint is None or root_hint.terminating is not None:
-        hint = pair_hint(num, den)
-        if root_hint is not None and root_hint != hint:  # a payload is the exact result
-            raise HintMismatch("the terminating payload is not the exact result")
-    else:  # a terminating result's first digit would scan forever
-        refuse_terminating(den)
-        hint = root_hint
+        return Decimal.from_pair(*_fold(node)), None
+    (dl, _), (dr, _) = _evaluate(node[1]), _evaluate(node[2])
     traces = None
     if trace:  # traced views keep the exact values, so they change no decision
         (dl, tl), (dr, tr) = traced_decimal(dl), traced_decimal(dr)
         traces = (tl, tr)
-    if hint.terminating is not None:  # a terminating node is its exact value
-        f = Decimal.from_pair(num, den)
-    elif kind == "add":  # pair_hint or refuse_terminating has shown it does not terminate
-        f = add_stream(dl, dr, hint)
-    else:
-        f = mul_stream(dl, dr, hint)
-    return f, num, den, traces
+    return (weak_add if kind == "add" else weak_mul)(dl, dr, root_hint), traces
 
 
 def expression_hint(node):
@@ -229,13 +209,25 @@ def fixed_depth_misses(node, lo):
     """Where the paper's fixed-depth rule misses, for each '*' of ``node``
     outside a ``recip``, operands first: ``product_misses`` of its exact
     operands, from the product's order down to 10**lo."""
-    if node[0] in ("lit", "recip"):
-        return []
-    audits = [misses for child in node[1:] for misses in fixed_depth_misses(child, lo)]
-    if node[0] == "mul":
-        x, y = (Decimal.from_pair(*_fold(child)) for child in node[1:])
-        audits.append(_misses(x, y, pair_order(x.num * y.num, x.den * y.den), lo))
+    audits = []
+    _audited_fold(node, lo, audits)
     return audits
+
+
+def _audited_fold(node, lo, audits):
+    """``_fold`` of ``node``, in one walk that appends the misses of each
+    product outside a ``recip`` to ``audits``, from its operands' pairs."""
+    kind = node[0]
+    if kind in ("lit", "recip"):
+        return _fold(node)
+    if kind == "neg":
+        num, den = _audited_fold(node[1], lo, audits)
+        return -num, den
+    left, right = _audited_fold(node[1], lo, audits), _audited_fold(node[2], lo, audits)
+    if kind == "mul":
+        x, y = Decimal.from_pair(*left), Decimal.from_pair(*right)
+        audits.append(_misses(x, y, pair_order(x.num * y.num, x.den * y.den), lo))
+    return pair_fold(kind, *left, *right)
 
 
 def product_misses(u, v, hi, lo):

@@ -14,19 +14,23 @@ else is honest bounded lookahead:
   it fits, and is no stream: ``mul_stabilized_digit`` is for audits).
 
 Both scans halt on every input whose result really is non-terminating,
-which is precisely what a correct hint promises.  Streams read in sequence
-resume instead of starting over (online arithmetic): a sum keeps the
-settling pair of its last scan, which also settles every position between
-that pair and the scan's start; a product keeps one ``ProductBracket``,
-which moves down to the next digit cell and deepens by operand digits, so
-each sequential digit costs integer work linear in the prefix length.  A
-request out of sequence starts cold, with the one-shot rule; either way
-the same operand positions are read.  Both producers serve a run of
-positions in one ``block`` call (see ``Decimal.digits``): a sum adds two
-operand blocks as integers, and a product settles its bracket once, at the
-lowest position of the run.  A single digit is a run of one position.  A
-long carry or borrow scan reads operand runs (``decimals.settling_pair``),
-asking the operands for the positions a pair-by-pair scan asks for.
+which is precisely what a correct hint promises.  Over exact operands the
+hint is computable: it is the default, a given one is checked against it
+before any digit is read, and the result keeps the exact value.
+
+Streams read in sequence resume instead of starting over (online
+arithmetic): a sum keeps the settling pair of its last scan, which also
+settles every position between that pair and the scan's start; a product
+keeps one ``ProductBracket``, which moves down to the next digit cell and
+deepens by operand digits, so each sequential digit costs integer work
+linear in the prefix length.  A request out of sequence starts cold, with
+the one-shot rule; either way the same operand positions are read.  Both
+producers serve a run of positions in one ``block`` call (see
+``Decimal.digits``): a sum adds two operand blocks as integers, and a
+product settles its bracket once, at the lowest position of the run.  A
+single digit is a run of one position.  A long carry or borrow scan reads
+operand runs (``decimals.settling_pair``), asking the operands for the
+positions a pair-by-pair scan asks for.
 
 Hints also travel as single positive integers (``hint_encode``): an odd
 ``2k + 1`` is order k with no payload, and an even ``2 * <k, code>`` pairs
@@ -133,25 +137,38 @@ def pair_hint(num: int, den: int) -> Hint:
     return Hint(pair_order(abs(num), den), None)
 
 
-def exact_result(op: str, d: Decimal, e: Decimal):
-    """The reduced pair of ``d op e`` for exact ``d`` and ``e``."""
-    return pair_fold(op, d.sign * d.num, d.den, e.sign * e.num, e.den)
-
-
-def refuse_terminating(den: int) -> None:
-    """Refuse a hint with no payload for a result whose reduced denominator
-    is ``den`` if the result terminates: its first digit would scan forever."""
-    if ten_smooth(den):
-        raise HintMismatch("the hint claims a non-terminating result, but the result terminates")
-
-
 def compute_hint(op: str, d: Decimal, e: Decimal) -> Hint:
     """Oracle for the hint of ``d op e``; needs exact operand values."""
     if op not in ("add", "mul"):
         raise ValueError(f"unknown operation {op!r}")
+    return _checked_hint(op, d, e, None)[2]
+
+
+def _checked_hint(op: str, d: Decimal, e: Decimal, hint: Optional[Hint]):
+    """``(num, den, hint)``: the reduced pair of ``d op e`` (None, None
+    unless both operands are exact) and the hint to use, by default the
+    exact result's (that of ``compute_hint``).  Over exact operands the
+    pair, folded once, checks a given hint before any digit is read: a
+    payload must be the exact result's, and a hint with no payload must not
+    claim a terminating result, whose first digit would scan forever."""
     if d.den is None or e.den is None:
-        raise OracleUnavailable("hints are only computable from exact operands")
-    return pair_hint(*exact_result(op, d, e))
+        if hint is None:
+            raise OracleUnavailable("hints are only computable from exact operands")
+        return None, None, hint
+    num, den = pair_fold(op, d.sign * d.num, d.den, e.sign * e.num, e.den)
+    if hint is None or hint.terminating is not None:
+        exact = pair_hint(num, den)
+        if hint is not None and hint != exact:
+            raise HintMismatch("the terminating payload is not the exact result")
+        return num, den, exact
+    if ten_smooth(den):
+        raise HintMismatch("the hint claims a non-terminating result, but the result terminates")
+    return num, den, hint
+
+
+def _terminating(num, den, hint: Hint) -> Decimal:
+    """A terminating result: its exact value, or else the payload."""
+    return Decimal.from_term(hint.terminating) if den is None else Decimal.from_pair(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -230,31 +247,24 @@ def _sum_digits(d: Decimal, e: Decimal, borrow: bool, low=0, top=0):
     return producer
 
 
-def weak_add(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
-    """The sum of two decimals under a hint, in three steps: a terminating
-    hint is the answer (see ``_payload``); a hint with no payload over two
-    exact values whose sum terminates raises ``HintMismatch`` before any
-    digit is read; any other sum is the stream of ``add_stream``."""
-    if hint.terminating is not None:
-        return _payload("add", d, e, hint)
-    if d.den is not None and e.den is not None:
-        refuse_terminating(exact_result("add", d, e)[1])
-    return add_stream(d, e, hint, sign_budget)
+def weak_add(d: Decimal, e: Decimal, hint: Optional[Hint] = None, sign_budget=4096) -> Decimal:
+    """The sum of two decimals under a hint, checked as in ``_checked_hint``.
 
-
-def add_stream(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
-    """The stream of ``weak_add`` under a hint with no payload, for a sum
-    already known not to terminate.
-
-    The sign and the reduced configuration are found by comparing
-    magnitudes: the operand of the larger one goes first, and unequal signs
-    borrow.  Only exact values compare equal, and their zero sum terminates;
-    a comparison still undecided after ``sign_budget`` digits raises
+    A terminating result is its exact value, or the payload over a stream
+    operand.  Any other sum is a stream, which keeps the exact value of
+    exact operands.  Its sign and reduced configuration are found by
+    comparing magnitudes: the operand of the larger one goes first, and
+    unequal signs borrow.  Only exact values compare equal, and their zero
+    sum terminates; exact values compare with no budget, and a comparison
+    still undecided after ``sign_budget`` digits raises
     ``OracleUnavailable``.  Every digit comes from the rule of
     ``add_digit_rule``, resuming the last carry or borrow scan (at first,
     the comparison's) where it still settles the position.  The hinted
     order is checked against the operands' order bound; digits are computed.
     """
+    num, den, hint = _checked_hint("add", d, e, hint)
+    if hint.terminating is not None:
+        return _terminating(num, den, hint)
     low = bound = max(d.order, e.order) + 1
     if d.sign != e.sign:
         verdict, low, _ = magnitude_scan(d, e, budget=sign_budget)
@@ -263,31 +273,24 @@ def add_stream(d: Decimal, e: Decimal, hint: Hint, sign_budget=4096) -> Decimal:
                 f"the sign of the sum is undecided within the sign budget of {sign_budget} digits")
         if verdict is Verdict.LESS:  # the larger digit at low: no borrow into it
             d, e = e, d
-    return _checked_stream(d.sign, hint, _sum_digits(d, e, d.sign != e.sign, low, bound), bound)
+    producer = _sum_digits(d, e, d.sign != e.sign, low, bound)
+    return _checked_stream(d.sign, hint, producer, bound, num, den)
 
 
-def _payload(op: str, d: Decimal, e: Decimal, hint: Hint) -> Decimal:
-    """A terminating hint's payload as the result of ``d op e``, checked
-    against the hint of the exact result when both operands have exact
-    values (a stream has none)."""
-    if d.has_exact_value and e.has_exact_value and compute_hint(op, d, e) != hint:
-        raise HintMismatch("the terminating payload is not the exact result")
-    return Decimal.from_term(hint.terminating)
-
-
-def _checked_stream(sign: int, hint: Hint, producer, bound: int) -> Decimal:
+def _checked_stream(sign: int, hint: Hint, producer, bound: int, num, den) -> Decimal:
     """The stream of ``producer``, whose digits above ``bound`` (the
-    operands' order bound) are 0, once the hinted order is checked: a hinted
-    order above the bound fails at once, the digits from the bound down to
-    the one above the order must be 0, and a positive order's digit must
-    not be.  Each of them halts on an honest hint, so an order too low fails
-    instead of cutting the value short.  The digits above the order are not
-    stream positions, so they are asked of ``producer`` directly, top down
-    and first; the top digit is read through the stream, so a product's
-    bracket, started at the bound, steps down to it."""
+    operands' order bound) are 0, with the exact value ``num / den`` if any,
+    once the hinted order is checked: a hinted order above the bound fails
+    at once, the digits from the bound down to the one above the order must
+    be 0, and a positive order's digit must not be.  Each of them halts on
+    an honest hint, so an order too low fails instead of cutting the value
+    short.  The digits above the order are not stream positions, so they
+    are asked of ``producer`` directly, top down and first; the top digit
+    is read through the stream, so a product's bracket, started at the
+    bound, steps down to it."""
     if hint.order > bound:
         raise HintMismatch("zero digit at the hinted (positive) order")
-    f = Decimal(sign, hint.order, producer=producer, witness=SEARCHED)
+    f = Decimal(sign, hint.order, None if num is None else abs(num), den, producer, SEARCHED)
     above = 0
     for n in range(bound, hint.order, -1):
         above |= producer(n)
@@ -462,23 +465,19 @@ def _product_digits(a: Decimal, b: Decimal):
     return producer
 
 
-def weak_mul(d: Decimal, e: Decimal, hint: Hint) -> Decimal:
-    """The product of two decimals under a hint, in the three steps of
-    ``weak_add``; a terminating hint is the answer for every zero operand."""
+def weak_mul(d: Decimal, e: Decimal, hint: Optional[Hint] = None) -> Decimal:
+    """The product of two decimals under a hint, checked as in
+    ``_checked_hint``; a terminating hint is the answer for every zero
+    operand.  Any other product is a stream that keeps the exact value of
+    exact operands, with no zero operand: its sign is the product of the
+    operand signs, every digit is certified, and the hinted order is checked
+    on the stream itself.  A square (``e is d``) reads each operand digit
+    once."""
+    num, den, hint = _checked_hint("mul", d, e, hint)
     if hint.terminating is not None:
-        return _payload("mul", d, e, hint)
-    if d.den is not None and e.den is not None:
-        refuse_terminating(exact_result("mul", d, e)[1])
-    return mul_stream(d, e, hint)
-
-
-def mul_stream(d: Decimal, e: Decimal, hint: Hint) -> Decimal:
-    """The stream of ``weak_mul`` under a hint with no payload, for a
-    product already known not to terminate, so with no zero operand: its
-    sign is the product of the operand signs, every digit is certified, and
-    the hinted order is checked on the stream itself.  A square (``e is d``)
-    reads each operand digit once."""
-    return _checked_stream(d.sign * e.sign, hint, _product_digits(d, e), d.order + e.order + 1)
+        return _terminating(num, den, hint)
+    return _checked_stream(d.sign * e.sign, hint, _product_digits(d, e), d.order + e.order + 1,
+                           num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -161,10 +161,12 @@ print("0." + "".join(digits))
 gate "Tracing changes no decision"
 (
 P="0.$(python -c 'print("3" * 4200)')(4)"
-plain=$(timeout 5 decreal eval "0.(3) + -$P" --digits 4)
-traced=$(timeout 5 decreal eval "0.(3) + -$P" --digits 4 --trace)
-test "$plain" = "-0.0000"
-test "$(echo "$traced" | head -n 1)" = "$plain"
+for x in "0.(3) + -$P" "0.(3)*1 + -$P"; do
+  plain=$(timeout 5 decreal eval "$x" --digits 4)
+  traced=$(timeout 5 decreal eval "$x" --digits 4 --trace)
+  test "$plain" = "-0.0000"
+  test "$(echo "$traced" | head -n 1)" = "$plain"
+done
 )
 
 gate "A 50,000-digit carry run and borrow run settle in runs"

@@ -235,12 +235,16 @@ def test_eval_trace_changes_no_decision(capsys, trace):
 
 
 @pytest.mark.parametrize("trace", [(), ("--trace",)])
-def test_eval_sign_comparison_out_of_budget_is_exit_3(capsys, trace):
-    # 0.(3)*1 is a stream, so the comparison with the long literal stops at
-    # its budget: the oracle is unavailable, the hint is not wrong
+def test_eval_sign_comparison_over_a_weak_result_is_exact(capsys, trace):
+    # 0.(3)*1 is a weak result that keeps the exact value of its exact
+    # operands, so its comparison with the long literal has no budget, and
+    # reads what the comparison of the literal 0.(3) reads
     code, out, err = run(capsys, "eval", f"0.(3)*1 + -{LONG_THIRD}", "--digits", "4", *trace)
-    assert (code, out) == (3, "")
-    assert err == "error: the sign of the sum is undecided within the sign budget of 4096 digits\n"
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["-0.0000"] + [
+        "# left: read 4203 digits, positions 0 down to -4202",
+        "# right: read 4202 digits, positions 0 down to -4201",
+    ] * bool(trace)
 
 
 def test_eval_traced_product_reads_exact_operands_in_runs(capsys):
@@ -293,9 +297,8 @@ def test_eval_wrong_terminating_payload_is_exit_4(capsys):
 
 @pytest.mark.parametrize("trace", [(), ("--trace",)])
 def test_eval_wrong_payload_over_a_stream_operand_is_exit_4(capsys, trace):
-    # 1/7 + 1/7 is a stream with no exact value of its own: the payload of
-    # 0.5 + 0.2 is checked against the exact operands 2/7 and 1/3, not
-    # printed as 0.7
+    # 1/7 + 1/7 is a stream that keeps its exact value 2/7: the payload of
+    # 0.5 + 0.2 is checked against the exact product 2/21, not printed as 0.7
     code, hint, _ = run(capsys, "hint", "0.5+0.2")
     code, out, err = run(capsys, "eval", "(1/7+1/7)*0.(3)", *trace, "--hint", hint.strip())
     assert (code, out, err) == (4, "", "error: the terminating payload is not the exact result\n")

@@ -416,12 +416,16 @@ def test_add_digit_rule_borrows_from_a_negative_second_operand(qa, qb, n, kinds)
 # order: a streamed compare against the Fraction order
 
 def weak_stream(kind, q, part):
-    """A ``weak_add`` or ``weak_mul`` stream of the non-terminating q, over
-    the exact leaves ``part`` and ``q - part`` (or ``part`` and ``q / part``)."""
+    """The digits of a ``weak_add`` or ``weak_mul`` stream of the
+    non-terminating q, over the exact leaves ``part`` and ``q - part`` (or
+    ``part`` and ``q / part``), as a producer stream with no exact value, so
+    that ``compare`` reads them."""
     x = Decimal.from_fraction(part)
     if kind == "sum":
-        return weak_add(x, Decimal.from_fraction(q - part), hint_of(q))
-    return weak_mul(x, Decimal.from_fraction(q / part), hint_of(q))
+        f = weak_add(x, Decimal.from_fraction(q - part), hint_of(q))
+    else:
+        f = weak_mul(x, Decimal.from_fraction(q / part), hint_of(q))
+    return Decimal.from_stream(f.sign, f.order, f.digit, SEARCHED)
 
 
 def oracle_order(q):
@@ -842,18 +846,33 @@ def wrong_hints(draw, q):
     return Hint(t.order, t)
 
 
+@st.composite
+def exact_operands(draw):
+    """``(text, q, decimal)``: a literal, or the ``weak_add`` or ``weak_mul``
+    result of two literals under its default hint, which keeps the exact
+    value of its exact leaves (a stream, unless it terminates)."""
+    ta, qa = draw(literals(short_digits))
+    x = Decimal.from_fraction(qa)
+    if draw(st.booleans()):
+        return ta, qa, x
+    (tb, qb), op = draw(literals(short_digits)), draw(st.sampled_from(["+", "*"]))
+    y = Decimal.from_fraction(qb)
+    if op == "+":
+        return f"({ta})+({tb})", qa + qb, weak_add(x, y)
+    return f"({ta})*({tb})", qa * qb, weak_mul(x, y)
+
+
 @PROPERTY
-@given(a=literals(short_digits), b=literals(short_digits), op=st.sampled_from(["+", "*"]),
-       data=st.data())
+@given(a=exact_operands(), b=exact_operands(), op=st.sampled_from(["+", "*"]), data=st.data())
 def test_a_wrong_hint_raises_before_any_digit(a, b, op, data):
-    # stream operands are left out: their carry and borrow scans, product
+    # producer streams are left out: their carry and borrow scans, product
     # brackets and nine-escape searches have no budget yet (ROADMAP item 2),
-    # so a wrong hint over one may never return.  Exact magnitudes compare
+    # so a wrong hint over one may never return.  A weak result over exact
+    # leaves is checked from its exact value, and exact magnitudes compare
     # with no budget, so the sum's OracleUnavailable, raised only past its
     # sign budget, cannot come either
-    (ta, qa), (tb, qb) = a, b
+    (ta, qa, x), (tb, qb, y) = a, b
     h = data.draw(wrong_hints(qa + qb if op == "+" else qa * qb))
-    x, y = Decimal.from_fraction(qa), Decimal.from_fraction(qb)
     with pytest.raises(HintMismatch):
         (weak_add if op == "+" else weak_mul)(x, y, h)
     with pytest.raises(HintMismatch):

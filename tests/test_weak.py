@@ -13,14 +13,16 @@ from decreal.decimals import (
     TERM_ZERO,
     Decimal,
     TermDecimal,
+    Verdict,
+    compare,
     parse_decimal,
     r_inv,
     render_digits,
     SEARCHED,
 )
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
-from decreal.expr import (eval_expression, expression_hint, parse_expression, product_misses,
-                          value_of)
+from decreal.expr import (eval_expression, expression_hint, fixed_depth_misses, parse_expression,
+                          product_misses, value_of)
 from decreal.rational import DecFrac, parse_rat, ten_smooth
 from decreal.weak import (
     Hint,
@@ -404,17 +406,67 @@ def test_evaluation_folds_each_node_once(monkeypatch, text, nodes, hinted):
     assert v == value_of(node) and d.digit(-40) == oracle_digit(v, -40)
 
 
+def test_a_weak_result_over_exact_operands_keeps_the_exact_value():
+    # the hint defaults to compute_hint's; the stream keeps the folded pair,
+    # so a comparison with the same value is exact, with no budget
+    v = Fraction(1, 7) + Fraction(2, 13)
+    x, y = Decimal.from_fraction(Fraction(1, 7)), Decimal.from_fraction(Fraction(2, 13))
+    s = weak_add(x, y)
+    assert s.value() == v and s.digits(-1, -60) == v.numerator * 10 ** 60 // v.denominator
+    assert compare(s, Decimal.from_fraction(v), budget=1).verdict is Verdict.EQUAL
+    assert weak_mul(s, s).value() == v * v
+    # a terminating result is its exact value
+    assert weak_mul(Decimal.from_fraction(Fraction(1, 4)), Decimal.from_int(2)) == \
+        Decimal.from_fraction(Fraction(1, 2))
+    # over a producer stream no hint is computable
+    stream = Decimal.from_stream(1, 0, lambda n: 3, SEARCHED)
+    for op in (weak_add, weak_mul):
+        with pytest.raises(OracleUnavailable, match="only computable from exact operands"):
+            op(stream, x)
+
+
+def test_the_paper_audit_folds_each_node_once(monkeypatch):
+    # one walk returns each node's pair, so a chain of 99 products folds 99
+    # pairs, not each product's operand subtrees again at every level
+    factors = ["-902/9973", "776/7", "0.(3)", "neg(5/11)"] * 25
+    node = parse_expression("*".join(factors[:100]))
+    want, left = [], node[1]
+    while left[0] == "mul":
+        left = left[1]
+    u = value_of(left)
+    for text in factors[1:100]:
+        v = value_of(parse_expression(text))
+        whole = abs(u * v).__floor__()
+        want.append(product_misses(u, v, len(str(whole)) - 1 if whole else 0, -6))
+        u *= v
+    calls = 0
+    fold = sys.modules["decreal.expr"].pair_fold
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fold(*args)
+
+    monkeypatch.setattr(sys.modules["decreal.expr"], "pair_fold", counted)
+    assert fixed_depth_misses(node, -6) == want
+    assert calls == 99
+
+
 def test_weak_add_sign_comparison_out_of_budget_is_oracle_unavailable():
-    # 0.(3) * 1 is a stream; it and 0.33...34 agree on their top 4,096
-    # digits, so the sign of their difference is undecided, not a mismatch
-    third = weak_mul(parse_decimal("0.(3)"), parse_decimal("1"), Hint(0))
+    # the digits of 0.(3) * 1 as a producer stream, with no exact value: it
+    # and 0.33...34 agree on their top 4,096 digits, so the sign of their
+    # difference is undecided, not a mismatch
+    product = weak_mul(parse_decimal("0.(3)"), parse_decimal("1"), Hint(0))
+    third = Decimal.from_stream(1, 0, product.digit, SEARCHED)
     close = parse_decimal("0." + "3" * 4200 + "(4)")
     with pytest.raises(OracleUnavailable, match="sign budget of 4096 digits"):
         weak_add(third, close.neg(), Hint(0))
     with pytest.raises(OracleUnavailable, match="sign budget of 8 digits"):
         weak_add(third, parse_decimal("-0.333333333"), Hint(0), sign_budget=8)
-    # with both values exact the comparison has no budget
+    # with both values exact the comparison has no budget, and the weak
+    # product keeps the exact value of its exact operands
     assert render_digits(weak_add(parse_decimal("0.(3)"), close.neg(), Hint(0)), 4) == "-0.0000"
+    assert render_digits(weak_add(product, close.neg(), Hint(0)), 4) == "-0.0000"
     # an exact tie is still a mismatch, refused from the exact values
     with pytest.raises(HintMismatch, match="the result terminates"):
         weak_add(parse_decimal("0.(3)"), parse_decimal("-0.(3)"), Hint(0))
