@@ -408,9 +408,11 @@ class Decimal:
 
     @classmethod
     def from_pair(cls, num, den):
-        """The exact decimal ``num / den``, for a reduced pair with ``den > 0``."""
+        """The exact decimal ``num / den``, for a reduced pair with ``den > 0``;
+        a quotient below 10 has order 0 with no ``pair_order``."""
         sign, num = (-1, -num) if num < 0 else (1, num)
-        return cls(sign, pair_order(num, den), num, den)
+        q = num // den
+        return cls(sign, ilog10(q) if q > 9 else 0, num, den)
 
     @classmethod
     def from_int(cls, n):

@@ -20,6 +20,7 @@ from .errors import InvalidLiteral
 LITERAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|(?:\.(\d*))?(?:\((\d+)\))?)", re.ASCII)
 
 POW10_CACHED = 4096  # the largest exponent that ``pow10`` caches
+STR_SPLIT = 3900  # ``str_int`` splits digit strings this long, below the int-to-str cap
 
 
 class _Pow10(dict):
@@ -68,11 +69,11 @@ def int_str(m):
 def str_int(s):
     """``int(s)`` for a string of decimal digits, at any length.
 
-    The inverse of ``int_str``: short strings go straight through ``int``;
-    longer ones are split in half and read piece by piece, so the
-    int-to-str cap never applies.
+    The inverse of ``int_str``: strings shorter than ``STR_SPLIT`` go
+    straight through ``int``; longer ones are split in half and read piece
+    by piece, so the int-to-str cap never applies.
     """
-    if len(s) < 3900:
+    if len(s) < STR_SPLIT:
         return int(s)
     half = len(s) // 2
     return str_int(s[:-half]) * pow10(half) + str_int(s[-half:])
@@ -143,12 +144,15 @@ def rat_cmp(a, b):
 
 def literal_pair(groups, text):
     """The exact value of a literal from the groups of its ``LITERAL`` match
-    (``text`` names it in errors), as a reduced pair ``(num, den)``, ``den >
-    0``: ``int.frac`` plus ``block / (10**b - 1)`` over ``10**f``, built as
-    two integers and reduced with one ``gcd``."""
+    (``text`` holds it, and names it in errors), as a reduced pair ``(num,
+    den)``, ``den > 0``: ``int.frac`` plus ``block / (10**b - 1)`` over
+    ``10**f``, built as two integers and reduced with one ``gcd``.  In a
+    text shorter than ``STR_SPLIT`` every group is read with ``int``, as
+    ``str_int`` would read it."""
     sign, int_s, den_s, frac_s, block_s = groups
+    read = int if len(text) < STR_SPLIT else str_int
     if den_s is not None:
-        num, den = str_int(int_s), str_int(den_s)
+        num, den = read(int_s), read(den_s)
         if den == 0:
             raise InvalidLiteral(f"zero denominator: {text!r}")
     else:
@@ -156,12 +160,12 @@ def literal_pair(groups, text):
             frac_s = ""
         elif not frac_s and block_s is None:
             raise InvalidLiteral(f"dangling decimal point: {text!r}")
-        num, den = str_int(int_s + frac_s), pow10(len(frac_s))
+        num, den = read(int_s + frac_s), pow10(len(frac_s))
         if block_s:
             if not block_s.strip("9"):
                 raise InvalidLiteral("a repeating block of nines names a nine-tail word")
             nines = pow10(len(block_s)) - 1
-            num, den = num * nines + str_int(block_s), den * nines
+            num, den = num * nines + read(block_s), den * nines
     g = gcd(num, den)
     return (-num if sign == "-" else num) // g, den // g
 

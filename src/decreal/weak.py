@@ -15,8 +15,10 @@ else is honest bounded lookahead:
 
 Both scans halt on every input whose result really is non-terminating,
 which is precisely what a correct hint promises.  Over exact operands the
-hint is computable: it is the default, a given one is checked against it
-before any digit is read, and the result keeps the exact value.
+hint is computable: it is the default, a given one (its order too) is
+checked against the folded pair before any digit is read, and the result
+keeps the exact value.  Only over a producer stream, which has no exact
+value, is the hinted order checked by reading the result's top digits.
 
 Streams read in sequence resume instead of starting over (online
 arithmetic): a sum keeps the settling pair of its last scan, which also
@@ -148,22 +150,30 @@ def _checked_hint(op: str, d: Decimal, e: Decimal, hint: Optional[Hint]):
     """``(num, den, hint)``: the reduced pair of ``d op e`` (None, None
     unless both operands are exact) and the hint to use, by default the
     exact result's (that of ``compute_hint``).  Over exact operands the
-    pair, folded once, checks a given hint before any digit is read: a
-    payload must be the exact result's, and a hint with no payload must not
-    claim a terminating result, whose first digit would scan forever."""
+    pair, folded once, checks a given hint before any digit is read: it
+    must be the exact result's.  A wrong payload, or no payload for a
+    terminating result, whose first digit would scan forever, is named as
+    such; a wrong order fails as the digit check of ``_checked_stream``
+    would, on a zero digit at a positive hinted order (every order above
+    the result's has one), else on a nonzero digit above it.  The digit at
+    the hinted order is computed only below the result's order, so a huge
+    order builds no power of ten."""
     if d.den is None or e.den is None:
         if hint is None:
             raise OracleUnavailable("hints are only computable from exact operands")
         return None, None, hint
     num, den = pair_fold(op, d.sign * d.num, d.den, e.sign * e.num, e.den)
-    if hint is None or hint.terminating is not None:
-        exact = pair_hint(num, den)
-        if hint is not None and hint != exact:
-            raise HintMismatch("the terminating payload is not the exact result")
+    exact = pair_hint(num, den)
+    if hint is None or hint == exact:
         return num, den, exact
-    if ten_smooth(den):
+    if hint.terminating is not None:
+        raise HintMismatch("the terminating payload is not the exact result")
+    if exact.terminating is not None:
         raise HintMismatch("the hint claims a non-terminating result, but the result terminates")
-    return num, den, hint
+    h, top = hint.order, exact.order
+    if h > top or 0 < h and abs(num) // (den * pow10(h)) % 10 == 0:
+        raise HintMismatch("zero digit at the hinted (positive) order")
+    raise HintMismatch("nonzero digit above the hinted order")
 
 
 def _terminating(num, den, hint: Hint) -> Decimal:
@@ -260,7 +270,7 @@ def weak_add(d: Decimal, e: Decimal, hint: Optional[Hint] = None, sign_budget=40
     ``OracleUnavailable``.  Every digit comes from the rule of
     ``add_digit_rule``, resuming the last carry or borrow scan (at first,
     the comparison's) where it still settles the position.  The hinted
-    order is checked against the operands' order bound; digits are computed.
+    order is checked as in ``_checked_stream``; digits are computed.
     """
     num, den, hint = _checked_hint("add", d, e, hint)
     if hint.terminating is not None:
@@ -279,18 +289,22 @@ def weak_add(d: Decimal, e: Decimal, hint: Optional[Hint] = None, sign_budget=40
 
 def _checked_stream(sign: int, hint: Hint, producer, bound: int, num, den) -> Decimal:
     """The stream of ``producer``, whose digits above ``bound`` (the
-    operands' order bound) are 0, with the exact value ``num / den`` if any,
-    once the hinted order is checked: a hinted order above the bound fails
-    at once, the digits from the bound down to the one above the order must
-    be 0, and a positive order's digit must not be.  Each of them halts on
-    an honest hint, so an order too low fails instead of cutting the value
-    short.  The digits above the order are not stream positions, so they
-    are asked of ``producer`` directly, top down and first; the top digit
-    is read through the stream, so a product's bracket, started at the
-    bound, steps down to it."""
+    operands' order bound) are 0, with the exact value ``num / den`` if any.
+    An exact value's order was checked from its pair (``_checked_hint``),
+    so that stream is built as it is, with no digit read.  Over a producer
+    stream operand the hinted order is checked on the digits: an order
+    above the bound fails at once, the digits from the bound down to the
+    one above the order must be 0, and a positive order's digit must not
+    be.  Each of them halts on an honest hint, so an order too low fails
+    instead of cutting the value short.  The digits above the order are not
+    stream positions, so they are asked of ``producer`` directly, top down
+    and first; the top digit is read through the stream, so a product's
+    bracket, started at the bound, steps down to it."""
+    if num is not None:
+        return Decimal(sign, hint.order, abs(num), den, producer, SEARCHED)
     if hint.order > bound:
         raise HintMismatch("zero digit at the hinted (positive) order")
-    f = Decimal(sign, hint.order, None if num is None else abs(num), den, producer, SEARCHED)
+    f = Decimal(sign, hint.order, None, None, producer, SEARCHED)
     above = 0
     for n in range(bound, hint.order, -1):
         above |= producer(n)
@@ -471,8 +485,8 @@ def weak_mul(d: Decimal, e: Decimal, hint: Optional[Hint] = None) -> Decimal:
     operand.  Any other product is a stream that keeps the exact value of
     exact operands, with no zero operand: its sign is the product of the
     operand signs, every digit is certified, and the hinted order is checked
-    on the stream itself.  A square (``e is d``) reads each operand digit
-    once."""
+    as in ``_checked_stream``.  A square (``e is d``) reads each operand
+    digit once."""
     num, den, hint = _checked_hint("mul", d, e, hint)
     if hint.terminating is not None:
         return _terminating(num, den, hint)

@@ -67,6 +67,18 @@ timeout 5 decreal eval "100.(3)+3" --hint 1 || code=$?
 test "$code" = 4
 )
 
+gate "A wrong hinted order over a long integer part is refused before any digit"
+(
+N=$(python -c 'print("1" + "0" * 100000)')
+for op in "*" "+"; do
+  code=0
+  timeout 5 decreal eval "$N/7${op}1/3" --hint 1 > "$RUNNER_TEMP/out.txt" 2> "$RUNNER_TEMP/err.txt" || code=$?
+  test "$code" = 4
+  test ! -s "$RUNNER_TEMP/out.txt"
+  test "$(cat "$RUNNER_TEMP/err.txt")" = "error: nonzero digit above the hinted order"
+done
+)
+
 gate "A wrong terminating payload over exact operands is refused"
 (
 h=$(decreal hint "0.5+0.2")

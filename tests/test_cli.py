@@ -273,9 +273,12 @@ def test_eval_wrong_hint_is_an_invariant_error(capsys):
     assert code == 4
     assert "error:" in err
     # --hint 1 is order 0; 103.(3) has a zero digit at 10**1 but not at
-    # 10**2, which the check up to the operands' order bound reads
+    # 10**2, the order of the exact sum
     code, out, err = run(capsys, "eval", "100.(3)+3", "--hint", "1")
     assert (code, out, err) == (4, "", "error: nonzero digit above the hinted order\n")
+    # --hint 3 is order 1, where the digit is 0
+    code, out, err = run(capsys, "eval", "100.(3)+3", "--hint", "3")
+    assert (code, out, err) == (4, "", "error: zero digit at the hinted (positive) order\n")
 
 
 @pytest.mark.parametrize("trace", [(), ("--trace",)])

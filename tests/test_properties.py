@@ -879,6 +879,32 @@ def test_a_wrong_hint_raises_before_any_digit(a, b, op, data):
         eval_expression(parse_expression(f"({ta}){op}({tb})"), root_hint=hint_encode(h))
 
 
+@PROPERTY
+@given(qa=fractions_, qb=fractions_, op=st.sampled_from(["add", "mul"]))
+def test_a_hinted_order_is_checked_alike_over_exact_operands_and_their_stream_twins(qa, qb, op):
+    # over exact operands the order is checked from the folded pair, over
+    # producer-stream twins of the same digits by reading the result's top
+    # digits: every order from 0 to one past the operands' order bound gives
+    # the same digits or the same message.  Only non-terminating results
+    # are drawn, as the twins' scans have no budget under a hint that
+    # claims one for a terminating result (ROADMAP item 2)
+    q = qa + qb if op == "add" else qa * qb
+    assume(not ten_smooth(q.denominator))
+    x, y = Decimal.from_fraction(qa), Decimal.from_fraction(qb)
+    twins = (counted_stream(qa)[0], counted_stream(qb)[0])
+    combine = weak_add if op == "add" else weak_mul
+    bound = max(x.order, y.order) + 1 if op == "add" else x.order + y.order + 1
+    for order in range(bound + 2):
+        outcomes = []
+        for a, b in ((x, y), twins):
+            try:
+                outcomes.append(render_digits(combine(a, b, Hint(order)), 12))
+            except HintMismatch as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (order, outcomes)
+        assert (outcomes[0] == oracle_render(q, 12)) == (order == oracle_order(q))
+
+
 # ---------------------------------------------------------------------------
 # p-adic streams
 

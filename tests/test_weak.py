@@ -691,18 +691,48 @@ POSITIVE_ORDER_PRODUCTS = (("12.(3)", "1.(6)", "20." + "5" * 40, 2),
 
 
 def test_product_of_positive_order_starts_one_bracket(monkeypatch):
-    # the digits above the hinted order are probed first, top down from the
-    # operands' order bound, so one bracket starts at the bound and steps
-    # down through the top digit and every digit below it;
-    # 1000.(3) * 0.0(3) = 33.3(4) has the bound 3 + 0 + 1 = 4, three
-    # positions above its order
+    # over exact operands the hinted order is checked from the folded pair,
+    # so the one bracket starts cold at the first position read, the
+    # product's order; over producer-stream twins of the same digits, which
+    # have no exact value, the digits above the hinted order are probed
+    # first, top down from the operands' order bound, so the one bracket
+    # starts at the bound and steps down through the top digit and every
+    # digit below it; 1000.(3) * 0.0(3) = 33.3(4) has the bound
+    # 3 + 0 + 1 = 4, three positions above its order
     starts = counted_bracket_starts(monkeypatch)
     for x, y, rendered, bound in POSITIVE_ORDER_PRODUCTS:
         x, y = parse_decimal(x), parse_decimal(y)
-        starts.clear()
-        prod = weak_mul(x, y, compute_hint("mul", x, y))
-        assert render_digits(prod, 40) == rendered
-        assert starts == [bound]
+        hint = compute_hint("mul", x, y)
+        for a, b, start in ((x, y, hint.order), (stream_of(x), stream_of(y), bound)):
+            starts.clear()
+            prod = weak_mul(a, b, hint)
+            assert render_digits(prod, 40) == rendered
+            assert starts == [start]
+
+
+def test_a_wrong_hinted_order_over_exact_operands_is_refused_before_any_read():
+    # the order of an exact result comes from its folded pair, so a wrong
+    # hinted order is refused with no operand digit read, and with the
+    # message that the digit check over producer streams gives it: a zero
+    # digit at a positive hinted order (every order above the result's has
+    # one), else a nonzero digit above the hinted order;
+    # 1000/7 * 1000/3 = 47619.04..., 100/7 - 1/3 = 13.95...
+    # and 100.(3) + 3 = 103.(3), whose digit at 10**1 is 0
+    above = "^nonzero digit above the hinted order$"
+    zero = r"^zero digit at the hinted \(positive\) order$"
+    cases = ((weak_mul, "142.(857142)", "333.(3)", 0, above),
+             (weak_mul, "142.(857142)", "333.(3)", 2, above),
+             (weak_mul, "142.(857142)", "333.(3)", 5, zero),
+             (weak_mul, "142.(857142)", "333.(3)", 10 ** 20, zero),
+             (weak_add, "14.(285714)", "0.(3)", 0, above),
+             (weak_add, "14.(285714)", "-0.(3)", 0, above),
+             (weak_add, "14.(285714)", "-0.(3)", 2, zero),
+             (weak_add, "100.(3)", "3", 1, zero))
+    for op, x, y, order, message in cases:
+        (a, b), traces = exact_views(x, y)
+        with pytest.raises(HintMismatch, match=message):
+            op(a, b, Hint(order))
+        assert [t.total for t in traces] == [0, 0], (op, x, y, order)
 
 
 def test_paper_product_with_a_missed_top_digit_prints_certified_digits_and_the_miss(capsys):
