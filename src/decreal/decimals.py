@@ -32,7 +32,7 @@ from .errors import (
     OracleUnavailable,
 )
 from .rational import (BLOCK, LITERAL, DecFrac, bytes_int, digit_bytes, digit_text, ilog10,
-                       int_str, literal_pair, pow10, runs, ten_smooth)
+                       int_str, literal_pair, pow10, runs, ten_smooth, ten_valuation)
 
 # ---------------------------------------------------------------------------
 # terminating decimals
@@ -351,11 +351,12 @@ class Decimal:
     has done:
 
     * a decimal with a producer memoises its digits, one producer call per
-      position, in a pair ``(dense, sparse)``: a ``bytearray`` of the
-      unbroken run from ``order`` down to the frontier (position ``n`` at
-      index ``order - n``), and a dict of the positions read out of
-      sequence below it, which fold into the array when the frontier
-      reaches them;
+      position, in a list ``[dense, sparse, origin]``: a ``bytearray`` of
+      the unbroken run from ``origin``, the first position written to the
+      empty memo, down to the frontier (position ``n`` at index ``origin -
+      n``), and a dict of the positions read out of sequence, above the
+      origin or below the frontier; those below fold into the array when
+      the frontier reaches them, and those above stay in the dict;
     * an exact value keeps the long-division pair ``[position, remainder,
       above]``, ``remainder = num * 10**(-position - 1) mod den``, which
       yields the digit at ``position``; ``above`` is the digit at
@@ -370,11 +371,11 @@ class Decimal:
     value serves it with one division.  A stream slices what its array
     holds, takes what its sparse dict holds, and asks its producer's
     ``block(hi, lo)``, if it has one, for each missing run, appending the
-    result to the array at the frontier (or to the dict below it); a
-    producer without ``block`` is asked one position at a time.  So a block
-    read produces and reads the same positions as the loop of ``digit``
-    calls it replaces, at the same depth and through the same memo; only
-    the order of the reads inside a block may differ.
+    result to the array at the frontier, or to an empty one (else to the
+    dict); a producer without ``block`` is asked one position at a time.
+    So a block read produces and reads the same positions as the loop of
+    ``digit`` calls it replaces, at the same depth and through the same
+    memo; only the order of the reads inside a block may differ.
 
     ``known(n, limit)`` reads ``digit(n)`` and returns, as bytes, the digits
     from ``n`` down that the decimal then holds without asking its
@@ -388,7 +389,7 @@ class Decimal:
 
     def __init__(self, sign, order, num=None, den=None, producer=None, witness=None, memo=None):
         if memo is None:
-            memo = (bytearray(), {}) if producer is not None else [None, 0, None]
+            memo = [bytearray(), {}, order] if producer is not None else [None, 0, None]
         self.sign, self.order, self.num, self.den = sign, order, num, den
         self._value, self._producer, self._witness, self._memo = None, producer, witness, memo
 
@@ -437,16 +438,20 @@ class Decimal:
             return 0
         producer = self._producer
         if producer is not None:
-            dense, sparse = self._memo
-            i = self.order - n
-            if i < len(dense):
+            memo = self._memo
+            dense, sparse, origin = memo
+            i = origin - n
+            if 0 <= i < len(dense):
                 return dense[i]
             d = sparse.get(n)
             if d is None:
                 d = producer(n)
                 if not isinstance(d, int) or not 0 <= d <= 9:
                     raise InvariantViolation(f"stream produced {d!r}", position=n)
-                if i == len(dense):  # at the frontier
+                if not dense:  # the first digit written sets the origin
+                    memo[2] = n
+                    dense.append(d)
+                elif i == len(dense):  # at the frontier
                     dense.append(d)
                     if sparse:
                         self._fold()
@@ -492,20 +497,35 @@ class Decimal:
             return bytes(min(n - self.order, limit))
         if self._producer is None:
             return digit_bytes(self.digits(n, n - limit + 1), limit)
-        d, dense, i = self.digit(n), self._memo[0], self.order - n
-        return dense[i:i + limit] if i < len(dense) else bytes((d,))
+        d = self.digit(n)
+        dense, _, origin = self._memo
+        i = origin - n
+        return dense[i:i + limit] if 0 <= i < len(dense) else bytes((d,))
 
     def _stream_digits(self, hi, lo):
         """Positions ``hi >= lo`` of a stream: those in the dense array as
-        one slice, then the rest from the sparse dict and the producer."""
-        order, (dense, sparse) = self.order, self._memo
-        top = max(min(hi, order - len(dense)), lo - 1)  # hi down to top + 1 are in the array
-        out = bytes_int(dense[order - hi:order - top])
+        one slice, and those above and below it from the sparse dict and
+        the producer, top down."""
+        dense, _, origin = self._memo
+        top, bottom = min(hi, origin), max(lo, origin - len(dense) + 1)
+        if top < bottom:  # no position in the array
+            return self._gather(hi, lo)
+        out = self._gather(hi, top + 1) * pow10(top - bottom + 1)
+        out += bytes_int(dense[origin - top:origin - bottom + 1])
+        return out * pow10(bottom - lo) + self._gather(bottom - 1, lo)
+
+    def _gather(self, hi, lo):
+        """Positions ``hi`` down to ``lo``, none in the dense array: runs of
+        them from the sparse dict, and the runs missing there from the
+        producer; 0 when ``hi < lo``."""
+        if hi < lo:
+            return 0
+        sparse = self._memo[1]
         if not sparse:
-            return out * pow10(top - lo + 1) + self._produce(top, lo)
-        known = list(map(sparse.get, range(top, lo - 1, -1)))
+            return self._produce(hi, lo)
+        known = list(map(sparse.get, range(hi, lo - 1, -1)))
         k, missing = len(known), known.count(None)
-        i = 0
+        i, out = 0, 0
         while i < k:
             if known[i] is not None:  # a memoised run
                 j = known.index(None, i) if missing else k
@@ -515,7 +535,7 @@ class Decimal:
                 while j < k and known[j] is None:
                     j += 1
                 missing -= j - i
-                run = self._produce(top - i, top - j + 1)
+                run = self._produce(hi - i, hi - j + 1)
             out = out * pow10(j - i) + run
             i = j
         return out
@@ -531,7 +551,8 @@ class Decimal:
             for n in range(hi, lo - 1, -1):
                 out = out * 10 + self.digit(n)
             return out
-        dense, sparse = self._memo
+        memo = self._memo
+        dense, sparse, _ = memo
         for top, bottom in runs(hi, lo):
             k = top - bottom + 1
             v = block(top, bottom)
@@ -539,7 +560,10 @@ class Decimal:
                 raise InvariantViolation(f"stream produced block {v!r} for {k} digits",
                                          position=bottom)
             run = digit_bytes(v, k)
-            if self.order - top == len(dense):  # at the frontier
+            if not dense:  # the first run written sets the origin
+                memo[2] = top
+                dense += run
+            elif memo[2] - top == len(dense):  # at the frontier
                 dense += run
                 self._fold()
             else:
@@ -549,8 +573,8 @@ class Decimal:
 
     def _fold(self):
         """Move the sparse positions that the array now reaches into it."""
-        dense, sparse = self._memo
-        n = self.order - len(dense)
+        dense, sparse, origin = self._memo
+        n = origin - len(dense)
         while n in sparse:
             dense.append(sparse.pop(n))
             n -= 1
@@ -596,9 +620,7 @@ class Decimal:
             raise OracleUnavailable("leading index of a stream is not observable")
         if num == 0:
             return None
-        if num >= den:
-            return self.order
-        return -(ilog10((den - 1) // num) + 1)
+        return self.order if num >= den else _top(num, den)
 
     # -- structure
 
@@ -720,12 +742,12 @@ def _nine_free_position(d, n, budget):
 def compare(d, e, budget=128):
     """Digitwise order on decimals.
 
-    Exact backings on both sides decide equality exactly and scan without
-    a budget.  Otherwise digits are scanned from the top; a tie within
-    ``budget`` positions comes back UNDECIDED, while a decision carries a
-    separation witness built from the first differing digit (a digit gap of
-    one needs a nine-free position below, found by scanning or by the
-    stream's escape witness).
+    Exact backings on both sides compare from their pairs, reading no
+    digit (``magnitude_scan``).  Otherwise digits are scanned from the top;
+    a tie within ``budget`` positions comes back UNDECIDED, while a decision
+    carries a separation witness built from the first differing digit (a
+    digit gap of one needs a nine-free position below, found by scanning or
+    by the stream's escape witness).
     """
     if d.sign == e.sign:  # the digits are those of the magnitudes
         verdict, m = compare_magnitudes(d, e, budget)
@@ -742,7 +764,8 @@ def compare(d, e, budget=128):
     if d.has_exact_value and e.has_exact_value:  # the nonzero side alone separates
         x = neg if pos.is_zero() else pos
         t = x.leading_index()
-        return Comparison(verdict, _sep_from_position(t if x.digit(t) >= 2 else t - 1))
+        two = x.num * pow10(max(-t, 0)) >= 2 * x.den * pow10(max(t, 0))  # top digit >= 2
+        return Comparison(verdict, _sep_from_position(t if two else t - 1))
     t = (neg.leading_index() if neg.has_exact_value
          else first_difference(neg, TERM_ZERO, budget))
     if t is None:
@@ -760,18 +783,21 @@ def compare_magnitudes(d, e, budget=128):
     (a decimal's digits are those of its magnitude).  The first differing
     digit decides, at n; the truncations stay apart below m <= n (a gap of
     one needs a nine-free position below, on the smaller side), and m is
-    None for EQUAL and UNDECIDED.  Exact values scan without a budget."""
+    None for EQUAL and UNDECIDED.  Two exact values compare from their
+    pairs, reading no digit, and so with no budget."""
     verdict, _, m = magnitude_scan(d, e, budget)
     return verdict, m
 
 
 def magnitude_scan(d, e, budget=128):
     """``(verdict, n, m)``: ``compare_magnitudes`` with the first differing
-    position n, None where m is."""
+    position n, None where m is.  Two exact values are compared from their
+    reduced pairs (``_pair_scan``), reading no digit; any other pair is
+    scanned from the top."""
     if d.den is not None and e.den is not None:
         if d.num == e.num and d.den == e.den:
             return Verdict.EQUAL, None, None
-        budget = None
+        return _pair_scan(d.num, d.den, e.num, e.den)
     n = first_difference(d, e, budget)
     if n is None:
         return Verdict.UNDECIDED, None, None
@@ -780,6 +806,53 @@ def magnitude_scan(d, e, budget=128):
     if m is None:
         return Verdict.UNDECIDED, None, None
     return Verdict.LESS if dd < de else Verdict.GREATER, n, m
+
+
+def _top(num, den):
+    """The position of the top digit of ``num / den > 0``."""
+    if num >= den:
+        return ilog10(num // den)
+    return -(ilog10((den - 1) // num) + 1)
+
+
+def _pair_scan(a, b, c, f):
+    """``magnitude_scan`` of the unequal magnitudes ``a / b`` and ``c / f``
+    (reduced pairs), from the pairs alone.
+
+    With x the larger and y the smaller, n is the highest position whose
+    cell boundaries (multiples of ``10**n``) meet ``(y, x]``.  Take s, the
+    top position of ``x - y``, ``X = floor(x * 10**-s)`` and ``Y =
+    floor(y * 10**-s)``: the multiples of ``10**s`` in ``(y, x]`` are those
+    of ``(Y, X]``, where ``1 <= X - Y <= 10``, so it holds at most one
+    multiple of 10.  Without one, n is s and the digit gap is ``X - Y``;
+    with one, n climbs by its ten-valuation, and the gap is one.  For a gap
+    of one, y's digits below n are nines down to the top position t of g,
+    the distance from y up to the next multiple of ``10**n``, and the digit
+    at t is a nine only when g is ``10**t`` (t is n when g is ``10**n``),
+    with a zero below it: m is t, or t - 1 for that nine.  One long
+    division, for Y, is of the size of the operands.
+    """
+    verdict, diff = Verdict.GREATER, a * f - c * b
+    if diff < 0:  # y is the first operand
+        verdict, diff, (a, b, c, f) = Verdict.LESS, -diff, (c, f, a, b)
+    s = _top(diff, b * f)
+    up, down = (pow10(-s), 1) if s < 0 else (1, pow10(s))
+    scale = f * down  # y * 10**-s is Y + ry / scale
+    y_top, ry = divmod(c * up, scale)
+    gap = (ry * b + diff * up) // (b * f * down)  # X - Y
+    step = 10 - y_top % 10  # from Y to the next multiple of 10
+    if gap < step:  # none in (Y, X]
+        if gap >= 2:
+            return verdict, s, s
+        v = 0
+    else:
+        v = ten_valuation(y_top + step)
+    # g * 10**-s is rest / scale: 10**v less Y's digits below n, less ry / scale
+    p = pow10(v)
+    rest = (p - y_top % p) * scale - ry
+    t = _top(rest, scale)
+    nine = rest == scale * pow10(t) if t >= 0 else rest * pow10(-t) == scale  # g is 10**(s + t)
+    return verdict, s + v, s + t - nine
 
 
 def check_separation(d, e, w, samples=16):
@@ -1006,8 +1079,9 @@ def _block_text(d, top, bottom):
     sparse dict."""
     k, v = top - bottom + 1, d.digits(top, bottom)
     if d._producer is not None:
-        i = d.order - top
-        run = d._memo[0][i:i + k]
+        dense, _, origin = d._memo
+        i = origin - top
+        run = dense[i:i + k] if i >= 0 else b""
         if len(run) == k:
             return digit_text(run)
     return int_str(v).zfill(k)

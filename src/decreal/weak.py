@@ -265,9 +265,9 @@ def weak_add(d: Decimal, e: Decimal, hint: Optional[Hint] = None, sign_budget=40
     exact operands.  Its sign and reduced configuration are found by
     comparing magnitudes: the operand of the larger one goes first, and
     unequal signs borrow.  Only exact values compare equal, and their zero
-    sum terminates; exact values compare with no budget, and a comparison
-    still undecided after ``sign_budget`` digits raises
-    ``OracleUnavailable``.  Every digit comes from the rule of
+    sum terminates; exact values compare from their pairs, reading no
+    digit, and any other comparison still undecided after ``sign_budget``
+    digits raises ``OracleUnavailable``.  Every digit comes from the rule of
     ``add_digit_rule``, resuming the last carry or borrow scan (at first,
     the comparison's) where it still settles the position.  The hinted
     order is checked as in ``_checked_stream``; digits are computed.

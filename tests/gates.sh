@@ -179,6 +179,10 @@ for x in "0.(3) + -$P" "0.(3)*1 + -$P"; do
   test "$plain" = "-0.0000"
   test "$(echo "$traced" | head -n 1)" = "$plain"
 done
+# the sign comparison of exact values reads no digit: only the five printed
+traced=$(timeout 5 decreal eval "0.(3) + -$P" --digits 4 --trace)
+test "$(echo "$traced" | tail -n 2)" = "# left: read 5 digits, positions 0 down to -4
+# right: read 5 digits, positions 0 down to -4"
 )
 
 gate "A 50,000-digit carry run and borrow run settle in runs"
@@ -216,6 +220,24 @@ for _ in range(n):
 print(f"{ip}." + "".join(digits))
 ')"
 traced=$(timeout 5 decreal eval "(0.(3)+0.(142857))+0.(81)" --digits 200000 --trace)
+test "$(echo "$traced" | head -n 1)" = "$out"
+test "$(echo "$traced" | tail -n 2)" = "# left: read 200002 digits, positions 0 down to -200001
+# right: read 200002 digits, positions 0 down to -200001"
+)
+
+gate "A long nested difference memoises its digits densely"
+(
+out=$(timeout 5 decreal eval "(5.(3)+4.(142857))+-9.(81)" --digits 200000)
+test "$out" = "$(python -c '
+from fractions import Fraction
+q, n = Fraction(16, 3) + Fraction(29, 7) - Fraction(108, 11), 200000
+r, digits = -q.numerator, []
+for _ in range(n):
+    d, r = divmod(10 * r, q.denominator)
+    digits.append(str(d))
+print("-0." + "".join(digits))
+')"
+traced=$(timeout 5 decreal eval "(5.(3)+4.(142857))+-9.(81)" --digits 200000 --trace)
 test "$(echo "$traced" | head -n 1)" = "$out"
 test "$(echo "$traced" | tail -n 2)" = "# left: read 200002 digits, positions 0 down to -200001
 # right: read 200002 digits, positions 0 down to -200001"

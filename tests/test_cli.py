@@ -237,13 +237,14 @@ def test_eval_trace_changes_no_decision(capsys, trace):
 @pytest.mark.parametrize("trace", [(), ("--trace",)])
 def test_eval_sign_comparison_over_a_weak_result_is_exact(capsys, trace):
     # 0.(3)*1 is a weak result that keeps the exact value of its exact
-    # operands, so its comparison with the long literal has no budget, and
-    # reads what the comparison of the literal 0.(3) reads
+    # operands, so its comparison with the long literal is decided from the
+    # two pairs, reading no digit: each operand is read only for the five
+    # digits printed
     code, out, err = run(capsys, "eval", f"0.(3)*1 + -{LONG_THIRD}", "--digits", "4", *trace)
     assert (code, err) == (0, "")
     assert out.splitlines() == ["-0.0000"] + [
-        "# left: read 4203 digits, positions 0 down to -4202",
-        "# right: read 4202 digits, positions 0 down to -4201",
+        "# left: read 5 digits, positions 0 down to -4",
+        "# right: read 5 digits, positions 0 down to -4",
     ] * bool(trace)
 
 

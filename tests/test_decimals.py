@@ -25,6 +25,7 @@ from decreal.decimals import (
     format_decimal,
     inf_finite,
     interval_digit,
+    magnitude_scan,
     negate,
     parse_decimal,
     r_inv,
@@ -439,8 +440,9 @@ def test_long_stream_runs_go_to_the_producer_in_pieces():
 
 
 # ---------------------------------------------------------------------------
-# the shape of a stream's memo: a dense array from the order down to the
-# frontier, and a sparse dict of the positions read below it
+# the shape of a stream's memo: a dense array from its origin, the first
+# position written, down to the frontier, and a sparse dict of the positions
+# read above the origin or below the frontier
 
 Q = Fraction(-4736, 7)  # -676.571428..., order 2
 
@@ -476,31 +478,54 @@ def asked_stream(q, with_block, fail=()):
 
 
 def memo_shape(x, q):
-    """The frontier of x's memo (the highest position its array lacks) and
-    the positions in its sparse dict, top first, once every memoised digit
-    is checked against q."""
-    dense, sparse = x._memo
-    frontier = x.order - len(dense)
-    assert list(dense) == [oracle_digit(q, n) for n in range(x.order, frontier, -1)]
-    assert all(frontier > n and d == oracle_digit(q, n) for n, d in sparse.items())
-    return frontier, sorted(sparse, reverse=True)
+    """The origin of x's memo (the top of its array), its frontier (the
+    highest position below the origin that the array lacks) and the
+    positions in its sparse dict, top first, once every memoised digit is
+    checked against q."""
+    dense, sparse, origin = x._memo
+    frontier = origin - len(dense)
+    assert list(dense) == [oracle_digit(q, n) for n in range(origin, frontier, -1)]
+    assert all((n > origin or frontier > n) and d == oracle_digit(q, n)
+               for n, d in sparse.items())
+    return origin, frontier, sorted(sparse, reverse=True)
 
 
 @pytest.mark.parametrize("with_block", [False, True])
 def test_far_reads_stay_sparse_until_the_frontier_reaches_and_folds_them_in(with_block):
     x, asked, blocks = asked_stream(Q, with_block)
+    assert x.digit(2) == oracle_digit(Q, 2)  # the first read sets the origin, here the order
     assert [x.digit(n) for n in (-5, -9)] == [oracle_digit(Q, n) for n in (-5, -9)]
-    assert memo_shape(x, Q) == (2, [-5, -9])
+    assert memo_shape(x, Q) == (2, 1, [-5, -9])
     assert x.digits(2, -3) == oracle_block(Q, 2, -3)
-    assert memo_shape(x, Q) == (-4, [-5, -9])
+    assert memo_shape(x, Q) == (2, -4, [-5, -9])
     # a digit at the frontier, then a run there: each folds the far read below it
     assert x.neg().digit(-4) == oracle_digit(Q, -4)
-    assert memo_shape(x, Q) == (-6, [-9])
+    assert memo_shape(x, Q) == (2, -6, [-9])
     assert x.neg().digits(-6, -8) == oracle_block(Q, -6, -8)
-    assert memo_shape(x, Q) == (-10, [])
+    assert memo_shape(x, Q) == (2, -10, [])
     assert x.neg().digits(2, -9) == x.digits(2, -9) == oracle_block(Q, 2, -9)
     assert asked == Counter(range(-9, 3))
-    assert blocks == ([(2, -3), (-6, -8)] if with_block else [])
+    assert blocks == ([(1, -3), (-6, -8)] if with_block else [])
+
+
+@pytest.mark.parametrize("with_block", [False, True])
+def test_a_first_read_below_the_order_is_the_origin_of_the_dense_array(with_block):
+    x, asked, blocks = asked_stream(Q, with_block)
+    assert x.digits(-3, -5) == oracle_block(Q, -3, -5)
+    assert memo_shape(x, Q) == (-3, -6, [])
+    assert x.neg().digit(-6) == oracle_digit(Q, -6)  # at the frontier, through the shared memo
+    assert x.digit(-9) == oracle_digit(Q, -9)  # below it
+    assert memo_shape(x, Q) == (-3, -7, [-9])
+    assert x.digits(-7, -8) == oracle_block(Q, -7, -8)
+    assert memo_shape(x, Q) == (-3, -10, [])
+    # reads above the origin go to the sparse dict and stay there
+    assert x.neg().digits(2, -10) == oracle_block(Q, 2, -10)
+    assert memo_shape(x, Q) == (-3, -11, [2, 1, 0, -1, -2])
+    assert x.known(0, 5) == oracle_run(Q, 0, 1)  # the one digit read
+    assert x.known(-3, 20) == oracle_run(Q, -3, 8)  # down to the frontier
+    assert render_digits(x, 10) == "-676.5714285714"
+    assert asked == Counter(range(-10, 3))
+    assert blocks == ([(-3, -5), (-7, -8), (2, -2), (-10, -10)] if with_block else [])
 
 
 @pytest.mark.parametrize("with_block", [False, True])
@@ -508,9 +533,9 @@ def test_a_digits_range_spans_dense_sparse_and_missing_positions(with_block):
     x, asked, blocks = asked_stream(Q, with_block)
     assert x.digits(2, 0) == oracle_block(Q, 2, 0)
     assert [x.digit(n) for n in (-3, -4, -7)] == [oracle_digit(Q, n) for n in (-3, -4, -7)]
-    assert memo_shape(x, Q) == (-1, [-3, -4, -7])
+    assert memo_shape(x, Q) == (2, -1, [-3, -4, -7])
     assert x.neg().digits(1, -9) == oracle_block(Q, 1, -9)
-    assert memo_shape(x, Q) == (-10, [])
+    assert memo_shape(x, Q) == (2, -10, [])
     assert x.digits(2, -9) == oracle_block(Q, 2, -9)
     assert asked == Counter(range(-9, 3))
     assert blocks == ([(2, 0), (-1, -2), (-5, -6), (-8, -9)] if with_block else [])
@@ -518,14 +543,15 @@ def test_a_digits_range_spans_dense_sparse_and_missing_positions(with_block):
 
 def test_a_block_run_off_the_frontier_goes_to_the_sparse_dict():
     x, asked, blocks = asked_stream(Q, True)
+    assert x.digit(2) == oracle_digit(Q, 2)  # the origin, at the order
     assert x.digits(-3, -6) == oracle_block(Q, -3, -6)
-    assert memo_shape(x, Q) == (2, [-3, -4, -5, -6])
+    assert memo_shape(x, Q) == (2, 1, [-3, -4, -5, -6])
     assert x.neg().digits(-4, -5) == oracle_block(Q, -4, -5)
     assert x.digits(2, -8) == oracle_block(Q, 2, -8)
-    assert memo_shape(x, Q) == (-9, [])
+    assert memo_shape(x, Q) == (2, -9, [])
     assert x.neg().digits(0, -8) == oracle_block(Q, 0, -8)
     assert asked == Counter(range(-8, 3))
-    assert blocks == [(-3, -6), (2, -2), (-7, -8)]
+    assert blocks == [(-3, -6), (1, -2), (-7, -8)]
 
 
 @pytest.mark.parametrize("with_block", [False, True])
@@ -536,10 +562,10 @@ def test_a_raise_at_or_below_the_frontier_leaves_its_positions_to_be_asked_again
     for read in (lambda: x.digit(-4), lambda: x.digit(-1), lambda: x.digits(-7, -8)):
         with pytest.raises(OracleUnavailable):
             read()
-        assert memo_shape(x, Q) == (-1, [])
+        assert memo_shape(x, Q) == (2, -1, [])
     assert x.neg().digit(-4) == oracle_digit(Q, -4)
     assert x.neg().digits(-1, -8) == oracle_block(Q, -1, -8)
-    assert memo_shape(x, Q) == (-9, [])
+    assert memo_shape(x, Q) == (2, -9, [])
     assert x.digits(2, -8) == oracle_block(Q, 2, -8)
     retried = [-4, -1, -7] + ([-8] if with_block else [])
     assert asked == Counter(range(-8, 3)) + Counter(retried)
@@ -590,12 +616,13 @@ def test_known_on_a_stream_is_its_digit_then_its_dense_array():
 @pytest.mark.parametrize("with_block", [False, True])
 def test_known_off_the_frontier_is_the_one_digit_read(with_block):
     x, asked, _ = asked_stream(Q, with_block)
+    assert x.digit(2) == oracle_digit(Q, 2)  # the origin, at the order
     assert [x.digit(n) for n in (-5, -6)] == [oracle_digit(Q, n) for n in (-5, -6)]
-    assert memo_shape(x, Q) == (2, [-5, -6])
+    assert memo_shape(x, Q) == (2, 1, [-5, -6])
     assert x.known(-5, 4) == oracle_run(Q, -5, 1)
     assert x.known(-9, 4) == oracle_run(Q, -9, 1)
-    assert memo_shape(x, Q) == (2, [-5, -6, -9])
-    assert asked == Counter([-5, -6, -9])
+    assert memo_shape(x, Q) == (2, 1, [-5, -6, -9])
+    assert asked == Counter([2, -5, -6, -9])
 
 
 def test_known_on_a_traced_view_is_what_was_read_through_it():
@@ -712,6 +739,18 @@ def test_compare_equal_exact_values_is_equal_with_no_witness(text, q):
     d, e = parse_decimal(text), Decimal.from_fraction(q)
     assert compare(d, e) == Comparison(Verdict.EQUAL)
     assert compare_magnitudes(d, d.neg()) == (Verdict.EQUAL, None)
+
+
+def test_exact_magnitudes_compare_from_their_pair_reading_no_digit():
+    # 0.(3) and a literal whose digits leave it at 10**-4201: traced views
+    # keep the exact values, and no position of either is read
+    third, trace_third = traced_decimal(parse_decimal("0.(3)"))
+    long_third, trace_long = traced_decimal(parse_decimal("0." + "3" * 4200 + "(4)"))
+    assert magnitude_scan(third, long_third) == (Verdict.LESS, -4201, -4202)
+    assert magnitude_scan(long_third.neg(), third) == (Verdict.GREATER, -4201, -4202)
+    c = compare(third, long_third)
+    assert (c.verdict, c.witness) == (Verdict.LESS, SeparationWitness(pow10(4202), 4202))
+    assert trace_third.total == trace_long.total == 0
 
 
 def test_check_separation_rejects_a_witness_that_is_too_strong():

@@ -25,6 +25,7 @@ from decreal.decimals import (  # noqa: E402
     compare_magnitudes,
     digit_of_fraction,
     first_difference,
+    magnitude_scan,
     parse_decimal,
     r_inv,
     render_digits,
@@ -645,6 +646,42 @@ def test_nine_free_scans_over_long_nine_runs_match_fraction_oracle(case, kinds, 
         a, b = run_operand(kinds[0], small, warm), run_operand(kinds[1], big, warm)
         assert compare_magnitudes(a, b, budget) == (Verdict.LESS, m)
         assert compare_magnitudes(b, a, budget) == (Verdict.GREATER, m)
+
+
+@st.composite
+def close_magnitudes(draw):
+    """Two unequal magnitudes whose digits agree far down: near-ties
+    ``x +- k * 10**-L / {1, 3, 7, 9}``, terminating values one unit of a
+    low place apart, nine runs below a gap of one (``nine_runs``), and
+    near-ties that agree for more than a block."""
+    kind = draw(st.sampled_from(["near", "terminating", "nines", "long"]))
+    if kind == "nines":
+        small, big, _ = draw(nine_runs())
+        return small, big
+    if kind == "terminating":
+        x = abs(draw(terminating_))
+        return x, x + Fraction(1, 10 ** draw(st.integers(0, 12)))
+    x = abs(draw(fractions_))
+    places = draw(st.integers(0, 60) if kind == "near" else st.integers(BLOCK + 1, 2 * BLOCK))
+    step = Fraction(draw(st.integers(1, 20)), 10 ** places * draw(st.sampled_from([1, 3, 7, 9])))
+    y = abs(x + draw(st.sampled_from([-1, 1])) * step)
+    assume(x != y)
+    return x, y
+
+
+@PROPERTY
+@given(pair=close_magnitudes(), swap=st.booleans(), signs=st.tuples(st.booleans(), st.booleans()))
+@example(pair=(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 9 * 10 ** 4200)), swap=False,
+         signs=(False, True))
+@example(pair=(Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10 ** 30)), swap=True,
+         signs=(False, False))
+def test_exact_magnitudes_compare_from_their_pair_as_their_digits_do(pair, swap, signs):
+    # the pair's verdict, first difference and nine-free position are
+    # those of the digit scan over producer streams of the same digits
+    qx, qy = pair[::-1] if swap else pair
+    x, y = (Decimal.from_fraction(-q if neg else q) for q, neg in zip((qx, qy), signs))
+    twins = [Decimal.from_stream(d.sign, d.order, d.digit, SEARCHED) for d in (x, y)]
+    assert magnitude_scan(x, y, None) == magnitude_scan(*twins, None)
 
 
 # ---------------------------------------------------------------------------

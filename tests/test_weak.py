@@ -23,7 +23,7 @@ from decreal.decimals import (
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
 from decreal.expr import (eval_expression, expression_hint, fixed_depth_misses, parse_expression,
                           product_misses, value_of)
-from decreal.rational import DecFrac, parse_rat, ten_smooth
+from decreal.rational import DecFrac, int_str, parse_rat, ten_smooth
 from decreal.weak import (
     Hint,
     add_digit_rule,
@@ -987,6 +987,27 @@ def test_a_long_sequential_sum_keeps_at_most_two_bytes_per_memoised_digit():
     assert len(f._memo[0]) == memoised and not f._memo[1]
     assert kept <= 2 * memoised
     assert f.digits(f.order, -places) == v.numerator * 10 ** places // v.denominator
+
+
+@pytest.mark.parametrize("inner, other, order", [("5.(3)+4.(142857)", "-9.(81)", 0),
+                                                 ("10.(3)+4.(142857)", "-14.(81)", 1)])
+def test_a_nested_difference_memoises_its_inner_sum_densely(inner, other, order):
+    # the sign comparison reads no digit, so the outer difference, of order
+    # 0, is the first to read the inner sum: at the inner order, or in the
+    # second case one below it; either way the first position written is
+    # the origin of a dense array
+    places = 5000
+    x, _, _ = eval_expression(parse_expression(inner))
+    y, _, _ = eval_expression(parse_expression(other))
+    f = weak_add(x, y)
+    v = f.value()
+    assert render_digits(f, places) == (
+        "-0." + int_str(abs(v.numerator) * 10 ** places // v.denominator).zfill(places))
+    dense, sparse, origin = x._memo
+    q = x.value()
+    assert (x.order, origin) == (order, 0)
+    held = int_str(q.numerator * 10 ** (places + 1) // q.denominator)[-places - 2:]
+    assert bytes(dense) == bytes(int(c) for c in held) and not sparse
 
 
 def test_certified_digit_refuses_negative_operands():
