@@ -17,6 +17,7 @@ rational whose digits end in zeros), or by an arbitrary digit producer plus a
 nine-escape witness.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -351,12 +352,19 @@ class Decimal:
     has done:
 
     * a decimal with a producer memoises its digits, one producer call per
-      position, in a list ``[dense, sparse, origin]``: a ``bytearray`` of
+      position, in a list ``[dense, sparse, origin, runs, ends]``.  It holds
       the unbroken run from ``origin``, the first position written to the
       empty memo, down to the frontier (position ``n`` at index ``origin -
-      n``), and a dict of the positions read out of sequence, above the
-      origin or below the frontier; those below fold into the array when
-      the frontier reaches them, and those above stay in the dict;
+      n``): first spelled, a ``bytearray`` of digit values, then held runs,
+      each ``block`` answer written at the frontier kept as its integer
+      ``runs[j]``, which ends before index ``ends[j]``.  A digit written at
+      the frontier behind held runs joins them as a run of one.  ``digit``
+      and ``known`` inside the held runs, and a range read that cuts one,
+      spell them all into the array, once each (a read of a run of one is
+      its value); a range read over whole runs composes their integers.
+      The dict holds the positions read out of sequence, above the origin
+      or below the frontier; those below are held when the frontier
+      reaches them, and those above stay in the dict;
     * an exact value keeps the long-division pair ``[position, remainder,
       above]``, ``remainder = num * 10**(-position - 1) mod den``, which
       yields the digit at ``position``; ``above`` is the digit at
@@ -368,28 +376,30 @@ class Decimal:
       below n leaves the digit at n - 1 to be read again for nothing.
 
     ``digits(hi, lo)`` reads a run of positions as one integer.  An exact
-    value serves it with one division.  A stream slices what its array
-    holds, takes what its sparse dict holds, and asks its producer's
-    ``block(hi, lo)``, if it has one, for each missing run, appending the
-    result to the array at the frontier, or to an empty one (else to the
-    dict); a producer without ``block`` is asked one position at a time.
+    value serves it with one division.  A stream reads what it holds from
+    the origin down, takes what its sparse dict holds, and asks its
+    producer's ``block(hi, lo)``, if it has one, for each missing run,
+    holding the answer at the frontier, or in an empty memo (else spelling
+    it into the dict); a producer without ``block`` is asked one position
+    at a time.
     So a block read produces and reads the same positions as the loop of
     ``digit`` calls it replaces, at the same depth and through the same
     memo; only the order of the reads inside a block may differ.
 
     ``known(n, limit)`` reads ``digit(n)`` and returns, as bytes, the digits
     from ``n`` down that the decimal then holds without asking its
-    producer: the zeros above the order, a stream's dense array (a traced
-    view's holds only what was read through it), an exact value's
-    division continued.  Carry, borrow and order scans read runs through
-    it, and ``render_digits`` prints a stream's runs from its array.
+    producer: the zeros above the order, a stream's digits down to its
+    frontier, spelled (a traced view's holds only what was read through
+    it), an exact value's division continued.  Carry, borrow and order
+    scans read runs through it.  ``render_digits`` prints a stream's block
+    from its array when it is spelled there, else from the integer read.
     """
 
     __slots__ = ("sign", "order", "num", "den", "_value", "_producer", "_witness", "_memo")
 
     def __init__(self, sign, order, num=None, den=None, producer=None, witness=None, memo=None):
         if memo is None:
-            memo = [bytearray(), {}, order] if producer is not None else [None, 0, None]
+            memo = [bytearray(), {}, order, [], []] if producer is not None else [None, 0, None]
         self.sign, self.order, self.num, self.den = sign, order, num, den
         self._value, self._producer, self._witness, self._memo = None, producer, witness, memo
 
@@ -439,16 +449,24 @@ class Decimal:
         producer = self._producer
         if producer is not None:
             memo = self._memo
-            dense, sparse, origin = memo
+            dense, sparse, origin, runs, ends = memo
             i = origin - n
             if 0 <= i < len(dense):
+                return dense[i]
+            if runs and 0 <= i < ends[-1]:  # in a held run: one digit is its run
+                j = bisect_right(ends, i)
+                if ends[j] - 1 == i == (ends[j - 1] if j else len(dense)):
+                    return runs[j]
+                self._spell()
                 return dense[i]
             d = sparse.get(n)
             if d is None:
                 d = producer(n)
                 if not isinstance(d, int) or not 0 <= d <= 9:
                     raise InvariantViolation(f"stream produced {d!r}", position=n)
-                if not dense:  # the first digit written sets the origin
+                if runs:
+                    self._write(n, d, 1)
+                elif not dense:  # the first digit written sets the origin
                     memo[2] = n
                     dense.append(d)
                 elif i == len(dense):  # at the frontier
@@ -498,24 +516,45 @@ class Decimal:
         if self._producer is None:
             return digit_bytes(self.digits(n, n - limit + 1), limit)
         d = self.digit(n)
-        dense, _, origin = self._memo
-        i = origin - n
+        memo = self._memo
+        i = memo[2] - n
+        if memo[3] and 0 <= i < memo[4][-1]:  # held runs from n down
+            self._spell()
+        dense = memo[0]
         return dense[i:i + limit] if 0 <= i < len(dense) else bytes((d,))
 
     def _stream_digits(self, hi, lo):
-        """Positions ``hi >= lo`` of a stream: those in the dense array as
-        one slice, and those above and below it from the sparse dict and
-        the producer, top down."""
-        dense, _, origin = self._memo
-        top, bottom = min(hi, origin), max(lo, origin - len(dense) + 1)
-        if top < bottom:  # no position in the array
+        """Positions ``hi >= lo`` of a stream: those held from the origin
+        down to the frontier as one integer, and those above and below them
+        from the sparse dict and the producer, top down."""
+        dense, _, origin, runs, ends = self._memo
+        top, bottom = min(hi, origin), max(lo, origin - (ends[-1] if runs else len(dense)) + 1)
+        if top < bottom:  # no position held
             return self._gather(hi, lo)
-        out = self._gather(hi, top + 1) * pow10(top - bottom + 1)
-        out += bytes_int(dense[origin - top:origin - bottom + 1])
+        out = self._gather(hi, top + 1) * pow10(top - bottom + 1) + self._held(top, bottom)
         return out * pow10(bottom - lo) + self._gather(bottom - 1, lo)
 
+    def _held(self, top, bottom):
+        """Positions ``top >= bottom``, all held, as one integer: a slice of
+        the array, then the held runs below it composed, when the read ends
+        them whole; a read that cuts a run spells the runs first."""
+        dense, _, origin, runs, ends = self._memo
+        a, b, split = origin - top, origin - bottom + 1, len(dense)  # indices a to b - 1
+        if b > split:
+            i, j = bisect_right(ends, a), bisect_left(ends, b)
+            # whole runs: one ends at b, and one starts at a unless a is in
+            # the array (for the first run, ``ends[i - 1]`` is ``ends[-1] > a``)
+            if ends[j] == b and (a <= split or ends[i - 1] == a):
+                out, start = bytes_int(dense[a:]), max(a, split)
+                for v, end in zip(runs[i:j + 1], ends[i:j + 1]):
+                    out = out * pow10(end - start) + v
+                    start = end
+                return out
+            self._spell()
+        return bytes_int(dense[a:b])
+
     def _gather(self, hi, lo):
-        """Positions ``hi`` down to ``lo``, none in the dense array: runs of
+        """Positions ``hi`` down to ``lo``, none held from the origin: runs of
         them from the sparse dict, and the runs missing there from the
         producer; 0 when ``hi < lo``."""
         if hi < lo:
@@ -551,33 +590,60 @@ class Decimal:
             for n in range(hi, lo - 1, -1):
                 out = out * 10 + self.digit(n)
             return out
-        memo = self._memo
-        dense, sparse, _ = memo
         for top, bottom in runs(hi, lo):
             k = top - bottom + 1
             v = block(top, bottom)
             if not isinstance(v, int) or not 0 <= v < pow10(k):
                 raise InvariantViolation(f"stream produced block {v!r} for {k} digits",
                                          position=bottom)
-            run = digit_bytes(v, k)
-            if not dense:  # the first run written sets the origin
-                memo[2] = top
-                dense += run
-            elif memo[2] - top == len(dense):  # at the frontier
-                dense += run
-                self._fold()
-            else:
-                sparse.update(zip(range(top, bottom - 1, -1), run))
+            self._write(top, v, k)
             out = out * pow10(k) + v
         return out
 
+    def _write(self, top, v, k):
+        """Memoise the ``k`` digits valued ``v`` from ``top`` down: held at
+        the frontier, or as the first write, which sets the origin; else
+        spelled into the sparse dict."""
+        memo = self._memo
+        dense, sparse, origin, runs, ends = memo
+        end = ends[-1] if runs else len(dense)
+        if not end:
+            memo[2] = top
+        elif origin - top != end:  # off the frontier
+            sparse.update(zip(range(top, top - k, -1), digit_bytes(v, k)))
+            return
+        self._hold(v, k)
+        if sparse:
+            self._fold()
+
+    def _hold(self, v, k):
+        """Hold ``k`` digits valued ``v`` at the frontier: a run after the
+        array when it is longer than one or runs are held already, else a
+        byte of the array."""
+        dense, _, _, runs, ends = self._memo
+        if runs or k > 1:
+            ends.append((ends[-1] if runs else len(dense)) + k)
+            runs.append(v)
+        else:
+            dense.append(v)
+
     def _fold(self):
-        """Move the sparse positions that the array now reaches into it."""
-        dense, sparse, origin = self._memo
-        n = origin - len(dense)
+        """Hold the sparse positions that the frontier now reaches."""
+        dense, sparse, origin, runs, ends = self._memo
+        n = origin - (ends[-1] if runs else len(dense))
         while n in sparse:
-            dense.append(sparse.pop(n))
+            self._hold(sparse.pop(n), 1)
             n -= 1
+
+    def _spell(self):
+        """Spell the held runs into the array, once each."""
+        dense, _, _, runs, ends = self._memo
+        start = len(dense)
+        for v, end in zip(runs, ends):
+            dense += digit_bytes(v, end - start)
+            start = end
+        runs.clear()
+        ends.clear()
 
     def scaled_prefix(self, m):
         """``floor(|x| * 10**m)`` for ``m >= 0``: the digits at positions
@@ -1060,7 +1126,8 @@ def render_digits(d, frac_digits):
 
     ``d`` is anything with ``sign``, ``order`` and ``digit``: a ``Decimal``,
     read in blocks, or a ``TermDecimal`` or ``FalseDecimal``, read digit by
-    digit.  A stream's block is printed from the memo that reading it filled.
+    digit.  A stream's block is printed from its spelled array, or else
+    from the integer that reading it returned, with one ``int_str``.
     """
     sign = "-" if d.sign < 0 else ""
     places = max(frac_digits, 0)
@@ -1075,11 +1142,11 @@ def render_digits(d, frac_digits):
 
 def _block_text(d, top, bottom):
     """The digits of ``d`` at ``top`` down to ``bottom`` as text: a stream's
-    from the dense array that reading them filled, unless some went to the
-    sparse dict."""
+    from its array when they are spelled there, else the integer read (a
+    held run, unspelled) printed at once."""
     k, v = top - bottom + 1, d.digits(top, bottom)
     if d._producer is not None:
-        dense, _, origin = d._memo
+        dense, origin = d._memo[0], d._memo[2]
         i = origin - top
         run = dense[i:i + k] if i >= 0 else b""
         if len(run) == k:

@@ -112,26 +112,32 @@ def bytes_int(digits):
 
 
 def ten_valuation(m):
-    """The largest e with 10**e dividing m (m != 0), in O(len * log len).
+    """The largest e with 10**e dividing m (m != 0).
 
-    Climbs a ladder of squared powers instead of peeling one zero at a
-    time, so canonicalizing a mantissa with millions of trailing zeros
-    stays cheap.
+    The twos are shifted out at once, and their count v2 caps e: with no
+    two, or an odd part that 5 does not divide, e is 0.  Else e is the
+    count of fives in the odd part, up to v2, taken bit by bit from the
+    top off a ladder of squared powers of five no higher than ``5**v2``,
+    so canonicalizing a mantissa with millions of trailing zeros stays
+    cheap.
     """
     m = abs(m)
     if m == 0:
         raise ValueError("10-adic valuation of zero is undefined")
-    if m % 10:
+    v2 = (m & -m).bit_length() - 1
+    m >>= v2
+    if not v2 or m % 5:
         return 0
-    ladder = [10]
-    while ladder[-1] <= m:
+    ladder, step = [5], 1
+    while 2 * step <= v2:
         ladder.append(ladder[-1] ** 2)
+        step *= 2
     e = 0
-    step = 1 << (len(ladder) - 1)
     for p in reversed(ladder):
-        while m % p == 0:
-            m //= p
-            e += step
+        if e + step <= v2:
+            q, r = divmod(m, p)
+            if not r:
+                m, e = q, e + step
         step >>= 1
     return e
 

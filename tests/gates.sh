@@ -243,6 +243,23 @@ test "$(echo "$traced" | tail -n 2)" = "# left: read 200002 digits, positions 0 
 # right: read 200002 digits, positions 0 down to -200001"
 )
 
+gate "A product of sums reads their held runs as integers"
+(
+x="(0.(3)+1/7)*(0.(142857)+1/13)"
+out=$(timeout 5 decreal eval "$x" --digits 64000)
+test "$out" = "$(python -c '
+from fractions import Fraction
+q, n = (Fraction(1, 3) + Fraction(1, 7)) * (Fraction(1, 7) + Fraction(1, 13)), 64000
+r, digits = q.numerator, []
+for _ in range(n):
+    d, r = divmod(10 * r, q.denominator)
+    digits.append(str(d))
+print("0." + "".join(digits))
+')"
+traced=$(timeout 5 decreal eval "$x" --digits 64000 --trace)
+test "$(echo "$traced" | head -n 1)" = "$out"
+)
+
 gate "Fixed-depth product digits resume one bracket"
 (
 out=$(timeout 10 decreal eval "0.(3)*0.(3)" --path paper --digits 20000)

@@ -477,14 +477,28 @@ def asked_stream(q, with_block, fail=()):
     return stream, asked, blocks
 
 
+def held_digits(x):
+    """The digits x's memo holds from its origin down: its array, then its
+    held runs spelled here, each checked to fit its length."""
+    dense, _, _, runs, ends = x._memo
+    held, start = list(dense), len(dense)
+    assert len(runs) == len(ends)
+    for v, end in zip(runs, ends):
+        assert end > start and 0 <= v < 10 ** (end - start)
+        held += [int(c) for c in str(v).zfill(end - start)]
+        start = end
+    return held
+
+
 def memo_shape(x, q):
-    """The origin of x's memo (the top of its array), its frontier (the
-    highest position below the origin that the array lacks) and the
-    positions in its sparse dict, top first, once every memoised digit is
-    checked against q."""
-    dense, sparse, origin = x._memo
-    frontier = origin - len(dense)
-    assert list(dense) == [oracle_digit(q, n) for n in range(origin, frontier, -1)]
+    """The origin of x's memo (the top of what it holds), its frontier (the
+    highest position below the origin that it does not hold) and the
+    positions in its sparse dict, top first, once every memoised digit,
+    spelled in the array or held in a run, is checked against q."""
+    sparse, origin = x._memo[1], x._memo[2]
+    held = held_digits(x)
+    frontier = origin - len(held)
+    assert held == [oracle_digit(q, n) for n in range(origin, frontier, -1)]
     assert all((n > origin or frontier > n) and d == oracle_digit(q, n)
                for n, d in sparse.items())
     return origin, frontier, sorted(sparse, reverse=True)
@@ -570,6 +584,71 @@ def test_a_raise_at_or_below_the_frontier_leaves_its_positions_to_be_asked_again
     retried = [-4, -1, -7] + ([-8] if with_block else [])
     assert asked == Counter(range(-8, 3)) + Counter(retried)
     assert blocks == ([(2, 0), (-7, -8), (-1, -3), (-5, -8)] if with_block else [])
+
+
+# ---------------------------------------------------------------------------
+# held runs: a block answer written at the frontier stays an integer after
+# the array until a read by index needs its digits
+
+
+def run_lengths(x):
+    """The length of x's array and of each held run after it."""
+    dense, _, _, runs, ends = x._memo
+    return len(dense), [end - start for start, end in zip([len(dense)] + ends, ends)]
+
+
+def test_block_answers_at_the_frontier_are_held_as_runs_and_read_whole():
+    x, asked, blocks = asked_stream(Q, True)
+    assert x.digits(2, -3) == oracle_block(Q, 2, -3)
+    assert x.neg().digits(-4, -8) == oracle_block(Q, -4, -8)
+    assert run_lengths(x) == (0, [6, 5])
+    # reads of whole runs compose their integers and spell nothing
+    for hi, lo in ((2, -3), (-4, -8), (2, -8), (5, -8)):
+        assert x.digits(hi, lo) == oracle_block(Q, hi, lo)
+    assert render_digits(x, 8) == "-676.57142857"
+    assert run_lengths(x) == (0, [6, 5])
+    # a digit written at the frontier joins them as a run of one, and a
+    # read of it by index is its run
+    assert x.digit(-9) == oracle_digit(Q, -9)
+    assert x.neg().digit(-9) == oracle_digit(Q, -9)
+    assert run_lengths(x) == (0, [6, 5, 1])
+    assert memo_shape(x, Q) == (2, -10, [])
+    assert asked == Counter(range(-9, 3)) and blocks == [(2, -3), (-4, -8)]
+
+
+@pytest.mark.parametrize("read", [lambda x: x.digit(-1), lambda x: x.neg().digit(-8),
+                                  lambda x: x.known(0, 3), lambda x: x.known(2, 1)])
+def test_a_read_by_index_inside_a_held_run_spells_the_runs_once(read):
+    x, asked, _ = asked_stream(Q, True)
+    x.digits(2, -3)
+    x.digits(-4, -8)
+    read(x)
+    assert run_lengths(x) == (11, [])
+    assert memo_shape(x, Q) == (2, -9, [])
+    assert x.known(2, 20) == oracle_run(Q, 2, 11)  # down to the frontier
+    # runs held later are spelled on their own, after the array
+    assert x.digits(-9, -10) == oracle_block(Q, -9, -10)
+    assert run_lengths(x) == (11, [2])
+    assert x.digit(-10) == oracle_digit(Q, -10)
+    assert run_lengths(x) == (13, [])
+    # a run below the array is spelled by a ``known`` read that starts above it
+    assert x.digits(-11, -12) == oracle_block(Q, -11, -12)
+    assert x.known(2, 20) == oracle_run(Q, 2, 15)
+    assert run_lengths(x) == (15, [])
+    assert memo_shape(x, Q) == (2, -13, [])
+    assert asked == Counter(range(-12, 3))
+
+
+@pytest.mark.parametrize("hi, lo", [(0, -8), (2, -5), (-5, -6), (1, -9)])
+def test_a_range_read_that_cuts_a_held_run_spells_the_runs(hi, lo):
+    x, asked, blocks = asked_stream(Q, True)
+    x.digits(2, -3)
+    x.digits(-4, -8)
+    assert x.digits(hi, lo) == oracle_block(Q, hi, lo)
+    assert run_lengths(x) == (3 - min(lo, -8), [])  # a digit below, once spelled, joins the array
+    assert memo_shape(x, Q) == (2, min(lo, -8) - 1, [])
+    assert asked == Counter(range(min(lo, -8), 3))
+    assert blocks == [(2, -3), (-4, -8)] + ([(-9, -9)] if lo == -9 else [])
 
 
 # ---------------------------------------------------------------------------

@@ -279,13 +279,32 @@ def product_stream(qa, qb):
     return weak_mul(a, b, compute_hint("mul", a, b))
 
 
+def twin(q, warm=None):
+    """A producer stream of the digits of q's exact decimal, asking it for
+    one digit with ``digit`` and for a run with ``digits``; with ``warm``,
+    its memo is first filled down to ``-warm``, so it holds runs."""
+    x = Decimal.from_fraction(q)
+
+    def producer(n):
+        return x.digit(n)
+
+    producer.block = x.digits
+    t = Decimal.from_stream(x.sign, x.order, producer, SEARCHED)
+    if warm is not None:
+        t.digits(t.order, -warm)
+    return t
+
+
 def operand(kind, q, other):
-    """q as an exact decimal, a producer-backed stream, or a streamed
-    product ``(q / other) * other``."""
+    """q as an exact decimal, a producer-backed stream (with no ``block``,
+    or the twin of q's exact decimal), or a streamed product ``(q / other)
+    * other``."""
     if kind == "exact":
         return Decimal.from_fraction(q)
     if kind == "stream":
         return counted_stream(q)[0]
+    if kind == "twin":
+        return twin(q)
     return product_stream(q / other, other)
 
 
@@ -368,7 +387,7 @@ def test_closed_form_audit_is_the_stabilized_digit_at_every_position(pair, hi, w
 
 magnitudes = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 4))
 sum_reads = st.lists(st.one_of(st.integers(-120, 6), runs_), min_size=1, max_size=40)
-exact_or_stream = st.sampled_from(["exact", "stream"])
+exact_or_stream = st.sampled_from(["exact", "stream", "twin"])
 
 
 def signed_pair(qa, qb, signs, flip):
@@ -549,10 +568,14 @@ def forced_pairs(draw, borrow):
 
 
 def run_operand(kind, q, warm):
-    """q as an exact decimal, or as the stream of the nested sum
-    ``(q - 2/7) + 2/7``, its memo first filled down to ``-warm``."""
+    """q as an exact decimal, or as a stream with its memo first filled
+    down to ``-warm``: the nested sum ``(q - 2/7) + 2/7``, which keeps an
+    exact value, or the ``twin`` of q's exact decimal, which keeps none, so
+    that comparisons over it read its digits, held runs and all."""
     if kind == "exact":
         return Decimal.from_fraction(q)
+    if kind == "twin":
+        return twin(q, warm)
     left, c = Decimal.from_fraction(q - Fraction(2, 7)), Decimal.from_fraction(Fraction(2, 7))
     f = weak_add(left, c, compute_hint("add", left, c))
     f.digits(f.order, -warm)
@@ -569,6 +592,8 @@ def oracle_places(q, places):
        warm=st.integers(0, 3 * BLOCK))
 @example(pair=forced_pair(LONG_HEAD, 2, ("3", "142857"), False), kinds=("exact", "exact"), warm=0)
 @example(pair=forced_pair(LONG_HEAD, 1, ("27", "4"), False), kinds=("stream", "exact"),
+         warm=BLOCK + 3)
+@example(pair=forced_pair(LONG_HEAD, 2, ("3", "81"), False), kinds=("twin", "stream"),
          warm=BLOCK + 3)
 def test_carry_runs_longer_than_a_block_match_fraction_oracle(pair, kinds, warm):
     qa, qb, below = pair
@@ -588,6 +613,8 @@ def test_carry_runs_longer_than_a_block_match_fraction_oracle(pair, kinds, warm)
 @example(pair=forced_pair(LONG_HEAD, 3, ("3", "142857"), True), kinds=("exact", "exact"), warm=0)
 @example(pair=forced_pair(LONG_HEAD, 0, ("81", "4"), True), kinds=("exact", "stream"),
          warm=2 * BLOCK)
+@example(pair=forced_pair(LONG_HEAD, 1, ("3", "27"), True), kinds=("twin", "twin"),
+         warm=BLOCK + 3)
 def test_borrow_and_order_runs_longer_than_a_block_match_fraction_oracle(pair, kinds, warm):
     qa, qb, below = pair
     big, small = max(qa, qb), min(qa, qb)
@@ -635,6 +662,8 @@ def nine_runs(draw):
        warm=st.integers(0, 3 * BLOCK))
 @example(case=(Fraction(2, 10) - Fraction(1, 10 ** (2 * BLOCK + 41) * 3), Fraction(2, 10),
                2 * BLOCK + 45), kinds=("exact", "stream"), warm=0)
+@example(case=(Fraction(2, 10) - Fraction(1, 10 ** (2 * BLOCK + 41) * 3), Fraction(2, 10),
+               2 * BLOCK + 45), kinds=("twin", "exact"), warm=BLOCK + 3)
 def test_nine_free_scans_over_long_nine_runs_match_fraction_oracle(case, kinds, warm):
     small, big, places = case
     # the gap and the digit that ends the run, from the digits as text

@@ -48,6 +48,29 @@ def test_ten_valuation_huge_mantissa():
     assert ten_valuation(7 * 10 ** 9000) == 9000
 
 
+def ten_valuation_by_peeling(m):
+    """Peel one factor of ten at a time (the reference)."""
+    e = 0
+    while m % 10 == 0:
+        m //= 10
+        e += 1
+    return e
+
+
+def test_ten_valuation_matches_peeling_when_twos_or_fives_run_short():
+    # the count of twos caps the ladder of fives: cores with more twos
+    # than fives, more fives than twos, or neither, times 10**k up to
+    # about 5,000, and the huge multiples 2 * 10**k and 5 * 10**k
+    rng = random.Random(36)
+    cases = [c * 10 ** k for c in (1, 2, 5, 3) for k in (0, 1, 2, 3, 63, 64, 65, 5001)]
+    for _ in range(400):
+        core = rng.choice([1, 3, 7, 2 ** rng.randrange(60), 5 ** rng.randrange(40),
+                           2 ** rng.randrange(9) * 5 ** rng.randrange(9) * rng.randrange(1, 10 ** 6)])
+        cases.append(core * 10 ** rng.choice([0, 1, 2, 7, rng.randrange(5000)]))
+    for m in cases:
+        assert ten_valuation(m) == ten_valuation(-m) == ten_valuation_by_peeling(m)
+
+
 def test_ten_smooth():
     assert ten_smooth(1)
     assert ten_smooth(2 ** 7 * 5 ** 3)

@@ -39,6 +39,7 @@ from decreal.weak import (
     weak_mul,
 )
 from decreal.words import ReadTrace, encode_xr, traced_decimal
+from test_decimals import held_digits
 
 
 def oracle_digit(q, n):
@@ -974,6 +975,8 @@ def test_traced_operands_read_the_same_positions_under_block_rendering():
 
 
 def test_a_long_sequential_sum_keeps_at_most_two_bytes_per_memoised_digit():
+    # the rendered sum holds each block answer as an integer run, about
+    # half a byte per digit, and printing it spells nothing into its array
     places = 128_000
     f, v, _ = eval_expression(parse_expression("0.(3)+0.(142857)"))
     tracemalloc.start()
@@ -984,9 +987,12 @@ def test_a_long_sequential_sum_keeps_at_most_two_bytes_per_memoised_digit():
     finally:
         tracemalloc.stop()
     memoised = f.order + places + 1
-    assert len(f._memo[0]) == memoised and not f._memo[1]
+    held = v.numerator * 10 ** places // v.denominator
+    assert held_digits(f) == [int(c) for c in int_str(held).zfill(memoised)]
+    assert not f._memo[0] and not f._memo[1]
     assert kept <= 2 * memoised
-    assert f.digits(f.order, -places) == v.numerator * 10 ** places // v.denominator
+    assert f.digits(f.order, -places) == held
+    assert not f._memo[0]  # a read of whole runs composes them
 
 
 @pytest.mark.parametrize("inner, other, order", [("5.(3)+4.(142857)", "-9.(81)", 0),
@@ -995,7 +1001,8 @@ def test_a_nested_difference_memoises_its_inner_sum_densely(inner, other, order)
     # the sign comparison reads no digit, so the outer difference, of order
     # 0, is the first to read the inner sum: at the inner order, or in the
     # second case one below it; either way the first position written is
-    # the origin of a dense array
+    # the origin, and the memo holds every digit from it down, with no
+    # position left in the sparse dict
     places = 5000
     x, _, _ = eval_expression(parse_expression(inner))
     y, _, _ = eval_expression(parse_expression(other))
@@ -1003,11 +1010,30 @@ def test_a_nested_difference_memoises_its_inner_sum_densely(inner, other, order)
     v = f.value()
     assert render_digits(f, places) == (
         "-0." + int_str(abs(v.numerator) * 10 ** places // v.denominator).zfill(places))
-    dense, sparse, origin = x._memo
+    _, sparse, origin, _, _ = x._memo
     q = x.value()
     assert (x.order, origin) == (order, 0)
     held = int_str(q.numerator * 10 ** (places + 1) // q.denominator)[-places - 2:]
-    assert bytes(dense) == bytes(int(c) for c in held) and not sparse
+    assert held_digits(x) == [int(c) for c in held] and not sparse
+
+
+def test_an_inner_sum_keeps_its_runs_unspelled_under_a_rendered_parent():
+    # the outer sum reads the inner one in blocks, and its carry scans read
+    # at the inner frontier, so every digit stays in a run: whole blocks
+    # and runs of one; a read by index inside them spells them, once
+    places = 5000
+    x, _, _ = eval_expression(parse_expression("0.(3)+0.(142857)"))
+    f = weak_add(x, parse_decimal("0.(81)"))
+    render_digits(f, places)
+    dense, sparse, origin, runs, ends = x._memo
+    assert not dense and not sparse and origin == 0 and ends[-1] == places + 2
+    lengths = {b - a for a, b in zip([0] + ends, ends)}
+    assert (min(lengths), max(lengths)) == (1, decimals.BLOCK)
+    q = x.value()
+    held = int_str(q.numerator * 10 ** (places + 1) // q.denominator).zfill(places + 2)
+    held = [int(c) for c in held]
+    assert held_digits(x) == held
+    assert x.digit(-100) == held[100] and not runs and list(dense) == held
 
 
 def test_certified_digit_refuses_negative_operands():
