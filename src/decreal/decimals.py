@@ -32,7 +32,7 @@ from .errors import (
     InvariantViolation,
     OracleUnavailable,
 )
-from .rational import (BLOCK, LITERAL, DecFrac, bytes_int, digit_bytes, digit_text, ilog10,
+from .rational import (BLOCK, LITERAL, DecFrac, bytes_int, digit_bytes, ilog10,
                        int_str, literal_pair, pow10, runs, ten_smooth, ten_valuation)
 
 # ---------------------------------------------------------------------------
@@ -391,8 +391,8 @@ class Decimal:
     producer: the zeros above the order, a stream's digits down to its
     frontier, spelled (a traced view's holds only what was read through
     it), an exact value's division continued.  Carry, borrow and order
-    scans read runs through it.  ``render_digits`` prints a stream's block
-    from its array when it is spelled there, else from the integer read.
+    scans read runs through it.  ``render_digits`` prints each block from
+    the integer that ``digits`` reads, spelled or held alike.
     """
 
     __slots__ = ("sign", "order", "num", "den", "_value", "_producer", "_witness", "_memo")
@@ -776,11 +776,6 @@ class Comparison:
     witness: Optional[SeparationWitness] = None
 
 
-def _sep_from_position(t):
-    # a proven gap > 10**t turns into a witness with 1/k = 10**t
-    return SeparationWitness(pow10(-t) if t < 0 else 1, max(1, -t))
-
-
 def _escape(d, n):
     """The position m < n that d's nine-escape witness names, checked; None
     when d has no witness."""
@@ -813,7 +808,8 @@ def compare(d, e, budget=128):
     a tie within ``budget`` positions comes back UNDECIDED, while a decision
     carries a separation witness built from the first differing digit (a
     digit gap of one needs a nine-free position below, found by scanning or
-    by the stream's escape witness).
+    by the stream's escape witness).  Signs that differ take the witness
+    from a top nonzero position, whatever the backing.
     """
     if d.sign == e.sign:  # the digits are those of the magnitudes
         verdict, m = compare_magnitudes(d, e, budget)
@@ -821,27 +817,18 @@ def compare(d, e, budget=128):
             return Comparison(verdict)
         if d.sign < 0:
             verdict = Verdict.GREATER if verdict is Verdict.LESS else Verdict.LESS
-        return Comparison(verdict, _sep_from_position(m))
+        # a proven gap > 10**m turns into a witness with 1/k = 10**m
+        return Comparison(verdict, SeparationWitness(pow10(max(-m, 0)), max(1, -m)))
 
-    # a minus word sits below a plus word; the witness needs the leading
-    # digit of some side known to be nonzero
+    # a minus word sits below a plus word, their truncations at least 10**t
+    # apart (halved for strictness), for t the top nonzero position of the
+    # minus side (never zero), or of the plus side when that search runs out
     verdict = Verdict.LESS if d.sign < 0 else Verdict.GREATER
-    neg, pos = (d, e) if d.sign < 0 else (e, d)
-    if d.has_exact_value and e.has_exact_value:  # the nonzero side alone separates
-        x = neg if pos.is_zero() else pos
-        t = x.leading_index()
-        two = x.num * pow10(max(-t, 0)) >= 2 * x.den * pow10(max(t, 0))  # top digit >= 2
-        return Comparison(verdict, _sep_from_position(t if two else t - 1))
-    t = (neg.leading_index() if neg.has_exact_value
-         else first_difference(neg, TERM_ZERO, budget))
-    if t is None:
-        t = (pos.leading_index() if pos.has_exact_value
-             else first_difference(pos, TERM_ZERO, budget))
-    if t is None:
-        return Comparison(Verdict.UNDECIDED)
-    # truncation gap is at least 10**t; halve for strictness
-    w = SeparationWitness(2 * (pow10(-t) if t < 0 else 1), max(1, -t))
-    return Comparison(verdict, w)
+    for x in (d, e) if d.sign < 0 else (e, d):
+        t = x.leading_index() if x.den is not None else first_difference(x, TERM_ZERO, budget)
+        if t is not None:
+            return Comparison(verdict, SeparationWitness(2 * pow10(max(-t, 0)), max(1, -t)))
+    return Comparison(Verdict.UNDECIDED)
 
 
 def compare_magnitudes(d, e, budget=128):
@@ -1051,7 +1038,9 @@ def validate_prefix(d, depth):
     Raises InvariantViolation when the observable window shows a zero top
     digit above order 0, a run of nines of length >= depth still open at the
     bottom of the window with no usable escape, or an all-zero minus-signed
-    prefix that nothing certifies as nonzero.
+    prefix that nothing certifies as nonzero.  The escape of a stream that
+    passes ``SEARCHED`` is searched for ``depth`` positions below the
+    window; a custom witness is asked and checked.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -1068,7 +1057,8 @@ def validate_prefix(d, depth):
         run = run + 1 if g == 9 else 0
     bottom = -depth
     if run >= depth and not d.has_exact_value:  # exact expansions have no nine tail
-        if _escape(d, bottom) is None:
+        if (nine_free_below(d.digit, bottom, depth) if d._witness is SEARCHED
+                else _escape(d, bottom)) is None:
             raise InvariantViolation(
                 f"run of {run} nines with no escape below 10**{bottom}",
                 position=bottom)
@@ -1126,29 +1116,16 @@ def render_digits(d, frac_digits):
 
     ``d`` is anything with ``sign``, ``order`` and ``digit``: a ``Decimal``,
     read in blocks, or a ``TermDecimal`` or ``FalseDecimal``, read digit by
-    digit.  A stream's block is printed from its spelled array, or else
-    from the integer that reading it returned, with one ``int_str``.
+    digit.  Each block of a ``Decimal`` is the integer ``digits`` returns,
+    printed with one ``int_str``.
     """
     sign = "-" if d.sign < 0 else ""
     places = max(frac_digits, 0)
     if isinstance(d, Decimal):
-        text = "".join(_block_text(d, top, bottom) for top, bottom in runs(d.order, -places))
+        text = "".join(int_str(d.digits(top, bottom)).zfill(top - bottom + 1)
+                       for top, bottom in runs(d.order, -places))
     else:
         text = "".join(str(d.digit(n)) for n in range(d.order, -places - 1, -1))
     if places == 0:
         return sign + text
     return f"{sign}{text[:-places]}.{text[-places:]}"
-
-
-def _block_text(d, top, bottom):
-    """The digits of ``d`` at ``top`` down to ``bottom`` as text: a stream's
-    from its array when they are spelled there, else the integer read (a
-    held run, unspelled) printed at once."""
-    k, v = top - bottom + 1, d.digits(top, bottom)
-    if d._producer is not None:
-        dense, origin = d._memo[0], d._memo[2]
-        i = origin - top
-        run = dense[i:i + k] if i >= 0 else b""
-        if len(run) == k:
-            return digit_text(run)
-    return int_str(v).zfill(k)

@@ -139,22 +139,28 @@ def parse_expression(text):
 # with that value.
 
 
-def _fold(node):
+def _fold(node, lo=None, audits=None):
     """The exact value of ``node`` as a reduced pair, folded from its
-    literals with no ``Decimal`` built."""
+    literals with no ``Decimal`` built.  With ``audits``, the same walk
+    appends the misses of each product outside a ``recip`` down to 10**lo,
+    from its operands' pairs."""
     kind = node[0]
     if kind == "lit":
         d = node[1]
         return d.sign * d.num, d.den
     if kind == "neg":
-        num, den = _fold(node[1])
+        num, den = _fold(node[1], lo, audits)
         return -num, den
     if kind == "recip":
         num, den = _fold(node[1])
         if num == 0:
             raise ParseError("reciprocal of zero")
         return (den, num) if num > 0 else (-den, -num)
-    return pair_fold(kind, *_fold(node[1]), *_fold(node[2]))
+    left, right = _fold(node[1], lo, audits), _fold(node[2], lo, audits)
+    if kind == "mul" and audits is not None:
+        x, y = Decimal.from_pair(*left), Decimal.from_pair(*right)
+        audits.append(_misses(x, y, pair_order(x.num * y.num, x.den * y.den), lo))
+    return pair_fold(kind, *left, *right)
 
 
 def value_of(node):
@@ -210,24 +216,8 @@ def fixed_depth_misses(node, lo):
     outside a ``recip``, operands first: ``product_misses`` of its exact
     operands, from the product's order down to 10**lo."""
     audits = []
-    _audited_fold(node, lo, audits)
+    _fold(node, lo, audits)
     return audits
-
-
-def _audited_fold(node, lo, audits):
-    """``_fold`` of ``node``, in one walk that appends the misses of each
-    product outside a ``recip`` to ``audits``, from its operands' pairs."""
-    kind = node[0]
-    if kind in ("lit", "recip"):
-        return _fold(node)
-    if kind == "neg":
-        num, den = _audited_fold(node[1], lo, audits)
-        return -num, den
-    left, right = _audited_fold(node[1], lo, audits), _audited_fold(node[2], lo, audits)
-    if kind == "mul":
-        x, y = Decimal.from_pair(*left), Decimal.from_pair(*right)
-        audits.append(_misses(x, y, pair_order(x.num * y.num, x.den * y.den), lo))
-    return pair_fold(kind, *left, *right)
 
 
 def product_misses(u, v, hi, lo):

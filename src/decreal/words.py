@@ -221,14 +221,22 @@ def encode_xs(d, leading=None):
     Layout: [-] XI, then the positional head of the leading position, then
     the digits from the leading one down.  The zero decimal is spelled
     XI - 0 0 0 ...: its exponent field never ends.  Without ``leading`` the
-    position is found from the exact value; a stream must supply it.
+    position is found from the exact value; a stream must supply it.  A
+    supplied ``leading`` on a zero digit, or below a nonzero one (the
+    exact value's leading index, or a stream's digits from its order down),
+    is refused: the word would spell another number.
     """
     if leading is None:
         leading = d.leading_index()
-    if leading is None:
-        return _word(DEC_ALPHABET, [XI, "-"], lambda j: 0)
-    if d.digit(leading) == 0:
+        if leading is None:
+            return _word(DEC_ALPHABET, [XI, "-"], lambda j: 0)
+    elif d.digit(leading) == 0:
         raise ValueError(f"leading index {leading} points at a zero digit")
+    else:
+        top = (d.leading_index() if d.has_exact_value
+               else first_difference(d, TERM_ZERO, d.order - leading))
+        if top is not None and top > leading:
+            raise ValueError(f"leading index {leading} is below a nonzero digit at {top}")
     head = (["-"] if d.sign < 0 else []) + [XI] + xr_head(leading, abs(leading))
     return _word(DEC_ALPHABET, head, lambda j: d.digit(leading - j))
 

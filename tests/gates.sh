@@ -348,6 +348,21 @@ test "$(timeout 5 decreal eval "748-51.01165*69.5489" --hint "$(decreal hint "74
   = "-2799.8041446850"
 )
 
+gate "A nine tail under the searched witness is refused within its budget"
+(
+timeout 5 python -c '
+from decreal.decimals import SEARCHED, Decimal, validate_prefix
+from decreal.errors import InvariantViolation
+d = Decimal.from_stream(1, 0, lambda n: 9 if n < 0 else 0, SEARCHED)
+try:
+    validate_prefix(d, 100_000)
+except InvariantViolation as exc:
+    assert str(exc).startswith("run of 100000 nines with no escape"), exc
+else:
+    raise SystemExit("a nine tail passed validate_prefix")
+'
+)
+
 gate "Every subcommand runs warning-free in development mode"
 (
 run() {

@@ -774,11 +774,12 @@ def test_compare_third_vs_034_frozen_witness():
 
 
 @pytest.mark.parametrize("a, b, verdict, k, n0", [
-    # opposite signs: the witness comes from the nonzero side's top digit
-    ("-1/4", "3/2", Verdict.LESS, 10, 1),
-    ("-7/3", "1/8", Verdict.LESS, 100, 2),
-    ("0", "-911/2", Verdict.GREATER, 1, 1),
-    ("0", "-3/40", Verdict.GREATER, 100, 2),
+    # opposite signs: the witness comes from the minus side's top nonzero
+    # position t, as 1/k = 10**t / 2
+    ("-1/4", "3/2", Verdict.LESS, 20, 1),
+    ("-7/3", "1/8", Verdict.LESS, 2, 1),
+    ("0", "-911/2", Verdict.GREATER, 2, 1),
+    ("0", "-3/40", Verdict.GREATER, 200, 2),
     # 0 against a positive value scans like any same-sign pair
     ("0", "1/80", Verdict.LESS, 1000, 3),
     ("0", "7/3", Verdict.LESS, 1, 1),
@@ -1134,6 +1135,25 @@ def test_validate_prefix_rejects_nine_tail_without_escape():
     d = Decimal.from_stream(1, 0, lambda n: 9, None)
     with pytest.raises(InvariantViolation):
         validate_prefix(d, 12)
+
+
+def deep_nines(escape):
+    """Nines below the point down to ``escape``, a one there, and a producer
+    that refuses to be read below position -1,000."""
+    def producer(n):
+        if n < -1000:
+            raise AssertionError(f"read position {n}, past the search budget")
+        return 0 if n >= 0 else 9 if n > escape else 1
+    return Decimal.from_stream(1, 0, producer, SEARCHED)
+
+
+def test_validate_prefix_searches_a_searched_escape_within_depth_below_the_window():
+    # the escape at -15 lies within 10 positions below the window; the one
+    # at -21 lies past them, as does the nine tail that never ends
+    assert validate_prefix(deep_nines(-15), 10).depth == 10
+    for escape in (-21, -10 ** 9):
+        with pytest.raises(InvariantViolation, match="run of 10 nines with no escape"):
+            validate_prefix(deep_nines(escape), 10)
 
 
 def test_validate_prefix_accepts_nine_run_with_witness():

@@ -706,11 +706,13 @@ def close_magnitudes(draw):
          signs=(False, False))
 def test_exact_magnitudes_compare_from_their_pair_as_their_digits_do(pair, swap, signs):
     # the pair's verdict, first difference and nine-free position are
-    # those of the digit scan over producer streams of the same digits
+    # those of the digit scan over producer streams of the same digits, and
+    # compare gives the same verdict and witness over both, signs alike or not
     qx, qy = pair[::-1] if swap else pair
     x, y = (Decimal.from_fraction(-q if neg else q) for q, neg in zip((qx, qy), signs))
     twins = [Decimal.from_stream(d.sign, d.order, d.digit, SEARCHED) for d in (x, y)]
     assert magnitude_scan(x, y, None) == magnitude_scan(*twins, None)
+    assert compare(x, y, None) == compare(*twins, None)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,15 @@ def test_encode_xs_refuses_a_leading_index_on_a_zero_digit():
     assert encode_xs(d, leading=-2).prefix(6) == [XI, "-", "0", "1", XI, "5"]
     with pytest.raises(ValueError, match="leading index -1 points at a zero digit"):
         encode_xs(d, leading=-1)
+    # a leading index below a nonzero digit would spell 0.05 for 0.55: the
+    # exact value is refused from its leading index, and a stream from its
+    # digits above the index
+    d = parse_decimal("0.55")
+    stream = decode_xr(encode_xr(d))
+    for x in (d, stream):
+        assert encode_xs(x, leading=-1).prefix(7) == [XI, "-", "1", XI, "5", "5", "0"]
+        with pytest.raises(ValueError, match="leading index -2 is below a nonzero digit at -1"):
+            encode_xs(x, leading=-2)
 
 
 def test_decode_xs_zero_word_hits_scan_limit():
