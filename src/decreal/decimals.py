@@ -13,18 +13,19 @@ digit and paying it back with an infinite tail of nines; such words are
 value-equal to their base but sit immediately below it in the digitwise
 order, forming a gap pair.  ``Decimal`` is the general stream, backed either
 by an exact rational, a reduced integer pair (a terminating decimal is a
-rational whose digits end in zeros), or by an arbitrary digit producer plus a
-nine-escape witness.
+rational whose digits end in zeros), or by an arbitrary digit producer.  The
+second condition is on the producer: a stream carries no certificate of it,
+so a search for a digit other than 9 below a position reads at most the
+caller's budget of digits.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from itertools import count
 from math import gcd
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (
     EmptySetError,
@@ -199,18 +200,6 @@ def bar_inv(f):
 # general decimals
 
 
-@dataclass(frozen=True)
-class NineEscapeWitness:
-    """Certifies no nine-tail: escape(n) is a position m < n with digit(m) != 9."""
-
-    escape: Optional[Callable[[int], int]]
-
-
-# The witness of a stream with no nine tail, found by searching its own
-# digits downward (through its memo, so no position is produced twice).
-SEARCHED = NineEscapeWitness(None)
-
-
 def _downward(top, budget):
     """Positions ``top, top - 1, ...``: ``budget`` of them, or no end for None."""
     return count(top, -1) if budget is None else range(top, top - budget, -1)
@@ -342,8 +331,8 @@ class Decimal:
     construction; the exact paths read nothing else.  ``value()`` builds
     the signed ``Fraction`` on its first call and keeps it.  A terminating
     decimal is one whose denominator divides a power of ten, with no
-    backing of its own.  The stream backing is a digit producer plus a
-    nine-escape witness.  A decimal with both (a weak result over exact
+    backing of its own.  The stream backing is a digit producer, trusted to
+    have no nine tail.  A decimal with both (a weak result over exact
     operands, or a ``words.traced_decimal`` view) reads its digits from its
     producer.
 
@@ -395,13 +384,13 @@ class Decimal:
     the integer that ``digits`` reads, spelled or held alike.
     """
 
-    __slots__ = ("sign", "order", "num", "den", "_value", "_producer", "_witness", "_memo")
+    __slots__ = ("sign", "order", "num", "den", "_value", "_producer", "_memo")
 
-    def __init__(self, sign, order, num=None, den=None, producer=None, witness=None, memo=None):
+    def __init__(self, sign, order, num=None, den=None, producer=None, memo=None):
         if memo is None:
             memo = [bytearray(), {}, order, [], []] if producer is not None else [None, 0, None]
         self.sign, self.order, self.num, self.den = sign, order, num, den
-        self._value, self._producer, self._witness, self._memo = None, producer, witness, memo
+        self._value, self._producer, self._memo = None, producer, memo
 
     # -- constructors
 
@@ -430,12 +419,12 @@ class Decimal:
         return cls.from_pair(n, 1)
 
     @classmethod
-    def from_stream(cls, sign, order, producer, witness):
+    def from_stream(cls, sign, order, producer):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if order < 0:
             raise ValueError("order must be >= 0")
-        return cls(sign, order, producer=producer, witness=witness)
+        return cls(sign, order, producer=producer)
 
     @classmethod
     def zero(cls):
@@ -670,12 +659,6 @@ class Decimal:
             q = self._value = Fraction(self.sign * self.num, self.den)
         return q
 
-    @property
-    def nine_escape(self):
-        """The witness; ``SEARCHED`` becomes a search of this stream's digits."""
-        w = self._witness
-        return NineEscapeWitness(partial(nine_free_below, self.digit)) if w is SEARCHED else w
-
     def is_zero(self):
         return self.num == 0
 
@@ -696,8 +679,7 @@ class Decimal:
         own flip."""
         if self.num == 0:
             return self
-        return Decimal(-self.sign, self.order, self.num, self.den, self._producer,
-                       self._witness, self._memo)
+        return Decimal(-self.sign, self.order, self.num, self.den, self._producer, self._memo)
 
     def abs(self):
         return self if self.sign > 0 else self.neg()
@@ -776,40 +758,20 @@ class Comparison:
     witness: Optional[SeparationWitness] = None
 
 
-def _escape(d, n):
-    """The position m < n that d's nine-escape witness names, checked; None
-    when d has no witness."""
-    witness = d.nine_escape
-    if witness is None:
-        return None
-    m = witness.escape(n)
-    if not m < n or d.digit(m) == 9:
-        raise InvariantViolation("nine-escape witness lied", position=m)
-    return m
-
-
 _ZERO = Decimal.zero()  # its long-division pair only ever holds remainder 0
-
-
-def _nine_free_position(d, n, budget):
-    """Some position m < n with digit(m) != 9: the highest, where the digits
-    of d and of zero do not sum to 9 (``first_difference``, in runs), or
-    else the one the escape witness names."""
-    budget = None if d.den is not None else budget
-    m = first_difference(d, _ZERO, budget, n - 1, nines=True)
-    return _escape(d, n) if m is None else m
 
 
 def compare(d, e, budget=128):
     """Digitwise order on decimals.
 
     Exact backings on both sides compare from their pairs, reading no
-    digit (``magnitude_scan``).  Otherwise digits are scanned from the top;
-    a tie within ``budget`` positions comes back UNDECIDED, while a decision
-    carries a separation witness built from the first differing digit (a
-    digit gap of one needs a nine-free position below, found by scanning or
-    by the stream's escape witness).  Signs that differ take the witness
-    from a top nonzero position, whatever the backing.
+    digit (``magnitude_scan``).  Otherwise digits are scanned from the top,
+    and a decision carries a separation witness built from the first
+    differing digit (a digit gap of one needs a nine-free position below
+    it, scanned for on the smaller side).  A tie within ``budget``
+    positions, or a nine-free scan over a stream that finds only nines
+    within ``budget``, comes back UNDECIDED.  Signs that differ take the
+    witness from a top nonzero position, whatever the backing.
     """
     if d.sign == e.sign:  # the digits are those of the magnitudes
         verdict, m = compare_magnitudes(d, e, budget)
@@ -836,17 +798,23 @@ def compare_magnitudes(d, e, budget=128):
     (a decimal's digits are those of its magnitude).  The first differing
     digit decides, at n; the truncations stay apart below m <= n (a gap of
     one needs a nine-free position below, on the smaller side), and m is
-    None for EQUAL and UNDECIDED.  Two exact values compare from their
-    pairs, reading no digit, and so with no budget."""
-    verdict, _, m = magnitude_scan(d, e, budget)
-    return verdict, m
+    None for EQUAL and UNDECIDED, which a nine-free scan that runs out of
+    ``budget`` also gives.  Two exact values compare from their pairs,
+    reading no digit, and so with no budget."""
+    verdict, n, m = magnitude_scan(d, e, budget)
+    return (Verdict.UNDECIDED, None) if m is None and n is not None else (verdict, m)
 
 
 def magnitude_scan(d, e, budget=128):
     """``(verdict, n, m)``: ``compare_magnitudes`` with the first differing
-    position n, None where m is.  Two exact values are compared from their
-    reduced pairs (``_pair_scan``), reading no digit; any other pair is
-    scanned from the top."""
+    position n, None for EQUAL and UNDECIDED.  Two exact values are compared
+    from their reduced pairs (``_pair_scan``), reading no digit; any other
+    pair is scanned from the top.  For a digit gap of one, m is the highest
+    position below n where the smaller side's digit is not 9, scanned for
+    within ``budget`` positions over a stream (with no bound over an exact
+    value, which has no nine tail), and None when the scan runs out: the
+    verdict and n still stand, and a caller that needs only the sign reads
+    on."""
     if d.den is not None and e.den is not None:
         if d.num == e.num and d.den == e.den:
             return Verdict.EQUAL, None, None
@@ -855,9 +823,10 @@ def magnitude_scan(d, e, budget=128):
     if n is None:
         return Verdict.UNDECIDED, None, None
     dd, de = d.digit(n), e.digit(n)
-    m = n if abs(dd - de) >= 2 else _nine_free_position(d if dd < de else e, n, budget)
-    if m is None:
-        return Verdict.UNDECIDED, None, None
+    m = n
+    if abs(dd - de) < 2:
+        small = d if dd < de else e
+        m = first_difference(small, _ZERO, budget if small.den is None else None, n - 1, nines=True)
     return Verdict.LESS if dd < de else Verdict.GREATER, n, m
 
 
@@ -1012,7 +981,7 @@ def sup_finite(elems, domain="extended"):
             return Decimal.from_term(bar_inv(winner))
         return winner
 
-    return Decimal.from_stream(sign, engine.top, engine.digit, SEARCHED)
+    return Decimal.from_stream(sign, engine.top, engine.digit)
 
 
 def inf_finite(elems, domain="extended"):
@@ -1037,10 +1006,8 @@ def validate_prefix(d, depth):
 
     Raises InvariantViolation when the observable window shows a zero top
     digit above order 0, a run of nines of length >= depth still open at the
-    bottom of the window with no usable escape, or an all-zero minus-signed
-    prefix that nothing certifies as nonzero.  The escape of a stream that
-    passes ``SEARCHED`` is searched for ``depth`` positions below the
-    window; a custom witness is asked and checked.
+    bottom of the window and for ``depth`` positions below it, or an
+    all-zero minus-signed prefix that nothing certifies as nonzero.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -1056,12 +1023,10 @@ def validate_prefix(d, depth):
             seen_nonzero = True
         run = run + 1 if g == 9 else 0
     bottom = -depth
-    if run >= depth and not d.has_exact_value:  # exact expansions have no nine tail
-        if (nine_free_below(d.digit, bottom, depth) if d._witness is SEARCHED
-                else _escape(d, bottom)) is None:
-            raise InvariantViolation(
-                f"run of {run} nines with no escape below 10**{bottom}",
-                position=bottom)
+    # exact expansions have no nine tail
+    if run >= depth and not d.has_exact_value and nine_free_below(d.digit, bottom, depth) is None:
+        raise InvariantViolation(
+            f"run of {run} nines with no escape below 10**{bottom}", position=bottom)
     if not seen_nonzero and d.sign < 0:
         if not d.num:
             raise InvariantViolation(

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .decimals import SEARCHED, Decimal, NineEscapeWitness, format_decimal, truncate
+from .decimals import Decimal, format_decimal, truncate
 from .errors import OracleUnavailable, ZeroShift
 from .rational import ten_smooth
 from .words import encode_xr, xr_head
@@ -229,10 +229,7 @@ def involution_F(d: Decimal, leading=None) -> Decimal:
     def producer(n):
         return d.digit(n - step)
 
-    inner = d.nine_escape
-    witness = SEARCHED if inner is None else NineEscapeWitness(
-        lambda n: inner.escape(n - step) + step)
-    return Decimal.from_stream(d.sign, order, producer, witness)
+    return Decimal.from_stream(d.sign, order, producer)
 
 
 class GraphType(Enum):

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .decimals import (SCAN_PAIRS, SEARCHED, Decimal, TermDecimal, Verdict, magnitude_scan,
+from .decimals import (SCAN_PAIRS, Decimal, TermDecimal, Verdict, magnitude_scan,
                        pair_order, r_inv, settling_pair)
 from .errors import HintMismatch, MalformedHint, OracleUnavailable
 from .rational import (POW10_CACHED, DecFrac, digit_text, int_str, pair_fold, pow10, str_int,
@@ -266,8 +266,9 @@ def weak_add(d: Decimal, e: Decimal, hint: Optional[Hint] = None, sign_budget=40
     comparing magnitudes: the operand of the larger one goes first, and
     unequal signs borrow.  Only exact values compare equal, and their zero
     sum terminates; exact values compare from their pairs, reading no
-    digit, and any other comparison still undecided after ``sign_budget``
-    digits raises ``OracleUnavailable``.  Every digit comes from the rule of
+    digit, and any other comparison with no differing digit within
+    ``sign_budget`` raises ``OracleUnavailable`` (one that finds it needs
+    no nine-free position below it).  Every digit comes from the rule of
     ``add_digit_rule``, resuming the last carry or borrow scan (at first,
     the comparison's) where it still settles the position.  The hinted
     order is checked as in ``_checked_stream``; digits are computed.
@@ -301,10 +302,10 @@ def _checked_stream(sign: int, hint: Hint, producer, bound: int, num, den) -> De
     and first; the top digit is read through the stream, so a product's
     bracket, started at the bound, steps down to it."""
     if num is not None:
-        return Decimal(sign, hint.order, abs(num), den, producer, SEARCHED)
+        return Decimal(sign, hint.order, abs(num), den, producer)
     if hint.order > bound:
         raise HintMismatch("zero digit at the hinted (positive) order")
-    f = Decimal(sign, hint.order, None, None, producer, SEARCHED)
+    f = Decimal(sign, hint.order, None, None, producer)
     above = 0
     for n in range(bound, hint.order, -1):
         above |= producer(n)

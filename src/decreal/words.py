@@ -15,7 +15,7 @@ word (or how deep into a digit stream) a computation had to look.
 from dataclasses import dataclass
 from typing import Optional
 
-from .decimals import SEARCHED, TERM_ZERO, Decimal, first_difference
+from .decimals import TERM_ZERO, Decimal, first_difference
 from .errors import InvariantViolation, MalformedWord, OracleUnavailable
 from .rational import digit_bytes
 
@@ -97,7 +97,7 @@ def traced_decimal(d):
             return block(hi, lo)
 
         producer.block = logged_block
-    return Decimal(d.sign, d.order, d.num, d.den, producer, SEARCHED), trace
+    return Decimal(d.sign, d.order, d.num, d.den, producer), trace
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def decode_xr(w, head_limit=64):
     def producer(n):
         return _digit_letter(w, body + (order - n))
 
-    return Decimal.from_stream(sign, order, producer, SEARCHED)
+    return Decimal.from_stream(sign, order, producer)
 
 
 def decode_xr_prefix(w, depth):
@@ -274,7 +274,7 @@ def decode_xs(w, head_limit=10_000):
             return 0
         return _digit_letter(w, body + (m0 - n))
 
-    return Decimal.from_stream(sign, order, producer, SEARCHED)
+    return Decimal.from_stream(sign, order, producer)
 
 
 def convert_xr_xs(w, leading=None, search_limit=10_000):

@@ -348,18 +348,27 @@ test "$(timeout 5 decreal eval "748-51.01165*69.5489" --hint "$(decreal hint "74
   = "-2799.8041446850"
 )
 
-gate "A nine tail under the searched witness is refused within its budget"
+gate "A nine tail is refused within its budget"
 (
 timeout 5 python -c '
-from decreal.decimals import SEARCHED, Decimal, validate_prefix
+from decreal.decimals import Decimal, validate_prefix
 from decreal.errors import InvariantViolation
-d = Decimal.from_stream(1, 0, lambda n: 9 if n < 0 else 0, SEARCHED)
+d = Decimal.from_stream(1, 0, lambda n: 9 if n < 0 else 0)
 try:
     validate_prefix(d, 100_000)
 except InvariantViolation as exc:
     assert str(exc).startswith("run of 100000 nines with no escape"), exc
 else:
     raise SystemExit("a nine tail passed validate_prefix")
+'
+)
+
+gate "A comparison over a nine tail comes back undecided within its budget"
+(
+timeout 5 python -c '
+from decreal.decimals import Comparison, Decimal, Verdict, compare, parse_decimal
+d = Decimal.from_stream(1, 0, lambda n: 1 if n == -1 else (9 if n < -1 else 0))
+assert compare(d, parse_decimal("0.2"), budget=100_000) == Comparison(Verdict.UNDECIDED)
 '
 )
 

@@ -11,7 +11,6 @@ from decreal.decimals import (
     Comparison,
     Decimal,
     FalseDecimal,
-    NineEscapeWitness,
     SeparationWitness,
     TermDecimal,
     Verdict,
@@ -30,8 +29,8 @@ from decreal.decimals import (
     parse_decimal,
     r_inv,
     r_map,
+    nine_free_below,
     render_digits,
-    SEARCHED,
     sup_finite,
     truncate,
     validate_prefix,
@@ -166,18 +165,18 @@ def test_stream_backing_memoizes_and_validates():
         calls.append(n)
         return 3
 
-    d = Decimal.from_stream(1, 0, producer, SEARCHED)
+    d = Decimal.from_stream(1, 0, producer)
     assert d.digit(-2) == 3
     assert d.digit(-2) == 3
     assert calls.count(-2) == 1  # memoized
 
-    bad = Decimal.from_stream(1, 0, lambda n: 12, None)
+    bad = Decimal.from_stream(1, 0, lambda n: 12)
     with pytest.raises(InvariantViolation):
         bad.digit(-1)
 
 
 def test_stream_has_no_exact_value():
-    d = Decimal.from_stream(1, 0, lambda n: 1, None)
+    d = Decimal.from_stream(1, 0, lambda n: 1)
     assert not d.has_exact_value
     with pytest.raises(OracleUnavailable):
         d.value()
@@ -199,9 +198,9 @@ def test_equality_is_by_value_for_exact_backings():
     a = Decimal.from_fraction(Fraction(1, 2))
     b = Decimal.from_term(r_inv(DecFrac(5, -1)))
     assert a == b and hash(a) == hash(b)
-    s = Decimal.from_stream(1, 0, lambda n: 1, None)
+    s = Decimal.from_stream(1, 0, lambda n: 1)
     assert s == s
-    assert s != Decimal.from_stream(1, 0, lambda n: 1, None)
+    assert s != Decimal.from_stream(1, 0, lambda n: 1)
 
 
 def test_neg_and_abs():
@@ -210,7 +209,7 @@ def test_neg_and_abs():
     assert d.neg().value() == Fraction(3, 7)
     z = Decimal.zero()
     assert z.neg() is z or z.neg().value() == 0
-    s = Decimal.from_stream(-1, 2, lambda n: 1, None)
+    s = Decimal.from_stream(-1, 2, lambda n: 1)
     assert s.neg().sign == 1 and s.neg().digit(1) == 1
 
 
@@ -233,7 +232,7 @@ def test_truncate_matches_digit_window():
 
 
 def test_truncate_stream_backing():
-    d = Decimal.from_stream(1, 0, lambda n: 7, None)
+    d = Decimal.from_stream(1, 0, lambda n: 7)
     assert truncate(d, 2) == TermDecimal(1, 0, (7, 7, 7))
 
 
@@ -304,7 +303,7 @@ def counted_stream(q):
         return oracle_digit(q, n)
 
     x = Decimal.from_fraction(q)
-    return Decimal.from_stream(x.sign, x.order, producer, SEARCHED), calls
+    return Decimal.from_stream(x.sign, x.order, producer), calls
 
 
 def test_scaled_prefix_rejects_negative_depth():
@@ -390,7 +389,7 @@ def test_stream_digits_serve_memoised_runs_and_ask_for_missing_ones():
         return oracle_block(q, hi, lo)
 
     producer.block = block
-    x = Decimal.from_stream(-1, 0, producer, SEARCHED)
+    x = Decimal.from_stream(-1, 0, producer)
     assert [x.digit(n) for n in (0, -3)] == [3, 2]
     assert x.digits(0, -6) == 3142857
     assert blocks == [(-1, -2), (-4, -6)]
@@ -415,7 +414,7 @@ def test_stream_block_outside_its_range_is_an_invariant_violation(bad):
         return 1
 
     producer.block = lambda hi, lo: bad
-    x = Decimal.from_stream(1, 0, producer, SEARCHED)
+    x = Decimal.from_stream(1, 0, producer)
     with pytest.raises(InvariantViolation):
         x.digits(-1, -3)
     assert x.digit(-1) == 1  # nothing bad reached the memo
@@ -433,7 +432,7 @@ def test_long_stream_runs_go_to_the_producer_in_pieces():
         return oracle_block(q, hi, lo)
 
     producer.block = block
-    x = Decimal.from_stream(1, 0, producer, SEARCHED)
+    x = Decimal.from_stream(1, 0, producer)
     depth = 2 * BLOCK + 5
     assert render_digits(x, depth) == "0." + ("142857" * depth)[:depth]
     assert blocks == [(0, 1 - BLOCK), (-BLOCK, 1 - 2 * BLOCK), (-2 * BLOCK, -depth)]
@@ -473,7 +472,7 @@ def asked_stream(q, with_block, fail=()):
 
         producer.block = block
     x = Decimal.from_fraction(q)
-    stream = Decimal.from_stream(x.sign, x.order, producer, SEARCHED)
+    stream = Decimal.from_stream(x.sign, x.order, producer)
     return stream, asked, blocks
 
 
@@ -842,16 +841,16 @@ def test_check_separation_rejects_a_witness_that_is_too_strong():
 
 
 def test_compare_streams_decides_from_digits():
-    a = Decimal.from_stream(1, 0, lambda n: 3, None)
-    b = Decimal.from_stream(1, 0, lambda n: 3 if n > -4 else 5, None)
+    a = Decimal.from_stream(1, 0, lambda n: 3)
+    b = Decimal.from_stream(1, 0, lambda n: 3 if n > -4 else 5)
     c = compare(a, b)
     assert c.verdict is Verdict.LESS
     assert c.witness is not None
 
 
 def test_compare_mixed_sign_streams():
-    a = Decimal.from_stream(-1, 0, lambda n: 2, None)
-    b = Decimal.from_stream(1, 0, lambda n: 1, None)
+    a = Decimal.from_stream(-1, 0, lambda n: 2)
+    b = Decimal.from_stream(1, 0, lambda n: 1)
     c = compare(a, b)
     assert c.verdict is Verdict.LESS
     # leading digit at 10**0 gives 1/k = 1/2
@@ -859,8 +858,8 @@ def test_compare_mixed_sign_streams():
 
 
 def test_compare_undecided_within_budget():
-    a = Decimal.from_stream(1, 0, lambda n: 1, None)
-    b = Decimal.from_stream(1, 0, lambda n: 1 if n > -500 else 2, None)
+    a = Decimal.from_stream(1, 0, lambda n: 1)
+    b = Decimal.from_stream(1, 0, lambda n: 1 if n > -500 else 2)
     assert compare(a, b, budget=16).verdict is Verdict.UNDECIDED
 
 
@@ -870,13 +869,13 @@ def test_compare_undecided_within_budget():
 
 
 def _ones_with(order, pos, digit):
-    return Decimal.from_stream(1, order, lambda n: digit if n == pos else 1, None)
+    return Decimal.from_stream(1, order, lambda n: digit if n == pos else 1)
 
 
 @pytest.mark.parametrize("budget", [1, 6])
 def test_compare_magnitude_scan_budget_boundary(budget):
     last = 2 - budget + 1
-    a = Decimal.from_stream(1, 2, lambda n: 1, None)
+    a = Decimal.from_stream(1, 2, lambda n: 1)
     c = compare(a, _ones_with(2, last, 3), budget=budget)
     assert c.verdict is Verdict.LESS
     assert c.witness == SeparationWitness(pow10(-last) if last < 0 else 1, max(1, -last))
@@ -890,10 +889,10 @@ def test_compare_leading_scan_budget_boundary(budget):
     # opposite signs: the minus side's leading digit is searched first, then
     # the plus side's, each within the budget
     last = -budget + 1
-    zero = Decimal.from_stream(1, 0, lambda n: 0, None)
+    zero = Decimal.from_stream(1, 0, lambda n: 0)
 
     def one_at(sign, pos):
-        return Decimal.from_stream(sign, 0, lambda n: 1 if n == pos else 0, None)
+        return Decimal.from_stream(sign, 0, lambda n: 1 if n == pos else 0)
 
     want = SeparationWitness(2 * pow10(-last), max(1, -last))
     c = compare(one_at(-1, last), zero, budget=budget)
@@ -908,20 +907,15 @@ def test_compare_leading_scan_budget_boundary(budget):
 @pytest.mark.parametrize("budget", [1, 6])
 def test_compare_nine_free_scan_budget_boundary(budget):
     # a digit gap of one at 10**0 needs a position below it where the smaller
-    # side is not 9; the scan reads -1 down to -budget, then asks the witness
-    big = Decimal.from_stream(1, 0, lambda n: 2 if n == 0 else 0, None)
+    # side is not 9; the scan reads -1 down to -budget and no further
+    big = Decimal.from_stream(1, 0, lambda n: 2 if n == 0 else 0)
 
-    def small(free, witness=None):
-        return Decimal.from_stream(
-            1, 0, lambda n: 1 if n == 0 else (0 if n == free else 9), witness)
+    def small(free):
+        return Decimal.from_stream(1, 0, lambda n: 1 if n == 0 else (0 if n == free else 9))
 
     c = compare(small(-budget), big, budget=budget)
     assert (c.verdict, c.witness) == (Verdict.LESS, SeparationWitness(pow10(budget), budget))
     assert compare(small(-budget - 1), big, budget=budget).verdict is Verdict.UNDECIDED
-    escape = NineEscapeWitness(lambda n: -budget - 1)
-    c = compare(small(-budget - 1, escape), big, budget=budget)
-    assert (c.verdict, c.witness) == \
-        (Verdict.LESS, SeparationWitness(pow10(budget + 1), budget + 1))
 
 
 @pytest.mark.parametrize("with_block", [False, True])
@@ -939,7 +933,7 @@ def test_nine_free_scan_reads_runs_asking_each_position_once_in_order(with_block
         if with_block:  # runs of the memo that a block read filled
             producer.block = lambda hi, lo: sum(
                 producer(n) * 10 ** (n - lo) for n in range(hi, lo - 1, -1))
-        return Decimal.from_stream(1, 0, producer, None), calls
+        return Decimal.from_stream(1, 0, producer), calls
 
     big = Decimal.from_fraction(Fraction(2, 10))
     small, calls = counted()
@@ -954,9 +948,9 @@ def test_nine_free_scan_reads_runs_asking_each_position_once_in_order(with_block
     assert calls == list(range(0, -3002, -1))  # -2 down to -3001: 3000 positions
 
 
-def test_searched_witness_reads_the_memo_so_compare_produces_each_position_once():
+def test_nine_free_scan_stops_at_its_budget_and_resumes_from_the_memo():
     # 0.1 and 0.2, each followed by 298 nines and then zeros: the nine-free
-    # scan below 10**-1 runs out of budget, and the searched witness goes on
+    # scan below 10**-1 runs out of budget, and one with no budget goes on
     # from the memo, not from the producer
     def counted(top):
         calls = []
@@ -965,22 +959,36 @@ def test_searched_witness_reads_the_memo_so_compare_produces_each_position_once(
             calls.append(n)
             return top if n == -1 else 9 if -300 < n < -1 else 0
 
-        return Decimal.from_stream(1, 0, producer, SEARCHED), calls
+        return Decimal.from_stream(1, 0, producer), calls
 
     (a, a_calls), (b, b_calls) = counted(1), counted(2)
-    c = compare(a, b, budget=128)
+    assert compare(a, b, budget=128) == Comparison(Verdict.UNDECIDED)
+    c = compare(a, b, budget=None)
     assert (c.verdict, c.witness) == (Verdict.LESS, SeparationWitness(pow10(300), 300))
     assert sorted(a_calls) == list(range(-300, 1))
     assert b_calls == [0, -1]
-    # the sign views share the memo, and the witness of each view reads it
-    assert a.neg().nine_escape.escape(-1) == -300
+    # the sign views share the memo, and a search through either reads it
+    assert nine_free_below(a.neg().digit, -1) == -300
     assert len(a_calls) == 301
+
+
+def test_compare_over_a_nine_tail_is_undecided_within_its_budget():
+    # 0.1999...: the digit gap of one at 10**-1 against 0.2 has no nine-free
+    # position below it, and the scan for one stops at the default budget
+    def producer(n):
+        if n < -10_000:
+            raise AssertionError(f"read position {n}, past the budget")
+        return 1 if n == -1 else 9 if n < -1 else 0
+
+    d, e = Decimal.from_stream(1, 0, producer), parse_decimal("0.2")
+    assert compare(d, e) == Comparison(Verdict.UNDECIDED)
+    assert compare_magnitudes(d, e) == (Verdict.UNDECIDED, None)
 
 
 def test_compare_nine_free_scan_of_exact_side_has_no_budget():
     # exact expansions have no nine tail, so their scan is not cut off
     small = parse_decimal("0.19999999999995")
-    big = Decimal.from_stream(1, 0, lambda n: 2 if n == -1 else 0, None)
+    big = Decimal.from_stream(1, 0, lambda n: 2 if n == -1 else 0)
     c = compare(small, big, budget=4)
     assert (c.verdict, c.witness) == (Verdict.LESS, SeparationWitness(pow10(14), 14))
 
@@ -988,7 +996,7 @@ def test_compare_nine_free_scan_of_exact_side_has_no_budget():
 @pytest.mark.parametrize("budget", [1, 6])
 def test_compare_extended_budget_boundary(budget):
     last = 2 - budget + 1
-    a = Decimal.from_stream(1, 2, lambda n: 1, None)
+    a = Decimal.from_stream(1, 2, lambda n: 1)
     assert compare_extended(a, _ones_with(2, last, 3), budget=budget).verdict is Verdict.LESS
     assert compare_extended(_ones_with(2, last, 0), a, budget=budget).verdict is Verdict.LESS
     assert compare_extended(a, _ones_with(2, last - 1, 3), budget=budget).verdict \
@@ -1002,8 +1010,8 @@ def test_zero_budget_scans_read_nothing():
         reads.append(n)
         return 1
 
-    a = Decimal.from_stream(1, 0, digit, None)
-    b = Decimal.from_stream(1, 0, lambda n: 2, None)
+    a = Decimal.from_stream(1, 0, digit)
+    b = Decimal.from_stream(1, 0, lambda n: 2)
     assert compare(a, b, budget=0).verdict is Verdict.UNDECIDED
     assert compare(a.neg(), b, budget=0).verdict is Verdict.UNDECIDED
     assert compare_extended(a, b, budget=0).verdict is Verdict.UNDECIDED
@@ -1091,7 +1099,7 @@ def test_sup_all_negative_uses_min_filter():
 
 
 def test_sup_with_stream_elements():
-    third = Decimal.from_stream(1, 0, lambda n: 3 if n < 0 else 0, None)
+    third = Decimal.from_stream(1, 0, lambda n: 3 if n < 0 else 0)
     got = sup_finite([third, Decimal.from_fraction(Fraction(1, 4))])
     assert [got.digit(n) for n in (0, -1, -2)] == [0, 3, 3]
 
@@ -1126,13 +1134,13 @@ def test_validate_prefix_needs_a_positive_depth():
 
 
 def test_validate_prefix_rejects_zero_top_digit():
-    d = Decimal.from_stream(1, 2, lambda n: 0 if n == 2 else 1, None)
+    d = Decimal.from_stream(1, 2, lambda n: 0 if n == 2 else 1)
     with pytest.raises(InvariantViolation):
         validate_prefix(d, 5)
 
 
 def test_validate_prefix_rejects_nine_tail_without_escape():
-    d = Decimal.from_stream(1, 0, lambda n: 9, None)
+    d = Decimal.from_stream(1, 0, lambda n: 9)
     with pytest.raises(InvariantViolation):
         validate_prefix(d, 12)
 
@@ -1144,7 +1152,7 @@ def deep_nines(escape):
         if n < -1000:
             raise AssertionError(f"read position {n}, past the search budget")
         return 0 if n >= 0 else 9 if n > escape else 1
-    return Decimal.from_stream(1, 0, producer, SEARCHED)
+    return Decimal.from_stream(1, 0, producer)
 
 
 def test_validate_prefix_searches_a_searched_escape_within_depth_below_the_window():
@@ -1156,20 +1164,8 @@ def test_validate_prefix_searches_a_searched_escape_within_depth_below_the_windo
             validate_prefix(deep_nines(escape), 10)
 
 
-def test_validate_prefix_accepts_nine_run_with_witness():
-    producer = lambda n: 9 if n > -50 else 1
-    d = Decimal.from_stream(1, 0, producer, NineEscapeWitness(lambda n: -50))
-    assert validate_prefix(d, 10).depth == 10
-
-
-def test_validate_prefix_rejects_lying_escape():
-    d = Decimal.from_stream(1, 0, lambda n: 9, NineEscapeWitness(lambda n: n - 1))
-    with pytest.raises(InvariantViolation):
-        validate_prefix(d, 10)
-
-
 def test_validate_prefix_rejects_bare_minus_zero_prefix():
-    d = Decimal.from_stream(-1, 0, lambda n: 0, None)
+    d = Decimal.from_stream(-1, 0, lambda n: 0)
     with pytest.raises(InvariantViolation):
         validate_prefix(d, 10)
 

@@ -57,7 +57,7 @@ def test_from_decimal_negative():
 
 
 def test_from_decimal_stream_backing():
-    d = Decimal.from_stream(1, 0, lambda n: 1, None)  # 1.111...
+    d = Decimal.from_stream(1, 0, lambda n: 1)  # 1.111...
     seq = from_decimal(d)
     assert seq.term(3).to_fraction() == Fraction(1111, 1000)
 

@@ -29,7 +29,6 @@ from decreal.decimals import (  # noqa: E402
     parse_decimal,
     r_inv,
     render_digits,
-    SEARCHED,
     TermDecimal,
     truncate,
 )
@@ -91,7 +90,7 @@ def counted_stream(q):
         return oracle_digit(q, n)
 
     x = Decimal.from_fraction(q)
-    return Decimal.from_stream(x.sign, x.order, producer, SEARCHED), calls
+    return Decimal.from_stream(x.sign, x.order, producer), calls
 
 
 def oracle_block(q, hi, lo):
@@ -239,7 +238,7 @@ def test_stream_memo_serves_any_read_order_asking_each_position_once(q, with_blo
 
         producer.block = block
     x = Decimal.from_fraction(q)
-    x = Decimal.from_stream(x.sign, x.order, producer, SEARCHED)
+    x = Decimal.from_stream(x.sign, x.order, producer)
     read = set()
     for flip, at in reads:
         face = x.neg() if flip else x
@@ -289,7 +288,7 @@ def twin(q, warm=None):
         return x.digit(n)
 
     producer.block = x.digits
-    t = Decimal.from_stream(x.sign, x.order, producer, SEARCHED)
+    t = Decimal.from_stream(x.sign, x.order, producer)
     if warm is not None:
         t.digits(t.order, -warm)
     return t
@@ -445,7 +444,7 @@ def weak_stream(kind, q, part):
         f = weak_add(x, Decimal.from_fraction(q - part), hint_of(q))
     else:
         f = weak_mul(x, Decimal.from_fraction(q / part), hint_of(q))
-    return Decimal.from_stream(f.sign, f.order, f.digit, SEARCHED)
+    return Decimal.from_stream(f.sign, f.order, f.digit)
 
 
 def oracle_order(q):
@@ -673,8 +672,12 @@ def test_nine_free_scans_over_long_nine_runs_match_fraction_oracle(case, kinds, 
     m = 3 - next(i for i in range(gap + 1, len(ts)) if ts[i] != "9")
     for budget in (None, 128):
         a, b = run_operand(kinds[0], small, warm), run_operand(kinds[1], big, warm)
-        assert compare_magnitudes(a, b, budget) == (Verdict.LESS, m)
-        assert compare_magnitudes(b, a, budget) == (Verdict.GREATER, m)
+        # a twin has no exact value, so its scan stops after budget nines
+        if budget is not None and kinds[0] == "twin" and 3 - gap - m > budget:
+            want = (Verdict.UNDECIDED, None), (Verdict.UNDECIDED, None)
+        else:
+            want = (Verdict.LESS, m), (Verdict.GREATER, m)
+        assert (compare_magnitudes(a, b, budget), compare_magnitudes(b, a, budget)) == want
 
 
 @st.composite
@@ -710,7 +713,7 @@ def test_exact_magnitudes_compare_from_their_pair_as_their_digits_do(pair, swap,
     # compare gives the same verdict and witness over both, signs alike or not
     qx, qy = pair[::-1] if swap else pair
     x, y = (Decimal.from_fraction(-q if neg else q) for q, neg in zip((qx, qy), signs))
-    twins = [Decimal.from_stream(d.sign, d.order, d.digit, SEARCHED) for d in (x, y)]
+    twins = [Decimal.from_stream(d.sign, d.order, d.digit) for d in (x, y)]
     assert magnitude_scan(x, y, None) == magnitude_scan(*twins, None)
     assert compare(x, y, None) == compare(*twins, None)
 

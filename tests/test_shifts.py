@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from decreal.decimals import Decimal, Verdict, compare, parse_decimal, SEARCHED
+from decreal.decimals import Decimal, Verdict, compare, parse_decimal
 from decreal.errors import OracleUnavailable, ZeroShift
 from decreal.shifts import (
     GraphType,
@@ -174,7 +174,7 @@ def test_involution_fixes_only_zero():
 def test_involution_on_streams_reads_one_position_away():
     base = Decimal.from_fraction(Fraction(5, 7))
     # a traced view keeps an exact value, so trace a stream of its digits
-    stream = Decimal.from_stream(1, 0, base.digit, SEARCHED)
+    stream = Decimal.from_stream(1, 0, base.digit)
     traced, trace = traced_decimal(stream)
     out = involution_F(traced, leading=base.leading_index())
     for n in (-1, -2, -5):
@@ -185,7 +185,7 @@ def test_involution_on_streams_reads_one_position_away():
 
 
 def test_involution_stream_requires_leading_hint():
-    s = Decimal.from_stream(1, 0, lambda n: 4, None)
+    s = Decimal.from_stream(1, 0, lambda n: 4)
     with pytest.raises(OracleUnavailable):
         involution_F(s)
     out = involution_F(s, leading=0)

@@ -17,8 +17,8 @@ from decreal.decimals import (
     compare,
     parse_decimal,
     r_inv,
+    nine_free_below,
     render_digits,
-    SEARCHED,
 )
 from decreal.errors import HintMismatch, MalformedHint, OracleUnavailable
 from decreal.expr import (eval_expression, expression_hint, fixed_depth_misses, parse_expression,
@@ -143,7 +143,7 @@ def test_compute_hint_cases():
         Hint(3, r_inv(DecFrac(1230)))
     assert compute_hint("add", third, third.neg()) == Hint(0, TERM_ZERO)
     with pytest.raises(OracleUnavailable):
-        compute_hint("add", Decimal.from_stream(1, 0, lambda n: 1, None), third)
+        compute_hint("add", Decimal.from_stream(1, 0, lambda n: 1), third)
     with pytest.raises(ValueError):
         compute_hint("sub", third, third)
 
@@ -229,7 +229,7 @@ def test_a_terminating_payload_is_checked_against_exact_operands():
         Fraction(-1, 2)
     # a stream operand has no exact value to check against: the payload is
     # taken as it stands
-    stream = Decimal.from_stream(1, 0, third.digit, SEARCHED)
+    stream = Decimal.from_stream(1, 0, third.digit)
     assert weak_add(stream, six, wrong).value() == Fraction(7, 10)
 
 
@@ -420,7 +420,7 @@ def test_a_weak_result_over_exact_operands_keeps_the_exact_value():
     assert weak_mul(Decimal.from_fraction(Fraction(1, 4)), Decimal.from_int(2)) == \
         Decimal.from_fraction(Fraction(1, 2))
     # over a producer stream no hint is computable
-    stream = Decimal.from_stream(1, 0, lambda n: 3, SEARCHED)
+    stream = Decimal.from_stream(1, 0, lambda n: 3)
     for op in (weak_add, weak_mul):
         with pytest.raises(OracleUnavailable, match="only computable from exact operands"):
             op(stream, x)
@@ -458,7 +458,7 @@ def test_weak_add_sign_comparison_out_of_budget_is_oracle_unavailable():
     # and 0.33...34 agree on their top 4,096 digits, so the sign of their
     # difference is undecided, not a mismatch
     product = weak_mul(parse_decimal("0.(3)"), parse_decimal("1"), Hint(0))
-    third = Decimal.from_stream(1, 0, product.digit, SEARCHED)
+    third = Decimal.from_stream(1, 0, product.digit)
     close = parse_decimal("0." + "3" * 4200 + "(4)")
     with pytest.raises(OracleUnavailable, match="sign budget of 4096 digits"):
         weak_add(third, close.neg(), Hint(0))
@@ -487,13 +487,27 @@ def test_hint_of_reads_order_and_payload_off_the_value():
     assert hint_of(Fraction(1000, 3)) == Hint(2, None)
 
 
-def test_weak_add_nine_escape_witness_is_honest():
+def test_weak_add_sum_has_a_nine_free_digit_below_the_point():
     d, e = parse_decimal("0.(3)"), parse_decimal("0.6(60)")
     h = compute_hint("add", d, e)
     s = weak_add(d, e, h)
-    w = s.nine_escape
-    m = w.escape(-1)
+    m = nine_free_below(s.digit, -1)
     assert m < -1 and s.digit(m) != 9
+
+
+def test_weak_add_takes_the_sign_past_a_nine_run_longer_than_the_budget():
+    # 0.1 then 10**6 nines, less 0.2: the digit gap of one at 10**-1 gives
+    # the sign, and the sum goes on although no nine-free position lies
+    # within the sign budget below it
+    def producer(n):
+        if n < -6000:
+            raise AssertionError(f"read position {n}, past the sign budget")
+        return 1 if n == -1 else 9 if -10 ** 6 - 1 <= n < -1 else 0
+
+    t = Decimal.from_stream(1, 0, producer)
+    s = weak_add(t, parse_decimal("-0.2"), Hint(0, None))
+    assert s.sign == -1
+    assert [s.digit(n) for n in range(0, -4, -1)] == [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +853,7 @@ def test_product_reads_operand_positions_in_a_pinned_order(monkeypatch, scenario
             return d.digits(hi, lo)
 
         producer.block = block
-        s = Decimal.from_stream(d.sign, d.order, producer, SEARCHED)
+        s = Decimal.from_stream(d.sign, d.order, producer)
         names[id(s)] = name
         return s
 
@@ -936,7 +950,7 @@ def logged(trace):
             return d.digits(hi, lo)
 
         producer.block = block
-        return Decimal.from_stream(d.sign, d.order, producer, SEARCHED)
+        return Decimal.from_stream(d.sign, d.order, producer)
 
     return leaf
 
@@ -953,7 +967,7 @@ def test_block_and_per_digit_rendering_read_the_same_positions(expr, places):
             text = render_digits(f, places)
         else:
             text = render_digits(Decimal.from_stream(
-                f.sign, f.order, f.digit, None), places)  # no block: one digit at a time
+                f.sign, f.order, f.digit), places)  # no block: one digit at a time
         seen.append((text, trace.total, trace.min_index, trace.max_index))
     assert seen[0] == seen[1]
 
@@ -1106,7 +1120,7 @@ def paper_operands(qa, qb, kinds=("exact", "exact")):
     def operand(kind, q):
         x = Decimal.from_fraction(q)
         if kind == "stream":
-            return Decimal.from_stream(x.sign, x.order, x.digit, SEARCHED)
+            return Decimal.from_stream(x.sign, x.order, x.digit)
         if kind == "nested":
             a, b = Decimal.from_fraction(q * Fraction(3, 7)), Decimal.from_fraction(Fraction(7, 3))
             return weak_mul(a, b, compute_hint("mul", a, b))
@@ -1156,7 +1170,7 @@ def exact_pair(rng):
 
 def stream_of(x):
     """A producer-backed view of ``x``, with no exact value."""
-    return Decimal.from_stream(x.sign, x.order, x.digit, SEARCHED)
+    return Decimal.from_stream(x.sign, x.order, x.digit)
 
 
 def test_cold_bracket_over_exact_operands_is_the_divmod_split():
